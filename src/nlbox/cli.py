@@ -42,10 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fmt(v) -> str:
@@ -314,8 +317,16 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_exec(args) -> int:
+    if not args.exact:
+        if args.seed is None:
+            raise UsageError("--samples requires an explicit --seed")
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
     p = _load_protocol(_read_path := args.protocol)
     _require_valid(p)
+    for name, v, bits in (("x", args.x, p.nx), ("y", args.y, p.ny)):
+        if not 0 <= v < 1 << bits:
+            raise ValueError(f"-{name} {v} is outside [0, {1 << bits})")
     print(f"input-hash: {_hash(_read(_read_path))}")
     print(f"x: {args.x}")
     print(f"y: {args.y}")
@@ -324,8 +335,6 @@ def _cmd_exec(args) -> int:
         for (a, b) in sorted(dist.probs):
             print(f"p {a} {b}: {_fmt(dist.probs[(a, b)])}")
         return EXIT_OK
-    if args.seed is None:
-        raise UsageError("--samples requires an explicit --seed")
     counts: dict[tuple[int, int], int] = {}
     for i in range(args.samples):
         a, b, _tr = engine.exec_sample(p, args.x, args.y,

@@ -7,11 +7,18 @@ sampling is the only floating-point surface and derives per-trial seeds
 from a cryptographic hash of (master seed, trial index).
 
 Box semantics: each box outcome pair satisfies a XOR b = p AND q with
-the first-touched side's outcome a fresh unbiased bit.  Enumerating
-Alice's outcomes as free uniform bits and forcing Bob's realizes the
-same joint law for every interleaving of the two schedules, because the
-XOR constraint is symmetric; the Bob-first sweep is kept as an
-independent route for the invariance test.
+the first-touched side's outcome a fresh unbiased bit.  Taking Alice's
+outcomes as the free uniform bits and forcing Bob's realizes the same
+joint law for every interleaving of the two schedules, because the XOR
+constraint is symmetric.  So a run of a non-local-box protocol on (x, y)
+is a function of one integer u, Alice's outcomes packed in box-label
+order, and ``_kernel(p, x, y)`` is that function for each of the four
+box kinds: u -> (a, b, bvec, pin, qin), the two outputs, Bob's outcomes
+and each side's box inputs, all packed in label order.  The exact law,
+seeded sampling and the non-signaling audit's views all derive from it.
+The Bob-first sweep of ``exec_exact_ordered_sweep`` does not: it is the
+independent reference that the evaluation-order invariance test checks
+the kernel against.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
-                        OrderedNlbProtocol, OtProtocol, ParallelProtocol,
-                        ParallelXorProtocol, ProtocolMixture, Protocol,
-                        TwoWayTree, validate)
+from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
+                        OneWayProtocol, OrderedNlbProtocol, OtProtocol,
+                        ParallelProtocol, ParallelXorProtocol,
+                        ProtocolMixture, Protocol, TwoWayTree, validate)
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
@@ -87,9 +95,18 @@ def _dist(pairs) -> OutcomeDistribution:
 
 def _xor_shift(p: ParallelXorProtocol | ParallelProtocol | AndProtocol,
                x: int, y: int) -> int:
+    """Packed p_i(x) AND q_i(y) in one pass, for the closed forms."""
     s = 0
     for i in range(p.t):
         s |= (p.pbox[i][x] & p.qbox[i][y]) << i
+    return s
+
+
+def _packed(tables, v: int) -> int:
+    """Entry v of each per-box table, packed with box i at bit i."""
+    s = 0
+    for i, tab in enumerate(tables):
+        s |= tab[v] << i
     return s
 
 
@@ -97,35 +114,96 @@ def _parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def _kernel(p, x: int, y: int):
+    """The run of a box protocol on (x, y) as a function of Alice's
+    outcomes u: u -> (a, b, bvec, pin, qin), where Bob's outcomes are
+    bvec = u ^ (pin & qin)."""
+    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
+        pin, qin = _packed(p.pbox, x), _packed(p.qbox, y)
+        shift = pin & qin
+        if isinstance(p, ParallelXorProtocol):
+            la, lb = p.local_a[x], p.local_b[y]
+            return lambda u: (la ^ _parity(u), lb ^ _parity(u ^ shift),
+                              u ^ shift, pin, qin)
+        oa, ob = p.out_a[x], p.out_b[y]
+        return lambda u: (oa[u], ob[u ^ shift], u ^ shift, pin, qin)
+    if isinstance(p, OrderedNlbProtocol):
+        sa = [step[x] for step in p.step_a]
+        sb = [step[y] for step in p.step_b]
+        oa, ob = p.out_a[x], p.out_b[y]
+
+        def run_ordered(u):
+            # step i reads the first i outcomes of its own side
+            pin = qin = 0
+            for i in range(p.t):
+                mask = (1 << i) - 1
+                pin |= sa[i][u & mask] << i
+                qin |= sb[i][(u ^ (pin & qin)) & mask] << i
+            bvec = u ^ (pin & qin)
+            return oa[u], ob[bvec], bvec, pin, qin
+        return run_ordered
+    if isinstance(p, GeneralNlbProtocol):
+        oa, ob = p.out_a[x], p.out_b[y]
+
+        def run_general(u):
+            # each side reads its outcomes so far in its own touch order;
+            # Alice's inputs depend on u alone, so hers come first
+            pin = obs = 0
+            for pos, label in enumerate(p.sched_a):
+                pin |= p.step_a[pos][x][obs] << label
+                obs |= ((u >> label) & 1) << pos
+            qin = obs = 0
+            for pos, label in enumerate(p.sched_b):
+                q = p.step_b[pos][y][obs]
+                qin |= q << label
+                bit = ((u >> label) & 1) ^ ((pin >> label) & q)
+                obs |= bit << pos
+            bvec = u ^ (pin & qin)
+            return oa[u], ob[bvec], bvec, pin, qin
+        return run_general
+    raise ProtocolError(f"{type(p).__name__} is not a non-local-box protocol")
+
+
+def _mix(p: ProtocolMixture, law) -> dict:
+    """Weighted sum over the components of the laws law(component)."""
+    acc: dict = {}
+    for w, comp in p.components:
+        for k, q in law(comp).items():
+            acc[k] = acc.get(k, Fraction(0)) + w * q
+    return acc
+
+
+def _uniform_law(t: int, keys) -> dict:
+    """Law of a key over 2^t equally likely branches: one Fraction per key."""
+    return {k: Fraction(n, 1 << t) for k, n in Counter(keys).items()}
+
+
+def _enumerate(p, x: int, y: int, key) -> dict:
+    """Exact law of key(u, kernel(u)) over Alice's outcomes u (and over
+    the shared randomness of a mixture)."""
+    if isinstance(p, ProtocolMixture):
+        return _mix(p, lambda comp: _enumerate(comp, x, y, key))
+    run = _kernel(p, x, y)
+    _check_limit(p.t)
+    return _uniform_law(p.t, (key(u, run(u)) for u in range(1 << p.t)))
+
+
+def _outputs(_u, branch):
+    return branch[:2]
+
+
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     """Exact joint output distribution of the protocol on inputs (x, y)."""
     if isinstance(p, ProtocolMixture):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for w, comp in p.components:
-            for ab, q in exec_exact(comp, x, y).probs.items():
-                acc[ab] = acc.get(ab, Fraction(0)) + w * q
-        return OutcomeDistribution(acc)
+        return OutcomeDistribution(_mix(p, lambda c: exec_exact(c, x, y).probs))
     if isinstance(p, ParallelXorProtocol):
+        # closed form, O(t): the output parity is deterministic
         d = _parity(_xor_shift(p, x, y))
         la, lb = p.local_a[x], p.local_b[y]
         if p.t == 0:
             return _dist([((la, lb), Fraction(1))])
         half = Fraction(1, 2)
         return _dist([((la, lb ^ d), half), ((la ^ 1, lb ^ d ^ 1), half)])
-    if isinstance(p, ParallelProtocol):
-        _check_limit(p.t)
-        shift = _xor_shift(p, x, y)
-        w = Fraction(1, 1 << p.t)
-        return _dist(((p.out_a[x][a], p.out_b[y][a ^ shift]), w)
-                     for a in range(1 << p.t))
-    if isinstance(p, OrderedNlbProtocol):
-        _check_limit(p.t)
-        w = Fraction(1, 1 << p.t)
-        return _dist((_run_ordered(p, x, y, u), w) for u in range(1 << p.t))
-    if isinstance(p, GeneralNlbProtocol):
-        _check_limit(p.t)
-        w = Fraction(1, 1 << p.t)
-        return _dist((_run_general(p, x, y, u)[:2], w) for u in range(1 << p.t))
     if isinstance(p, OneWayProtocol):
         return _dist([((p.out_a[x], p.out_b[p.msg[x]][y]), Fraction(1))])
     if isinstance(p, TwoWayTree):
@@ -135,56 +213,29 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     if isinstance(p, OtProtocol):
         return _dist(((_run_ot(p, x, y, r), w)
                       for r, w in enumerate(p.r_weights)))
-    raise ProtocolError(f"cannot execute {type(p).__name__}")
-
-
-def _run_ordered(p: OrderedNlbProtocol, x: int, y: int, u: int,
-                 bob_first: bool = False) -> tuple[int, int]:
-    """Run one branch with Alice's outcomes fixed to u (or Bob's if
-    bob_first), the other side's forced by the box constraint."""
-    if not bob_first:
-        avec, bvec = u, 0
-        for i in range(p.t):
-            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
-            qi = p.step_b[i][y][bvec & ((1 << i) - 1)]
-            bvec |= (((u >> i) & 1) ^ (pi & qi)) << i
-    else:
-        bvec, avec = u, 0
-        for i in range(p.t):
-            qi = p.step_b[i][y][bvec & ((1 << i) - 1)]
-            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
-            avec |= (((u >> i) & 1) ^ (pi & qi)) << i
-    return p.out_a[x][avec], p.out_b[y][bvec]
+    return OutcomeDistribution(_enumerate(p, x, y, _outputs))
 
 
 def exec_exact_ordered_sweep(p: OrderedNlbProtocol, x: int, y: int,
                              bob_first: bool) -> OutcomeDistribution:
     """Ordered execution with the free uniform bit on either side; the two
-    sweeps must agree exactly (evaluation-order invariance)."""
+    sweeps must agree exactly (evaluation-order invariance).  The
+    Alice-first sweep is the kernel; the Bob-first loop stays apart from
+    it as the reference."""
+    if not bob_first:
+        return OutcomeDistribution(_enumerate(p, x, y, _outputs))
     _check_limit(p.t)
-    w = Fraction(1, 1 << p.t)
-    return _dist((_run_ordered(p, x, y, u, bob_first), w)
-                 for u in range(1 << p.t))
 
-
-def _run_general(p: GeneralNlbProtocol, x: int, y: int, u: int):
-    """One branch of a general-schedule protocol; u packs, in label order,
-    the free uniform bit of each box (assigned to Alice's side)."""
-    pin = [0] * p.t
-    obs = 0
-    for pos, label in enumerate(p.sched_a):
-        pin[label] = p.step_a[pos][x][obs]
-        obs |= ((u >> label) & 1) << pos
-    bvec = 0
-    obs_b = 0
-    qin = [0] * p.t
-    for pos, label in enumerate(p.sched_b):
-        q = p.step_b[pos][y][obs_b]
-        qin[label] = q
-        bl = ((u >> label) & 1) ^ (pin[label] & q)
-        obs_b |= bl << pos
-        bvec |= bl << label
-    return p.out_a[x][u], p.out_b[y][bvec], (u, bvec, tuple(pin), tuple(qin))
+    def run_bob_first(v):
+        # v fixes Bob's outcomes; Alice's are forced by the box constraint
+        avec = 0
+        for i in range(p.t):
+            qi = p.step_b[i][y][v & ((1 << i) - 1)]
+            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
+            avec |= (((v >> i) & 1) ^ (pi & qi)) << i
+        return p.out_a[x][avec], p.out_b[y][v]
+    return OutcomeDistribution(
+        _uniform_law(p.t, (run_bob_first(v) for v in range(1 << p.t))))
 
 
 def _run_ot(p: OtProtocol, x: int, y: int, r: int,
@@ -240,40 +291,18 @@ def _sample(p: Protocol, x: int, y: int, rng: random.Random):
                 break
         a, b, sub = _sample(comp, x, y, rng)
         return a, b, transcript + sub
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
-        avec = rng.getrandbits(p.t) if p.t else 0
-        shift = _xor_shift(p, x, y)
-        bvec = avec ^ shift
-        for i in range(p.t):
-            transcript.append({"kind": "box", "index": i,
-                               "in": (p.pbox[i][x], p.qbox[i][y]),
-                               "out": ((avec >> i) & 1, (bvec >> i) & 1)})
-        if isinstance(p, ParallelXorProtocol):
-            a = p.local_a[x] ^ _parity(avec)
-            b = p.local_b[y] ^ _parity(bvec)
+    if isinstance(p, NLB_KINDS):
+        if isinstance(p, OrderedNlbProtocol):
+            u = 0
+            for i in range(p.t):  # one coin per box, drawn in label order
+                u |= rng.getrandbits(1) << i
         else:
-            a, b = p.out_a[x][avec], p.out_b[y][bvec]
-        return a, b, transcript
-    if isinstance(p, OrderedNlbProtocol):
-        avec = bvec = 0
-        for i in range(p.t):
-            pi = p.step_a[i][x][avec]
-            qi = p.step_b[i][y][bvec]
-            ai = rng.getrandbits(1)
-            bi = ai ^ (pi & qi)
-            transcript.append({"kind": "box", "index": i, "in": (pi, qi),
-                               "out": (ai, bi)})
-            avec |= ai << i
-            bvec |= bi << i
-        return p.out_a[x][avec], p.out_b[y][bvec], transcript
-    if isinstance(p, GeneralNlbProtocol):
-        u = rng.getrandbits(p.t) if p.t else 0
-        a, b, (avec, bvec, pin, qin) = _run_general(p, x, y, u)
-        for label in range(p.t):
-            transcript.append({"kind": "box", "index": label,
-                               "in": (pin[label], qin[label]),
-                               "out": ((avec >> label) & 1, (bvec >> label) & 1)})
-        return a, b, transcript
+            u = rng.getrandbits(p.t) if p.t else 0
+        a, b, bvec, pin, qin = _kernel(p, x, y)(u)
+        return a, b, [{"kind": "box", "index": i,
+                       "in": ((pin >> i) & 1, (qin >> i) & 1),
+                       "out": ((u >> i) & 1, (bvec >> i) & 1)}
+                      for i in range(p.t)]
     if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
         dist = exec_exact(p, x, y)
         (a, b), _w = next(iter(dist.probs.items()))
@@ -353,70 +382,12 @@ class AuditViolation:
 
 def _alice_view(p, x: int, y: int) -> dict[tuple, Fraction]:
     """Distribution of (Alice box outcomes, Alice output) on (x, y)."""
-    out: dict[tuple, Fraction] = {}
-
-    def add(key, w):
-        out[key] = out.get(key, Fraction(0)) + w
-
-    if isinstance(p, ProtocolMixture):
-        for w, comp in p.components:
-            for k, q in _alice_view(comp, x, y).items():
-                add(k, w * q)
-        return out
-    _check_limit(p.t)
-    w = Fraction(1, 1 << p.t) if p.t else Fraction(1)
-    for u in range(1 << p.t):
-        if isinstance(p, ParallelXorProtocol):
-            add((u, p.local_a[x] ^ _parity(u)), w)
-        elif isinstance(p, ParallelProtocol):
-            add((u, p.out_a[x][u]), w)
-        elif isinstance(p, OrderedNlbProtocol):
-            a, _b = _run_ordered(p, x, y, u)
-            add((u, a), w)
-        elif isinstance(p, GeneralNlbProtocol):
-            a, _b, _ = _run_general(p, x, y, u)
-            add((u, a), w)
-        else:
-            raise ProtocolError("non-signaling audit applies to NLB protocols")
-    return out
+    return _enumerate(p, x, y, lambda u, branch: (u, branch[0]))
 
 
 def _bob_view(p, x: int, y: int) -> dict[tuple, Fraction]:
-    out: dict[tuple, Fraction] = {}
-
-    def add(key, w):
-        out[key] = out.get(key, Fraction(0)) + w
-
-    if isinstance(p, ProtocolMixture):
-        for w, comp in p.components:
-            for k, q in _bob_view(comp, x, y).items():
-                add(k, w * q)
-        return out
-    _check_limit(p.t)
-    w = Fraction(1, 1 << p.t) if p.t else Fraction(1)
-    shift = None
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
-        shift = _xor_shift(p, x, y)
-    for u in range(1 << p.t):
-        if isinstance(p, ParallelXorProtocol):
-            bvec = u ^ shift
-            add((bvec, p.local_b[y] ^ _parity(bvec)), w)
-        elif isinstance(p, ParallelProtocol):
-            bvec = u ^ shift
-            add((bvec, p.out_b[y][bvec]), w)
-        elif isinstance(p, OrderedNlbProtocol):
-            avec, bvec = u, 0
-            for i in range(p.t):
-                pi = p.step_a[i][x][avec & ((1 << i) - 1)]
-                qi = p.step_b[i][y][bvec & ((1 << i) - 1)]
-                bvec |= (((u >> i) & 1) ^ (pi & qi)) << i
-            add((bvec, p.out_b[y][bvec]), w)
-        elif isinstance(p, GeneralNlbProtocol):
-            _a, b, (_u, bvec, _pin, _qin) = _run_general(p, x, y, u)
-            add((bvec, b), w)
-        else:
-            raise ProtocolError("non-signaling audit applies to NLB protocols")
-    return out
+    """Distribution of (Bob box outcomes, Bob output) on (x, y)."""
+    return _enumerate(p, x, y, lambda _u, branch: (branch[2], branch[1]))
 
 
 def nonsignaling_audit(p) -> AuditViolation | None:

@@ -155,33 +155,50 @@ def parse(text: str) -> Protocol:
 
 
 def _parse_frac(tok: str) -> Fraction:
-    num, den = tok.split("/")
-    return Fraction(int(num), int(den))
+    try:
+        num, den = tok.split("/")
+        return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad fraction {tok!r}") from None
+
+
+def _mix_header(line: str) -> tuple[int, Fraction]:
+    head = line.split()
+    try:
+        if head[0] != "mix" or len(head) != 3:
+            raise ValueError
+        return int(head[1]), _parse_frac(head[2])
+    except ValueError:
+        raise ParseError(f"bad mixture header {line!r}") from None
 
 
 def _parse_one(cur: _Cursor):
-    head = cur.take().split()
-    if head[0] == "mix":
-        k = int(head[1])
-        comps = [(_parse_frac(head[2]), _parse_body(cur))]
-        for _ in range(k - 1):
-            h = cur.take().split()
-            if h[0] != "mix" or int(h[1]) != k:
-                raise ParseError("inconsistent mixture headers")
-            comps.append((_parse_frac(h[2]), _parse_body(cur)))
-        return ProtocolMixture(tuple(comps))
-    if head[0] != "protocol":
-        raise ParseError(f"bad header {' '.join(head)!r}")
-    cur.pos -= 1
-    return _parse_body(cur)
+    line = cur.take()
+    if not line.startswith("mix"):
+        cur.pos -= 1
+        return _parse_body(cur)
+    k, w = _mix_header(line)
+    comps = [(w, _parse_body(cur))]
+    for _ in range(k - 1):
+        k2, w = _mix_header(cur.take())
+        if k2 != k:
+            raise ParseError("inconsistent mixture headers")
+        comps.append((w, _parse_body(cur)))
+    return ProtocolMixture(tuple(comps))
 
 
 def _parse_body(cur: _Cursor):
-    head = cur.expect("protocol").split()
+    line = cur.take()
+    head = line.split()
+    try:
+        if head[0] != "protocol" or len(head) < 2:
+            raise ValueError
+        fields = dict(kv.split("=") for kv in head[2:])
+        nx, ny, t = int(fields["nx"]), int(fields["ny"]), int(fields["t"])
+        xs, ys = 1 << nx, 1 << ny
+    except (ValueError, KeyError):
+        raise ParseError(f"bad header {line!r}") from None
     kind = head[1]
-    fields = dict(kv.split("=") for kv in head[2:])
-    nx, ny, t = int(fields["nx"]), int(fields["ny"]), int(fields["t"])
-    xs, ys = 1 << nx, 1 << ny
 
     def boxes():
         pbox, qbox = [], []

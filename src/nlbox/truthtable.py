@@ -42,29 +42,8 @@ class TruthTable:
     def entry(self, x: int, y: int) -> int:
         return (self.rows[x] >> y) & 1
 
-    def __call__(self, x: int, y: int) -> int:
-        return self.entry(x, y)
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def row_bits(self, x: int) -> tuple[int, ...]:
-        return tuple((self.rows[x] >> y) & 1 for y in range(self.n_cols))
-
-    def transpose(self) -> "TruthTable":
-        cols = []
-        for y in range(self.n_cols):
-            c = 0
-            for x in range(self.n_rows):
-                c |= self.entry(x, y) << x
-            cols.append(c)
-        return TruthTable(self.ny, self.nx, tuple(cols))
-
-    def xor(self, other: "TruthTable") -> "TruthTable":
-        if (self.nx, self.ny) != (other.nx, other.ny):
-            raise ValueError("dimension mismatch")
-        return TruthTable(self.nx, self.ny,
-                          tuple(a ^ b for a, b in zip(self.rows, other.rows)))
 
 
 def from_function(nx: int, ny: int, f: Callable[[int, int], int]) -> TruthTable:

@@ -161,13 +161,42 @@ def test_exit_code_usage_samples_without_seed(capsys, tmp_path, ip2_file):
     assert "seed" in err
 
 
-def test_exit_code_validation(capsys, tmp_path):
+def test_exit_code_validation(capsys, tmp_path, and_file):
     code, _, err = run(capsys, "rank", "-f", str(tmp_path / "missing.tt"))
     assert code == 2
     bad = tmp_path / "bad.tt"
     bad.write_text("1 1\n01\n")  # missing a row
     code, _, err = run(capsys, "rank", "-f", str(bad))
     assert code == 2
+    for name, text in (("no-ny.nlb", "protocol parallel-xor nx=1 t=0\n"),
+                       ("bare-mix.nlb", "mix\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "exec", "-p", str(path), "-x", "0",
+                             "-y", "0", "--exact")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (("epsrank", "-f", and_file, "--eps", "1/0"),
+                 ("lib", "disj-rand", "--flip", "1/0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exec_rejects_out_of_range_inputs(capsys, tmp_path):
+    proto = str(tmp_path / "ip1.nlb")
+    run(capsys, "lib", "ip", "-n", "1", "-o", proto)
+    for argv in (("-x", "-1", "-y", "0", "--exact"),
+                 ("-x", "5", "-y", "0", "--exact"),
+                 ("-x", "0", "-y", "2", "--exact"),
+                 ("-x", "1", "-y", "1", "--samples", "-3", "--seed", "1"),
+                 ("-x", "1", "-y", "1", "--samples", "0", "--seed", "1")):
+        code, out, err = run(capsys, "exec", "-p", proto, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "exec", "-p", proto, "-x", "1", "-y", "1",
+                       "--exact")
+    assert code == 0 and "p 0 1: 1/2" in out
 
 
 def test_exit_code_audit_failure(capsys, tmp_path):

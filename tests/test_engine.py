@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from nlbox.engine import (ResourceLimitError, derive_seed, error_profile,
-                          exec_exact, exec_exact_ordered_sweep, exec_sample,
-                          nonsignaling_audit, ot_received_distribution,
-                          privacy_audit_and, privacy_audit_ot)
-from nlbox.compilers import ordered_to_ot, synth_rank
-from nlbox.library import disj_rand_parallel, ip_protocol
+from nlbox.engine import (ProtocolError, ResourceLimitError, derive_seed,
+                          error_profile, exec_exact, exec_exact_ordered_sweep,
+                          exec_sample, nonsignaling_audit,
+                          ot_received_distribution, privacy_audit_and,
+                          privacy_audit_ot)
+from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank
+from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OtProtocol,
-                             ProtocolMixture)
+                             ParallelXorProtocol, ProtocolMixture)
 from nlbox.truthtable import TruthTable, and_table, ip_table
-from util import (oracle_parallel_dist, random_ordered, random_table,
-                  random_tree, xor_as_ordered, xor_as_parallel)
+from util import (obfuscate, oracle_parallel_dist, parity, random_general,
+                  random_ordered, random_table, random_tree, xor_as_ordered,
+                  xor_as_parallel)
 
 RNG = random.Random(777)
 
@@ -240,3 +242,99 @@ def test_mixture_audit_and_views():
     assert nonsignaling_audit(mix) is None
     d = exec_exact(mix, 1, 1)
     assert d.parity_prob(1) == 1
+
+
+def _sampled_kinds():
+    """One protocol of each box kind, a mixture and an OT form, built
+    from a fixed seed so that sampled runs can be pinned."""
+    rng = random.Random(2024)
+    return {
+        "parallel-xor": ip_protocol(2),
+        "parallel": obfuscate(xor_as_parallel(synth_rank(random_table(2, 2, rng))),
+                              rng),
+        "ordered": disj_det_protocol(2),
+        "general": random_general(2, 2, 3, rng),
+        "mixture": disj_rand_parallel(2, Fraction(1, 3)),
+        "ot": ordered_to_ot(disj_det_protocol(2)),
+    }
+
+
+def _encode_run(a, b, transcript) -> str:
+    """'ab' then one token per event: box 'pq>ab', OT 's0s1c>o', mixture
+    component 'm<i>'."""
+    toks = [f"{a}{b}"]
+    for ev in transcript:
+        if ev["kind"] == "box":
+            toks.append("%d%d>%d%d" % (*ev["in"], *ev["out"]))
+        elif ev["kind"] == "shared-randomness":
+            toks.append(f"m{ev['component']}")
+        else:
+            (s0, s1), c = ev["in"]
+            toks.append(f"{s0}{s1}{c}>{ev['out']}")
+    return " ".join(toks)
+
+
+# exec_sample(p, 3, 2, seed) for seeds 0..5, recorded before the engine
+# derived sampling from the per-kind branch kernel; seeded runs must not
+# change with the engine's internals.
+SAMPLE_GOLDEN = {
+    "parallel-xor": ("10 10>11 11>01", "01 10>00 11>01", "01 10>00 11>01",
+                     "01 10>00 11>01", "10 10>00 11>10", "10 10>00 11>10"),
+    "parallel": ("10 01>11 10>00 11>10 11>01", "01 01>00 10>00 11>01 11>01",
+                 "01 01>11 10>11 11>01 11>01", "01 01>00 10>00 11>01 11>01",
+                 "10 01>00 10>00 11>01 11>10", "01 01>00 10>11 11>01 11>10"),
+    "ordered": ("10 10>00 11>10 00>11 10>11", "01 10>00 11>01 01>11 00>11",
+                "01 10>00 11>10 00>11 10>00", "01 10>00 11>10 00>11 10>00",
+                "01 10>11 11>10 10>11 11>01", "10 10>11 11>10 10>11 11>10"),
+    "general": ("10 01>00 10>11 11>01", "10 10>00 10>00 01>00",
+                "11 10>11 10>00 00>00", "10 10>00 10>00 01>00",
+                "10 10>00 10>00 01>11", "00 10>11 10>00 00>11"),
+    "mixture": ("01 m2 00>11 11>10", "00 m0 00>11 00>11", "11 m1 10>00 00>11",
+                "00 m0 00>11 00>11", "10 m3 10>00 11>10", "10 m4 00>11 00>11"),
+    "ot": ("01 100>1 011>1 101>0 001>0", "01 010>0 011>1 001>0 000>0",
+           "10 100>1 101>0 010>0 011>1", "01 010>0 011>1 001>0 000>0",
+           "10 010>0 011>1 001>0 110>1", "01 010>0 101>0 000>0 100>1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GOLDEN))
+def test_sampling_matches_recorded_runs(name):
+    p = _sampled_kinds()[name]
+    runs = tuple(_encode_run(*exec_sample(p, 3, 2, seed)) for seed in range(6))
+    assert runs == SAMPLE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name",
+                         ["parallel-xor", "parallel", "ordered", "general", "mixture"])
+def test_sampled_runs_obey_box_constraint_and_exact_support(name):
+    p = _sampled_kinds()[name]
+    for x in range(4):
+        for y in range(4):
+            support = exec_exact(p, x, y).probs
+            for seed in range(8):
+                a, b, tr = exec_sample(p, x, y, derive_seed(seed, 4 * x + y))
+                assert (a, b) in support
+                comp = p
+                if isinstance(p, ProtocolMixture):
+                    assert tr[0]["kind"] == "shared-randomness"
+                    comp = p.components[tr[0]["component"]][1]
+                    tr = tr[1:]
+                assert [ev["index"] for ev in tr] == list(range(comp.t))
+                avec = bvec = 0
+                for i, ev in enumerate(tr):
+                    (pi, qi), (ai, bi) = ev["in"], ev["out"]
+                    assert ai ^ bi == pi & qi
+                    avec |= ai << i
+                    bvec |= bi << i
+                # the outputs are the ones the sampled outcomes determine
+                if isinstance(comp, ParallelXorProtocol):
+                    assert (a, b) == (comp.local_a[x] ^ parity(avec),
+                                      comp.local_b[y] ^ parity(bvec))
+                else:
+                    assert (a, b) == (comp.out_a[x][avec], comp.out_b[y][bvec])
+
+
+def test_nonsignaling_audit_rejects_non_box_protocols():
+    for p in (ordered_to_ot(disj_det_protocol(2)), oneway_optimal(ip_table(1))):
+        with pytest.raises(ProtocolError):
+            nonsignaling_audit(p)

@@ -72,6 +72,12 @@ def test_parse_errors():
         parse(good + "protocol parallel-xor nx=1 ny=1 t=0\n")
     with pytest.raises(ParseError):  # wrong bit-line width
         parse(good.replace("\n01\n", "\n011\n", 1))
+    with pytest.raises(ParseError):  # header without ny=
+        parse("protocol parallel-xor nx=1 t=0\n")
+    with pytest.raises(ParseError):  # bare mixture header
+        parse("mix\n")
+    with pytest.raises(ParseError):  # zero-denominator mixture weight
+        parse("mix 1 1/0\n" + good)
 
 
 def test_parse_inconsistent_mixture_headers():

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from nlbox.protocols import (OrderedNlbProtocol, ParallelProtocol,
-                             ParallelXorProtocol, TwoWayTree)
+from nlbox.protocols import (GeneralNlbProtocol, OrderedNlbProtocol,
+                             ParallelProtocol, ParallelXorProtocol, TwoWayTree)
 from nlbox.truthtable import TruthTable
 
 
@@ -52,6 +52,18 @@ def random_ordered(nx: int, ny: int, t: int,
               for _ in range(1 << nx)),
         tuple(tuple(rng.randrange(2) for _ in range(1 << t))
               for _ in range(1 << ny)))
+
+
+def random_general(nx: int, ny: int, t: int,
+                   rng: random.Random) -> GeneralNlbProtocol:
+    """Random tables of ``random_ordered`` under shuffled touch orders, so
+    each side's steps read its outcomes in its own order."""
+    o = random_ordered(nx, ny, t, rng)
+    sched_a, sched_b = list(range(t)), list(range(t))
+    rng.shuffle(sched_a)
+    rng.shuffle(sched_b)
+    return GeneralNlbProtocol(nx, ny, t, tuple(sched_a), o.step_a,
+                              tuple(sched_b), o.step_b, o.out_a, o.out_b)
 
 
 def xor_as_parallel(p: ParallelXorProtocol) -> ParallelProtocol:
