@@ -82,6 +82,11 @@ def _emit_protocol(p, path: str | None, provenance: str) -> None:
         sys.stdout.write(text)
 
 
+# tokens on each kind of circuit line, its keywords included
+_CIRCUIT_TOKENS = {"input a": 3, "input b": 3, "input ab": 4, "and": 3,
+                   "or": 3, "xor": 3, "not": 2, "output": 2}
+
+
 def parse_circuit(text: str) -> compilers.DistributedCircuit:
     """Circuit text format: header "circuit nx ny"; then one line per
     wire — "input a BIT", "input b BIT", "input ab ABIT BBIT", gates
@@ -97,25 +102,25 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
     output = None
     for ln in lines[1:]:
         toks = ln.split()
+        kind = " ".join(toks[:2]) if toks[0] == "input" else toks[0]
+        if kind not in _CIRCUIT_TOKENS:
+            raise ValueError(f"unknown circuit line {ln!r}")
+        if len(toks) != _CIRCUIT_TOKENS[kind]:
+            raise ValueError(f"circuit line {ln!r} needs "
+                             f"{_CIRCUIT_TOKENS[kind]} tokens")
         if toks[0] == "input":
             if gates:
                 raise ValueError("inputs must precede gates")
-            if toks[1] == "a":
+            if kind == "input a":
                 inputs.append(compilers.InputWire(int(toks[2]), None))
-            elif toks[1] == "b":
+            elif kind == "input b":
                 inputs.append(compilers.InputWire(None, int(toks[2])))
-            elif toks[1] == "ab":
-                inputs.append(compilers.InputWire(int(toks[2]), int(toks[3])))
             else:
-                raise ValueError(f"unknown input side {toks[1]!r}")
-        elif toks[0] in ("and", "or", "xor"):
-            gates.append((toks[0], int(toks[1]), int(toks[2])))
-        elif toks[0] == "not":
-            gates.append(("not", int(toks[1])))
-        elif toks[0] == "output":
+                inputs.append(compilers.InputWire(int(toks[2]), int(toks[3])))
+        elif kind == "output":
             output = int(toks[1])
         else:
-            raise ValueError(f"unknown circuit line {ln!r}")
+            gates.append((kind, *(int(v) for v in toks[1:])))
     if output is None:
         raise ValueError("circuit has no output line")
     return compilers.DistributedCircuit(int(nx), int(ny), tuple(inputs),

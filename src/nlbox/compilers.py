@@ -411,12 +411,18 @@ class InputWire:
     b_bit: int | None
 
 
+_GATE_ARITY = {"not": 1, "xor": 2, "and": 2, "or": 2}
+
+
 @dataclass(frozen=True)
 class DistributedCircuit:
     """Topologically ordered circuit over distributed bits.
 
     Gate k's output is wire ``len(inputs) + k``; gates are
-    ("not", w), ("xor", w1, w2), ("and", w1, w2), ("or", w1, w2).
+    ("not", w), ("xor", w1, w2), ("and", w1, w2), ("or", w1, w2), and
+    read only earlier wires.  Construction raises ``ProtocolError`` on
+    any other gate, an operand or output wire out of range, or an input
+    bit outside x's or y's width.
     """
 
     nx: int
@@ -424,6 +430,24 @@ class DistributedCircuit:
     inputs: tuple[InputWire, ...]
     gates: tuple[tuple, ...]
     output: int
+
+    def __post_init__(self):
+        for w in self.inputs:
+            for side, bit, n in (("a", w.a_bit, self.nx), ("b", w.b_bit, self.ny)):
+                if bit is not None and not 0 <= bit < n:
+                    raise ProtocolError(f"input bit {side} {bit} is outside [0, {n})")
+        for k, gate in enumerate(self.gates):
+            wire = len(self.inputs) + k
+            if not gate or _GATE_ARITY.get(gate[0]) != len(gate) - 1:
+                raise ProtocolError(f"unknown gate or wrong operand count: {gate!r}")
+            for w in gate[1:]:
+                if not 0 <= w < wire:
+                    raise ProtocolError(
+                        f"gate {gate!r} (wire {wire}) reads wire {w}, "
+                        f"not an earlier one")
+        if not 0 <= self.output < self.n_wires():
+            raise ProtocolError(
+                f"output wire {self.output} is outside [0, {self.n_wires()})")
 
     def n_wires(self) -> int:
         return len(self.inputs) + len(self.gates)
@@ -465,7 +489,7 @@ def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
             _, w1, w2 = gate
             a_sh.append(xor_funcs(a_sh[w1], a_sh[w2]))
             b_sh.append(xor_funcs(b_sh[w1], b_sh[w2]))
-        elif op in ("and", "or"):
+        else:  # "and" / "or"
             _, w1, w2 = gate
             a1, a2, b1, b2 = a_sh[w1], a_sh[w2], b_sh[w1], b_sh[w2]
             # u op v = (a1 op a2) XOR (b1 op b2) XOR a1 b2 XOR a2 b1 holds
@@ -484,8 +508,6 @@ def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
                     fb = xor_funcs(fb, acc)
             a_sh.append(fa)
             b_sh.append(fb)
-        else:
-            raise ProtocolError(f"unknown gate {op!r}")
 
     t = len(boxes)
     step_a = tuple(tuple(tuple(pf(x, pre) for pre in range(1 << i))

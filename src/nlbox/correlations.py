@@ -16,10 +16,14 @@ import numpy as np
 
 from . import truthtable as tt
 from .compilers import synth_rank
-from .engine import derive_seed
+from .engine import ResourceLimitError, derive_seed
 from .protocols import ParallelXorProtocol, ProtocolMixture
 
 UNIT_TOL = 1e-9
+
+# Cap on trials x dim for rt_trials, whose arrays grow with that product:
+# 200,000 trials of dim 10 raise peak memory by about 130 MB.
+_MAX_RT_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,8 @@ def parse_correlation(text: str) -> CorrelationMatrix:
 
     def frac(tok: str) -> Fraction:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {tok!r}")
         return Fraction(int(num), int(den))
 
     return CorrelationMatrix(tuple(tuple(frac(toks[x * cols + y])
@@ -267,6 +273,13 @@ def rt_trials(dim: int, n_trials: int, seed: int):
     transform (here: identity), which is the transport identity the
     3-box construction guarantees.
     """
+    if dim < 3:
+        raise ValueError(f"dim must be at least 3, got {dim}")
+    if n_trials < 1:
+        raise ValueError(f"trials must be at least 1, got {n_trials}")
+    if n_trials * dim > _MAX_RT_ENTRIES:
+        raise ResourceLimitError(
+            f"trials x dim = {n_trials * dim} exceeds the {_MAX_RT_ENTRIES} cap")
     rng = np.random.default_rng(derive_seed(seed, 2))
     xs = rng.standard_normal((n_trials, dim))
     ys = rng.standard_normal((n_trials, dim))

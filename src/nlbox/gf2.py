@@ -4,39 +4,25 @@ Single-matrix operations (rank, rank-revealing factorization, ANF,
 Walsh spectrum) work on Python integers, one packed row per integer,
 so row XOR is word-parallel regardless of width.
 
-The batch rank kernel used by exhaustive sweeps and the approximate-rank
-candidate enumeration is compiled with numba.  Set ``NLBOX_NO_NUMBA=1``
-to force the pure-Python/numpy fallback; ``benchmarks/bench_gf2.py``
-compares the two paths.
+The batch rank kernel behind the approximate-rank candidate enumeration
+is numpy elimination across the whole batch at once: in each column,
+every matrix takes its first row with that bit set as pivot, XORs it
+into its rows with the bit and so drops it.  It runs over fixed-size
+chunks, so the working arrays stay small next to the batch itself (all
+65,536 4x4 matrices would otherwise add about 10 MB of peak memory).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .truthtable import TruthTable, bit_count
+from .truthtable import TruthTable
 
-_FORCE_FALLBACK = os.environ.get("NLBOX_NO_NUMBA", "") not in ("", "0")
-
-try:  # pragma: no cover - exercised via env flag in the benchmark
-    if _FORCE_FALLBACK:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# There is no compiled kernel; the benchmark harness (perfbench/worker.py)
+# records this flag as a machine fact.
+HAVE_NUMBA = False
 
 
 def rank_rows(rows, n_cols: int) -> int:
@@ -179,59 +165,40 @@ def fourier_l1(m: TruthTable) -> SpectrumReport:
     return SpectrumReport(n, report, float(np.abs(coeffs).sum()))
 
 
-# --- batch rank kernel (hot path for sweeps and matrix enumeration) ---
+# --- batch rank kernel (approximate-rank candidate enumeration) ---
+
+# Matrices per elimination pass: bounds the kernel's working arrays to a few
+# hundred kilobytes however large the batch is.
+_CHUNK = 4096
 
 
-@njit(cache=True)
-def _rank_masks_numba(masks, n_rows, n_cols):  # pragma: no cover - jitted
-    out = np.empty(masks.shape[0], dtype=np.int64)
-    row_mask = (1 << n_cols) - 1
-    rows = np.empty(n_rows, dtype=np.int64)
-    for idx in range(masks.shape[0]):
-        m = masks[idx]
-        for r in range(n_rows):
-            rows[r] = (m >> (r * n_cols)) & row_mask
-        rank = 0
-        for c in range(n_cols):
-            piv = -1
-            for r in range(rank, n_rows):
-                if (rows[r] >> c) & 1:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            tmp = rows[piv]
-            rows[piv] = rows[rank]
-            rows[rank] = tmp
-            for r in range(n_rows):
-                if r != rank and ((rows[r] >> c) & 1):
-                    rows[r] ^= tmp
-            rank += 1
-        out[idx] = rank
-    return out
+def _rank_chunk(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Elimination over a whole batch, one column at a time.
 
-
-def _rank_masks_fallback(masks, n_rows, n_cols):
-    out = np.empty(len(masks), dtype=np.int64)
-    row_mask = (1 << n_cols) - 1
-    for idx, m in enumerate(masks):
-        rows = [(int(m) >> (r * n_cols)) & row_mask for r in range(n_rows)]
-        out[idx] = rank_rows(rows, n_cols)
-    return out
-
-
-def rank_batch_masks(masks, n_rows: int, n_cols: int, backend: str | None = None):
-    """GF(2) ranks of many small matrices, each packed row-major in an int.
-
-    ``backend`` overrides the import-time choice ("numba" or "python");
-    matrices must fit 62 packed bits (desk scale is at most 16 entries).
+    The pivot row is XORed into every row with the bit, itself included:
+    it drops out as a zero row, the others lose the bit, and the rank is
+    the number of columns that found a pivot.
     """
+    shifts = np.arange(n_rows, dtype=np.int64) * n_cols
+    rows = (masks[:, None] >> shifts) & ((1 << n_cols) - 1)
+    rank = np.zeros(len(masks), dtype=np.int64)
+    idx = np.arange(len(masks))
+    for c in range(n_cols):
+        has = (rows >> c) & 1
+        piv = has.argmax(axis=1)
+        rows ^= has * rows[idx, piv][:, None]
+        rank += has[idx, piv]
+    return rank
+
+
+def rank_batch_masks(masks, n_rows: int, n_cols: int) -> np.ndarray:
+    """GF(2) ranks (int64) of many small matrices, each packed row-major in
+    an int; matrices must fit 62 packed bits (desk scale is at most 16
+    entries)."""
     if n_rows * n_cols > 62:
         raise ValueError("batch kernel limited to 62 packed bits per matrix")
     arr = np.asarray(masks, dtype=np.int64)
-    use_numba = HAVE_NUMBA if backend is None else backend == "numba"
-    if use_numba and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but unavailable")
-    if use_numba:
-        return _rank_masks_numba(arr, n_rows, n_cols)
-    return _rank_masks_fallback(arr, n_rows, n_cols)
+    out = np.empty(len(arr), dtype=np.int64)
+    for lo in range(0, len(arr), _CHUNK):
+        out[lo:lo + _CHUNK] = _rank_chunk(arr[lo:lo + _CHUNK], n_rows, n_cols)
+    return out

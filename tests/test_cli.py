@@ -176,7 +176,10 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
                              "-y", "0", "--exact")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+    corr = tmp_path / "zero-den.corr"
+    corr.write_text("corr 1 2\n1/0 1/2\n")
     for argv in (("epsrank", "-f", and_file, "--eps", "1/0"),
+                 ("epsrank", "--corr", str(corr), "--eps", "0"),
                  ("lib", "disj-rand", "--flip", "1/0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -197,6 +200,42 @@ def test_exec_rejects_out_of_range_inputs(capsys, tmp_path):
     code, out, _ = run(capsys, "exec", "-p", proto, "-x", "1", "-y", "1",
                        "--exact")
     assert code == 0 and "p 0 1: 1/2" in out
+
+
+def _assert_one_line_error(code, out, err, want=2, prefix="error: "):
+    assert (code, out) == (want, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+_BAD_CIRCUITS = {
+    "input-without-bit": "input a\ninput b 0\nand 0 1\noutput 2",
+    "one-operand": "input a 0\ninput b 0\nand 0\noutput 2",
+    "forward-reference": "input a 0\ninput b 0\nand 0 5\noutput 2",
+    "negative-operand": "input a 0\ninput b 0\nand 0 -1\noutput 2",
+    "output-past-last-wire": "input a 0\ninput b 0\nand 0 1\noutput 9",
+    "negative-output": "input a 0\ninput b 0\nand 0 1\noutput -1",
+    "input-bit-past-nx": "input a 5\ninput b 0\nand 0 1\noutput 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CIRCUITS))
+def test_compile_rejects_malformed_circuit(capsys, tmp_path, name):
+    circ = tmp_path / "bad.circ"
+    circ.write_text(f"circuit 1 1\n{_BAD_CIRCUITS[name]}\n")
+    _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
+                                "-i", str(circ)))
+
+
+def test_rt_argument_checks(capsys):
+    for dim, trials in (("0", "10"), ("2", "10"), ("3", "0"), ("3", "-5")):
+        _assert_one_line_error(*run(capsys, "rt", "--dim", dim, "--trials",
+                                    trials, "--seed", "1"))
+    _assert_one_line_error(*run(capsys, "rt", "--dim", "3", "--trials",
+                                "1000000", "--seed", "1"),
+                           want=4, prefix="resource limit: ")
+    code, out, _ = run(capsys, "rt", "--dim", "3", "--trials", "10",
+                       "--seed", "1")
+    assert code == 0 and "coupled-violations: 0" in out
 
 
 def test_exit_code_audit_failure(capsys, tmp_path):

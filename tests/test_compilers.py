@@ -266,9 +266,9 @@ def test_circuit_compiler_box_accounting_for_disjointness():
 
 
 def test_circuit_compiler_rejects_unknown_gate():
-    c = DistributedCircuit(1, 1, (InputWire(0, 0),), (("nand", 0, 0),), 1)
     with pytest.raises(ProtocolError):
-        circuit_to_nlb(c)
+        circuit_to_nlb(DistributedCircuit(1, 1, (InputWire(0, 0),),
+                                          (("nand", 0, 0),), 1))
 
 
 # --- ordered-to-OT bridge ---

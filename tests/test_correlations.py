@@ -47,6 +47,8 @@ def test_correlation_file_roundtrip():
         parse_correlation("corr 2\n1/2 1/2\n")
     with pytest.raises(ValueError):
         parse_correlation("corr 2 2\n1/2 1/2 1/2\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_correlation("corr 1 2\n1/0 1/2\n")
 
 
 def test_layercake_reconstructs_exactly():

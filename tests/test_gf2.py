@@ -98,16 +98,34 @@ def test_fourier_character_indexing():
     assert rep.l1 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_batch_rank_backends_agree():
-    masks = np.arange(1 << 9, dtype=np.int64)
-    py = gf2.rank_batch_masks(masks, 3, 3, backend="python")
-    if gf2.HAVE_NUMBA:
-        nb = gf2.rank_batch_masks(masks, 3, 3, backend="numba")
-        assert np.array_equal(py, nb)
-    # spot-check against the single-matrix routine
-    for m in (0, 0b111_000_000, 0b100_010_001, (1 << 9) - 1):
-        rows = [(m >> (3 * r)) & 7 for r in range(3)]
-        assert py[m] == gf2.rank_rows(rows, 3)
+def _unpack(mask: int, n_rows: int, n_cols: int) -> list[list[int]]:
+    return [[(mask >> (r * n_cols + c)) & 1 for c in range(n_cols)]
+            for r in range(n_rows)]
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(3, 3), (2, 4), (4, 2), (4, 4)])
+def test_batch_rank_matches_independent_elimination(n_rows, n_cols):
+    # every matrix of the shape; the 65,536 4x4 ones span several chunks
+    n = 1 << (n_rows * n_cols)
+    ranks = gf2.rank_batch_masks(np.arange(n, dtype=np.int64), n_rows, n_cols)
+    assert ranks.dtype == np.int64 and len(ranks) == n
+    for m in range(n):
+        assert ranks[m] == oracle_rank(_unpack(m, n_rows, n_cols))
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(7, 8), (2, 31)])
+def test_batch_rank_matches_single_matrix_rank(n_rows, n_cols):
+    masks = [RNG.getrandbits(n_rows * n_cols) for _ in range(3000)]
+    ranks = gf2.rank_batch_masks(masks, n_rows, n_cols)
+    row_mask = (1 << n_cols) - 1
+    for m, r in zip(masks, ranks):
+        rows = [(m >> (i * n_cols)) & row_mask for i in range(n_rows)]
+        assert r == gf2.rank_rows(rows, n_cols)
+
+
+def test_batch_rank_empty_batch():
+    ranks = gf2.rank_batch_masks([], 3, 3)
+    assert ranks.dtype == np.int64 and len(ranks) == 0
 
 
 def test_batch_rank_rejects_oversized():

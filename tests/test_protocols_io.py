@@ -1,16 +1,21 @@
 """Structural validation and text serialization round-trips."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlbox.cli import parse_circuit
 from nlbox.compilers import and_from_oneway, ordered_to_ot, oneway_optimal
-from nlbox.library import disj_rand_parallel, ip_protocol
+from nlbox.correlations import parse_correlation
+from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
 from nlbox.serialize import ParseError, parse, serialize
-from nlbox.truthtable import ip_table
+from nlbox.truthtable import format_truth_table, ip_table, parse_truth_table
 from util import random_ordered, random_table, random_tree, xor_as_ordered, \
     xor_as_parallel
 
@@ -78,6 +83,47 @@ def test_parse_errors():
         parse("mix\n")
     with pytest.raises(ParseError):  # zero-denominator mixture weight
         parse("mix 1 1/0\n" + good)
+
+
+_FUZZ_TOKENS = st.sampled_from(
+    ["", " ", "\n", "#", "/", "=", "x", "0", "1", "-1", "2", "9", "1/0",
+     "0/0", "-1/0", "0/1", "1/2", "a", "b", "ab", "input", "and", "xor",
+     "not", "output", "mix", "protocol", "corr", "nx=1", "ny=", "t=2"])
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """Valid text with up to three of its tokens or separators replaced,
+    deleted (replaced by "") or followed by an inserted token."""
+    parts = re.split(r"(\s+)", text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        tok = draw(_FUZZ_TOKENS)
+        parts[i] = parts[i] + tok if draw(st.booleans()) else tok
+    return "".join(parts)
+
+
+_PARSER_INPUTS = {
+    "truth-table": (parse_truth_table, format_truth_table(ip_table(2))),
+    "correlation": (parse_correlation, "corr 2 2\n1/2 1/3\n0/1 1/1\n"),
+    "protocol-mixture": (parse, serialize(disj_rand_parallel(1, Fraction(1, 3)))),
+    "protocol-ot": (parse, serialize(ordered_to_ot(disj_det_protocol(1)))),
+    "circuit": (parse_circuit, "circuit 2 2\ninput a 0\ninput ab 1 0\n"
+                               "input b 1\nand 0 2\nxor 1 3\nor 3 4\n"
+                               "not 5\noutput 6\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSER_INPUTS))
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_parsers_raise_only_value_error_on_mutated_text(name, data):
+    parser, text = _PARSER_INPUTS[name]
+    parser(text)
+    try:
+        parser(data.draw(_mutated(text)))
+    except ValueError:  # ParseError and ProtocolError included
+        pass
 
 
 def test_parse_inconsistent_mixture_headers():
