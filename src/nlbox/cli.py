@@ -69,10 +69,6 @@ def _load_table(path: str) -> tt.TruthTable:
     return tt.parse_truth_table(_read(path))
 
 
-def _load_protocol(path: str):
-    return parse_protocol(_read(path))
-
-
 def _emit_protocol(p, path: str | None, provenance: str) -> None:
     text = serialize_protocol(p, provenance=provenance)
     if path:
@@ -282,8 +278,9 @@ def _cmd_compile(args) -> int:
     src_text = _read(args.input)
     digest = _hash(src_text)
     if args.source == "circuit":
-        result = compilers.circuit_to_nlb(parse_circuit(src_text))
-        src_size = len(parse_circuit(src_text).gates)
+        circuit = parse_circuit(src_text)
+        result = compilers.circuit_to_nlb(circuit)
+        src_size = len(circuit.gates)
     else:
         src = parse_protocol(src_text)
         _require_valid(src)
@@ -327,12 +324,13 @@ def _cmd_exec(args) -> int:
             raise UsageError("--samples requires an explicit --seed")
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    p = _load_protocol(_read_path := args.protocol)
+    text = _read(args.protocol)
+    p = parse_protocol(text)
     _require_valid(p)
     for name, v, bits in (("x", args.x, p.nx), ("y", args.y, p.ny)):
         if not 0 <= v < 1 << bits:
             raise ValueError(f"-{name} {v} is outside [0, {1 << bits})")
-    print(f"input-hash: {_hash(_read(_read_path))}")
+    print(f"input-hash: {_hash(text)}")
     print(f"x: {args.x}")
     print(f"y: {args.y}")
     if args.exact:
@@ -353,9 +351,10 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    p = _load_protocol(args.protocol)
+    text = _read(args.protocol)
+    p = parse_protocol(text)
     _require_valid(p)
-    print(f"input-hash: {_hash(_read(args.protocol))}")
+    print(f"input-hash: {_hash(text)}")
     if args.nonsignaling:
         bad = engine.nonsignaling_audit(p)
         print("check: nonsignaling")

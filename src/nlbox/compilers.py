@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import gf2
-from .engine import ProtocolError, privacy_audit_and
+from .engine import ProtocolError, _check_limit, privacy_audit_and
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree, validate)
@@ -456,7 +456,11 @@ class DistributedCircuit:
 def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
     """Evaluate the circuit in parity: XOR/NOT are free, AND/OR cost two
     boxes each (their cross terms), and boxes whose input product is
-    identically zero are elided (leaf products cost one box)."""
+    identically zero are elided (leaf products cost one box).
+
+    Box i's tables span 2^(max(nx, ny) + i) entries, so each is checked
+    against the engine's ``NLBOX_LIMIT_T`` cap before it is enumerated
+    (``ResourceLimitError``)."""
     xs, ys = 1 << c.nx, 1 << c.ny
     Share = Callable[[int, int], int]  # (input, own outcome vector) -> bit
     a_sh: list[Share] = []
@@ -469,6 +473,7 @@ def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
     def add_box(pf: Share, qf: Share) -> Share | None:
         """Returns the outcome accessor, or None when the product is 0."""
         i = len(boxes)
+        _check_limit(max(c.nx, c.ny) + i)
         p_zero = all(pf(x, av) == 0 for x in range(xs) for av in range(1 << i))
         q_zero = all(qf(y, bv) == 0 for y in range(ys) for bv in range(1 << i))
         if p_zero or q_zero:
@@ -510,6 +515,7 @@ def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
             b_sh.append(fb)
 
     t = len(boxes)
+    _check_limit(max(c.nx, c.ny) + t)
     step_a = tuple(tuple(tuple(pf(x, pre) for pre in range(1 << i))
                          for x in range(xs))
                    for i, (pf, _qf) in enumerate(boxes))

@@ -167,11 +167,6 @@ def simulate_distribution(c: CorrelationMatrix) -> ProtocolMixture:
 # --- Regev-Toner measurement simulation ---
 
 
-def _sgn(v) -> int:
-    """Sign with the fixed convention sgn(0) = +1."""
-    return 1 if v >= 0 else -1
-
-
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
     g = rows.astype(np.float64).copy()
     for i in range(g.shape[0]):
@@ -228,41 +223,53 @@ def _project(v: np.ndarray, ctx: RtContext) -> np.ndarray:
     return ctx.g @ w
 
 
-def rt_comm(x, y, ctx: RtContext) -> tuple[int, int]:
-    """Two-bit-communication simulation: Alice sends her sign pattern."""
-    x2 = _project(x, ctx)
-    y2 = _project(y, ctx)
-    alpha = [_sgn(v) for v in x2]
-    c1, c2 = alpha[0] * alpha[1], alpha[0] * alpha[2]
-    b = _sgn(y2[0] + c1 * y2[1] + c2 * y2[2])
-    return alpha[0], b
-
-
 BOX_LABELS = ((1, -1), (-1, 1), (-1, -1))
 
 
-def rt_nlb(x, y, ctx: RtContext, box_seed: int) -> tuple[int, int]:
-    """Three-box simulation replacing the two-bit message of rt_comm.
+def _rt_kernel(x2: np.ndarray, y2: np.ndarray, box_bits: np.ndarray):
+    """Both simulations on rows of projected vectors (n x 3 each) with
+    Alice's three box outcomes per row (n x 3 bits); sgn(0) = +1.
 
-    Alice raises the box matching her sign pattern (none for (+1,+1));
-    Bob inputs whether receiving that pattern would flip his answer
-    relative to (+1,+1).  Both XOR their outcomes into their outputs.
+    The communication simulation: Alice sends her sign pattern and Bob
+    answers the sign of his vector against it.  The three-box one
+    replaces the message: Alice raises the box matching her pattern
+    (none for (+1,+1)), Bob inputs whether receiving that pattern would
+    flip his answer relative to (+1,+1), and both XOR their outcomes
+    into their outputs.  Returns (a_comm, b_comm, a_nlb, b_nlb) of +/-1.
     """
-    x2 = _project(x, ctx)
-    y2 = _project(y, ctx)
-    alpha = [_sgn(v) for v in x2]
-    c = (alpha[0] * alpha[1], alpha[0] * alpha[2])
-    b_ref = _sgn(y2[0] + y2[1] + y2[2])
+    alpha = np.where(x2 >= 0, 1, -1)
+    c1, c2 = alpha[:, 0] * alpha[:, 1], alpha[:, 0] * alpha[:, 2]
+    a_comm = alpha[:, 0]
+    b_comm = np.where(y2[:, 0] + c1 * y2[:, 1] + c2 * y2[:, 2] >= 0, 1, -1)
+    b_ref = np.where(y2.sum(axis=1) >= 0, 1, -1)
+    labels = np.array(BOX_LABELS)
+    p = ((c1[:, None] == labels[None, :, 0])
+         & (c2[:, None] == labels[None, :, 1])).astype(np.int64)
+    s = np.where(y2[:, None, 0] + labels[None, :, 0] * y2[:, None, 1]
+                 + labels[None, :, 1] * y2[:, None, 2] >= 0, 1, -1)
+    q = (1 - s * b_ref[:, None]) // 2
+    b_bits = box_bits ^ (p & q)
+    a_nlb = a_comm * (-1) ** (box_bits.sum(axis=1) & 1)
+    b_nlb = b_ref * (-1) ** (b_bits.sum(axis=1) & 1)
+    return a_comm, b_comm, a_nlb, b_nlb
+
+
+def _rt_one(x, y, ctx: RtContext, box_bits: np.ndarray):
+    """One row of ``_rt_kernel`` on unit vectors x, y of the context."""
+    rows = _rt_kernel(_project(x, ctx)[None], _project(y, ctx)[None], box_bits)
+    return tuple(int(v[0]) for v in rows)
+
+
+def rt_comm(x, y, ctx: RtContext) -> tuple[int, int]:
+    """Two-bit-communication simulation: Alice sends her sign pattern."""
+    return _rt_one(x, y, ctx, np.zeros((1, 3), dtype=np.int64))[:2]
+
+
+def rt_nlb(x, y, ctx: RtContext, box_seed: int) -> tuple[int, int]:
+    """Three-box simulation replacing the two-bit message of rt_comm,
+    with the box outcomes drawn from ``box_seed``."""
     rng = np.random.default_rng(derive_seed(box_seed, 1))
-    a_par = b_par = 0
-    for m, label in enumerate(BOX_LABELS):
-        p = 1 if c == label else 0
-        q = (1 - _sgn(y2[0] + label[0] * y2[1] + label[1] * y2[2]) * b_ref) // 2
-        a_m = int(rng.integers(0, 2))
-        b_m = a_m ^ (p & q)
-        a_par ^= a_m
-        b_par ^= b_m
-    return alpha[0] * (-1) ** a_par, b_ref * (-1) ** b_par
+    return _rt_one(x, y, ctx, rng.integers(0, 2, size=(1, 3)))[2:]
 
 
 def rt_trials(dim: int, n_trials: int, seed: int):
@@ -294,19 +301,4 @@ def rt_trials(dim: int, n_trials: int, seed: int):
         g[:, i] /= np.linalg.norm(g[:, i], axis=1, keepdims=True)
     x2 = np.einsum("tkd,td->tk", g, xs)
     y2 = np.einsum("tkd,td->tk", g, ys)
-    alpha = np.where(x2 >= 0, 1, -1)
-    c1, c2 = alpha[:, 0] * alpha[:, 1], alpha[:, 0] * alpha[:, 2]
-    a_comm = alpha[:, 0]
-    b_comm = np.where(y2[:, 0] + c1 * y2[:, 1] + c2 * y2[:, 2] >= 0, 1, -1)
-    b_ref = np.where(y2.sum(axis=1) >= 0, 1, -1)
-    labels = np.array(BOX_LABELS)
-    p = ((c1[:, None] == labels[None, :, 0])
-         & (c2[:, None] == labels[None, :, 1])).astype(np.int64)
-    s = np.where(y2[:, None, 0] + labels[None, :, 0] * y2[:, None, 1]
-                 + labels[None, :, 1] * y2[:, None, 2] >= 0, 1, -1)
-    q = (1 - s * b_ref[:, None]) // 2
-    a_bits = rng.integers(0, 2, size=(n_trials, 3))
-    b_bits = a_bits ^ (p & q)
-    a_nlb = a_comm * (-1) ** (a_bits.sum(axis=1) & 1)
-    b_nlb = b_ref * (-1) ** (b_bits.sum(axis=1) & 1)
-    return a_comm, b_comm, a_nlb, b_nlb
+    return _rt_kernel(x2, y2, rng.integers(0, 2, size=(n_trials, 3)))

@@ -277,20 +277,24 @@ def exec_sample(p: Protocol, x: int, y: int, seed: int):
     return _sample(p, x, y, rng)
 
 
+def _draw(weights, rng: random.Random) -> int:
+    """Index drawn by one float roll against the running sums of the
+    weights; the last index when rounding leaves the roll past them all."""
+    roll = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += float(w)
+        if roll < acc:
+            return i
+    return len(weights) - 1
+
+
 def _sample(p: Protocol, x: int, y: int, rng: random.Random):
     transcript: list[dict] = []
     if isinstance(p, ProtocolMixture):
-        roll = rng.random()
-        acc = 0.0
-        comp = p.components[-1][1]
-        for i, (w, c) in enumerate(p.components):
-            acc += float(w)
-            if roll < acc:
-                comp = c
-                transcript.append({"kind": "shared-randomness", "component": i})
-                break
-        a, b, sub = _sample(comp, x, y, rng)
-        return a, b, transcript + sub
+        i = _draw([w for w, _c in p.components], rng)
+        a, b, sub = _sample(p.components[i][1], x, y, rng)
+        return a, b, [{"kind": "shared-randomness", "component": i}] + sub
     if isinstance(p, NLB_KINDS):
         if isinstance(p, OrderedNlbProtocol):
             u = 0
@@ -316,15 +320,8 @@ def _sample(p: Protocol, x: int, y: int, rng: random.Random):
                                    "out": (v >> i) & 1})
         return a, b, transcript
     if isinstance(p, OtProtocol):
-        roll = rng.random()
-        acc = 0.0
-        r = len(p.r_weights) - 1
-        for i, w in enumerate(p.r_weights):
-            acc += float(w)
-            if roll < acc:
-                r = i
-                break
-        a, b, _received, calls = _run_ot(p, x, y, r, with_view=True)
+        a, b, _received, calls = _run_ot(p, x, y, _draw(p.r_weights, rng),
+                                         with_view=True)
         for i, pair, c, o in calls:
             transcript.append({"kind": "ot", "index": i, "in": (pair, c), "out": o})
         return a, b, transcript

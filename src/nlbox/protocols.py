@@ -3,14 +3,17 @@
 All tables are tuples indexed by integer-encoded inputs: Alice's input
 x in [0, 2^nx), Bob's y in [0, 2^ny), box-outcome vectors packed
 little-endian (bit i is box i).  Values are immutable after
-construction; ``validate`` reports structural violations instead of
-raising so that malformed protocols can be diagnosed.
+construction.  ``layout`` describes the tables of each kind once; the
+text format and the shape checks of ``validate`` both follow it.
+``validate`` reports violations instead of raising so that malformed
+protocols can be diagnosed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from typing import Union
 
 
@@ -195,16 +198,104 @@ NLB_KINDS = (ParallelXorProtocol, ParallelProtocol, OrderedNlbProtocol,
              GeneralNlbProtocol)
 
 
-def _check_bits(vals, n, what, out):
-    if len(vals) != n:
-        out.append(f"{what}: expected {n} entries, found {len(vals)}")
-        return
-    if any(v not in (0, 1) for v in vals):
-        out.append(f"{what}: non-bit entry")
+KIND_NAMES = {
+    ParallelXorProtocol: "parallel-xor",
+    ParallelProtocol: "parallel",
+    OrderedNlbProtocol: "ordered",
+    GeneralNlbProtocol: "general",
+    OneWayProtocol: "oneway",
+    TwoWayTree: "twoway",
+    AndProtocol: "and",
+    OtProtocol: "ot",
+}
+
+# cell types of a table: bits, integers, fractions, OT input pairs
+BITS, INTS, FRACS, PAIRS = "bits", "ints", "fracs", "pairs"
+
+
+def _entry(tab, i):
+    """``tab[i]``, or None when tab is not a table or has no entry i."""
+    return tab[i] if isinstance(tab, (tuple, list)) and i < len(tab) else None
+
+
+def layout(kind, nx: int, ny: int, t: int, p):
+    """Every table of a protocol kind as (label, field, index, cells,
+    rows, width), in text-format order.
+
+    The table is ``getattr(p, field)``, or entry ``index`` of it.  It has
+    ``rows`` rows of ``width`` cells (an int, or one int per row), or is
+    one line of ``width`` cells (any number if None) when ``rows`` is
+    None.  Widths that depend on earlier tables (tree directions, the
+    size of OT randomness) are read from ``p`` only after those tables
+    are yielded, so a parser can fill ``p`` as it goes.
+    """
+    xs, ys = 1 << nx, 1 << ny
+    if kind in (ParallelXorProtocol, ParallelProtocol, AndProtocol):
+        for field, dom in (("pbox", xs), ("qbox", ys)):
+            for i in range(t):
+                yield f"{field} {i}", field, i, BITS, None, dom
+    if kind is ParallelXorProtocol:
+        yield "localA", "local_a", None, BITS, None, xs
+        yield "localB", "local_b", None, BITS, None, ys
+    elif kind is OneWayProtocol:
+        yield "msg", "msg", None, INTS, None, xs
+        yield "outA", "out_a", None, BITS, None, xs
+        yield "outB", "out_b", None, BITS, 1 << t, ys
+    elif kind is TwoWayTree:
+        for r in range(t):
+            yield f"dir {r}", "direction", r, BITS, None, 1 << r
+            d = _entry(p.direction, r)
+            d = d if isinstance(d, (tuple, list)) else ()
+            yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
+        yield "outA", "out_a", None, BITS, 1 << t, xs
+        yield "outB", "out_b", None, BITS, 1 << t, ys
+    elif kind is OtProtocol:
+        yield "rweights", "r_weights", None, FRACS, None, None
+        nr = len(p.r_weights)
+        for i in range(t):
+            yield f"inA {i}", "in_a", i, PAIRS, xs, nr
+            yield f"inB {i}", "in_b", i, BITS, ys, 1 << i
+        yield "outA", "out_a", None, BITS, xs, nr
+        yield "outB", "out_b", None, BITS, ys, 1 << t
+    else:
+        yield "outA", "out_a", None, BITS, xs, 1 << t
+        if kind is not AndProtocol:
+            yield "outB", "out_b", None, BITS, ys, 1 << t
+    if kind is GeneralNlbProtocol:
+        yield "schedA", "sched_a", None, INTS, None, t
+        yield "schedB", "sched_b", None, INTS, None, t
+    if kind in (OrderedNlbProtocol, GeneralNlbProtocol):
+        for label, field, dom in (("stepA", "step_a", xs), ("stepB", "step_b", ys)):
+            for i in range(t):
+                yield f"{label} {i}", field, i, BITS, dom, 1 << i
+
+
+# the cell types whose every entry validate checks
+_CELL_CHECKS = {
+    BITS: frozenset((0, 1)).issuperset,
+    PAIRS: frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}).issuperset,
+}
+
+
+def _shape_error(tab, n, cells) -> str | None:
+    """What keeps tab from being a line of n cells (any number if n is
+    None) of type cells, or None if nothing does."""
+    if not isinstance(tab, (tuple, list)):
+        return "not a table"
+    if n is not None and len(tab) != n:
+        return f"{len(tab)} entries, expected {n}" + (
+            ": reads future or absent inputs" if len(tab) > n else ": not total")
+    try:
+        if cells not in _CELL_CHECKS or _CELL_CHECKS[cells](tab):
+            return None
+    except TypeError:  # an unhashable entry
+        pass
+    return f"entry not of type {cells}"
 
 
 def validate(p) -> list[str]:
-    """Structural audit: totality, schedule legality, OT synchronization.
+    """Structural audit: every table of ``layout`` has its shape and cell
+    type, plus mixture weights, schedules, message range and OT weights.
 
     Returns a list of human-readable violations; empty means ok.
     """
@@ -217,110 +308,55 @@ def validate(p) -> list[str]:
             out.append(f"mixture: weights sum to {total}, not 1")
         if any(w <= 0 for w, _ in p.components):
             out.append("mixture: nonpositive weight")
-        kinds = {type(c) for _, c in p.components}
-        if len(kinds) > 1:
+        if len({type(c) for _, c in p.components}) > 1:
             out.append("mixture: components of mixed kinds")
         if len({(c.nx, c.ny, c.t) for _, c in p.components}) > 1:
             out.append("mixture: components disagree on dimensions or box count")
         for _, c in p.components:
             out.extend(validate(c))
         return out
+    if type(p) not in KIND_NAMES:
+        return [f"{type(p).__name__} is not a protocol kind"]
+    if min(p.nx, p.ny, p.t) < 0:
+        return ["negative input width or box count"]
 
-    xs, ys = 1 << p.nx, 1 << p.ny
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol, AndProtocol)):
-        if len(p.pbox) != p.t or len(p.qbox) != p.t:
-            out.append("box input table count differs from t")
-        for i, tab in enumerate(p.pbox):
-            _check_bits(tab, xs, f"pbox {i}", out)
-        for i, tab in enumerate(p.qbox):
-            _check_bits(tab, ys, f"qbox {i}", out)
-    if isinstance(p, ParallelXorProtocol):
-        _check_bits(p.local_a, xs, "localA", out)
-        _check_bits(p.local_b, ys, "localB", out)
-    if isinstance(p, (ParallelProtocol, OrderedNlbProtocol, GeneralNlbProtocol)):
-        if len(p.out_a) != xs or len(p.out_b) != ys:
-            out.append("output table missing rows")
+    # tables expected per indexed field; None for a field that is one table
+    counts = {f.name: 0 for f in fields(p)[3:]}
+    for label, field, index, cells, rows, width in layout(type(p), p.nx, p.ny, p.t, p):
+        tab = getattr(p, field)
+        if index is None:
+            counts[field] = None
         else:
-            for x in range(xs):
-                _check_bits(p.out_a[x], 1 << p.t, f"outA row {x}", out)
-            for y in range(ys):
-                _check_bits(p.out_b[y], 1 << p.t, f"outB row {y}", out)
-    if isinstance(p, AndProtocol):
-        if len(p.out_a) != xs:
-            out.append("outA missing rows")
+            counts[field] += 1
+            tab = _entry(tab, index)
+        if rows is None:
+            err = _shape_error(tab, width, cells)
         else:
-            for x in range(xs):
-                _check_bits(p.out_a[x], 1 << p.t, f"outA row {x}", out)
-    if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
-        for side, steps, dom in (("A", p.step_a, xs), ("B", p.step_b, ys)):
-            if len(steps) != p.t:
-                out.append(f"step{side}: expected {p.t} steps")
-                continue
-            for i, tab in enumerate(steps):
-                if len(tab) != dom:
-                    out.append(f"step{side} {i}: missing input rows")
-                    continue
-                for row in tab:
-                    if len(row) > 1 << i:
-                        out.append(f"step{side} {i}: reads future box outcomes")
-                        break
-                    if len(row) < 1 << i:
-                        out.append(f"step{side} {i}: table not total over prior outcomes")
-                        break
-                    if any(v not in (0, 1) for v in row):
-                        out.append(f"step{side} {i}: non-bit entry")
-                        break
+            err = _shape_error(tab, rows, None)
+            widths = width if isinstance(width, tuple) else repeat(width)
+            for k, (row, w) in enumerate(zip(tab if err is None else (), widths)):
+                if row_err := _shape_error(row, w, cells):
+                    err = f"row {k}: {row_err}"
+                    break
+        if err:
+            out.append(f"{label}: {err}")
+    for field, n in counts.items():
+        tabs = getattr(p, field)
+        if n is not None and (not isinstance(tabs, (tuple, list)) or len(tabs) != n):
+            out.append(f"{field}: expected {n} tables")
+
     if isinstance(p, GeneralNlbProtocol):
         for side, sched in (("A", p.sched_a), ("B", p.sched_b)):
             if sorted(sched) != list(range(p.t)):
                 out.append(f"sched{side}: not a permutation of box labels")
     if isinstance(p, OneWayProtocol):
-        if len(p.msg) != xs:
-            out.append("msg table not total")
-        elif any(not 0 <= m < 1 << p.t for m in p.msg):
+        if any(not 0 <= m < 1 << p.t for m in p.msg):
             out.append("msg value outside the t-bit message space")
-        _check_bits(p.out_a, xs, "outA", out)
-        if len(p.out_b) != 1 << p.t:
-            out.append("outB missing message rows")
-        else:
-            for m in range(1 << p.t):
-                _check_bits(p.out_b[m], ys, f"outB msg {m}", out)
-    if isinstance(p, TwoWayTree):
-        for r in range(p.t):
-            if len(p.direction[r]) != 1 << r or len(p.bit[r]) != 1 << r:
-                out.append(f"round {r}: tables not total over prefixes")
-                continue
-            for pre in range(1 << r):
-                dom = xs if p.direction[r][pre] else ys
-                _check_bits(p.bit[r][pre], dom, f"round {r} prefix {pre}", out)
-        if len(p.out_a) != 1 << p.t or len(p.out_b) != 1 << p.t:
-            out.append("leaf output tables not total")
     if isinstance(p, OtProtocol):
-        nr = len(p.r_weights)
-        if nr == 0:
+        if not p.r_weights:
             out.append("empty private-randomness domain")
         elif sum(p.r_weights, Fraction(0)) != 1:
             out.append("private-randomness weights do not sum to 1")
         if any(w <= 0 for w in p.r_weights):
             out.append("nonpositive private-randomness weight")
-        if len(p.in_a) != p.t or len(p.in_b) != p.t:
-            out.append("OT call tables differ from t")
-        else:
-            for i in range(p.t):
-                if len(p.in_a[i]) != xs or any(len(row) != nr for row in p.in_a[i]):
-                    out.append(f"OT call {i}: Alice table not total")
-                if len(p.in_b[i]) != ys:
-                    out.append(f"OT call {i}: Bob table not total")
-                    continue
-                for row in p.in_b[i]:
-                    if len(row) > 1 << i:
-                        out.append(f"OT call {i}: choice reads future transfers")
-                        break
-                    if len(row) < 1 << i:
-                        out.append(f"OT call {i}: choice table not total")
-                        break
-        if len(p.out_a) != xs or any(len(row) != nr for row in p.out_a):
-            out.append("outA not total over (x, randomness)")
-        if len(p.out_b) != ys or any(len(row) != 1 << p.t for row in p.out_b):
-            out.append("outB not total over (y, received bits)")
     return out

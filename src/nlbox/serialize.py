@@ -1,42 +1,40 @@
 """Line-oriented text serialization for protocols.
 
-Header "protocol <kind> nx=<..> ny=<..> t=<..>", then named sections,
-each a bitstring table in row-major input order.  Mixtures are written
+Header "protocol <kind> nx=<..> ny=<..> t=<..>", then one labelled
+section per table of ``protocols.layout``, in its order: integer and
+fraction lists inline after the label, other tables one row per line
+(bitstrings, or space-separated OT input pairs).  Mixtures are written
 as one "mix <k> <num>/<den>" header per component, wrapping the k
 serialized components.  Blank lines and '#' comments are ignored.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
-                        OrderedNlbProtocol, OtProtocol, ParallelProtocol,
-                        ParallelXorProtocol, ProtocolMixture, Protocol,
-                        TwoWayTree)
+from .protocols import (BITS, FRACS, INTS, KIND_NAMES, PAIRS, Protocol,
+                        ProtocolMixture, layout)
 
-KIND_NAMES = {
-    ParallelXorProtocol: "parallel-xor",
-    ParallelProtocol: "parallel",
-    OrderedNlbProtocol: "ordered",
-    GeneralNlbProtocol: "general",
-    OneWayProtocol: "oneway",
-    TwoWayTree: "twoway",
-    AndProtocol: "and",
-    OtProtocol: "ot",
-}
+_KINDS = {name: kind for kind, name in KIND_NAMES.items()}
 
 
 class ParseError(ValueError):
     pass
 
 
-def _bits(vals) -> str:
-    return "".join("1" if v else "0" for v in vals)
-
-
 def _fmt_frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+# how one row of each cell type is written
+_FORMATS = {
+    BITS: lambda row: "".join(["1" if v else "0" for v in row]),
+    PAIRS: lambda row: " ".join([f"{a}{b}" for a, b in row]),
+    INTS: lambda row: " ".join(map(str, row)),
+    FRACS: lambda row: " ".join(map(_fmt_frac, row)),
+}
 
 
 def serialize(p: Protocol, provenance: str | None = None) -> str:
@@ -54,64 +52,18 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             lines.append(f"mix {k} {_fmt_frac(w)}")
             _emit(comp, lines)
         return
-    kind = KIND_NAMES[type(p)]
-    lines.append(f"protocol {kind} nx={p.nx} ny={p.ny} t={p.t}")
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol, AndProtocol)):
-        for i in range(p.t):
-            lines.append(f"pbox {i}:")
-            lines.append(_bits(p.pbox[i]))
-        for i in range(p.t):
-            lines.append(f"qbox {i}:")
-            lines.append(_bits(p.qbox[i]))
-    if isinstance(p, ParallelXorProtocol):
-        lines.append("localA:")
-        lines.append(_bits(p.local_a))
-        lines.append("localB:")
-        lines.append(_bits(p.local_b))
-    if isinstance(p, (ParallelProtocol, OrderedNlbProtocol, GeneralNlbProtocol)):
-        lines.append("outA:")
-        lines.extend(_bits(row) for row in p.out_a)
-        lines.append("outB:")
-        lines.extend(_bits(row) for row in p.out_b)
-    if isinstance(p, AndProtocol):
-        lines.append("outA:")
-        lines.extend(_bits(row) for row in p.out_a)
-    if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
-        if isinstance(p, GeneralNlbProtocol):
-            lines.append("schedA: " + " ".join(map(str, p.sched_a)))
-            lines.append("schedB: " + " ".join(map(str, p.sched_b)))
-        for name, steps in (("stepA", p.step_a), ("stepB", p.step_b)):
-            for i in range(p.t):
-                lines.append(f"{name} {i}:")
-                lines.extend(_bits(row) for row in steps[i])
-    if isinstance(p, OneWayProtocol):
-        lines.append("msg: " + " ".join(map(str, p.msg)))
-        lines.append("outA:")
-        lines.append(_bits(p.out_a))
-        lines.append("outB:")
-        lines.extend(_bits(row) for row in p.out_b)
-    if isinstance(p, TwoWayTree):
-        for r in range(p.t):
-            lines.append(f"dir {r}:")
-            lines.append(_bits(p.direction[r]))
-            lines.append(f"bit {r}:")
-            lines.extend(_bits(row) for row in p.bit[r])
-        lines.append("outA:")
-        lines.extend(_bits(row) for row in p.out_a)
-        lines.append("outB:")
-        lines.extend(_bits(row) for row in p.out_b)
-    if isinstance(p, OtProtocol):
-        lines.append("rweights: " + " ".join(_fmt_frac(w) for w in p.r_weights))
-        for i in range(p.t):
-            lines.append(f"inA {i}:")
-            for x in range(1 << p.nx):
-                lines.append(" ".join(f"{s0}{s1}" for s0, s1 in p.in_a[i][x]))
-            lines.append(f"inB {i}:")
-            lines.extend(_bits(row) for row in p.in_b[i])
-        lines.append("outA:")
-        lines.extend(_bits(row) for row in p.out_a)
-        lines.append("outB:")
-        lines.extend(_bits(row) for row in p.out_b)
+    lines.append(f"protocol {KIND_NAMES[type(p)]} nx={p.nx} ny={p.ny} t={p.t}")
+    for label, field, index, cells, rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
+        tab = getattr(p, field) if index is None else getattr(p, field)[index]
+        fmt = _FORMATS[cells]
+        if cells in _INLINE:
+            lines.append(f"{label}: " + fmt(tab))
+        else:
+            lines.append(f"{label}:")
+            lines.extend(map(fmt, (tab,) if rows is None else tab))
+
+
+_PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
 
 
 class _Cursor:
@@ -136,14 +88,16 @@ class _Cursor:
             raise ParseError(f"expected {prefix!r}, found {ln!r}")
         return ln
 
-    def bit_line(self, width: int) -> tuple[int, ...]:
+    def row(self, cells: str, width: int) -> tuple:
         ln = self.take()
-        if len(ln) != width or any(c not in "01" for c in ln):
+        if cells == PAIRS:
+            pairs = tuple(_PAIR_TOKENS.get(tk) for tk in ln.split())
+            if len(pairs) != width or None in pairs:
+                raise ParseError("bad OT pair row")
+            return pairs
+        if len(ln) != width or ln.strip("01"):
             raise ParseError(f"expected {width}-bit line, found {ln!r}")
-        return tuple(int(c) for c in ln)
-
-    def bit_block(self, rows: int, width: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.bit_line(width) for _ in range(rows))
+        return tuple(map(int, ln))
 
 
 def parse(text: str) -> Protocol:
@@ -160,6 +114,10 @@ def _parse_frac(tok: str) -> Fraction:
         return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad fraction {tok!r}") from None
+
+
+# cell types listed on their label's line, and how one cell is read
+_INLINE = {INTS: int, FRACS: _parse_frac}
 
 
 def _mix_header(line: str) -> tuple[int, Fraction]:
@@ -191,103 +149,29 @@ def _parse_body(cur: _Cursor):
     line = cur.take()
     head = line.split()
     try:
-        if head[0] != "protocol" or len(head) < 2:
+        header = dict(kv.split("=") for kv in head[2:])
+        nx, ny, t = int(header["nx"]), int(header["ny"]), int(header["t"])
+        if head[0] != "protocol" or len(head) < 2 or min(nx, ny) < 0:
             raise ValueError
-        fields = dict(kv.split("=") for kv in head[2:])
-        nx, ny, t = int(fields["nx"]), int(fields["ny"]), int(fields["t"])
-        xs, ys = 1 << nx, 1 << ny
     except (ValueError, KeyError):
         raise ParseError(f"bad header {line!r}") from None
-    kind = head[1]
-
-    def boxes():
-        pbox, qbox = [], []
-        for i in range(t):
-            cur.expect(f"pbox {i}:")
-            pbox.append(cur.bit_line(xs))
-        for i in range(t):
-            cur.expect(f"qbox {i}:")
-            qbox.append(cur.bit_line(ys))
-        return tuple(pbox), tuple(qbox)
-
-    if kind == "parallel-xor":
-        pbox, qbox = boxes()
-        cur.expect("localA:")
-        la = cur.bit_line(xs)
-        cur.expect("localB:")
-        lb = cur.bit_line(ys)
-        return ParallelXorProtocol(nx, ny, t, pbox, qbox, la, lb)
-    if kind == "parallel":
-        pbox, qbox = boxes()
-        cur.expect("outA:")
-        oa = cur.bit_block(xs, 1 << t)
-        cur.expect("outB:")
-        ob = cur.bit_block(ys, 1 << t)
-        return ParallelProtocol(nx, ny, t, pbox, qbox, oa, ob)
-    if kind == "and":
-        pbox, qbox = boxes()
-        cur.expect("outA:")
-        oa = cur.bit_block(xs, 1 << t)
-        return AndProtocol(nx, ny, t, pbox, qbox, oa)
-    if kind in ("ordered", "general"):
-        cur.expect("outA:")
-        oa = cur.bit_block(xs, 1 << t)
-        cur.expect("outB:")
-        ob = cur.bit_block(ys, 1 << t)
-        sched_a = sched_b = None
-        if kind == "general":
-            sched_a = tuple(int(v) for v in cur.expect("schedA:").split()[1:])
-            sched_b = tuple(int(v) for v in cur.expect("schedB:").split()[1:])
-        steps = {}
-        for name, dom in (("stepA", xs), ("stepB", ys)):
-            tabs = []
-            for i in range(t):
-                cur.expect(f"{name} {i}:")
-                tabs.append(cur.bit_block(dom, 1 << i))
-            steps[name] = tuple(tabs)
-        if kind == "ordered":
-            return OrderedNlbProtocol(nx, ny, t, steps["stepA"], steps["stepB"], oa, ob)
-        return GeneralNlbProtocol(nx, ny, t, sched_a, steps["stepA"],
-                                  sched_b, steps["stepB"], oa, ob)
-    if kind == "oneway":
-        msg = tuple(int(v) for v in cur.expect("msg:").split()[1:])
-        cur.expect("outA:")
-        oa = cur.bit_line(xs)
-        cur.expect("outB:")
-        ob = cur.bit_block(1 << t, ys)
-        return OneWayProtocol(nx, ny, t, msg, oa, ob)
-    if kind == "twoway":
-        direction, bit = [], []
-        for r in range(t):
-            cur.expect(f"dir {r}:")
-            d = cur.bit_line(1 << r)
-            direction.append(d)
-            cur.expect(f"bit {r}:")
-            bit.append(tuple(cur.bit_line(xs if d[pre] else ys)
-                             for pre in range(1 << r)))
-        cur.expect("outA:")
-        oa = cur.bit_block(1 << t, xs)
-        cur.expect("outB:")
-        ob = cur.bit_block(1 << t, ys)
-        return TwoWayTree(nx, ny, t, tuple(direction), tuple(bit), oa, ob)
-    if kind == "ot":
-        rw = tuple(_parse_frac(v) for v in cur.expect("rweights:").split()[1:])
-        nr = len(rw)
-        in_a, in_b = [], []
-        for i in range(t):
-            cur.expect(f"inA {i}:")
-            rows = []
-            for _x in range(xs):
-                toks = cur.take().split()
-                if len(toks) != nr or any(len(tk) != 2 or set(tk) - set("01") for tk in toks):
-                    raise ParseError("bad OT pair row")
-                rows.append(tuple((int(tk[0]), int(tk[1])) for tk in toks))
-            in_a.append(tuple(rows))
-            cur.expect(f"inB {i}:")
-            in_b.append(cur.bit_block(ys, 1 << i))
-        cur.expect("outA:")
-        oa = cur.bit_block(xs, nr)
-        cur.expect("outB:")
-        ob = cur.bit_block(ys, 1 << t)
-        return OtProtocol(nx, ny, t, rw, tuple(in_a), tuple(in_b), oa, ob)
-    raise ParseError(f"unknown protocol kind {kind!r}")
+    kind = _KINDS.get(head[1])
+    if kind is None:
+        raise ParseError(f"unknown protocol kind {head[1]!r}")
+    # indexed fields collect their tables in lists; layout reads the
+    # tables parsed so far from here
+    got = SimpleNamespace(**{f.name: [] for f in fields(kind)[3:]})
+    for label, field, index, cells, rows, width in layout(kind, nx, ny, t, got):
+        line = cur.expect(f"{label}:")
+        if cells in _INLINE:
+            tab = tuple(map(_INLINE[cells], line.split()[1:]))
+        elif rows is None:
+            tab = cur.row(cells, width)
+        else:
+            tab = tuple(cur.row(cells, width if isinstance(width, int) else width[k])
+                        for k in range(rows))
+        if index is None:
+            setattr(got, field, tab)
+        else:
+            getattr(got, field).append(tab)
+    return kind(nx, ny, t, **{name: tuple(tab) for name, tab in vars(got).items()})

@@ -226,6 +226,37 @@ def test_compile_rejects_malformed_circuit(capsys, tmp_path, name):
                                 "-i", str(circ)))
 
 
+_WIDE_CIRCUITS = {
+    # 2^40 inputs of x to enumerate, with one box and with none
+    "and-on-40-bit-x": "circuit 40 1\ninput a 39\ninput b 0\nand 0 1\noutput 2",
+    "xor-on-40-bit-x": "circuit 40 1\ninput a 39\ninput b 0\nxor 0 1\noutput 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CIRCUITS))
+def test_compile_circuit_caps_input_width(capsys, tmp_path, name):
+    circ = tmp_path / "wide.circ"
+    circ.write_text(_WIDE_CIRCUITS[name] + "\n")
+    _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
+                                "-i", str(circ)),
+                           want=4, prefix="resource limit: ")
+
+
+def test_compile_circuit_caps_box_count(capsys, tmp_path, monkeypatch):
+    # each AND of two leaf inputs costs one box; box i's tables span
+    # 2^(1 + i) entries, the output tables of all four 2^(1 + 4)
+    circ = tmp_path / "chain.circ"
+    circ.write_text("circuit 1 1\ninput a 0\ninput b 0\n"
+                    + "and 0 1\n" * 4 + "output 5\n")
+    monkeypatch.setenv("NLBOX_LIMIT_T", "5")
+    code, out, _ = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
+    assert code == 0 and "boxes: 4" in out
+    monkeypatch.setenv("NLBOX_LIMIT_T", "4")
+    _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
+                                "-i", str(circ)),
+                           want=4, prefix="resource limit: ")
+
+
 def test_rt_argument_checks(capsys):
     for dim, trials in (("0", "10"), ("2", "10"), ("3", "0"), ("3", "-5")):
         _assert_one_line_error(*run(capsys, "rt", "--dim", dim, "--trials",

@@ -1,5 +1,7 @@
 """Structural validation and text serialization round-trips."""
 
+import dataclasses
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -16,8 +18,8 @@ from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, parse_truth_table
-from util import random_ordered, random_table, random_tree, xor_as_ordered, \
-    xor_as_parallel
+from util import KINDS, random_ordered, random_protocol, random_table, \
+    random_tree, xor_as_ordered, xor_as_parallel
 
 RNG = random.Random(1234)
 
@@ -55,6 +57,96 @@ def test_roundtrip_every_kind(idx):
     assert q == p
     # serialization is canonical apart from the provenance comment
     assert serialize(q) == serialize(p)
+
+
+# sha256 of the text below; any change to the text format changes it
+SERIALIZE_GOLDEN = "2d4d3380ac6682b590b623db95a64029c5379a2ff56864c64cb67f0d60df829e"
+
+
+def test_serialize_matches_recorded_text():
+    rng = random.Random(4)
+    text = "".join(serialize(random_protocol(kind, nx, ny, t, rng))
+                   for kind in KINDS
+                   for nx, ny, t in ((0, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZE_GOLDEN
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), nx=st.integers(0, 2), ny=st.integers(0, 2),
+       t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_roundtrip_property(kind, nx, ny, t, seed):
+    p = random_protocol(kind, nx, ny, t, random.Random(seed))
+    assert validate(p) == []
+    assert parse(serialize(p)) == p
+
+
+def _tables(obj, path=()):
+    """(path, table) for every nested tuple of a protocol's fields: each
+    table, row and OT pair, through mixture components."""
+    if isinstance(obj, ProtocolMixture):
+        for i, (_w, comp) in enumerate(obj.components):
+            yield from _tables(comp, path + ("components", i, 1))
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj)[3:]:  # past nx, ny, t
+            yield from _tables(getattr(obj, f.name), path + (f.name,))
+    elif isinstance(obj, tuple):
+        yield path, obj
+        for i, v in enumerate(obj):
+            yield from _tables(v, path + (i,))
+
+
+def _replace(obj, path, new):
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(obj, tuple):
+        return obj[:key] + (_replace(obj[key], rest, new),) + obj[key + 1:]
+    return dataclasses.replace(obj, **{key: _replace(getattr(obj, key), rest, new)})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_validate_reports_every_malformed_table(kind):
+    """Each table, row or pair truncated, extended by a copy of its last
+    entry, or with one entry set to 2^t (2 for t = 1; the first value
+    outside every table's range) is reported, and validate never raises."""
+    rng = random.Random(kind)
+    for nx, ny, t in ((1, 1, 1), (1, 2, 2)):
+        p = random_protocol(kind, nx, ny, t, rng)
+        for path, tab in _tables(p):
+            bad = [tab[:-1], tab + tab[-1:]]
+            bad += [tab[:i] + (1 << t,) + tab[i + 1:] for i in range(len(tab))]
+            for new in bad:
+                q = _replace(p, path, new)
+                assert validate(q), (path, new)
+
+
+def test_validate_names_the_malformed_table():
+    """Leaf rows, rounds, OT output bits, non-table entries and tables
+    beyond t are each reported under their label or field."""
+    tree = random_tree(1, 1, 2, RNG)
+    short_leaf = dataclasses.replace(tree, out_a=((0,),) + tree.out_a[1:])
+    assert any(e.startswith("outA: row 0") for e in validate(short_leaf))
+    fewer_rounds = dataclasses.replace(tree, direction=tree.direction[:1],
+                                       bit=tree.bit[:1])
+    assert "direction: expected 2 tables" in validate(fewer_rounds)
+    ot = ordered_to_ot(disj_det_protocol(1))
+    bad_out = dataclasses.replace(ot, out_a=((2,) + ot.out_a[0][1:],) + ot.out_a[1:])
+    assert any(e.startswith("outA: row 0: entry") for e in validate(bad_out))
+    xor = ip_protocol(1)
+    assert any(e.startswith("pbox 0: not a table")
+               for e in validate(dataclasses.replace(xor, pbox=(2,))))
+    no_boxes = random_protocol("parallel", 1, 1, 0, RNG)
+    extra = dataclasses.replace(no_boxes, pbox=((0, 1),))
+    assert any(e.startswith("pbox: expected 0") for e in validate(extra))
+
+
+def test_parse_errors_on_oversized_header():
+    # a t = 1 body under a t = 1000 header: tables of 2^1000 rows or cells
+    # are read line by line until the text runs out
+    for kind in KINDS[:-1]:
+        text = serialize(random_protocol(kind, 1, 1, 1, RNG))
+        with pytest.raises(ParseError):
+            parse(text.replace(" t=1\n", " t=1000\n"))
 
 
 def test_parse_ignores_comments_and_blank_lines():

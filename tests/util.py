@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from nlbox.protocols import (GeneralNlbProtocol, OrderedNlbProtocol,
-                             ParallelProtocol, ParallelXorProtocol, TwoWayTree)
+from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
+                             OrderedNlbProtocol, OtProtocol, ParallelProtocol,
+                             ParallelXorProtocol, ProtocolMixture, TwoWayTree)
 from nlbox.truthtable import TruthTable
 
 
@@ -64,6 +65,63 @@ def random_general(nx: int, ny: int, t: int,
     rng.shuffle(sched_b)
     return GeneralNlbProtocol(nx, ny, t, tuple(sched_a), o.step_a,
                               tuple(sched_b), o.step_b, o.out_a, o.out_b)
+
+
+KINDS = ("parallel-xor", "parallel", "ordered", "general", "oneway",
+         "twoway", "and", "ot", "mix")
+
+
+def _bits(n: int, rng: random.Random) -> tuple[int, ...]:
+    return tuple(rng.randrange(2) for _ in range(n))
+
+
+def _weights(k: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """k positive rational weights summing to 1."""
+    cuts = sorted(rng.sample(range(1, 12), k - 1))
+    return tuple(Fraction(b - a, 12) for a, b in zip([0] + cuts, cuts + [12]))
+
+
+def random_protocol(kind: str, nx: int, ny: int, t: int, rng: random.Random):
+    """A random well-formed protocol of one of ``KINDS`` (the text-format
+    kind names, plus "mix" for a mixture of one to three components)."""
+    xs, ys, ts = 1 << nx, 1 << ny, 1 << t
+    pbox = tuple(_bits(xs, rng) for _ in range(t))
+    qbox = tuple(_bits(ys, rng) for _ in range(t))
+    if kind == "parallel-xor":
+        return ParallelXorProtocol(nx, ny, t, pbox, qbox, _bits(xs, rng),
+                                   _bits(ys, rng))
+    if kind == "parallel":
+        return ParallelProtocol(nx, ny, t, pbox, qbox,
+                                tuple(_bits(ts, rng) for _ in range(xs)),
+                                tuple(_bits(ts, rng) for _ in range(ys)))
+    if kind == "and":
+        return AndProtocol(nx, ny, t, pbox, qbox,
+                           tuple(_bits(ts, rng) for _ in range(xs)))
+    if kind == "ordered":
+        return random_ordered(nx, ny, t, rng)
+    if kind == "general":
+        return random_general(nx, ny, t, rng)
+    if kind == "oneway":
+        return OneWayProtocol(nx, ny, t,
+                              tuple(rng.randrange(ts) for _ in range(xs)),
+                              _bits(xs, rng),
+                              tuple(_bits(ys, rng) for _ in range(ts)))
+    if kind == "twoway":
+        return random_tree(nx, ny, t, rng)
+    if kind == "ot":
+        nr = rng.randint(1, 3)
+        in_a = tuple(tuple(tuple((rng.randrange(2), rng.randrange(2))
+                                 for _ in range(nr)) for _ in range(xs))
+                     for _ in range(t))
+        in_b = tuple(tuple(_bits(1 << i, rng) for _ in range(ys))
+                     for i in range(t))
+        return OtProtocol(nx, ny, t, _weights(nr, rng), in_a, in_b,
+                          tuple(_bits(nr, rng) for _ in range(xs)),
+                          tuple(_bits(ts, rng) for _ in range(ys)))
+    inner = rng.choice(KINDS[:-1])
+    weights = _weights(rng.randint(1, 3), rng)
+    return ProtocolMixture(tuple((w, random_protocol(inner, nx, ny, t, rng))
+                                 for w in weights))
 
 
 def xor_as_parallel(p: ParallelXorProtocol) -> ParallelProtocol:
