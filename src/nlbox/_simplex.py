@@ -1,81 +1,88 @@
-"""Exact phase-1 simplex over rationals.
+"""Exact phase-1 simplex by integer-preserving (Bareiss) elimination.
 
-Small dense tableau with Bland's rule, used as the feasibility core of
-the approximate-rank oracle.  Instance sizes there are tiny (tens of
-rows), so exact ``Fraction`` arithmetic is affordable and lets callers
-assert equalities instead of tolerances.
+Dense tableau with Bland's rule, the feasibility core of the eps-rank
+oracle.  Columns are integers and the rhs is scaled by the lcm ``L`` of
+its denominators, so the tableau is one integer matrix over a positive
+common denominator ``D`` (the basis determinant).  A pivot on ``p`` sets
+each other row to ``(p*M_i - M_ie*M_r) // D``, exact by Sylvester's
+identity, then ``D = p``: the pivots and results of the rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import lcm
 
 
 def solve_phase1(columns, b):
     """Minimize the sum of artificials for ``A x + I art = b``, ``x >= 0``.
 
     Args:
-        columns: list of structural columns, each a list of m Fractions.
-        b: right-hand side, m nonnegative Fractions.
+        columns: list of structural columns, each a list of m integers.
+        b: right-hand side, m nonnegative rationals.
 
     Returns:
         (opt, x, y): the phase-1 optimum, structural values at the
         optimum (length ``len(columns)``), and the simplex multipliers
-        (length m).  ``opt == 0`` iff the system is feasible.
+        (length m), all as Fractions.  ``opt == 0`` iff the system is
+        feasible.
+
+    Raises:
+        ValueError: on a negative rhs or a non-integral column entry.
+        ArithmeticError: if the objective is unbounded below.
     """
-    m = len(b)
-    n = len(columns)
+    m, n = len(b), len(columns)
     if any(v < 0 for v in b):
         raise ValueError("phase-1 requires nonnegative rhs")
-    # tableau rows: structural columns, artificial identity, rhs
-    tab = [[columns[j][i] for j in range(n)] + [ONE if k == i else ZERO for k in range(m)]
-           + [b[i]] for i in range(m)]
+    cols = [[int(v) for v in col] for col in columns]
+    if any(c != list(col) for c, col in zip(cols, columns)):
+        raise ValueError("phase-1 requires integer column entries")
+    scale = lcm(*(v.denominator for v in b))
+    rhs = [v.numerator * (scale // v.denominator) for v in b]
     ncols = n + m
+    # rows: structural columns, artificial identity, scaled rhs; the last
+    # row holds the reduced costs of cost = sum of artificials
+    tab = [[col[i] for col in cols] + [0] * i + [1] + [0] * (m - 1 - i) + [rhs[i]]
+           for i in range(m)]
+    tab.append([-sum(col) for col in cols] + [0] * m + [-sum(rhs)])
     basis = [n + i for i in range(m)]
-    # reduced-cost row for cost = sum of artificials
-    obj = [ZERO] * (ncols + 1)
-    for j in range(ncols):
-        s = ZERO
-        for i in range(m):
-            s += tab[i][j]
-        obj[j] = (ONE if j >= n else ZERO) - s
-    obj[ncols] = -sum(b, ZERO)
+    d = 1
 
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = next((j for j in range(ncols) if tab[m][j] < 0), None)
         if enter is None:
             break
-        # Bland ratio test: smallest ratio, ties by smallest basis index
-        leave, best = None, None
+        # Bland ratio test: smallest rhs/a by cross-multiplication (all
+        # a > 0), ties by smallest basis index
+        leave = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
+                r = tab[i][ncols]
+                if leave is None or r * best_a < best_r * a or (
+                        r * best_a == best_r * a and basis[i] < basis[leave]):
+                    leave, best_r, best_a = i, r, a
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        piv = tab[leave][enter]
         row = tab[leave]
-        if piv != 1:
-            tab[leave] = row = [v / piv for v in row]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], row)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, row)]
+        p = row[enter]
+        for i, cur in enumerate(tab):
+            if i == leave:
+                continue
+            f = cur[enter]
+            if f:
+                tab[i] = [(p * v - f * w) // d for v, w in zip(cur, row)]
+            elif p != d:
+                tab[i] = [p * v // d for v in cur]
+        d = p
         basis[leave] = enter
 
-    opt = -obj[ncols]
-    x = [ZERO] * n
+    denom = d * scale
+    opt = Fraction(-tab[m][ncols], denom)
+    x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = tab[i][ncols]
+            x[bi] = Fraction(tab[i][ncols], denom)
     # duals: reduced cost of artificial i is 1 - y_i
-    y = [ONE - obj[n + i] for i in range(m)]
+    y = [Fraction(d - tab[m][n + i], d) for i in range(m)]
     return opt, x, y

@@ -229,7 +229,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_epsrank(args) -> int:
-    if args.function:
+    if args.function is not None:
         target = _load_table(args.function)
         digest = _hash(tt.format_truth_table(target))
     else:

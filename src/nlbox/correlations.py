@@ -8,6 +8,7 @@ equality there is on discrete outputs (signs and bits), never floats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -58,6 +59,9 @@ def correlation_of_table(m: tt.TruthTable) -> CorrelationMatrix:
                                    for x in range(m.n_rows)))
 
 
+_ENTRY = re.compile(r"-?\d+/\d+", re.ASCII)
+
+
 def parse_correlation(text: str) -> CorrelationMatrix:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -72,6 +76,8 @@ def parse_correlation(text: str) -> CorrelationMatrix:
         raise ValueError(f"expected {rows * cols} entries, got {len(toks)}")
 
     def frac(tok: str) -> Fraction:
+        if not _ENTRY.fullmatch(tok):
+            raise ValueError(f"entry {tok!r} is not of the form n/d")
         num, den = tok.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {tok!r}")

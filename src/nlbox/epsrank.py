@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -91,9 +93,9 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
     """Search for a convex mixture of the masked matrices whose entrywise
     expectation lies in [lo, hi]; returns (mask, weight) pairs or None.
 
-    Column generation over an exact phase-1 master: candidates are priced
-    with the exact duals, so both feasibility and infeasibility verdicts
-    are rational-arithmetic exact.
+    Column generation over an exact phase-1 master: candidates are ranked
+    by float prices and admitted by an exact integer reduced-cost check,
+    so both feasibility and infeasibility verdicts are exact.
     """
     # Row layout: one <=hi row per entry, one >=lo row per entry with lo>0,
     # and the convexity row.
@@ -101,23 +103,14 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
     m = n_entries + len(lo_rows) + 1
     b = [hi[e] for e in range(n_entries)] + [lo[e] for e in lo_rows] + [ONE]
 
-    def candidate_column(mask: int) -> list[Fraction]:
+    def candidate_column(mask: int) -> list[int]:
         bits = [(int(mask) >> e) & 1 for e in range(n_entries)]
-        col = [Fraction(bits[e]) for e in range(n_entries)]
-        col += [Fraction(bits[e]) for e in lo_rows]
-        col.append(ONE)
-        return col
+        return bits + [bits[e] for e in lo_rows] + [1]
 
     # permanent slack/surplus columns
-    fixed_cols = []
-    for e in range(n_entries):
-        col = [ZERO] * m
-        col[e] = ONE
-        fixed_cols.append(col)
-    for i, _e in enumerate(lo_rows):
-        col = [ZERO] * m
-        col[n_entries + i] = -ONE
-        fixed_cols.append(col)
+    fixed_cols = [[int(k == e) for k in range(m)] for e in range(n_entries)]
+    fixed_cols += [[-int(k == n_entries + i) for k in range(m)]
+                   for i in range(len(lo_rows))]
 
     # float pricing matrix: value of each candidate column under duals
     bits_f = ((np.asarray(masks, dtype=np.int64)[:, None]
@@ -129,10 +122,12 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
         cols = [candidate_column(masks[j]) for j in active] + fixed_cols
         opt, x, y = solve_phase1(cols, b)
         if opt == 0:
-            mix = [(int(masks[j]), x[i]) for i, j in enumerate(active) if x[i] > 0]
-            return mix
+            return [(int(masks[j]), x[i]) for i, j in enumerate(active) if x[i] > 0]
         # price all candidates: reduced cost = -(y . column)
         y_f = np.array([float(v) for v in y])
+        # the same duals over one common denominator, for exact checks
+        y_den = lcm(*(v.denominator for v in y))
+        y_int = [v.numerator * (y_den // v.denominator) for v in y]
         scores = bits_f @ y_f[:n_entries]
         if lo_rows:
             scores += bits_f[:, lo_rows] @ y_f[n_entries:n_entries + len(lo_rows)]
@@ -144,9 +139,7 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
             if j in active_set:
                 continue
             # exact reduced-cost check before admitting the column
-            colv = candidate_column(masks[j])
-            rc = -sum(yi * ci for yi, ci in zip(y, colv))
-            if rc < 0:
+            if sum(map(mul, y_int, candidate_column(masks[j]))) > 0:
                 active.append(j)
                 active_set.add(j)
                 added += 1

@@ -4,13 +4,21 @@ Commands run in-process through ``dispatch`` for speed; stdout is
 captured with capsys so byte-identity checks are real.
 """
 
+import contextlib
+import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlbox.cli import dispatch
-from nlbox.serialize import parse
+from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
+from nlbox.library import disj_det_protocol, ip_protocol
+from nlbox.serialize import parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, and_table
+from util import mutated
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -180,10 +188,17 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
     corr.write_text("corr 1 2\n1/0 1/2\n")
     for argv in (("epsrank", "-f", and_file, "--eps", "1/0"),
                  ("epsrank", "--corr", str(corr), "--eps", "0"),
+                 ("epsrank", "-f", "", "--eps", "0"),
                  ("lib", "disj-rand", "--flip", "1/0")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+    for tok in ("0", "0x1/2", "1_0/20", "+1/2"):
+        corr.write_text(f"corr 1 2\n1/2 {tok}\n")
+        code, out, err = run(capsys, "epsrank", "--corr", str(corr),
+                             "--eps", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: entry {tok!r} is not of the form n/d\n"
 
 
 def test_exec_rejects_out_of_range_inputs(capsys, tmp_path):
@@ -305,3 +320,86 @@ def test_sweep_smoke_not_run_here():
     # here only the handler lookup is checked
     from nlbox.cli import _HANDLERS
     assert "sweep" in _HANDLERS
+
+
+# small valid inputs; every command below runs in milliseconds on them
+_FUZZ_FILES = {
+    "t.tt": format_truth_table(ip_table(1)),
+    "c.corr": "corr 2 3\n1/2 0/1 1/1\n1/3 3/4 1/1\n",
+    "p.nlb": serialize(ip_protocol(1)),
+    "o.nlb": serialize(disj_det_protocol(1)),
+    "ot.nlb": serialize(ordered_to_ot(disj_det_protocol(1))),
+    "ow.nlb": serialize(oneway_optimal(ip_table(1))),
+    "and.nlb": serialize(and_from_oneway(oneway_optimal(ip_table(1)))),
+    "c.circ": "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\nnot 2\noutput 3\n",
+}
+
+_FUZZ_COMMANDS = [
+    "epsrank -f t.tt --eps 1/4 --tmax 2",
+    "epsrank --corr c.corr --eps 0",
+    "rank -f t.tt",
+    "synth -f t.tt --method vandam -o s.nlb",
+    "exec -p p.nlb -x 1 -y 0 --exact",
+    "exec -p ot.nlb -x 0 -y 1 --samples 5 --seed 3",
+    "audit -p o.nlb --nonsignaling",
+    "audit -p ot.nlb --privacy-ot",
+    "audit -p and.nlb --privacy-and -f t.tt",
+    "compile --from circuit -i c.circ -o k.nlb",
+    "compile --from ordered-to-ot -i o.nlb",
+    "compile --from oneway -i ow.nlb --normalize-xor",
+    "rt --dim 3 --trials 5 --seed 1",
+]
+
+# argument tokens: values at and past the edges of their ranges, other
+# commands' flags and files; nothing that sweeps or builds large tables
+_ARG_TOKENS = st.sampled_from(
+    ["", "0", "1", "-1", "2", "3", "7", "1/2", "1/0", "-1/4", "x", "0x1",
+     "1_0", "+1", "--exact", "--seed", "--samples", "--eps", "--tmax", "-x",
+     "-o", "-f", "-i", "--corr", "--from", "circuit", "oneway", "twoway",
+     "--nonsignaling", "--normalize-xor", "rank", "epsrank", "exec", "audit",
+     "compile", "rt", "synth", *_FUZZ_FILES, "missing.nlb"])
+
+
+@st.composite
+def _mutated_argv(draw, argv: list[str]) -> list[str]:
+    """argv with up to two tokens replaced, deleted or inserted."""
+    argv = list(argv)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        op = draw(st.sampled_from(("replace", "delete", "insert")))
+        if op == "insert" or i == len(argv):
+            argv.insert(i, draw(_ARG_TOKENS))
+        elif op == "delete":
+            del argv[i]
+        else:
+            argv[i] = draw(_ARG_TOKENS)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_documented_codes(data):
+    """Mutated arguments and input files: an exit code in 0..4, never a
+    traceback, and one stderr line (besides wall-time) on codes 1, 2, 4;
+    an audit failure (3) reports on stdout."""
+    argv = data.draw(_mutated_argv(data.draw(st.sampled_from(_FUZZ_COMMANDS)).split()))
+    target = data.draw(st.sampled_from([a for a in argv if a in _FUZZ_FILES]
+                                       or sorted(_FUZZ_FILES)))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in _FUZZ_FILES.items():
+                with open(name, "w") as fh:
+                    fh.write(data.draw(mutated(text)) if name == target else text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+        finally:
+            os.chdir(cwd)
+    lines = [ln for ln in err.getvalue().splitlines()
+             if not ln.startswith("wall-time:")]
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) == (1 if code in (1, 2, 4) else 0), lines

@@ -2,6 +2,7 @@
 simulation coupling."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,11 @@ def test_correlation_file_roundtrip():
         parse_correlation("corr 2 2\n1/2 1/2 1/2\n")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_correlation("corr 1 2\n1/0 1/2\n")
+    # int() would take the last three; an Arabic-Indic digit is not ASCII
+    for tok in ("0", "0x1/2", "1/2/3", "1/", "1_0/20", "+1/2", "\u0661/2"):
+        msg = f"entry {tok!r} is not of the form n/d"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            parse_correlation(f"corr 1 2\n{tok} 1/2\n")
 
 
 def test_layercake_reconstructs_exactly():

@@ -1,11 +1,12 @@
 """Approximate GF(2) rank: exact LP feasibility with verified witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from nlbox import gf2
+from nlbox import epsrank, gf2
 from nlbox.correlations import CorrelationMatrix
 from nlbox.epsrank import (DimensionLimitError, EpsRankQuery, EpsRankResult,
                            enumerate_ranks, eps_rank, verify_witness)
@@ -101,3 +102,73 @@ def test_rational_target_between_levels():
     res = _eps_rank(m, Fraction(1, 8))
     assert res.t == 1
     assert verify_witness(m, Fraction(1, 8), res.witness)
+
+
+def _golden_panel():
+    """Seeded eps-rank queries: every 2x2 table, 0/1 3x3 matrices, 4x4
+    tables (all eps for GF(2) rank <= 2, eps 1/2 above), and rational
+    correlation matrices mixing 0/1 and fractional entries."""
+    rng = random.Random(2009)
+    eps_all = tuple(Fraction(k, 8) for k in (0, 1, 2, 4))
+    for code in range(16):
+        for eps in eps_all:
+            yield TruthTable(1, 1, (code & 3, code >> 2)), eps
+    for _ in range(3):
+        m = CorrelationMatrix(tuple(tuple(Fraction(rng.randrange(2))
+                                          for _ in range(3)) for _ in range(3)))
+        for eps in eps_all:
+            yield m, eps
+    low, high = [], []
+    while len(low) < 2 or len(high) < 3:
+        f = random_table(2, 2, rng)
+        (low if gf2.gf2_rank(f) <= 2 else high).append(f)
+    for f in low[:2]:
+        for eps in eps_all:
+            yield f, eps
+    for f in high[:3]:
+        yield f, HALF
+    for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
+        for _ in range(2):
+            m = CorrelationMatrix(tuple(
+                tuple(Fraction(rng.randrange(2)) if rng.random() < 0.5
+                      else Fraction(rng.randrange(1, 8), 8)
+                      for _ in range(shape[1])) for _ in range(shape[0])))
+            for eps in (Fraction(0), Fraction(1, 4)):
+                yield m, eps
+
+
+def _report(res: EpsRankResult) -> str:
+    """The result lines ``nlbox epsrank`` prints."""
+    lines = [f"eps-rank: {res.t}"]
+    for i, (w, grid) in enumerate(res.witness):
+        rows = ";".join("".join(str(v) for v in row) for row in grid)
+        lines.append(f"witness {i}: {w.numerator}/{w.denominator} {rows}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the reports of the panel above; a different pivot path or
+# admitted column changes a witness and with it this hash
+WITNESS_GOLDEN = "edf8023a9ef70a285039babf5405d42ee13f6b264730f55aabb9331f4b7e4118"
+# sha256 of the master LP sizes, one line of column counts per query:
+# the admitted columns, round by round
+LP_WORK_GOLDEN = "809c431fd7a47a8aa5f238d66875813ad370de60ec3782867b516cfa91dddf98"
+
+
+def test_witnesses_match_recorded_panel(monkeypatch):
+    solve = epsrank.solve_phase1
+    sizes = []
+
+    def counted(columns, b):
+        sizes.append(len(columns))
+        return solve(columns, b)
+
+    monkeypatch.setattr(epsrank, "solve_phase1", counted)
+    text = work = ""
+    for matrix, eps in _golden_panel():
+        sizes.clear()
+        res = _eps_rank(matrix, eps)
+        assert verify_witness(matrix, eps, res.witness)
+        text += _report(res)
+        work += " ".join(map(str, sizes)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_GOLDEN
+    assert hashlib.sha256(work.encode()).hexdigest() == LP_WORK_GOLDEN

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -18,8 +17,8 @@ from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, parse_truth_table
-from util import KINDS, random_ordered, random_protocol, random_table, \
-    random_tree, xor_as_ordered, xor_as_parallel
+from util import KINDS, mutated, random_ordered, random_protocol, \
+    random_table, random_tree, xor_as_ordered, xor_as_parallel
 
 RNG = random.Random(1234)
 
@@ -177,24 +176,6 @@ def test_parse_errors():
         parse("mix 1 1/0\n" + good)
 
 
-_FUZZ_TOKENS = st.sampled_from(
-    ["", " ", "\n", "#", "/", "=", "x", "0", "1", "-1", "2", "9", "1/0",
-     "0/0", "-1/0", "0/1", "1/2", "a", "b", "ab", "input", "and", "xor",
-     "not", "output", "mix", "protocol", "corr", "nx=1", "ny=", "t=2"])
-
-
-@st.composite
-def _mutated(draw, text: str) -> str:
-    """Valid text with up to three of its tokens or separators replaced,
-    deleted (replaced by "") or followed by an inserted token."""
-    parts = re.split(r"(\s+)", text)
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(parts) - 1))
-        tok = draw(_FUZZ_TOKENS)
-        parts[i] = parts[i] + tok if draw(st.booleans()) else tok
-    return "".join(parts)
-
-
 _PARSER_INPUTS = {
     "truth-table": (parse_truth_table, format_truth_table(ip_table(2))),
     "correlation": (parse_correlation, "corr 2 2\n1/2 1/3\n0/1 1/1\n"),
@@ -213,7 +194,7 @@ def test_parsers_raise_only_value_error_on_mutated_text(name, data):
     parser, text = _PARSER_INPUTS[name]
     parser(text)
     try:
-        parser(data.draw(_mutated(text)))
+        parser(data.draw(mutated(text)))
     except ValueError:  # ParseError and ProtocolError included
         pass
 

@@ -8,7 +8,10 @@ instead of closed forms) so agreement is meaningful.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelProtocol,
@@ -124,6 +127,24 @@ def random_protocol(kind: str, nx: int, ny: int, t: int, rng: random.Random):
                                  for w in weights))
 
 
+_FUZZ_TOKENS = st.sampled_from(
+    ["", " ", "\n", "#", "/", "=", "x", "0", "1", "-1", "2", "9", "1/0",
+     "0/0", "-1/0", "0/1", "1/2", "a", "b", "ab", "input", "and", "xor",
+     "not", "output", "mix", "protocol", "corr", "nx=1", "ny=", "t=2"])
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """Valid text with up to three of its tokens or separators replaced,
+    deleted (replaced by "") or followed by an inserted token."""
+    parts = re.split(r"(\s+)", text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        tok = draw(_FUZZ_TOKENS)
+        parts[i] = parts[i] + tok if draw(st.booleans()) else tok
+    return "".join(parts)
+
+
 def xor_as_parallel(p: ParallelXorProtocol) -> ParallelProtocol:
     """Embed a parallel XOR protocol as a general parallel protocol."""
     xs, ys = 1 << p.nx, 1 << p.ny
@@ -199,3 +220,44 @@ def oracle_rank(rows: list[list[int]]) -> int:
                 m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def oracle_phase1(columns, b):
+    """Phase-1 simplex on a ``Fraction`` tableau with Bland's rule: the
+    rational reference for ``nlbox._simplex.solve_phase1``, which must
+    take the same pivots and return the same ``(opt, x, y)``."""
+    zero, one = Fraction(0), Fraction(1)
+    m, n = len(b), len(columns)
+    tab = [[Fraction(columns[j][i]) for j in range(n)]
+           + [one if k == i else zero for k in range(m)] + [Fraction(b[i])]
+           for i in range(m)]
+    ncols = n + m
+    basis = [n + i for i in range(m)]
+    obj = [(one if j >= n else zero) - sum((tab[i][j] for i in range(m)), zero)
+           for j in range(ncols)] + [-sum((Fraction(v) for v in b), zero)]
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded below")
+        row = tab[leave] = [v / tab[leave][enter] for v in tab[leave]]
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], row)]
+        f = obj[enter]
+        obj = [v - f * w for v, w in zip(obj, row)]
+        basis[leave] = enter
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tab[i][ncols]
+    return -obj[ncols], x, [one - obj[n + i] for i in range(m)]
