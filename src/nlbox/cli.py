@@ -338,11 +338,7 @@ def _cmd_exec(args) -> int:
         for (a, b) in sorted(dist.probs):
             print(f"p {a} {b}: {_fmt(dist.probs[(a, b)])}")
         return EXIT_OK
-    counts: dict[tuple[int, int], int] = {}
-    for i in range(args.samples):
-        a, b, _tr = engine.exec_sample(p, args.x, args.y,
-                                       engine.derive_seed(args.seed, i))
-        counts[(a, b)] = counts.get((a, b), 0) + 1
+    counts = engine.sample_counts(p, args.x, args.y, args.seed, args.samples)
     print(f"samples: {args.samples}")
     print(f"seed: {args.seed}")
     for (a, b) in sorted(counts):

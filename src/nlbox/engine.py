@@ -12,23 +12,29 @@ outcomes as the free uniform bits and forcing Bob's realizes the same
 joint law for every interleaving of the two schedules, because the XOR
 constraint is symmetric.  So a run of a non-local-box protocol on (x, y)
 is a function of one integer u, Alice's outcomes packed in box-label
-order, and ``_kernel(p, x, y)`` is that function for each of the four
-box kinds: u -> (a, b, bvec, pin, qin), the two outputs, Bob's outcomes
-and each side's box inputs, all packed in label order.  The exact law,
-seeded sampling and the non-signaling audit's views all derive from it.
-The Bob-first sweep of ``exec_exact_ordered_sweep`` does not: it is the
-independent reference that the evaluation-order invariance test checks
-the kernel against.
+order, and ``_kernel(p)`` is that function for each of the four box
+kinds, on a numpy array of u: (x, y, u) -> (a, b, bvec, pin, qin), the
+two outputs, Bob's outcomes and each side's box inputs, all packed in
+label order; ``_ot_kernel(p)`` runs an OT protocol on Alice's
+randomness indices r.  Exact laws count branches in integers, then
+make one Fraction per outcome; the sampler draws a batch of runs'
+randomness first, then evaluates the kernel once on it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
                         OneWayProtocol, OrderedNlbProtocol, OtProtocol,
@@ -37,6 +43,8 @@ from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
+# runs the sampler evaluates at once, so its arrays stay bounded
+_SAMPLE_BATCH = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -114,27 +122,48 @@ def _parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
-def _kernel(p, x: int, y: int):
-    """The run of a box protocol on (x, y) as a function of Alice's
-    outcomes u: u -> (a, b, bvec, pin, qin), where Bob's outcomes are
-    bvec = u ^ (pin & qin)."""
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
-        pin, qin = _packed(p.pbox, x), _packed(p.qbox, y)
-        shift = pin & qin
-        if isinstance(p, ParallelXorProtocol):
-            la, lb = p.local_a[x], p.local_b[y]
-            return lambda u: (la ^ _parity(u), lb ^ _parity(u ^ shift),
-                              u ^ shift, pin, qin)
-        oa, ob = p.out_a[x], p.out_b[y]
-        return lambda u: (oa[u], ob[u ^ shift], u ^ shift, pin, qin)
-    if isinstance(p, OrderedNlbProtocol):
-        sa = [step[x] for step in p.step_a]
-        sb = [step[y] for step in p.step_b]
-        oa, ob = p.out_a[x], p.out_b[y]
+def _ints(row) -> np.ndarray:
+    return np.asarray(row, dtype=np.int64)
 
-        def run_ordered(u):
-            # step i reads the first i outcomes of its own side
-            pin = qin = 0
+
+def _parities(v: np.ndarray, t: int) -> np.ndarray:
+    """Parity of each entry of v, all below 2^t."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        if shift < t:
+            v = v ^ (v >> shift)
+    return v & 1
+
+
+def _kernel(p):
+    """The runs of a box protocol as one array function
+    (x, y, u) -> (a, b, bvec, pin, qin) of an int64 array u of Alice's
+    outcomes, where Bob's outcomes are bvec = u ^ (pin & qin).  Each
+    input's table rows become arrays once, on first use."""
+    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
+        out_a = cache(lambda x: _ints(p.out_a[x]))
+        out_b = cache(lambda y: _ints(p.out_b[y]))
+
+        def run_parallel(x, y, u):
+            pin, qin = _packed(p.pbox, x), _packed(p.qbox, y)
+            bvec = u ^ (pin & qin)
+            if isinstance(p, ParallelXorProtocol):
+                # parity(bvec) = parity(u) ^ parity(pin & qin)
+                par = _parities(u, p.t)
+                a, b = p.local_a[x] ^ par, p.local_b[y] ^ _parity(pin & qin) ^ par
+            else:
+                a, b = out_a(x)[u], out_b(y)[bvec]
+            return a, b, bvec, np.full_like(u, pin), np.full_like(u, qin)
+        return run_parallel
+    if not isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
+        raise ProtocolError(f"{type(p).__name__} is not a non-local-box protocol")
+    side_a = cache(lambda x: ([_ints(s[x]) for s in p.step_a], _ints(p.out_a[x])))
+    side_b = cache(lambda y: ([_ints(s[y]) for s in p.step_b], _ints(p.out_b[y])))
+    if isinstance(p, OrderedNlbProtocol):
+        def run_ordered(x, y, u):
+            # step i reads the first i outcomes of its own side: one
+            # gather per box and side
+            (sa, oa), (sb, ob) = side_a(x), side_b(y)
+            pin, qin = np.zeros_like(u), np.zeros_like(u)
             for i in range(p.t):
                 mask = (1 << i) - 1
                 pin |= sa[i][u & mask] << i
@@ -142,26 +171,48 @@ def _kernel(p, x: int, y: int):
             bvec = u ^ (pin & qin)
             return oa[u], ob[bvec], bvec, pin, qin
         return run_ordered
-    if isinstance(p, GeneralNlbProtocol):
-        oa, ob = p.out_a[x], p.out_b[y]
 
-        def run_general(u):
-            # each side reads its outcomes so far in its own touch order;
-            # Alice's inputs depend on u alone, so hers come first
-            pin = obs = 0
-            for pos, label in enumerate(p.sched_a):
-                pin |= p.step_a[pos][x][obs] << label
-                obs |= ((u >> label) & 1) << pos
-            qin = obs = 0
-            for pos, label in enumerate(p.sched_b):
-                q = p.step_b[pos][y][obs]
-                qin |= q << label
-                bit = ((u >> label) & 1) ^ ((pin >> label) & q)
-                obs |= bit << pos
-            bvec = u ^ (pin & qin)
-            return oa[u], ob[bvec], bvec, pin, qin
-        return run_general
-    raise ProtocolError(f"{type(p).__name__} is not a non-local-box protocol")
+    def run_general(x, y, u):
+        # each side reads its outcomes so far in its own touch order;
+        # Alice's inputs depend on u alone, so hers come first
+        (sa, oa), (sb, ob) = side_a(x), side_b(y)
+        pin, obs = np.zeros_like(u), np.zeros_like(u)
+        for pos, label in enumerate(p.sched_a):
+            pin |= sa[pos][obs] << label
+            obs |= ((u >> label) & 1) << pos
+        qin, obs = np.zeros_like(u), np.zeros_like(u)
+        for pos, label in enumerate(p.sched_b):
+            q = sb[pos][obs]
+            qin |= q << label
+            obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
+        bvec = u ^ (pin & qin)
+        return oa[u], ob[bvec], bvec, pin, qin
+    return run_general
+
+
+def _ot_kernel(p: OtProtocol):
+    """The runs of an OT protocol as one array function
+    (x, y, r) -> (a, b, received, s0, s1, c) of an int64 array r of
+    Alice's randomness indices: the outputs, Bob's received bits, and
+    Alice's pairs and Bob's choices, each packed with call i at bit i."""
+    def rows_a(x):
+        # s0 and s1 of each call (2, t, nr), and both packed over the calls
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s[x] for s in p.in_a)),
+                            np.int64, 2 * p.t * len(p.r_weights))
+        pairs = pairs.reshape(p.t, len(p.r_weights), 2).transpose(2, 0, 1).copy()
+        return pairs, (pairs << np.arange(p.t)[:, None]).sum(1), _ints(p.out_a[x])
+    side_a = cache(rows_a)
+    side_b = cache(lambda y: ([_ints(s[y]) for s in p.in_b], _ints(p.out_b[y])))
+
+    def run_ot(x, y, r):
+        ((s0, s1), packed, oa), (choices, ob) = side_a(x), side_b(y)
+        received, c = np.zeros_like(r), np.zeros_like(r)
+        for i in range(p.t):
+            ci = choices[i][received & ((1 << i) - 1)]
+            received |= np.where(ci, s1[i][r], s0[i][r]) << i
+            c |= ci << i
+        return oa[r], ob[received], received, packed[0][r], packed[1][r], c
+    return run_ot
 
 
 def _mix(p: ProtocolMixture, law) -> dict:
@@ -173,23 +224,31 @@ def _mix(p: ProtocolMixture, law) -> dict:
     return acc
 
 
-def _uniform_law(t: int, keys) -> dict:
-    """Law of a key over 2^t equally likely branches: one Fraction per key."""
-    return {k: Fraction(n, 1 << t) for k, n in Counter(keys).items()}
-
-
-def _enumerate(p, x: int, y: int, key) -> dict:
-    """Exact law of key(u, kernel(u)) over Alice's outcomes u (and over
-    the shared randomness of a mixture)."""
+def _leaves(p, w=Fraction(1)) -> list:
+    """(weight, protocol) for each protocol a mixture draws, nested
+    mixtures flattened; [(1, p)] for any other protocol."""
     if isinstance(p, ProtocolMixture):
-        return _mix(p, lambda comp: _enumerate(comp, x, y, key))
-    run = _kernel(p, x, y)
-    _check_limit(p.t)
-    return _uniform_law(p.t, (key(u, run(u)) for u in range(1 << p.t)))
+        return [leaf for v, c in p.components for leaf in _leaves(c, w * v)]
+    return [(w, p)]
 
 
-def _outputs(_u, branch):
-    return branch[:2]
+def _numerators(weights, sizes=None) -> tuple[np.ndarray, int]:
+    """The weights over the lcm of their denominators, weight k repeated
+    sizes[k] times (once by default) as one integer array, of Python
+    ints where int64 could overflow, and that lcm."""
+    sizes = sizes or [1] * len(weights)
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    big = sum(abs(n) * k for n, k in zip(nums, sizes)) >= 1 << 63
+    return np.repeat(np.array(nums, dtype=object if big else np.int64), sizes), den
+
+
+def _tally(keys, nums):
+    """The distinct keys, sorted, and each one's total of nums."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    total = np.zeros(len(uniq), dtype=nums.dtype)
+    np.add.at(total, inv, nums)
+    return uniq, total
 
 
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
@@ -211,56 +270,25 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     if isinstance(p, AndProtocol):
         return _dist([((p.out_a[x][p.gate_vector(x, y)], 0), Fraction(1))])
     if isinstance(p, OtProtocol):
-        return _dist(((_run_ot(p, x, y, r), w)
-                      for r, w in enumerate(p.r_weights)))
-    return OutcomeDistribution(_enumerate(p, x, y, _outputs))
-
-
-def exec_exact_ordered_sweep(p: OrderedNlbProtocol, x: int, y: int,
-                             bob_first: bool) -> OutcomeDistribution:
-    """Ordered execution with the free uniform bit on either side; the two
-    sweeps must agree exactly (evaluation-order invariance).  The
-    Alice-first sweep is the kernel; the Bob-first loop stays apart from
-    it as the reference."""
-    if not bob_first:
-        return OutcomeDistribution(_enumerate(p, x, y, _outputs))
-    _check_limit(p.t)
-
-    def run_bob_first(v):
-        # v fixes Bob's outcomes; Alice's are forced by the box constraint
-        avec = 0
-        for i in range(p.t):
-            qi = p.step_b[i][y][v & ((1 << i) - 1)]
-            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
-            avec |= (((v >> i) & 1) ^ (pi & qi)) << i
-        return p.out_a[x][avec], p.out_b[y][v]
-    return OutcomeDistribution(
-        _uniform_law(p.t, (run_bob_first(v) for v in range(1 << p.t))))
-
-
-def _run_ot(p: OtProtocol, x: int, y: int, r: int,
-            with_view: bool = False):
-    received = 0
-    calls = []
-    for i in range(p.t):
-        s0, s1 = p.in_a[i][x][r]
-        c = p.in_b[i][y][received & ((1 << i) - 1)]
-        o = s1 if c else s0
-        calls.append((i, (s0, s1), c, o))
-        received |= o << i
-    a, b = p.out_a[x][r], p.out_b[y][received]
-    if with_view:
-        return a, b, received, calls
-    return a, b
+        nums, den = _numerators(p.r_weights)
+        a, b = _ot_kernel(p)(x, y, np.arange(len(nums)))[:2]
+        keys, total = _tally(a << 1 | b, nums)
+    else:
+        run = _kernel(p)
+        _check_limit(p.t)
+        a, b = run(x, y, np.arange(1 << p.t))[:2]
+        (keys, total), den = np.unique(a << 1 | b, return_counts=True), 1 << p.t
+    return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
+                                for k, n in zip(keys.tolist(), total.tolist())})
 
 
 def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fraction]:
-    """Exact distribution of Bob's received OT bits over Alice's coins."""
-    out: dict[int, Fraction] = {}
-    for r, w in enumerate(p.r_weights):
-        _a, _b, received, _ = _run_ot(p, x, y, r, with_view=True)
-        out[received] = out.get(received, Fraction(0)) + w
-    return out
+    """Exact distribution of Bob's received OT bits over Alice's coins,
+    keyed in order of first receipt."""
+    nums, den = _numerators(p.r_weights)
+    received = _ot_kernel(p)(x, y, np.arange(len(nums)))[2]
+    total = dict(zip(*(v.tolist() for v in _tally(received, nums))))
+    return {k: Fraction(total[k], den) for k in dict.fromkeys(received.tolist())}
 
 
 # --- sampling ---
@@ -271,61 +299,92 @@ def derive_seed(master: int, index: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _draw(p, rng: random.Random, sums: dict) -> int:
+    """Index of a mixture's component or an OT protocol's randomness,
+    drawn by one float roll: the first running float sum of the weights
+    above the roll, or the last index when rounding leaves the roll past
+    them all.  sums keeps each protocol's running sums."""
+    cum = sums.get(id(p))
+    if cum is None:
+        weights = p.r_weights if isinstance(p, OtProtocol) else [w for w, _c in p.components]
+        cum = sums[id(p)] = list(accumulate(float(w) for w in weights))
+    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+
+
+def _draw_run(p: Protocol, rng: random.Random, sums: dict):
+    """One run's randomness, in the sampler's order of RNG calls: the
+    shared-randomness components drawn, the protocol they select, and
+    its u (box kinds), r (OT) or 0 (deterministic kinds)."""
+    path, v = [], 0
+    while isinstance(p, ProtocolMixture):
+        path.append(_draw(p, rng, sums))
+        p = p.components[path[-1]][1]
+    if isinstance(p, OrderedNlbProtocol):
+        for i in range(p.t):  # one coin per box, drawn in label order
+            v |= rng.getrandbits(1) << i
+    elif isinstance(p, NLB_KINDS):
+        v = rng.getrandbits(p.t)  # 0, with no state consumed, when t = 0
+    elif isinstance(p, OtProtocol):
+        v = _draw(p, rng, sums)
+    elif not isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
+        raise ProtocolError(f"cannot sample {type(p).__name__}")
+    return path, p, v
+
+
 def exec_sample(p: Protocol, x: int, y: int, seed: int):
     """One run, deterministic given the seed; returns (a, b, transcript)."""
-    rng = random.Random(derive_seed(seed, 0))
-    return _sample(p, x, y, rng)
-
-
-def _draw(weights, rng: random.Random) -> int:
-    """Index drawn by one float roll against the running sums of the
-    weights; the last index when rounding leaves the roll past them all."""
-    roll = rng.random()
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += float(w)
-        if roll < acc:
-            return i
-    return len(weights) - 1
-
-
-def _sample(p: Protocol, x: int, y: int, rng: random.Random):
-    transcript: list[dict] = []
-    if isinstance(p, ProtocolMixture):
-        i = _draw([w for w, _c in p.components], rng)
-        a, b, sub = _sample(p.components[i][1], x, y, rng)
-        return a, b, [{"kind": "shared-randomness", "component": i}] + sub
+    path, p, v = _draw_run(p, random.Random(derive_seed(seed, 0)), {})
+    a, b, *run = (int(z[0]) for z in _runs(p, x, y, np.array([v])))
+    transcript = [{"kind": "shared-randomness", "component": i} for i in path]
     if isinstance(p, NLB_KINDS):
-        if isinstance(p, OrderedNlbProtocol):
-            u = 0
-            for i in range(p.t):  # one coin per box, drawn in label order
-                u |= rng.getrandbits(1) << i
-        else:
-            u = rng.getrandbits(p.t) if p.t else 0
-        a, b, bvec, pin, qin = _kernel(p, x, y)(u)
-        return a, b, [{"kind": "box", "index": i,
-                       "in": ((pin >> i) & 1, (qin >> i) & 1),
-                       "out": ((u >> i) & 1, (bvec >> i) & 1)}
-                      for i in range(p.t)]
-    if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
-        dist = exec_exact(p, x, y)
-        (a, b), _w = next(iter(dist.probs.items()))
-        if isinstance(p, OneWayProtocol):
-            transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
-        if isinstance(p, AndProtocol):
-            v = p.gate_vector(x, y)
-            for i in range(p.t):
-                transcript.append({"kind": "and", "index": i,
-                                   "in": (p.pbox[i][x], p.qbox[i][y]),
-                                   "out": (v >> i) & 1})
-        return a, b, transcript
+        bvec, pin, qin = run
+        transcript += [{"kind": "box", "index": i,
+                        "in": ((pin >> i) & 1, (qin >> i) & 1),
+                        "out": ((v >> i) & 1, (bvec >> i) & 1)} for i in range(p.t)]
+    elif isinstance(p, OtProtocol):
+        got, s0, s1, c = run
+        transcript += [{"kind": "ot", "index": i,
+                        "in": (((s0 >> i) & 1, (s1 >> i) & 1), (c >> i) & 1),
+                        "out": (got >> i) & 1} for i in range(p.t)]
+    elif isinstance(p, OneWayProtocol):
+        transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
+    elif isinstance(p, AndProtocol):
+        g = p.gate_vector(x, y)
+        transcript += [{"kind": "and", "index": i, "in": (p.pbox[i][x], p.qbox[i][y]),
+                        "out": (g >> i) & 1} for i in range(p.t)]
+    return a, b, transcript
+
+
+def _runs(p, x: int, y: int, v: np.ndarray):
+    """The kernel's arrays of p's runs on the drawn values v; only both
+    outputs for the deterministic kinds."""
+    if isinstance(p, NLB_KINDS):
+        return _kernel(p)(x, y, v)
     if isinstance(p, OtProtocol):
-        a, b, _received, calls = _run_ot(p, x, y, _draw(p.r_weights, rng),
-                                         with_view=True)
-        for i, pair, c, o in calls:
-            transcript.append({"kind": "ot", "index": i, "in": (pair, c), "out": o})
-        return a, b, transcript
-    raise ProtocolError(f"cannot sample {type(p).__name__}")
+        return _ot_kernel(p)(x, y, v)
+    (a, b), = exec_exact(p, x, y).probs
+    return np.full_like(v, a), np.full_like(v, b)
+
+
+def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[int, int], int]:
+    """Output counts of the runs exec_sample(p, x, y, derive_seed(seed, i))
+    for i < n.  The randomness of a batch of runs is drawn first, with
+    the same RNG calls, and each protocol a mixture selects then runs
+    once on its part of the batch."""
+    counts: Counter = Counter()
+    sums: dict = {}
+    for lo in range(0, n, _SAMPLE_BATCH):
+        drawn: dict = {}
+        for i in range(lo, min(n, lo + _SAMPLE_BATCH)):
+            rng = random.Random(derive_seed(derive_seed(seed, i), 0))
+            _path, leaf, v = _draw_run(p, rng, sums)
+            drawn.setdefault(id(leaf), (leaf, []))[1].append(v)
+        for leaf, vs in drawn.values():
+            a, b = _runs(leaf, x, y, np.array(vs, dtype=np.int64))[:2]
+            keys, total = np.unique(a << 1 | b, return_counts=True)
+            for k, m in zip(keys.tolist(), total.tolist()):
+                counts[(k >> 1, k & 1)] += m
+    return dict(counts)
 
 
 # --- error profile ---
@@ -377,31 +436,44 @@ class AuditViolation:
         return f"{self.check}: {self.detail} (witness {self.witness})"
 
 
-def _alice_view(p, x: int, y: int) -> dict[tuple, Fraction]:
-    """Distribution of (Alice box outcomes, Alice output) on (x, y)."""
-    return _enumerate(p, x, y, lambda u, branch: (u, branch[0]))
+def _views(p):
+    """Each player's full view of a box protocol or mixture on (x, y) as
+    view(x, y, bob) -> (keys, weights): keys u << 1 | a for Alice and
+    bvec << 1 | b for Bob, integer weights over one denominator."""
+    leaves = [(w, _kernel(c), c.t) for w, c in _leaves(p)]
+    for _w, _run, t in leaves:
+        _check_limit(t)
+    nums, _den = _numerators([w / (1 << t) for w, _run, t in leaves],
+                             [1 << t for _w, _run, t in leaves])
+    runs = [(run, np.arange(1 << t)) for _w, run, t in leaves]
+
+    def view(x, y, bob):
+        keys = []
+        for run, u in runs:
+            a, b, bvec, _pin, _qin = run(x, y, u)
+            keys.append(bvec << 1 | b if bob else u << 1 | a)
+        return _tally(np.concatenate(keys), nums)
+    return view
 
 
-def _bob_view(p, x: int, y: int) -> dict[tuple, Fraction]:
-    """Distribution of (Bob box outcomes, Bob output) on (x, y)."""
-    return _enumerate(p, x, y, lambda _u, branch: (branch[2], branch[1]))
+def _same(law, ref) -> bool:
+    return all(np.array_equal(v, w) for v, w in zip(law, ref))
 
 
 def nonsignaling_audit(p) -> AuditViolation | None:
     """Check each player's full-view distribution ignores the other's input."""
+    view = _views(p)
     xs, ys = 1 << p.nx, 1 << p.ny
     for x in range(xs):
-        ref = _alice_view(p, x, 0)
+        ref = view(x, 0, False)
         for y in range(1, ys):
-            v = _alice_view(p, x, y)
-            if v != ref:
+            if not _same(view(x, y, False), ref):
                 return AuditViolation("nonsignaling", "Alice view depends on y",
                                       (x, 0, y))
     for y in range(ys):
-        ref = _bob_view(p, 0, y)
+        ref = view(0, y, True)
         for x in range(1, xs):
-            v = _bob_view(p, x, y)
-            if v != ref:
+            if not _same(view(x, y, True), ref):
                 return AuditViolation("nonsignaling", "Bob view depends on x",
                                       (y, 0, x))
     return None
@@ -438,13 +510,14 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
 
 def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
     """Bob's received bits must be exactly uniform and independent of x."""
-    uniform = Fraction(1, 1 << p.t)
+    run, r = _ot_kernel(p), np.arange(len(p.r_weights))
+    nums, den = _numerators(p.r_weights)
     for y in range(1 << p.ny):
         for x in range(1 << p.nx):
-            dist = ot_received_distribution(p, x, y)
-            if len(dist) != 1 << p.t or any(v != uniform for v in dist.values()):
-                return AuditViolation("ot-privacy",
-                                      "received bits not uniform", (x, y, dist))
+            _keys, total = _tally(run(x, y, r)[2], nums)
+            if len(total) != 1 << p.t or (total * (1 << p.t) != den).any():
+                return AuditViolation("ot-privacy", "received bits not uniform",
+                                      (x, y, ot_received_distribution(p, x, y)))
     return None
 
 
@@ -453,5 +526,5 @@ __all__ = [
     "ResourceLimitError", "ProtocolError",
     "exec_exact", "exec_sample", "error_profile", "validate",
     "nonsignaling_audit", "privacy_audit_and", "privacy_audit_ot",
-    "exec_exact_ordered_sweep", "ot_received_distribution", "derive_seed",
+    "ot_received_distribution", "sample_counts", "derive_seed",
 ]

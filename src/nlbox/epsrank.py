@@ -115,6 +115,7 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
     # float pricing matrix: value of each candidate column under duals
     bits_f = ((np.asarray(masks, dtype=np.int64)[:, None]
                >> np.arange(n_entries, dtype=np.int64)) & 1).astype(np.float64)
+    lo_bits_f = bits_f[:, lo_rows]
 
     active: list[int] = []
     active_set: set[int] = set()
@@ -130,7 +131,7 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
         y_int = [v.numerator * (y_den // v.denominator) for v in y]
         scores = bits_f @ y_f[:n_entries]
         if lo_rows:
-            scores += bits_f[:, lo_rows] @ y_f[n_entries:n_entries + len(lo_rows)]
+            scores += lo_bits_f @ y_f[n_entries:n_entries + len(lo_rows)]
         scores += y_f[-1]
         order = np.argsort(-scores)
         added = 0

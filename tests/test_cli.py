@@ -18,7 +18,7 @@ from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.library import disj_det_protocol, ip_protocol
 from nlbox.serialize import parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, and_table
-from util import mutated
+from util import leaky_ot, mutated, random_ordered, random_protocol, sampled_kinds
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -151,6 +151,76 @@ def test_exec_sampling_deterministic_given_seed(capsys, tmp_path, ip2_file):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "count" in out1
+
+
+# stdout of `exec -x 3 -y 2 --samples 300 --seed s`, recorded before the
+# CLI drew its samples in batches; a batch must count every run as the
+# one-run sampler would.
+SAMPLES_STDOUT = {
+    ('parallel-xor', 0): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 150\ncount 1 0: 150\n',
+    ('parallel-xor', 1): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 147\ncount 1 0: 153\n',
+    ('parallel', 0): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 147\ncount 1 0: 153\n',
+    ('parallel', 1): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 156\ncount 1 0: 144\n',
+    ('ordered', 0): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 145\ncount 1 0: 155\n',
+    ('ordered', 1): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 143\ncount 1 0: 157\n',
+    ('general', 0): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 121\ncount 1 0: 145\ncount 1 1: 34\n',
+    ('general', 1): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 111\ncount 1 0: 153\ncount 1 1: 36\n',
+    ('mixture', 0): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 45\ncount 0 1: 101\ncount 1 0: 111\ncount 1 1: 43\n',
+    ('mixture', 1): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 44\ncount 0 1: 104\ncount 1 0: 102\ncount 1 1: 50\n',
+    ('ot', 0): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 155\ncount 1 0: 145\n',
+    ('ot', 1): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 139\ncount 1 0: 161\n',
+    ('ot-weighted', 0): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 173\ncount 1 0: 127\n',
+    ('ot-weighted', 1): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 182\ncount 1 0: 118\n',
+    ('mix-ordered', 0): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 111\ncount 0 1: 13\ncount 1 0: 83\ncount 1 1: 93\n',
+    ('mix-ordered', 1): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 89\ncount 0 1: 27\ncount 1 0: 87\ncount 1 1: 97\n',
+    ('mix-ot', 0): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 139\ncount 0 1: 76\ncount 1 1: 85\n',
+    ('mix-ot', 1): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 143\ncount 0 1: 69\ncount 1 1: 88\n',
+    ('mix-oneway', 0): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 300\n',
+    ('mix-oneway', 1): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 300\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _seed in SAMPLES_STDOUT}))
+def test_exec_samples_matches_recorded_stdout(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.nlb"
+    path.write_text(serialize(sampled_kinds()[name]))
+    for seed in (0, 1):
+        code, out, _ = run(capsys, "exec", "-p", str(path), "-x", "3", "-y", "2",
+                           "--samples", "300", "--seed", str(seed))
+        assert code == 0
+        assert out == SAMPLES_STDOUT[(name, seed)]
+
+
+# stdout of `audit --privacy-ot` on two OT protocols that fail it,
+# recorded before the audit counted received bits in integers: the
+# witness is the first failing (x, y) and its law keeps the order of
+# first receipt
+OT_AUDIT_STDOUT = {
+    "leaky": 'input-hash: 938798c026df3c05\ncheck: privacy-ot\naudit: FAIL\nviolation: ot-privacy: received bits not uniform (witness (2, 1, {2: Fraction(1, 2), 0: Fraction(1, 4), 1: Fraction(1, 4)}))\n',
+    "weighted": 'input-hash: 420eca1480ab7671\ncheck: privacy-ot\naudit: FAIL\nviolation: ot-privacy: received bits not uniform (witness (0, 0, {7: Fraction(1, 4), 6: Fraction(7, 12), 4: Fraction(1, 6)}))\n',
+}
+
+
+def test_privacy_ot_failure_matches_recorded_stdout(capsys, tmp_path):
+    import random
+    for name, p in (("leaky", leaky_ot()),
+                    ("weighted", random_protocol("ot", 2, 2, 3, random.Random(8)))):
+        path = tmp_path / f"{name}.ot"
+        path.write_text(serialize(p))
+        code, out, _ = run(capsys, "audit", "-p", str(path), "--privacy-ot")
+        assert (code, out) == (3, OT_AUDIT_STDOUT[name])
+
+
+@pytest.mark.parametrize("argv", [["exec", "-x", "0", "-y", "1", "--exact"],
+                                  ["audit", "--nonsignaling"]])
+def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
+    import random
+    path = tmp_path / "nine.nlb"
+    path.write_text(serialize(random_ordered(1, 1, 9, random.Random(9))))
+    monkeypatch.setenv("NLBOX_LIMIT_T", "8")
+    code, _, err = run(capsys, argv[0], "-p", str(path), *argv[1:])
+    assert code == 4
+    assert err.count("\n") == 1 and err.startswith("resource limit: 2^9 ")
 
 
 def test_exit_code_usage(capsys):

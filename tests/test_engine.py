@@ -1,23 +1,27 @@
 """Exact engine: closed forms vs brute force, order invariance, audits."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nlbox.engine import (ProtocolError, ResourceLimitError, derive_seed,
-                          error_profile, exec_exact, exec_exact_ordered_sweep,
-                          exec_sample, nonsignaling_audit,
-                          ot_received_distribution, privacy_audit_and,
-                          privacy_audit_ot)
+from nlbox.engine import (ProtocolError, ResourceLimitError, _views,
+                          derive_seed, error_profile, exec_exact, exec_sample,
+                          nonsignaling_audit, ot_received_distribution,
+                          privacy_audit_and, privacy_audit_ot, sample_counts)
 from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
-from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OtProtocol,
-                             ParallelXorProtocol, ProtocolMixture)
+from nlbox.protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
+                             OrderedNlbProtocol, OtProtocol, ParallelXorProtocol,
+                             ProtocolMixture)
 from nlbox.truthtable import TruthTable, and_table, ip_table
-from util import (obfuscate, oracle_parallel_dist, parity, random_general,
-                  random_ordered, random_table, random_tree, xor_as_ordered,
-                  xor_as_parallel)
+from util import (KINDS, leaky_ot, oracle_alice_view, oracle_bob_first,
+                  oracle_bob_view, oracle_error, oracle_exec,
+                  oracle_nonsignaling_audit, oracle_ot_received,
+                  oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
+                  parity, random_ordered, random_protocol, random_table,
+                  random_tree, sampled_kinds, xor_as_ordered, xor_as_parallel)
 
 RNG = random.Random(777)
 
@@ -58,11 +62,8 @@ def test_ordered_sweep_order_invariance():
         p = random_ordered(2, 2, RNG.randrange(1, 4), RNG)
         for x in range(4):
             for y in range(4):
-                ref = exec_exact(p, x, y)
-                assert exec_exact_ordered_sweep(p, x, y, bob_first=False).probs \
-                    == ref.probs
-                assert exec_exact_ordered_sweep(p, x, y, bob_first=True).probs \
-                    == ref.probs
+                # Alice's outcomes free (the kernel) or Bob's (the reference)
+                assert exec_exact(p, x, y).probs == oracle_bob_first(p, x, y)
 
 
 def test_general_with_identity_schedules_equals_ordered():
@@ -244,21 +245,6 @@ def test_mixture_audit_and_views():
     assert d.parity_prob(1) == 1
 
 
-def _sampled_kinds():
-    """One protocol of each box kind, a mixture and an OT form, built
-    from a fixed seed so that sampled runs can be pinned."""
-    rng = random.Random(2024)
-    return {
-        "parallel-xor": ip_protocol(2),
-        "parallel": obfuscate(xor_as_parallel(synth_rank(random_table(2, 2, rng))),
-                              rng),
-        "ordered": disj_det_protocol(2),
-        "general": random_general(2, 2, 3, rng),
-        "mixture": disj_rand_parallel(2, Fraction(1, 3)),
-        "ot": ordered_to_ot(disj_det_protocol(2)),
-    }
-
-
 def _encode_run(a, b, transcript) -> str:
     """'ab' then one token per event: box 'pq>ab', OT 's0s1c>o', mixture
     component 'm<i>'."""
@@ -299,7 +285,7 @@ SAMPLE_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_GOLDEN))
 def test_sampling_matches_recorded_runs(name):
-    p = _sampled_kinds()[name]
+    p = sampled_kinds()[name]
     runs = tuple(_encode_run(*exec_sample(p, 3, 2, seed)) for seed in range(6))
     assert runs == SAMPLE_GOLDEN[name]
 
@@ -307,7 +293,7 @@ def test_sampling_matches_recorded_runs(name):
 @pytest.mark.parametrize("name",
                          ["parallel-xor", "parallel", "ordered", "general", "mixture"])
 def test_sampled_runs_obey_box_constraint_and_exact_support(name):
-    p = _sampled_kinds()[name]
+    p = sampled_kinds()[name]
     for x in range(4):
         for y in range(4):
             support = exec_exact(p, x, y).probs
@@ -338,3 +324,90 @@ def test_nonsignaling_audit_rejects_non_box_protocols():
     for p in (ordered_to_ot(disj_det_protocol(2)), oneway_optimal(ip_table(1))):
         with pytest.raises(ProtocolError):
             nonsignaling_audit(p)
+
+
+def _is_box(p) -> bool:
+    if isinstance(p, ProtocolMixture):
+        return all(_is_box(c) for _w, c in p.components)
+    return isinstance(p, NLB_KINDS)
+
+
+def _view_dict(law) -> dict:
+    """An integer view law of the engine as the oracle's Fraction dict;
+    the weights sum to their common denominator."""
+    keys, weights = (v.tolist() for v in law)
+    den = sum(weights)
+    return {(k >> 1, k & 1): Fraction(w, den) for k, w in zip(keys, weights)}
+
+
+@pytest.mark.parametrize("kind", KINDS + ("nested",))
+def test_engine_matches_scalar_oracle(kind):
+    # seeded random protocols of every kind (mixtures of every kind and
+    # mixtures of two such mixtures, OT with one to three weighted coins)
+    # on every input: exact laws, both views, received-bit laws in key
+    # order, error profiles and seeded runs equal the scalar reference
+    rng = random.Random(f"oracle:{kind}")
+    for _ in range(12):
+        nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+        if kind == "nested":
+            p = ProtocolMixture(tuple((w, random_protocol("mix", nx, ny, t, rng))
+                                      for w in (Fraction(1, 3), Fraction(2, 3))))
+        else:
+            p = random_protocol(kind, nx, ny, t, rng)
+        f = random_table(nx, ny, rng)
+        view = _views(p) if _is_box(p) else None
+        for x in range(1 << nx):
+            for y in range(1 << ny):
+                assert exec_exact(p, x, y).probs == oracle_exec(p, x, y)
+                if view is not None:
+                    assert _view_dict(view(x, y, False)) == oracle_alice_view(p, x, y)
+                    assert _view_dict(view(x, y, True)) == oracle_bob_view(p, x, y)
+                if isinstance(p, OtProtocol):
+                    rec = ot_received_distribution(p, x, y)
+                    ref = oracle_ot_received(p, x, y)
+                    assert list(rec.items()) == list(ref.items())
+                seeds = [rng.randrange(1 << 30) for _ in range(4)]
+                for s in seeds:
+                    assert exec_sample(p, x, y, s) == oracle_sample(p, x, y, s)
+                runs = Counter(oracle_sample(p, x, y, derive_seed(seeds[0], i))[:2]
+                               for i in range(40))
+                assert sample_counts(p, x, y, seeds[0], 40) == runs
+        assert error_profile(p, f).table == {
+            (x, y): oracle_error(p, f, x, y)
+            for x in range(1 << nx) for y in range(1 << ny)}
+
+
+def test_wide_parallel_xor_runs_match_oracle():
+    # the array parity of Alice's outcomes folds only the bits below 2^t
+    rng = random.Random(31)
+    for t in (5, 9, 17, 33):
+        p = random_protocol("parallel-xor", 1, 1, t, rng)
+        for seed in range(8):
+            assert exec_sample(p, 1, 0, seed) == oracle_sample(p, 1, 0, seed)
+
+
+def _signalling_ordered() -> OrderedNlbProtocol:
+    """A one-box ordered protocol whose step tables hold 2s and 4s, so
+    that box inputs land on bits 1 and 2 and Bob's outcomes leave [0, 2)
+    on (x, y) = (3, 1) and (2, 2).  Well-formed protocols cannot signal
+    (Bob's outcomes are a bijection of Alice's for every (x, y)), so
+    only such tables, which ``validate`` rejects, make the audit fail;
+    its loop order (y outer on Bob's side) decides the witness."""
+    return OrderedNlbProtocol(
+        2, 2, 1, (((0,), (0,), (4,), (2,)),), (((0,), (2,), (4,), (0,)),),
+        ((0, 1),) * 4, ((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
+
+
+def test_audit_failures_match_oracle_witness():
+    sig = _signalling_ordered()
+    mix = ProtocolMixture(((Fraction(1, 3), sig),
+                           (Fraction(2, 3), random_ordered(2, 2, 1, random.Random(3)))))
+    for p, witness in ((sig, (1, 0, 3)), (mix, (1, 0, 3))):
+        bad = nonsignaling_audit(p)
+        assert bad == oracle_nonsignaling_audit(p)
+        assert (bad.detail, bad.witness) == ("Bob view depends on x", witness)
+    for p in (leaky_ot(), random_protocol("ot", 2, 2, 3, random.Random(8))):
+        bad, ref = privacy_audit_ot(p), oracle_privacy_audit_ot(p)
+        assert bad == ref and str(bad) == str(ref)
+        assert list(bad.witness[2].items()) == list(ref.witness[2].items())
+    assert privacy_audit_ot(leaky_ot()).witness[:2] == (2, 1)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from nlbox.engine import AuditViolation, derive_seed
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                              ParallelXorProtocol, ProtocolMixture, TwoWayTree)
@@ -187,6 +188,42 @@ def obfuscate(p: ParallelProtocol, rng: random.Random) -> ParallelProtocol:
                             p.qbox + (p.qbox[k],), out_a, out_b)
 
 
+def sampled_kinds() -> dict:
+    """One protocol of each box kind, a mixture and an OT form, then a
+    weighted OT form and mixtures of ordered, OT and one-way protocols,
+    each built from a fixed seed so that sampled runs can be pinned."""
+    from nlbox.compilers import ordered_to_ot, synth_rank
+    from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
+    rng = random.Random(2024)
+    return {
+        "parallel-xor": ip_protocol(2),
+        "parallel": obfuscate(xor_as_parallel(synth_rank(random_table(2, 2, rng))),
+                              rng),
+        "ordered": disj_det_protocol(2),
+        "general": random_general(2, 2, 3, rng),
+        "mixture": disj_rand_parallel(2, Fraction(1, 3)),
+        "ot": ordered_to_ot(disj_det_protocol(2)),
+        "ot-weighted": random_protocol("ot", 2, 2, 3, random.Random(8)),
+        "mix-ordered": random_protocol("mix", 2, 2, 3, random.Random(10)),
+        "mix-ot": random_protocol("mix", 2, 2, 3, random.Random(3)),
+        "mix-oneway": random_protocol("mix", 2, 2, 3, random.Random(4)),
+    }
+
+
+def leaky_ot() -> OtProtocol:
+    """The OT form of an ordered protocol with two of Alice's pairs
+    replaced, one for x = 2 by (0, 0) and one for x = 1 by (1, 1), so
+    that Bob's received bits are uniform except on (x, y) = (2, 1) and
+    (1, 2): the audit's loop order (y outer) decides the witness."""
+    from nlbox.compilers import ordered_to_ot
+    ot = ordered_to_ot(random_ordered(2, 2, 2, random.Random(6)))
+    in_a = [list(call) for call in ot.in_a]
+    in_a[0][2] = ((0, 0),) + in_a[0][2][1:]
+    in_a[1][1] = ((1, 1),) + in_a[1][1][1:]
+    return OtProtocol(ot.nx, ot.ny, ot.t, ot.r_weights,
+                      tuple(tuple(call) for call in in_a), ot.in_b, ot.out_a, ot.out_b)
+
+
 def oracle_parallel_dist(p: ParallelProtocol, x: int, y: int):
     """Joint output distribution by brute force over box outcome pairs.
 
@@ -261,3 +298,236 @@ def oracle_phase1(columns, b):
         if bi < n:
             x[bi] = tab[i][ncols]
     return -obj[ncols], x, [one - obj[n + i] for i in range(m)]
+
+
+# --- scalar reference engine ---
+# The engine's former per-branch execution: one Python closure per box
+# kind, the OT call loop and the Bob-first sweep, with laws summed in
+# Fractions.  The array kernels and integer counts of ``nlbox.engine``
+# must reproduce these exactly, down to the audits' witnesses.
+
+
+def _packed(tables, v: int) -> int:
+    s = 0
+    for i, tab in enumerate(tables):
+        s |= tab[v] << i
+    return s
+
+
+def oracle_kernel(p, x: int, y: int):
+    """u -> (a, b, bvec, pin, qin) for one run of a box protocol."""
+    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
+        pin, qin = _packed(p.pbox, x), _packed(p.qbox, y)
+        shift = pin & qin
+        if isinstance(p, ParallelXorProtocol):
+            la, lb = p.local_a[x], p.local_b[y]
+            return lambda u: (la ^ parity(u), lb ^ parity(u ^ shift),
+                              u ^ shift, pin, qin)
+        oa, ob = p.out_a[x], p.out_b[y]
+        return lambda u: (oa[u], ob[u ^ shift], u ^ shift, pin, qin)
+    if isinstance(p, OrderedNlbProtocol):
+        sa = [step[x] for step in p.step_a]
+        sb = [step[y] for step in p.step_b]
+        oa, ob = p.out_a[x], p.out_b[y]
+
+        def run_ordered(u):
+            pin = qin = 0
+            for i in range(p.t):
+                mask = (1 << i) - 1
+                pin |= sa[i][u & mask] << i
+                qin |= sb[i][(u ^ (pin & qin)) & mask] << i
+            bvec = u ^ (pin & qin)
+            return oa[u], ob[bvec], bvec, pin, qin
+        return run_ordered
+    if isinstance(p, GeneralNlbProtocol):
+        oa, ob = p.out_a[x], p.out_b[y]
+
+        def run_general(u):
+            pin = obs = 0
+            for pos, label in enumerate(p.sched_a):
+                pin |= p.step_a[pos][x][obs] << label
+                obs |= ((u >> label) & 1) << pos
+            qin = obs = 0
+            for pos, label in enumerate(p.sched_b):
+                q = p.step_b[pos][y][obs]
+                qin |= q << label
+                bit = ((u >> label) & 1) ^ ((pin >> label) & q)
+                obs |= bit << pos
+            bvec = u ^ (pin & qin)
+            return oa[u], ob[bvec], bvec, pin, qin
+        return run_general
+    raise ValueError(f"{type(p).__name__} is not a non-local-box protocol")
+
+
+def oracle_run_ot(p: OtProtocol, x: int, y: int, r: int):
+    """(a, b, received, calls) of one OT run on Alice's randomness r."""
+    received = 0
+    calls = []
+    for i in range(p.t):
+        s0, s1 = p.in_a[i][x][r]
+        c = p.in_b[i][y][received & ((1 << i) - 1)]
+        o = s1 if c else s0
+        calls.append((i, (s0, s1), c, o))
+        received |= o << i
+    return p.out_a[x][r], p.out_b[y][received], received, calls
+
+
+def oracle_law(p, x: int, y: int, key) -> dict:
+    """Exact law of key(u, kernel(u)) over Alice's outcomes u and over
+    the shared randomness of a mixture."""
+    if isinstance(p, ProtocolMixture):
+        acc: dict = {}
+        for w, comp in p.components:
+            for k, q in oracle_law(comp, x, y, key).items():
+                acc[k] = acc.get(k, Fraction(0)) + w * q
+        return acc
+    run = oracle_kernel(p, x, y)
+    counts: dict = {}
+    for u in range(1 << p.t):
+        k = key(u, run(u))
+        counts[k] = counts.get(k, 0) + 1
+    return {k: Fraction(n, 1 << p.t) for k, n in counts.items()}
+
+
+def oracle_exec(p, x: int, y: int) -> dict:
+    """Joint output law on (x, y): every box kind (parallel XOR
+    included) by its branch closure, OT by its call loop."""
+    if isinstance(p, ProtocolMixture):
+        acc: dict = {}
+        for w, comp in p.components:
+            for k, q in oracle_exec(comp, x, y).items():
+                acc[k] = acc.get(k, Fraction(0)) + w * q
+        return acc
+    if isinstance(p, OtProtocol):
+        acc = {}
+        for r, w in enumerate(p.r_weights):
+            k = oracle_run_ot(p, x, y, r)[:2]
+            acc[k] = acc.get(k, Fraction(0)) + w
+        return acc
+    if isinstance(p, OneWayProtocol):
+        return {(p.out_a[x], p.out_b[p.msg[x]][y]): Fraction(1)}
+    if isinstance(p, TwoWayTree):
+        return {p.evaluate(x, y): Fraction(1)}
+    if isinstance(p, AndProtocol):
+        return {(p.out_a[x][p.gate_vector(x, y)], 0): Fraction(1)}
+    return oracle_law(p, x, y, lambda _u, branch: branch[:2])
+
+
+def oracle_alice_view(p, x: int, y: int) -> dict:
+    """Law of (Alice's box outcomes, Alice's output) on (x, y)."""
+    return oracle_law(p, x, y, lambda u, branch: (u, branch[0]))
+
+
+def oracle_bob_view(p, x: int, y: int) -> dict:
+    """Law of (Bob's box outcomes, Bob's output) on (x, y)."""
+    return oracle_law(p, x, y, lambda _u, branch: (branch[2], branch[1]))
+
+
+def oracle_bob_first(p: OrderedNlbProtocol, x: int, y: int) -> dict:
+    """Ordered execution with Bob's outcomes as the free uniform bits and
+    Alice's forced by the box constraint; it must agree exactly with the
+    Alice-first law (evaluation-order invariance)."""
+    counts: dict = {}
+    for v in range(1 << p.t):
+        avec = 0
+        for i in range(p.t):
+            qi = p.step_b[i][y][v & ((1 << i) - 1)]
+            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
+            avec |= (((v >> i) & 1) ^ (pi & qi)) << i
+        k = (p.out_a[x][avec], p.out_b[y][v])
+        counts[k] = counts.get(k, 0) + 1
+    return {k: Fraction(n, 1 << p.t) for k, n in counts.items()}
+
+
+def oracle_ot_received(p: OtProtocol, x: int, y: int) -> dict:
+    """Law of Bob's received bits, keyed in order of first receipt."""
+    out: dict = {}
+    for r, w in enumerate(p.r_weights):
+        received = oracle_run_ot(p, x, y, r)[2]
+        out[received] = out.get(received, Fraction(0)) + w
+    return out
+
+
+def oracle_error(p, f: TruthTable, x: int, y: int) -> Fraction:
+    """Probability that the output parity differs from f(x, y)."""
+    return sum((q for (a, b), q in oracle_exec(p, x, y).items()
+                if a ^ b != f.entry(x, y)), Fraction(0))
+
+
+def oracle_nonsignaling_audit(p):
+    """The audit loop: Alice's side first, then Bob's, first failure wins."""
+    xs, ys = 1 << p.nx, 1 << p.ny
+    for x in range(xs):
+        ref = oracle_alice_view(p, x, 0)
+        for y in range(1, ys):
+            if oracle_alice_view(p, x, y) != ref:
+                return AuditViolation("nonsignaling", "Alice view depends on y",
+                                      (x, 0, y))
+    for y in range(ys):
+        ref = oracle_bob_view(p, 0, y)
+        for x in range(1, xs):
+            if oracle_bob_view(p, x, y) != ref:
+                return AuditViolation("nonsignaling", "Bob view depends on x",
+                                      (y, 0, x))
+    return None
+
+
+def oracle_privacy_audit_ot(p: OtProtocol):
+    """The OT privacy loop: y outer, x inner, first non-uniform law wins."""
+    uniform = Fraction(1, 1 << p.t)
+    for y in range(1 << p.ny):
+        for x in range(1 << p.nx):
+            dist = oracle_ot_received(p, x, y)
+            if len(dist) != 1 << p.t or any(v != uniform for v in dist.values()):
+                return AuditViolation("ot-privacy",
+                                      "received bits not uniform", (x, y, dist))
+    return None
+
+
+def _draw(weights, rng: random.Random) -> int:
+    """The sampler's float roll against the running sums of the weights,
+    summed as it rolls; the last index when the roll passes them all."""
+    roll = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += float(w)
+        if roll < acc:
+            return i
+    return len(weights) - 1
+
+
+def oracle_sample(p, x: int, y: int, seed: int):
+    """(a, b, transcript) of the seeded run, drawn and executed branch
+    by branch in the RNG call order of ``exec_sample``."""
+    rng = random.Random(derive_seed(seed, 0))
+    transcript: list[dict] = []
+    while isinstance(p, ProtocolMixture):
+        i = _draw([w for w, _c in p.components], rng)
+        transcript.append({"kind": "shared-randomness", "component": i})
+        p = p.components[i][1]
+    if isinstance(p, OrderedNlbProtocol):
+        u = 0
+        for i in range(p.t):
+            u |= rng.getrandbits(1) << i
+    elif isinstance(p, (ParallelXorProtocol, ParallelProtocol, GeneralNlbProtocol)):
+        u = rng.getrandbits(p.t) if p.t else 0
+    if isinstance(p, OtProtocol):
+        a, b, _received, calls = oracle_run_ot(p, x, y, _draw(p.r_weights, rng))
+        transcript += [{"kind": "ot", "index": i, "in": (pair, c), "out": o}
+                       for i, pair, c, o in calls]
+        return a, b, transcript
+    if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
+        (a, b), = oracle_exec(p, x, y)
+        if isinstance(p, OneWayProtocol):
+            transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
+        if isinstance(p, AndProtocol):
+            v = p.gate_vector(x, y)
+            transcript += [{"kind": "and", "index": i,
+                            "in": (p.pbox[i][x], p.qbox[i][y]),
+                            "out": (v >> i) & 1} for i in range(p.t)]
+        return a, b, transcript
+    a, b, bvec, pin, qin = oracle_kernel(p, x, y)(u)
+    transcript += [{"kind": "box", "index": i,
+                    "in": ((pin >> i) & 1, (qin >> i) & 1),
+                    "out": ((u >> i) & 1, (bvec >> i) & 1)} for i in range(p.t)]
+    return a, b, transcript
