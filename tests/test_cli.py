@@ -7,6 +7,7 @@ captured with capsys so byte-identity checks are real.
 import contextlib
 import io
 import os
+import random
 import tempfile
 
 import pytest
@@ -202,7 +203,6 @@ OT_AUDIT_STDOUT = {
 
 
 def test_privacy_ot_failure_matches_recorded_stdout(capsys, tmp_path):
-    import random
     for name, p in (("leaky", leaky_ot()),
                     ("weighted", random_protocol("ot", 2, 2, 3, random.Random(8)))):
         path = tmp_path / f"{name}.ot"
@@ -214,7 +214,6 @@ def test_privacy_ot_failure_matches_recorded_stdout(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [["exec", "-x", "0", "-y", "1", "--exact"],
                                   ["audit", "--nonsignaling"]])
 def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
-    import random
     path = tmp_path / "nine.nlb"
     path.write_text(serialize(random_ordered(1, 1, 9, random.Random(9))))
     monkeypatch.setenv("NLBOX_LIMIT_T", "8")
