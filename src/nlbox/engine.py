@@ -128,16 +128,16 @@ def _ints(row) -> np.ndarray:
 
 def _parities(v: np.ndarray, t: int) -> np.ndarray:
     """Parity of each entry of v, all below 2^t."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        if shift < t:
-            v = v ^ (v >> shift)
+    for k in reversed(range(max(t - 1, 0).bit_length())):
+        v = v ^ (v >> (1 << k))
     return v & 1
 
 
 def _kernel(p):
     """The runs of a box protocol as one array function
-    (x, y, u) -> (a, b, bvec, pin, qin) of an int64 array u of Alice's
-    outcomes, where Bob's outcomes are bvec = u ^ (pin & qin).  Each
+    (x, y, u) -> (a, b, bvec, pin, qin) of an array u of Alice's
+    outcomes, where Bob's outcomes are bvec = u ^ (pin & qin).  u is
+    int64, or of Python ints for parallel XOR from t = 63 on.  Each
     input's table rows become arrays once, on first use."""
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
         out_a = cache(lambda x: _ints(p.out_a[x]))
@@ -215,15 +215,6 @@ def _ot_kernel(p: OtProtocol):
     return run_ot
 
 
-def _mix(p: ProtocolMixture, law) -> dict:
-    """Weighted sum over the components of the laws law(component)."""
-    acc: dict = {}
-    for w, comp in p.components:
-        for k, q in law(comp).items():
-            acc[k] = acc.get(k, Fraction(0)) + w * q
-    return acc
-
-
 def _leaves(p, w=Fraction(1)) -> list:
     """(weight, protocol) for each protocol a mixture draws, nested
     mixtures flattened; [(1, p)] for any other protocol."""
@@ -254,7 +245,10 @@ def _tally(keys, nums):
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     """Exact joint output distribution of the protocol on inputs (x, y)."""
     if isinstance(p, ProtocolMixture):
-        return OutcomeDistribution(_mix(p, lambda c: exec_exact(c, x, y).probs))
+        probs: Counter = Counter()
+        for w, c in _leaves(p):
+            probs.update({k: w * q for k, q in exec_exact(c, x, y).probs.items()})
+        return OutcomeDistribution(dict(probs))
     if isinstance(p, ParallelXorProtocol):
         # closed form, O(t): the output parity is deterministic
         d = _parity(_xor_shift(p, x, y))
@@ -274,9 +268,8 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
         a, b = _ot_kernel(p)(x, y, np.arange(len(nums)))[:2]
         keys, total = _tally(a << 1 | b, nums)
     else:
-        run = _kernel(p)
         _check_limit(p.t)
-        a, b = run(x, y, np.arange(1 << p.t))[:2]
+        a, b = _kernel(p)(x, y, np.arange(1 << p.t))[:2]
         (keys, total), den = np.unique(a << 1 | b, return_counts=True), 1 << p.t
     return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
                                 for k, n in zip(keys.tolist(), total.tolist())})
@@ -299,42 +292,42 @@ def derive_seed(master: int, index: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _draw(p, rng: random.Random, sums: dict) -> int:
-    """Index of a mixture's component or an OT protocol's randomness,
-    drawn by one float roll: the first running float sum of the weights
-    above the roll, or the last index when rounding leaves the roll past
-    them all.  sums keeps each protocol's running sums."""
-    cum = sums.get(id(p))
-    if cum is None:
+def _sampler(p):
+    """The draw of one run's randomness, rng -> (path, leaf, v), in the
+    sampler's order of RNG calls: the shared-randomness components
+    drawn, the protocol they select, and its u (box kinds), r (OT) or 0
+    (deterministic kinds).  A component or r is drawn by one float roll:
+    the first running float sum of the weights above it, or the last
+    index when rounding leaves the roll past them all."""
+    if isinstance(p, (ProtocolMixture, OtProtocol)):
         weights = p.r_weights if isinstance(p, OtProtocol) else [w for w, _c in p.components]
-        cum = sums[id(p)] = list(accumulate(float(w) for w in weights))
-    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+        cum = list(accumulate(float(w) for w in weights))
 
+        def pick(rng):
+            return min(bisect_right(cum, rng.random()), len(cum) - 1)
+    if isinstance(p, ProtocolMixture):
+        subs = [_sampler(c) for _w, c in p.components]
 
-def _draw_run(p: Protocol, rng: random.Random, sums: dict):
-    """One run's randomness, in the sampler's order of RNG calls: the
-    shared-randomness components drawn, the protocol they select, and
-    its u (box kinds), r (OT) or 0 (deterministic kinds)."""
-    path, v = [], 0
-    while isinstance(p, ProtocolMixture):
-        path.append(_draw(p, rng, sums))
-        p = p.components[path[-1]][1]
-    if isinstance(p, OrderedNlbProtocol):
-        for i in range(p.t):  # one coin per box, drawn in label order
-            v |= rng.getrandbits(1) << i
-    elif isinstance(p, NLB_KINDS):
-        v = rng.getrandbits(p.t)  # 0, with no state consumed, when t = 0
-    elif isinstance(p, OtProtocol):
-        v = _draw(p, rng, sums)
-    elif not isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
-        raise ProtocolError(f"cannot sample {type(p).__name__}")
-    return path, p, v
+        def draw_mixture(rng):
+            i = pick(rng)
+            path, leaf, v = subs[i](rng)
+            return [i, *path], leaf, v
+        return draw_mixture
+    if isinstance(p, OtProtocol):
+        return lambda rng: ([], p, pick(rng))
+    if isinstance(p, OrderedNlbProtocol):  # one coin per box, drawn in label order
+        return lambda rng: ([], p, sum(rng.getrandbits(1) << i for i in range(p.t)))
+    if isinstance(p, NLB_KINDS):  # 0, with no state consumed, when t = 0
+        return lambda rng: ([], p, rng.getrandbits(p.t))
+    if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
+        return lambda rng: ([], p, 0)
+    raise ProtocolError(f"cannot sample {type(p).__name__}")
 
 
 def exec_sample(p: Protocol, x: int, y: int, seed: int):
     """One run, deterministic given the seed; returns (a, b, transcript)."""
-    path, p, v = _draw_run(p, random.Random(derive_seed(seed, 0)), {})
-    a, b, *run = (int(z[0]) for z in _runs(p, x, y, np.array([v])))
+    path, p, v = _sampler(p)(random.Random(derive_seed(seed, 0)))
+    a, b, *run = (int(z[0]) for z in _runs(p, x, y, [v]))
     transcript = [{"kind": "shared-randomness", "component": i} for i in path]
     if isinstance(p, NLB_KINDS):
         bvec, pin, qin = run
@@ -355,15 +348,16 @@ def exec_sample(p: Protocol, x: int, y: int, seed: int):
     return a, b, transcript
 
 
-def _runs(p, x: int, y: int, v: np.ndarray):
-    """The kernel's arrays of p's runs on the drawn values v; only both
-    outputs for the deterministic kinds."""
+def _runs(p, x: int, y: int, vs: list):
+    """The kernel's arrays of p's runs on the drawn values vs; only both
+    outputs for the deterministic kinds.  Box outcomes from 63 boxes on,
+    which only parallel XOR reaches, stay Python ints."""
     if isinstance(p, NLB_KINDS):
-        return _kernel(p)(x, y, v)
+        return _kernel(p)(x, y, np.array(vs, dtype=np.int64 if p.t < 63 else object))
     if isinstance(p, OtProtocol):
-        return _ot_kernel(p)(x, y, v)
+        return _ot_kernel(p)(x, y, np.array(vs, dtype=np.int64))
     (a, b), = exec_exact(p, x, y).probs
-    return np.full_like(v, a), np.full_like(v, b)
+    return np.full(len(vs), a), np.full(len(vs), b)
 
 
 def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[int, int], int]:
@@ -371,19 +365,15 @@ def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[
     for i < n.  The randomness of a batch of runs is drawn first, with
     the same RNG calls, and each protocol a mixture selects then runs
     once on its part of the batch."""
-    counts: Counter = Counter()
-    sums: dict = {}
+    draw, counts = _sampler(p), Counter()
     for lo in range(0, n, _SAMPLE_BATCH):
         drawn: dict = {}
         for i in range(lo, min(n, lo + _SAMPLE_BATCH)):
-            rng = random.Random(derive_seed(derive_seed(seed, i), 0))
-            _path, leaf, v = _draw_run(p, rng, sums)
+            _path, leaf, v = draw(random.Random(derive_seed(derive_seed(seed, i), 0)))
             drawn.setdefault(id(leaf), (leaf, []))[1].append(v)
         for leaf, vs in drawn.values():
-            a, b = _runs(leaf, x, y, np.array(vs, dtype=np.int64))[:2]
-            keys, total = np.unique(a << 1 | b, return_counts=True)
-            for k, m in zip(keys.tolist(), total.tolist()):
-                counts[(k >> 1, k & 1)] += m
+            a, b = _runs(leaf, x, y, vs)[:2]
+            counts.update(zip(a.tolist(), b.tolist()))
     return dict(counts)
 
 
@@ -445,19 +435,15 @@ def _views(p):
         _check_limit(t)
     nums, _den = _numerators([w / (1 << t) for w, _run, t in leaves],
                              [1 << t for _w, _run, t in leaves])
-    runs = [(run, np.arange(1 << t)) for _w, run, t in leaves]
 
     def view(x, y, bob):
         keys = []
-        for run, u in runs:
-            a, b, bvec, _pin, _qin = run(x, y, u)
+        for _w, run, t in leaves:
+            u = np.arange(1 << t)
+            a, b, bvec = run(x, y, u)[:3]
             keys.append(bvec << 1 | b if bob else u << 1 | a)
         return _tally(np.concatenate(keys), nums)
     return view
-
-
-def _same(law, ref) -> bool:
-    return all(np.array_equal(v, w) for v, w in zip(law, ref))
 
 
 def nonsignaling_audit(p) -> AuditViolation | None:
@@ -467,13 +453,13 @@ def nonsignaling_audit(p) -> AuditViolation | None:
     for x in range(xs):
         ref = view(x, 0, False)
         for y in range(1, ys):
-            if not _same(view(x, y, False), ref):
+            if not all(map(np.array_equal, view(x, y, False), ref)):
                 return AuditViolation("nonsignaling", "Alice view depends on y",
                                       (x, 0, y))
     for y in range(ys):
         ref = view(0, y, True)
         for x in range(1, xs):
-            if not _same(view(x, y, True), ref):
+            if not all(map(np.array_equal, view(x, y, True), ref)):
                 return AuditViolation("nonsignaling", "Bob view depends on x",
                                       (y, 0, x))
     return None

@@ -178,6 +178,8 @@ SAMPLES_STDOUT = {
     ('mix-ot', 1): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 143\ncount 0 1: 69\ncount 1 1: 88\n',
     ('mix-oneway', 0): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 300\n',
     ('mix-oneway', 1): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 300\n',
+    ('parallel-xor-100', 0): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 155\ncount 1 1: 145\n',
+    ('parallel-xor-100', 1): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 154\ncount 1 1: 146\n',
 }
 
 

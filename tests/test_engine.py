@@ -378,12 +378,15 @@ def test_engine_matches_scalar_oracle(kind):
 
 
 def test_wide_parallel_xor_runs_match_oracle():
-    # the array parity of Alice's outcomes folds only the bits below 2^t
+    # the array parity of Alice's outcomes folds only the bits below 2^t;
+    # from t = 63 on the outcomes leave int64
     rng = random.Random(31)
-    for t in (5, 9, 17, 33):
+    for t in (5, 9, 17, 33, 62, 63, 64, 100):
         p = random_protocol("parallel-xor", 1, 1, t, rng)
         for seed in range(8):
             assert exec_sample(p, 1, 0, seed) == oracle_sample(p, 1, 0, seed)
+        runs = Counter(oracle_sample(p, 1, 0, derive_seed(t, i))[:2] for i in range(40))
+        assert sample_counts(p, 1, 0, t, 40) == runs
 
 
 def _signalling_ordered() -> OrderedNlbProtocol:

@@ -190,8 +190,9 @@ def obfuscate(p: ParallelProtocol, rng: random.Random) -> ParallelProtocol:
 
 def sampled_kinds() -> dict:
     """One protocol of each box kind, a mixture and an OT form, then a
-    weighted OT form and mixtures of ordered, OT and one-way protocols,
-    each built from a fixed seed so that sampled runs can be pinned."""
+    weighted OT form, mixtures of ordered, OT and one-way protocols and
+    a parallel-XOR protocol whose 100 boxes leave int64, each built from
+    a fixed seed so that sampled runs can be pinned."""
     from nlbox.compilers import ordered_to_ot, synth_rank
     from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
     rng = random.Random(2024)
@@ -207,6 +208,7 @@ def sampled_kinds() -> dict:
         "mix-ordered": random_protocol("mix", 2, 2, 3, random.Random(10)),
         "mix-ot": random_protocol("mix", 2, 2, 3, random.Random(3)),
         "mix-oneway": random_protocol("mix", 2, 2, 3, random.Random(4)),
+        "parallel-xor-100": random_protocol("parallel-xor", 2, 2, 100, random.Random(100)),
     }
 
 
