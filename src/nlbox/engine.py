@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain
+from operator import lshift
 
 import numpy as np
 
@@ -81,45 +82,22 @@ class OutcomeDistribution:
                    Fraction(0))
 
     def marginal_a(self) -> dict[int, Fraction]:
-        out = {0: Fraction(0), 1: Fraction(0)}
-        for (a, _b), p in self.probs.items():
-            out[a] += p
-        return out
+        return {v: sum((p for (a, _b), p in self.probs.items() if a == v), Fraction(0))
+                for v in (0, 1)}
 
     def marginal_b(self) -> dict[int, Fraction]:
-        out = {0: Fraction(0), 1: Fraction(0)}
-        for (_a, b), p in self.probs.items():
-            out[b] += p
-        return out
+        return {v: sum((p for (_a, b), p in self.probs.items() if b == v), Fraction(0))
+                for v in (0, 1)}
 
 
-def _dist(pairs) -> OutcomeDistribution:
-    probs: dict[tuple[int, int], Fraction] = {}
-    for (a, b), p in pairs:
-        if p:
-            probs[(a, b)] = probs.get((a, b), Fraction(0)) + p
-    return OutcomeDistribution(probs)
-
-
-def _xor_shift(p: ParallelXorProtocol | ParallelProtocol | AndProtocol,
-               x: int, y: int) -> int:
-    """Packed p_i(x) AND q_i(y) in one pass, for the closed forms."""
-    s = 0
-    for i in range(p.t):
-        s |= (p.pbox[i][x] & p.qbox[i][y]) << i
-    return s
+def _mask(bits) -> int:
+    """A table of bits packed with entry k at bit k."""
+    return sum(map(lshift, bits, range(len(bits))))
 
 
 def _packed(tables, v: int) -> int:
     """Entry v of each per-box table, packed with box i at bit i."""
-    s = 0
-    for i, tab in enumerate(tables):
-        s |= tab[v] << i
-    return s
-
-
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
+    return _mask([tab[v] for tab in tables])
 
 
 def _ints(row) -> np.ndarray:
@@ -149,7 +127,7 @@ def _kernel(p):
             if isinstance(p, ParallelXorProtocol):
                 # parity(bvec) = parity(u) ^ parity(pin & qin)
                 par = _parities(u, p.t)
-                a, b = p.local_a[x] ^ par, p.local_b[y] ^ _parity(pin & qin) ^ par
+                a, b = p.local_a[x] ^ par, p.local_b[y] ^ ((pin & qin).bit_count() & 1) ^ par
             else:
                 a, b = out_a(x)[u], out_b(y)[bvec]
             return a, b, bvec, np.full_like(u, pin), np.full_like(u, qin)
@@ -251,18 +229,18 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
         return OutcomeDistribution(dict(probs))
     if isinstance(p, ParallelXorProtocol):
         # closed form, O(t): the output parity is deterministic
-        d = _parity(_xor_shift(p, x, y))
+        d = (_packed(p.pbox, x) & _packed(p.qbox, y)).bit_count() & 1
         la, lb = p.local_a[x], p.local_b[y]
         if p.t == 0:
-            return _dist([((la, lb), Fraction(1))])
+            return OutcomeDistribution({(la, lb): Fraction(1)})
         half = Fraction(1, 2)
-        return _dist([((la, lb ^ d), half), ((la ^ 1, lb ^ d ^ 1), half)])
+        return OutcomeDistribution({(la, lb ^ d): half, (la ^ 1, lb ^ d ^ 1): half})
     if isinstance(p, OneWayProtocol):
-        return _dist([((p.out_a[x], p.out_b[p.msg[x]][y]), Fraction(1))])
+        return OutcomeDistribution({(p.out_a[x], p.out_b[p.msg[x]][y]): Fraction(1)})
     if isinstance(p, TwoWayTree):
-        return _dist([(p.evaluate(x, y), Fraction(1))])
+        return OutcomeDistribution({p.evaluate(x, y): Fraction(1)})
     if isinstance(p, AndProtocol):
-        return _dist([((p.out_a[x][p.gate_vector(x, y)], 0), Fraction(1))])
+        return OutcomeDistribution({(p.out_a[x][p.gate_vector(x, y)], 0): Fraction(1)})
     if isinstance(p, OtProtocol):
         nums, den = _numerators(p.r_weights)
         a, b = _ot_kernel(p)(x, y, np.arange(len(nums)))[:2]
@@ -390,27 +368,47 @@ class ErrorProfile:
         return self.worst == 0
 
 
-def _parity_error(p: Protocol, f: TruthTable, x: int, y: int) -> Fraction:
-    if isinstance(p, ProtocolMixture):
-        return sum((w * _parity_error(c, f, x, y) for w, c in p.components),
-                   Fraction(0))
+_BITS = (Fraction(0), Fraction(1))
+
+
+@cache
+def _inputs(nx: int, ny: int) -> list:
+    return [(x, y) for x in range(1 << nx) for y in range(1 << ny)]
+
+
+def _leaf_errors(p, f: TruthTable) -> tuple[list, int]:
+    """A protocol's error on every input, row-major, as integers over one
+    denominator; parallel XOR's by packed rows, as Gf2Factorization.reconstruct."""
     if isinstance(p, ParallelXorProtocol):
-        # parity is deterministic: locals XOR the box products
-        par = p.local_a[x] ^ p.local_b[y] ^ _parity(_xor_shift(p, x, y))
-        return Fraction(0) if par == f.entry(x, y) else Fraction(1)
-    return exec_exact(p, x, y).parity_prob(f.entry(x, y) ^ 1)
+        qs, lb, full = [_mask(q) for q in p.qbox], _mask(p.local_b), (1 << f.n_cols) - 1
+        err = 0
+        for x, row in enumerate(f.rows):
+            r = row ^ lb ^ (full if p.local_a[x] else 0)
+            for px, q in zip(p.pbox, qs):
+                if px[x]:
+                    r ^= q
+            err |= r << (x << f.ny)
+        return [(err >> k) & 1 for k in range(f.n_rows << f.ny)], 1
+    errs = [exec_exact(p, x, y).parity_prob(f.entry(x, y) ^ 1) for x, y in _inputs(f.nx, f.ny)]
+    den = math.lcm(*(e.denominator for e in errs))
+    return [e.numerator * (den // e.denominator) for e in errs], den
 
 
 def error_profile(p: Protocol, f: TruthTable) -> ErrorProfile:
-    """Exact probability of output parity differing from f, per input."""
-    table = {}
-    worst = Fraction(0)
-    for x in range(f.n_rows):
-        for y in range(f.n_cols):
-            e = _parity_error(p, f, x, y)
-            table[(x, y)] = e
-            worst = max(worst, e)
-    return ErrorProfile(table, worst)
+    """Exact probability of output parity differing from f, per input: the
+    tables of the protocols a mixture draws, summed in integers."""
+    if (p.nx, p.ny) != (f.nx, f.ny):
+        raise ProtocolError("domain mismatch")
+    leaves = [(w, *_leaf_errors(c, f)) for w, c in _leaves(p)]
+    den = math.lcm(*(w.denominator * d for w, _errs, d in leaves))
+    total = [0] * len(leaves[0][1])
+    for w, errs, d in leaves:
+        k = w.numerator * (den // (w.denominator * d))
+        total = [s + k * e for s, e in zip(total, errs)]
+    # den 1: one leaf of weight 1 with 0/1 errors, so the shared constants
+    frac = _BITS if den == 1 else {n: Fraction(n, den) for n in set(total)}
+    return ErrorProfile(dict(zip(_inputs(f.nx, f.ny), map(frac.__getitem__, total))),
+                        frac[max(total)])
 
 
 # --- audits ---
@@ -447,7 +445,11 @@ def _views(p):
 
 
 def nonsignaling_audit(p) -> AuditViolation | None:
-    """Check each player's full-view distribution ignores the other's input."""
+    """Check each player's full-view distribution ignores the other's input.
+
+    No protocol that passes validate fails it: for every (x, y), Bob's
+    outcomes are a bijection of Alice's (each bit her bit XOR a term of
+    earlier bits), and each output reads its own input and outcomes."""
     view = _views(p)
     xs, ys = 1 << p.nx, 1 << p.ny
     for x in range(xs):
@@ -489,8 +491,6 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
                                       "gate vector not determined by (x, f)",
                                       (x, y0, y))
             by_value[fv] = v
-        if len(set(by_value.values())) > 2:
-            return AuditViolation("and-privacy", ">2 gate vectors for one x", (x,))
     return None
 
 

@@ -5,10 +5,12 @@ captured with capsys so byte-identity checks are real.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.library import disj_det_protocol, ip_protocol
 from nlbox.serialize import parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, and_table
-from util import leaky_ot, mutated, random_ordered, random_protocol, sampled_kinds
+from util import (leaky_ot, mutated, random_ordered, random_protocol, random_table,
+                  sampled_kinds)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -386,11 +389,62 @@ def test_exit_code_resource_limit(capsys, tmp_path, monkeypatch):
     assert "resource limit" in err
 
 
-def test_sweep_smoke_not_run_here():
-    # the full 65,536-function sweep is covered by the acceptance suite;
-    # here only the handler lookup is checked
+def test_sweep_smoke_not_run_here(capsys):
+    # the acceptance suite checks each of the 65,536 functions; here the
+    # command's own four lines are pinned, with its wall time shown
     from nlbox.cli import _HANDLERS
     assert "sweep" in _HANDLERS
+    started = time.monotonic()
+    code, out, _ = run(capsys, "sweep")
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert out == ("functions: 65536\nrank-mismatches: 0\n"
+                   "inexact-protocols: 0\nmax-boxes: 4\n")
+    with capsys.disabled():
+        print(f"[sweep] nlbox sweep in-process: {elapsed:.1f}s")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of stdout, then of the written .nlb text, for seeded 6x6 tables
+# (util.random_table(6, 6, random.Random(seed))); 61 and 63 need 64 boxes
+# for both methods, 62 has rank 63
+SYNTH_GOLDEN = {
+    (61, "rank"): "d195b90a481cb07a2d695d9505bee19879f8e1819d96309a5477493ff8cd8e27",
+    (61, "vandam"): "b676698c22fae37f9e225750bdc213a2b10972eb54ecec4c9dcb4069068b3dc1",
+    (62, "rank"): "b6219ca94b5eb037551cd5e8152268e8d07de4d0103906718c1480a5ddeb0174",
+    (62, "vandam"): "ef7fd74d100974925773c7ca0082a7e5fb467834e9dbaf87f04b319daea77bf2",
+    (63, "rank"): "b12e59365a868c174fddcaa2ef53359f73d40d1a15c6fb4ca5d715bb998941ae",
+    (63, "vandam"): "88abd7f2ce9224fd8f35ba88a736a37e629131d74d84b6e8ac3152012db4f1d2",
+}
+
+
+@pytest.mark.parametrize("seed,method", sorted(SYNTH_GOLDEN))
+def test_synth_6x6_output_is_pinned(capsys, tmp_path, seed, method):
+    table, proto = tmp_path / "f.tt", tmp_path / "f.nlb"
+    table.write_text(format_truth_table(random_table(6, 6, random.Random(seed))))
+    code, out, _ = run(capsys, "synth", "-f", str(table), "--method", method,
+                       "-o", str(proto))
+    assert code == 0 and out.endswith("worst-error: 0/1\n")
+    assert _sha(out + proto.read_text()) == SYNTH_GOLDEN[seed, method]
+
+
+# sha256 of stdout; without -o it ends with the protocol text
+LIB_GOLDEN = {
+    ("ip", "-n", "4"): "b72c65f4b5ff46131e923c3b04a4deda0c1ab653ae07b4a1e4088836f38e2cd6",
+    ("disj-rand", "-n", "3"): "8798d25acb26d42fcec4d19e16422fefca178fd1446bb130b6896a4f122f3e8e",
+    ("disj-rand", "-n", "4"): "616eca81a2c37d68f92d3e19bfc8c70d7a822e7fccb247e77dc6d23a6aac95b6",
+    ("chsh",): "8c20f58d79c932722501c05b2561556e849a1bfa00455c50450b21398fa1d3b4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LIB_GOLDEN))
+def test_lib_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "lib", *argv)
+    assert code == 0
+    assert _sha(out) == LIB_GOLDEN[argv]
 
 
 # small valid inputs; every command below runs in milliseconds on them

@@ -10,12 +10,12 @@ from nlbox.engine import (ProtocolError, ResourceLimitError, _views,
                           derive_seed, error_profile, exec_exact, exec_sample,
                           nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
-from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank
+from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank, synth_vandam
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelXorProtocol,
-                             ProtocolMixture)
-from nlbox.truthtable import TruthTable, and_table, ip_table
+                             ProtocolMixture, validate)
+from nlbox.truthtable import TruthTable, and_table, disj_table, ip_table
 from util import (KINDS, leaky_ot, oracle_alice_view, oracle_bob_first,
                   oracle_bob_view, oracle_error, oracle_exec,
                   oracle_nonsignaling_audit, oracle_ot_received,
@@ -414,3 +414,93 @@ def test_audit_failures_match_oracle_witness():
         assert bad == ref and str(bad) == str(ref)
         assert list(bad.witness[2].items()) == list(ref.witness[2].items())
     assert privacy_audit_ot(leaky_ot()).witness[:2] == (2, 1)
+
+
+def _assert_profile_is_oracle(p, f):
+    # row-major keys, each entry, the worst entry and exactness
+    prof = error_profile(p, f)
+    ref = {(x, y): oracle_error(p, f, x, y)
+           for x in range(f.n_rows) for y in range(f.n_cols)}
+    assert list(prof.table.items()) == list(ref.items())
+    assert prof.worst == max(ref.values())
+    assert prof.exact == (prof.worst == 0)
+    return prof
+
+
+def _flipped(f: TruthTable, x: int, y: int) -> TruthTable:
+    return TruthTable(f.nx, f.ny, tuple(r ^ (x == k) << y for k, r in enumerate(f.rows)))
+
+
+def test_error_profile_of_parallel_xor_matches_oracle():
+    # nonzero locals on every shape, 1x3 and 3x1 among them, from no box
+    # to boxes past int64; f random, then f the protocol's own parity
+    rng = random.Random(41)
+    for nx, ny in ((0, 0), (1, 1), (1, 3), (3, 1), (2, 2)):
+        for t in (0, 1, 3, 64, 100):
+            p = random_protocol("parallel-xor", nx, ny, t, rng)
+            p = ParallelXorProtocol(nx, ny, t, p.pbox, p.qbox,
+                                    (1,) + p.local_a[1:], (1,) + p.local_b[1:])
+            _assert_profile_is_oracle(p, random_table(nx, ny, rng))
+            zero = TruthTable(nx, ny, (0,) * (1 << nx))
+            own = TruthTable(nx, ny, tuple(
+                sum(int(oracle_error(p, zero, x, y)) << y for y in range(1 << ny))
+                for x in range(1 << nx)))
+            assert _assert_profile_is_oracle(p, own).exact
+
+
+def test_error_profile_of_synthesized_6x6_matches_oracle():
+    # exact on f; on f with one entry flipped, wrong there and only there
+    rng = random.Random(66)
+    for _ in range(2):
+        f = random_table(6, 6, rng)
+        for p in (synth_rank(f), synth_vandam(f)):
+            assert p.t >= 60 and _assert_profile_is_oracle(p, f).exact
+            x, y = rng.randrange(64), rng.randrange(64)
+            prof = _assert_profile_is_oracle(p, _flipped(f, x, y))
+            assert [k for k, e in prof.table.items() if e] == [(x, y)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_error_profile_of_disj_rand_matches_oracle(n):
+    for flip in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1)):
+        prof = _assert_profile_is_oracle(disj_rand_parallel(n, flip), disj_table(n))
+        assert prof.worst == max(flip, (1 - flip) / 2)
+
+
+def test_error_profile_of_nested_mixed_kinds_matches_oracle():
+    # parallel-XOR leaves next to ordered and one-way leaves, one level
+    # and two levels down, with weights of unlike denominators
+    rng = random.Random(23)
+    for _ in range(6):
+        xor = [random_protocol("parallel-xor", 2, 1, 3, rng) for _ in range(2)]
+        inner = ProtocolMixture(((Fraction(1, 4), random_protocol("oneway", 2, 1, 2, rng)),
+                                 (Fraction(3, 4), xor[0])))
+        p = ProtocolMixture(((Fraction(1, 3), xor[1]),
+                             (Fraction(1, 6), random_ordered(2, 1, 2, rng)),
+                             (Fraction(1, 2), inner)))
+        _assert_profile_is_oracle(p, random_table(2, 1, rng))
+
+
+def test_error_profile_rejects_domain_mismatch():
+    for p, f in ((ip_protocol(2), and_table()), (ip_protocol(1), ip_table(2)),
+                 (disj_rand_parallel(2, Fraction(1, 3)), disj_table(3)),
+                 (xor_as_parallel(ip_protocol(2)), ip_table(1))):
+        with pytest.raises(ProtocolError, match="domain mismatch"):
+            error_profile(p, f)
+
+
+def test_valid_box_protocols_never_signal():
+    # Bob's outcome vector is a bijection of Alice's for every (x, y), so
+    # no valid protocol of the four box kinds, or mixture of one, fails
+    rng = random.Random(5150)
+    for kind in ("parallel-xor", "parallel", "ordered", "general"):
+        for _ in range(10):
+            nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+            single = random_protocol(kind, nx, ny, t, rng)
+            mix = ProtocolMixture(tuple((w, random_protocol(kind, nx, ny, t, rng))
+                                        for w in (Fraction(1, 5), Fraction(4, 5))))
+            for p in (single, mix):
+                assert validate(p) == []
+                assert nonsignaling_audit(p) is None
+    assert validate(_signalling_ordered()) != []
+    assert nonsignaling_audit(_signalling_ordered()) is not None

@@ -451,7 +451,13 @@ def oracle_ot_received(p: OtProtocol, x: int, y: int) -> dict:
 
 
 def oracle_error(p, f: TruthTable, x: int, y: int) -> Fraction:
-    """Probability that the output parity differs from f(x, y)."""
+    """Probability that the output parity differs from f(x, y).  A
+    parallel-XOR protocol too wide to enumerate its 2^t branches has the
+    parity of its locals and its sum of box products p_i(x) q_i(y)."""
+    if isinstance(p, ParallelXorProtocol) and p.t > 16:
+        par = p.local_a[x] + p.local_b[y] + sum(
+            p.pbox[i][x] * p.qbox[i][y] for i in range(p.t))
+        return Fraction(int(par % 2 != f.entry(x, y)))
     return sum((q for (a, b), q in oracle_exec(p, x, y).items()
                 if a ^ b != f.entry(x, y)), Fraction(0))
 
