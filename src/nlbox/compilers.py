@@ -33,10 +33,6 @@ class CompilerReport:
     certificate: str  # how behavior equality was (or can be) checked
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
 # --- synthesis from truth tables ---
 
 
@@ -276,14 +272,14 @@ def independence_reduce(p: ParallelProtocol) -> ParallelProtocol:
         for x in range(1 << p.nx):
             row = []
             for av in range(1 << (p.t - 1)):
-                ak = alpha[x] ^ _parity(unstrip(av, k, 0) & c_rest)
+                ak = alpha[x] ^ ((unstrip(av, k, 0) & c_rest).bit_count() & 1)
                 row.append(p.out_a[x][unstrip(av, k, ak)])
             new_out_a.append(tuple(row))
         new_out_b = []
         for y in range(ys):
             row = []
             for bv in range(1 << (p.t - 1)):
-                bk = beta[y] ^ _parity(unstrip(bv, k, 0) & c_rest)
+                bk = beta[y] ^ ((unstrip(bv, k, 0) & c_rest).bit_count() & 1)
                 row.append(p.out_b[y][unstrip(bv, k, bk)])
             new_out_b.append(tuple(row))
         p = ParallelProtocol(
@@ -357,18 +353,18 @@ def xor_normalize_general(p):
         step_a = list(p.step_a)
         step_b = list(p.step_b)
         # box t: Alice folds her output, Bob inputs 1
-        step_a.append(tuple(tuple(p.out_a[x][u] ^ _parity(u)
+        step_a.append(tuple(tuple(p.out_a[x][u] ^ (u.bit_count() & 1)
                                   for u in range(1 << t)) for x in range(xs)))
         step_b.append(tuple(((1,) * (1 << t)) for _ in range(ys)))
         # box t+1: Bob folds his output (ignoring his box-t outcome)
         step_a.append(tuple(((1,) * (1 << (t + 1))) for _ in range(xs)))
         step_b.append(tuple(tuple(p.out_b[y][u & ((1 << t) - 1)]
-                                  ^ _parity(u & ((1 << t) - 1))
+                                  ^ ((u & ((1 << t) - 1)).bit_count() & 1)
                                   for u in range(1 << (t + 1)))
                             for y in range(ys)))
-        out_a = tuple(tuple(_parity(u) for u in range(1 << (t + 2)))
+        out_a = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
                       for _ in range(xs))
-        out_b = tuple(tuple(_parity(u) for u in range(1 << (t + 2)))
+        out_b = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
                       for _ in range(ys))
         return OrderedNlbProtocol(p.nx, p.ny, t + 2, tuple(step_a),
                                   tuple(step_b), out_a, out_b)
@@ -381,16 +377,17 @@ def xor_normalize_general(p):
 
         step_a = list(p.step_a)
         step_b = list(p.step_b)
-        step_a.append(tuple(tuple(p.out_a[x][label_vec(o, p.sched_a)] ^ _parity(o)
+        step_a.append(tuple(tuple(p.out_a[x][label_vec(o, p.sched_a)]
+                                  ^ (o.bit_count() & 1)
                                   for o in range(1 << t)) for x in range(xs)))
         step_a.append(tuple(((1,) * (1 << (t + 1))) for _ in range(xs)))
         step_b.append(tuple(((1,) * (1 << t)) for _ in range(ys)))
         step_b.append(tuple(tuple(p.out_b[y][label_vec(o & ((1 << t) - 1),
                                                        p.sched_b)]
-                                  ^ _parity(o & ((1 << t) - 1))
+                                  ^ ((o & ((1 << t) - 1)).bit_count() & 1)
                                   for o in range(1 << (t + 1)))
                             for y in range(ys)))
-        out = tuple(tuple(_parity(u) for u in range(1 << (t + 2)))
+        out = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
                     for _ in range(max(xs, ys)))
         return GeneralNlbProtocol(p.nx, p.ny, t + 2,
                                   p.sched_a + (t, t + 1), tuple(step_a),

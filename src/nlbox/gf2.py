@@ -4,12 +4,16 @@ Single-matrix operations (rank, rank-revealing factorization, ANF,
 Walsh spectrum) work on Python integers, one packed row per integer,
 so row XOR is word-parallel regardless of width.
 
-The batch rank kernel behind the approximate-rank candidate enumeration
-is numpy elimination across the whole batch at once: in each column,
-every matrix takes its first row with that bit set as pivot, XORs it
-into its rows with the bit and so drops it.  It runs over fixed-size
-chunks, so the working arrays stay small next to the batch itself (all
-65,536 4x4 matrices would otherwise add about 10 MB of peak memory).
+The batch kernels work on many small matrices of one shape, each packed
+row-major into an int, with numpy operations across the whole batch.
+The rank kernel behind the approximate-rank candidate enumeration
+eliminates column by column: every matrix takes its first row with that
+bit set as pivot, XORs it into its rows with the bit and so drops it.
+The factorization kernel behind the exhaustive sweep runs
+``gf2_factorize``'s cross peeling on every matrix at once.  Both run over
+fixed-size chunks, so the working arrays stay small next to the batch
+itself (all 65,536 4x4 matrices would otherwise add about 10 MB of peak
+memory).
 """
 
 from __future__ import annotations
@@ -74,13 +78,15 @@ class Gf2Factorization:
         return TruthTable(self.nx, self.ny, tuple(rows))
 
 
-def gf2_factorize(m: TruthTable) -> Gf2Factorization:
-    """Greedy rank factorization: each step peels one cross of a pivot entry.
+def factor_rows(rows) -> tuple[list[int], list[int]]:
+    """Greedy rank factorization of bit-packed rows: each step peels one
+    cross of a pivot entry.  Returns the row factors (bit x selects row x)
+    and the column factors, in the order found.
 
     The residual rank drops by exactly one per step, so the number of
-    factors equals ``gf2_rank(m)`` and reconstruction is exact.
+    factors equals the rank and reconstruction is exact.
     """
-    rows = list(m.rows)
+    rows = list(rows)
     ps, qs = [], []
     while True:
         x0 = next((x for x, r in enumerate(rows) if r), None)
@@ -97,6 +103,13 @@ def gf2_factorize(m: TruthTable) -> Gf2Factorization:
                 rows[x] ^= q
         ps.append(p)
         qs.append(q)
+    return ps, qs
+
+
+def gf2_factorize(m: TruthTable) -> Gf2Factorization:
+    """Rank-revealing factorization of the bit matrix: ``factor_rows``'s
+    factors, as many as ``gf2_rank(m)``."""
+    ps, qs = factor_rows(m.rows)
     return Gf2Factorization(m.nx, m.ny, len(ps), tuple(ps), tuple(qs))
 
 
@@ -145,31 +158,33 @@ def fourier_l1(m: TruthTable) -> SpectrumReport:
     """
     n = m.nx + m.ny
     size = 1 << n
-    signs = np.empty(size, dtype=np.float64)
-    for x in range(m.n_rows):
-        base = x << m.ny
-        row = m.rows[x]
-        for y in range(m.n_cols):
-            signs[base | y] = -1.0 if (row >> y) & 1 else 1.0
-    # in-place fast WHT
+    width = (m.n_cols + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in m.rows),
+                           dtype=np.uint8).reshape(m.n_rows, width)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :m.n_cols]
+    signs = 1.0 - 2.0 * bits.reshape(-1)  # index x << ny | y
+    # fast WHT, one butterfly over every block of each level
     h = 1
     while h < size:
-        for i in range(0, size, h * 2):
-            a = signs[i:i + h].copy()
-            b = signs[i + h:i + 2 * h].copy()
-            signs[i:i + h] = a + b
-            signs[i + h:i + 2 * h] = a - b
+        pairs = signs.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        signs = np.stack((a + b, a - b), axis=1).reshape(-1)
         h *= 2
     coeffs = signs / size
-    report = {s: float(coeffs[s]) for s in range(size)}
-    return SpectrumReport(n, report, float(np.abs(coeffs).sum()))
+    return SpectrumReport(n, dict(enumerate(coeffs.tolist())), float(np.abs(coeffs).sum()))
 
 
-# --- batch rank kernel (approximate-rank candidate enumeration) ---
+# --- batch kernels (approximate-rank candidate enumeration, sweep) ---
 
 # Matrices per elimination pass: bounds the kernel's working arrays to a few
 # hundred kilobytes however large the batch is.
 _CHUNK = 4096
+
+
+def _rows(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (len(masks), n_rows) array of each matrix's packed rows."""
+    shifts = np.arange(n_rows, dtype=np.int64) * n_cols
+    return (masks[:, None] >> shifts) & ((1 << n_cols) - 1)
 
 
 def _rank_chunk(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -179,8 +194,7 @@ def _rank_chunk(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     it drops out as a zero row, the others lose the bit, and the rank is
     the number of columns that found a pivot.
     """
-    shifts = np.arange(n_rows, dtype=np.int64) * n_cols
-    rows = (masks[:, None] >> shifts) & ((1 << n_cols) - 1)
+    rows = _rows(masks, n_rows, n_cols)
     rank = np.zeros(len(masks), dtype=np.int64)
     idx = np.arange(len(masks))
     for c in range(n_cols):
@@ -191,14 +205,56 @@ def _rank_chunk(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     return rank
 
 
+def _batch(masks, n_rows: int, n_cols: int) -> np.ndarray:
+    if n_rows * n_cols > 62:
+        raise ValueError("batch kernel limited to 62 packed bits per matrix")
+    return np.asarray(masks, dtype=np.int64)
+
+
 def rank_batch_masks(masks, n_rows: int, n_cols: int) -> np.ndarray:
     """GF(2) ranks (int64) of many small matrices, each packed row-major in
     an int; matrices must fit 62 packed bits (desk scale is at most 16
     entries)."""
-    if n_rows * n_cols > 62:
-        raise ValueError("batch kernel limited to 62 packed bits per matrix")
-    arr = np.asarray(masks, dtype=np.int64)
+    arr = _batch(masks, n_rows, n_cols)
     out = np.empty(len(arr), dtype=np.int64)
     for lo in range(0, len(arr), _CHUNK):
         out[lo:lo + _CHUNK] = _rank_chunk(arr[lo:lo + _CHUNK], n_rows, n_cols)
     return out
+
+
+def _factorize_chunk(masks: np.ndarray, n_rows: int, n_cols: int):
+    """factor_rows's peeling, one step of every matrix per pass.
+
+    A matrix already zero finds no pivot: its q and lowest bit are 0, so
+    its p is 0 and the pass leaves it as it is.
+    """
+    rows = _rows(masks, n_rows, n_cols)
+    bits = np.arange(n_rows, dtype=np.int64)
+    idx = np.arange(len(masks))
+    ps = np.zeros((len(masks), min(n_rows, n_cols)), dtype=np.int64)
+    qs = np.zeros_like(ps)
+    for i in range(ps.shape[1]):
+        q = rows[idx, (rows != 0).argmax(axis=1)]
+        has = (rows & (q & -q)[:, None]) != 0
+        rows ^= has * q[:, None]
+        ps[:, i] = (has.astype(np.int64) << bits).sum(axis=1)
+        qs[:, i] = q
+    return (qs != 0).sum(axis=1), ps, qs
+
+
+def factorize_batch_masks(masks, n_rows: int, n_cols: int):
+    """factor_rows on many small matrices packed as for rank_batch_masks.
+
+    Returns (t, ps, qs), int64 arrays: matrix k has t[k] factors, the
+    row factors ps[k, :t[k]] and column factors qs[k, :t[k]] packed and
+    ordered as factor_rows (and so gf2_factorize) finds them, and zeros
+    after them.
+    """
+    arr = _batch(masks, n_rows, n_cols)
+    t = np.empty(len(arr), dtype=np.int64)
+    ps = np.empty((len(arr), min(n_rows, n_cols)), dtype=np.int64)
+    qs = np.empty_like(ps)
+    for lo in range(0, len(arr), _CHUNK):
+        hi = lo + _CHUNK
+        t[lo:hi], ps[lo:hi], qs[lo:hi] = _factorize_chunk(arr[lo:hi], n_rows, n_cols)
+    return t, ps, qs

@@ -9,6 +9,7 @@ which keeps row XOR and row comparisons word-parallel for free.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -89,6 +90,15 @@ def disj_table(n: int) -> TruthTable:
     return from_function(n, n, lambda x, y: 1 if x & y else 0)
 
 
+_WIDTH = re.compile(r"[0-9]+")
+
+
+def _is_power(n: int, width: str) -> bool:
+    """n == 2^width for a width in decimal digits, checked without
+    building 2^width, which an absurd width could not afford."""
+    return n & (n - 1) == 0 and str(n.bit_length() - 1) == (width.lstrip("0") or "0")
+
+
 def parse_truth_table(text: str) -> TruthTable:
     """Parse the line-oriented truth-table format.
 
@@ -99,21 +109,24 @@ def parse_truth_table(text: str) -> TruthTable:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty truth-table file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'nx ny'")
-    nx, ny = int(head[0]), int(head[1])
-    body = lines[1:]
-    if len(body) != 1 << nx:
-        raise ValueError(f"expected {1 << nx} rows, got {len(body)}")
+    header, body = lines[0], lines[1:]
+    head = header.split()
+    if len(head) != 2 or not all(_WIDTH.fullmatch(w) for w in head):
+        raise ValueError(f"header {header!r} must be 'nx ny' in decimal digits")
+    if not _is_power(len(body), head[0]):
+        raise ValueError(f"header {header!r} asks for 2^{head[0]} rows, got {len(body)}")
     rows = []
     for ln in body:
-        if len(ln) != 1 << ny or any(c not in "01" for c in ln):
+        if not _is_power(len(ln), head[1]):
+            raise ValueError(f"header {header!r} asks for rows of 2^{head[1]} cells, "
+                             f"got {ln!r}")
+        if any(c not in "01" for c in ln):
             raise ValueError(f"bad row {ln!r}")
         r = 0
         for y, c in enumerate(ln):
             r |= (c == "1") << y
         rows.append(r)
+    nx, ny = len(body).bit_length() - 1, len(body[0]).bit_length() - 1
     return TruthTable(nx, ny, tuple(rows))
 
 

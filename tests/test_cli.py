@@ -21,8 +21,8 @@ from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.library import disj_det_protocol, ip_protocol
 from nlbox.serialize import parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, and_table
-from util import (leaky_ot, mutated, random_ordered, random_protocol, random_table,
-                  sampled_kinds)
+from util import (TRUTH_TABLE_BAD_HEADERS, leaky_ot, mutated, random_ordered,
+                  random_protocol, random_table, sampled_kinds)
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -250,6 +250,11 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
     bad.write_text("1 1\n01\n")  # missing a row
     code, _, err = run(capsys, "rank", "-f", str(bad))
     assert code == 2
+    for header in TRUTH_TABLE_BAD_HEADERS:
+        bad.write_text(f"{header}\n0\n")
+        code, out, err = run(capsys, "rank", "-f", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: header {header!r}") and err.count("\n") == 1
     for name, text in (("no-ny.nlb", "protocol parallel-xor nx=1 t=0\n"),
                        ("bare-mix.nlb", "mix\n")):
         path = tmp_path / name
@@ -389,9 +394,10 @@ def test_exit_code_resource_limit(capsys, tmp_path, monkeypatch):
     assert "resource limit" in err
 
 
-def test_sweep_smoke_not_run_here(capsys):
-    # the acceptance suite checks each of the 65,536 functions; here the
-    # command's own four lines are pinned, with its wall time shown
+def test_sweep_prints_its_four_lines(capsys):
+    # the acceptance suite checks each of the 65,536 functions through the
+    # protocol path; here the command's own four lines are pinned, with its
+    # wall time shown
     from nlbox.cli import _HANDLERS
     assert "sweep" in _HANDLERS
     started = time.monotonic()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nlbox import gf2
 from nlbox.truthtable import (TruthTable, and_table, ip_table, xor_table)
-from util import oracle_rank, random_table
+from util import oracle_fourier_l1, oracle_rank, random_table
 
 RNG = random.Random(20260823)
 
@@ -98,6 +98,21 @@ def test_fourier_character_indexing():
     assert rep.l1 == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("nx,ny", [(nx, ny) for nx in range(7) for ny in range(7)])
+def test_fourier_l1_equals_blockwise_transform_exactly(nx, ny):
+    # the butterflies add the same floats in the same order, so the reports
+    # are equal to the last bit (reprs, so -0.0 and 0.0 differ), the derived
+    # Parseval defect included
+    rng = random.Random(f"spectrum:{nx}:{ny}")
+    tables = [random_table(nx, ny, rng) for _ in range(3)]
+    tables += [TruthTable(nx, ny, (0,) * (1 << nx)),
+               TruthTable(nx, ny, ((1 << (1 << ny)) - 1,) * (1 << nx))]
+    for f in tables:
+        rep, want = gf2.fourier_l1(f), oracle_fourier_l1(f)
+        assert repr(rep) == repr(want)
+        assert repr(rep.parseval_defect()) == repr(want.parseval_defect())
+
+
 def _unpack(mask: int, n_rows: int, n_cols: int) -> list[list[int]]:
     return [[(mask >> (r * n_cols + c)) & 1 for c in range(n_cols)]
             for r in range(n_rows)]
@@ -131,3 +146,58 @@ def test_batch_rank_empty_batch():
 def test_batch_rank_rejects_oversized():
     with pytest.raises(ValueError):
         gf2.rank_batch_masks([0], 8, 8)
+
+
+def _assert_factorizations_match(masks, n_rows, n_cols):
+    t, ps, qs = gf2.factorize_batch_masks(masks, n_rows, n_cols)
+    k = min(n_rows, n_cols)
+    assert t.dtype == ps.dtype == qs.dtype == np.int64
+    assert t.shape == (len(masks),) and ps.shape == qs.shape == (len(masks), k)
+    row_mask = (1 << n_cols) - 1
+    for m, tm, pm, qm in zip(masks, t.tolist(), ps.tolist(), qs.tolist()):
+        rows = [(int(m) >> (i * n_cols)) & row_mask for i in range(n_rows)]
+        want_ps, want_qs = gf2.factor_rows(rows)
+        assert (pm[:tm], qm[:tm]) == (want_ps, want_qs)
+        assert pm[tm:] == qm[tm:] == [0] * (k - tm)
+
+
+def test_batch_factorize_matches_gf2_factorize_on_every_4x4():
+    # the sweep's batch: factors equal gf2_factorize's, in its order
+    masks = np.arange(1 << 16, dtype=np.int64)
+    t, ps, qs = gf2.factorize_batch_masks(masks, 4, 4)
+    for m in range(1 << 16):
+        fac = gf2.gf2_factorize(TruthTable(2, 2, tuple((m >> (4 * x)) & 15
+                                                       for x in range(4))))
+        k = t[m]
+        assert (k, tuple(ps[m, :k].tolist()), tuple(qs[m, :k].tolist())) == \
+            (fac.t, fac.row_factors, fac.col_factors)
+        assert not ps[m, k:].any() and not qs[m, k:].any()
+
+
+@pytest.mark.parametrize("n_rows,n_cols",
+                         [(2, 31), (31, 2), (7, 8), (8, 7), (1, 62), (62, 1)])
+def test_batch_factorize_matches_single_matrix_factorization(n_rows, n_cols):
+    rng = random.Random(f"factorize:{n_rows}x{n_cols}")
+    masks = [rng.getrandbits(n_rows * n_cols) for _ in range(3000)]
+    _assert_factorizations_match(masks, n_rows, n_cols)
+
+
+def test_batch_factorize_across_chunks():
+    # longer than one chunk and not a multiple of it; low ranks mixed in
+    rng = random.Random(20261018)
+    n = 2 * gf2._CHUNK + 123
+    masks = [rng.getrandbits(16) & rng.getrandbits(16) for _ in range(n)]
+    _assert_factorizations_match(masks, 4, 4)
+
+
+def test_batch_factorize_empty_batch():
+    t, ps, qs = gf2.factorize_batch_masks([], 3, 3)
+    assert t.shape == (0,) and ps.shape == qs.shape == (0, 3)
+    assert t.dtype == ps.dtype == qs.dtype == np.int64
+
+
+def test_batch_factorize_rejects_oversized():
+    with pytest.raises(ValueError):
+        gf2.factorize_batch_masks([0], 8, 8)
+    with pytest.raises(ValueError):
+        gf2.factorize_batch_masks([0], 1, 63)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import format_truth_table, ip_table, parse_truth_table
-from util import KINDS, mutated, random_ordered, random_protocol, \
-    random_table, random_tree, xor_as_ordered, xor_as_parallel
+from util import KINDS, TRUTH_TABLE_BAD_HEADERS, mutated, random_ordered, \
+    random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
 
 RNG = random.Random(1234)
 
@@ -174,6 +175,21 @@ def test_parse_errors():
         parse("mix\n")
     with pytest.raises(ParseError):  # zero-denominator mixture weight
         parse("mix 1 1/0\n" + good)
+
+
+@pytest.mark.parametrize("header", TRUTH_TABLE_BAD_HEADERS)
+def test_truth_table_header_rejected_without_building_rows(header):
+    widths = header.split()
+    digits = len(widths) == 2 and all(w.isascii() and w.isdigit() for w in widths)
+    want = "asks for" if digits else "must be 'nx ny' in decimal digits"
+    with pytest.raises(ValueError, match=f"^header {re.escape(repr(header))} {want}"):
+        parse_truth_table(f"{header}\n0\n")
+
+
+def test_truth_table_widths_accept_leading_zeros():
+    assert parse_truth_table("01 001\n01\n10\n") == parse_truth_table("1 1\n01\n10\n")
+    with pytest.raises(ValueError, match="rows of 2\\^1 cells"):
+        parse_truth_table("1 1\n01\n1\n")
 
 
 _PARSER_INPUTS = {

@@ -11,9 +11,11 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from nlbox.engine import AuditViolation, derive_seed
+from nlbox.gf2 import SpectrumReport
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                              ParallelXorProtocol, ProtocolMixture, TwoWayTree)
@@ -22,6 +24,14 @@ from nlbox.truthtable import TruthTable
 
 def parity(v: int) -> int:
     return bin(v).count("1") & 1
+
+
+# truth-table headers that name no table of a one-row, one-cell body: huge
+# widths (2^width must not be built), negative ones, and widths that int()
+# alone would accept (sign, underscore, non-ASCII digits)
+TRUTH_TABLE_BAD_HEADERS = ("10000000000000 0", "4000000000 0", "9" * 5000 + " 0",
+                           "0 10000000000000", "-1 0", "0 -3", "+1 0", "0 +0",
+                           "1_0 0", "\u0661 0", "0 \u0660", "0", "0 0 0")
 
 
 def random_table(nx: int, ny: int, rng: random.Random) -> TruthTable:
@@ -259,6 +269,30 @@ def oracle_rank(rows: list[list[int]]) -> int:
                 m[r] = [a ^ b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def oracle_fourier_l1(m: TruthTable) -> SpectrumReport:
+    """The Walsh-Hadamard transform entry by entry and block by block: the
+    same float additions, in the same order, as gf2.fourier_l1's butterflies."""
+    n = m.nx + m.ny
+    size = 1 << n
+    signs = np.empty(size, dtype=np.float64)
+    for x in range(m.n_rows):
+        base = x << m.ny
+        row = m.rows[x]
+        for y in range(m.n_cols):
+            signs[base | y] = -1.0 if (row >> y) & 1 else 1.0
+    h = 1
+    while h < size:
+        for i in range(0, size, h * 2):
+            a = signs[i:i + h].copy()
+            b = signs[i + h:i + 2 * h].copy()
+            signs[i:i + h] = a + b
+            signs[i + h:i + 2 * h] = a - b
+        h *= 2
+    coeffs = signs / size
+    report = {s: float(coeffs[s]) for s in range(size)}
+    return SpectrumReport(n, report, float(np.abs(coeffs).sum()))
 
 
 def oracle_phase1(columns, b):
