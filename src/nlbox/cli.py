@@ -85,16 +85,26 @@ _CIRCUIT_TOKENS = {"input a": 3, "input b": 3, "input ab": 4, "and": 3,
                    "or": 3, "xor": 3, "not": 2, "output": 2}
 
 
+def _circuit_number(tok: str, ln: str) -> int:
+    """A width, bit or wire index: ASCII decimal digits only, where int()
+    alone would also take a sign, underscores or other scripts' digits."""
+    if not tt.DECIMAL.fullmatch(tok):
+        raise ValueError(f"circuit line {ln!r}: {tok!r} is not a decimal number")
+    return int(tok)
+
+
 def parse_circuit(text: str) -> compilers.DistributedCircuit:
     """Circuit text format: header "circuit nx ny"; then one line per
     wire — "input a BIT", "input b BIT", "input ab ABIT BBIT", gates
     "and W1 W2" / "or W1 W2" / "xor W1 W2" / "not W"; final "output W".
+    Numbers are ASCII decimal digits.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("circuit"):
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != "circuit":
         raise ValueError("circuit file must start with 'circuit nx ny'")
-    _, nx, ny = lines[0].split()
+    nx, ny = (_circuit_number(tok, lines[0]) for tok in head[1:])
     inputs: list[compilers.InputWire] = []
     gates: list[tuple] = []
     output = None
@@ -106,23 +116,23 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
         if len(toks) != _CIRCUIT_TOKENS[kind]:
             raise ValueError(f"circuit line {ln!r} needs "
                              f"{_CIRCUIT_TOKENS[kind]} tokens")
+        nums = [_circuit_number(tok, ln) for tok in toks[len(kind.split()):]]
         if toks[0] == "input":
             if gates:
                 raise ValueError("inputs must precede gates")
             if kind == "input a":
-                inputs.append(compilers.InputWire(int(toks[2]), None))
+                inputs.append(compilers.InputWire(nums[0], None))
             elif kind == "input b":
-                inputs.append(compilers.InputWire(None, int(toks[2])))
+                inputs.append(compilers.InputWire(None, nums[0]))
             else:
-                inputs.append(compilers.InputWire(int(toks[2]), int(toks[3])))
+                inputs.append(compilers.InputWire(*nums))
         elif kind == "output":
-            output = int(toks[1])
+            output = nums[0]
         else:
-            gates.append((kind, *(int(v) for v in toks[1:])))
+            gates.append((kind, *nums))
     if output is None:
         raise ValueError("circuit has no output line")
-    return compilers.DistributedCircuit(int(nx), int(ny), tuple(inputs),
-                                        tuple(gates), output)
+    return compilers.DistributedCircuit(nx, ny, tuple(inputs), tuple(gates), output)
 
 
 def _count_key(p) -> tuple[str, int]:

@@ -9,10 +9,10 @@ protocol object whose behavior can be checked with the exact engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+
+import numpy as np
 
 from . import gf2
 from .engine import ProtocolError, _check_limit, privacy_audit_and
@@ -417,9 +417,9 @@ class DistributedCircuit:
 
     Gate k's output is wire ``len(inputs) + k``; gates are
     ("not", w), ("xor", w1, w2), ("and", w1, w2), ("or", w1, w2), and
-    read only earlier wires.  Construction raises ``ProtocolError`` on
-    any other gate, an operand or output wire out of range, or an input
-    bit outside x's or y's width.
+    read only earlier wires.  Construction raises ``ProtocolError`` on a
+    negative width, any other gate, an operand or output wire out of
+    range, or an input bit outside x's or y's width.
     """
 
     nx: int
@@ -429,6 +429,9 @@ class DistributedCircuit:
     output: int
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 0:
+                raise ProtocolError(f"negative input width {name}={getattr(self, name)}")
         for w in self.inputs:
             for side, bit, n in (("a", w.a_bit, self.nx), ("b", w.b_bit, self.ny)):
                 if bit is not None and not 0 <= bit < n:
@@ -450,109 +453,122 @@ class DistributedCircuit:
         return len(self.inputs) + len(self.gates)
 
 
+def _widen(tab: np.ndarray, width: int) -> np.ndarray:
+    """A share table over (input, outcome prefix) read at a wider prefix:
+    it ignores the new outcome bits, so its columns repeat."""
+    return np.tile(tab, (1, width // tab.shape[1]))
+
+
+def _input_share(bit: int | None, n: int) -> np.ndarray:
+    if bit is None:
+        return np.zeros((1, 1), np.uint8)
+    return ((np.arange(n) >> bit) & 1).astype(np.uint8)[:, None]
+
+
+def _rows(tab: np.ndarray, n: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The table as n rows of width Python ints."""
+    return tuple(map(tuple, np.broadcast_to(_widen(tab, width), (n, width)).tolist()))
+
+
 def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
     """Evaluate the circuit in parity: XOR/NOT are free, AND/OR cost two
     boxes each (their cross terms), and boxes whose input product is
     identically zero are elided (leaf products cost one box).
 
-    Box i's tables span 2^(max(nx, ny) + i) entries, so each is checked
-    against the engine's ``NLBOX_LIMIT_T`` cap before it is enumerated
+    Each wire's share is a uint8 table over (own input, own outcome
+    prefix): one row per input (a single row when it does not depend on
+    it) and 2^i columns once it reads box i - 1's outcome.  A gate is one
+    bitwise operation on its operands' tables, so compilation takes time
+    linear in the gates times the table sizes, at most
+    2^(max(nx, ny) + t) cells, whatever the circuit's depth.  A table is
+    dropped after the last gate that reads it.  The input width, and each
+    box's table width before the box is added, are checked against the
+    engine's ``NLBOX_LIMIT_T`` cap before any table is allocated
     (``ResourceLimitError``)."""
+    _check_limit(max(c.nx, c.ny))
     xs, ys = 1 << c.nx, 1 << c.ny
-    Share = Callable[[int, int], int]  # (input, own outcome vector) -> bit
-    a_sh: list[Share] = []
-    b_sh: list[Share] = []
-    for w in c.inputs:
-        a_sh.append((lambda ab: lambda x, av: (x >> ab) & 1 if ab is not None else 0)(w.a_bit))
-        b_sh.append((lambda bb: lambda y, bv: (y >> bb) & 1 if bb is not None else 0)(w.b_bit))
-    boxes: list[tuple[Share, Share]] = []
+    a_sh = [_input_share(w.a_bit, xs) for w in c.inputs]
+    b_sh = [_input_share(w.b_bit, ys) for w in c.inputs]
+    step_a: list[np.ndarray] = []
+    step_b: list[np.ndarray] = []
 
-    def add_box(pf: Share, qf: Share) -> Share | None:
-        """Returns the outcome accessor, or None when the product is 0."""
-        i = len(boxes)
+    def add_box(pf: np.ndarray, qf: np.ndarray) -> np.ndarray | None:
+        """Box i's outcome as a share table, or None when the product is 0."""
+        i = len(step_a)
         _check_limit(max(c.nx, c.ny) + i)
-        p_zero = all(pf(x, av) == 0 for x in range(xs) for av in range(1 << i))
-        q_zero = all(qf(y, bv) == 0 for y in range(ys) for bv in range(1 << i))
-        if p_zero or q_zero:
+        if not (pf.any() and qf.any()):
             return None
-        boxes.append((pf, qf))
-        return lambda _inp, vec, i=i: (vec >> i) & 1
+        step_a.append(_widen(pf, 1 << i))
+        step_b.append(_widen(qf, 1 << i))
+        return np.repeat(np.array([[0, 1]], np.uint8), 1 << i, axis=1)
 
-    def xor_funcs(f, g):
-        return lambda inp, vec: f(inp, vec) ^ g(inp, vec)
+    def apply(op, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        width = max(f.shape[1], g.shape[1])
+        return op(_widen(f, width), _widen(g, width))
 
-    for gate in c.gates:
+    last_read = {w: k for k, gate in enumerate(c.gates) for w in gate[1:]}
+    for k, gate in enumerate(c.gates):
         op = gate[0]
         if op == "not":
             (_, w) = gate
-            a_sh.append((lambda f: lambda x, av: f(x, av) ^ 1)(a_sh[w]))
+            a_sh.append(a_sh[w] ^ 1)
             b_sh.append(b_sh[w])
         elif op == "xor":
             _, w1, w2 = gate
-            a_sh.append(xor_funcs(a_sh[w1], a_sh[w2]))
-            b_sh.append(xor_funcs(b_sh[w1], b_sh[w2]))
+            a_sh.append(apply(np.bitwise_xor, a_sh[w1], a_sh[w2]))
+            b_sh.append(apply(np.bitwise_xor, b_sh[w1], b_sh[w2]))
         else:  # "and" / "or"
             _, w1, w2 = gate
             a1, a2, b1, b2 = a_sh[w1], a_sh[w2], b_sh[w1], b_sh[w2]
             # u op v = (a1 op a2) XOR (b1 op b2) XOR a1 b2 XOR a2 b1 holds
             # for both AND and OR, so either gate costs the two cross boxes
             cross = [add_box(a1, b2), add_box(a2, b1)]
-            if op == "and":
-                loc_a = lambda x, av, a1=a1, a2=a2: a1(x, av) & a2(x, av)
-                loc_b = lambda y, bv, b1=b1, b2=b2: b1(y, bv) & b2(y, bv)
-            else:
-                loc_a = lambda x, av, a1=a1, a2=a2: a1(x, av) | a2(x, av)
-                loc_b = lambda y, bv, b1=b1, b2=b2: b1(y, bv) | b2(y, bv)
-            fa, fb = loc_a, loc_b
+            local = np.bitwise_and if op == "and" else np.bitwise_or
+            fa, fb = apply(local, a1, a2), apply(local, b1, b2)
             for acc in cross:
                 if acc is not None:
-                    fa = xor_funcs(fa, acc)
-                    fb = xor_funcs(fb, acc)
+                    fa = apply(np.bitwise_xor, fa, acc)
+                    fb = apply(np.bitwise_xor, fb, acc)
             a_sh.append(fa)
             b_sh.append(fb)
+        for w in gate[1:]:
+            if last_read[w] == k and w != c.output:
+                a_sh[w] = b_sh[w] = None
 
-    t = len(boxes)
+    t = len(step_a)
     _check_limit(max(c.nx, c.ny) + t)
-    step_a = tuple(tuple(tuple(pf(x, pre) for pre in range(1 << i))
-                         for x in range(xs))
-                   for i, (pf, _qf) in enumerate(boxes))
-    step_b = tuple(tuple(tuple(qf(y, pre) for pre in range(1 << i))
-                         for y in range(ys))
-                   for i, (_pf, qf) in enumerate(boxes))
-    out_a = tuple(tuple(a_sh[c.output](x, av) for av in range(1 << t))
-                  for x in range(xs))
-    out_b = tuple(tuple(b_sh[c.output](y, bv) for bv in range(1 << t))
-                  for y in range(ys))
-    return OrderedNlbProtocol(c.nx, c.ny, t, step_a, step_b, out_a, out_b)
+    return OrderedNlbProtocol(
+        c.nx, c.ny, t,
+        tuple(_rows(tab, xs, 1 << i) for i, tab in enumerate(step_a)),
+        tuple(_rows(tab, ys, 1 << i) for i, tab in enumerate(step_b)),
+        _rows(a_sh[c.output], xs, 1 << t), _rows(b_sh[c.output], ys, 1 << t))
 
 
 # --- oblivious transfer and secure AND ---
 
 
+# Alice's OT input pair (r_i, r_i ^ p_i) for each (r_i, p_i)
+_OT_PAIRS = (((0, 0), (0, 1)), ((1, 1), (1, 0)))
+
+
 def ordered_to_ot(p) -> OtProtocol:
     """One OT per box: Alice masks her box input with a fresh private bit
-    and the OT hands Bob exactly the outcome his box would have shown."""
+    and the OT hands Bob exactly the outcome his box would have shown.
+
+    Alice's randomness r is t uniform bits, so her outputs and Bob's
+    choice bits (over the i bits received before call i) are the source's
+    own tables.  Her pair for call i depends on r only through r_i and
+    the box input at prefix r mod 2^i, so each row is one block of
+    2^(i+1) pairs repeated."""
     if not isinstance(p, OrderedNlbProtocol):
         raise ProtocolError("OT compilation requires an ordered protocol")
-    xs, ys = 1 << p.nx, 1 << p.ny
     nr = 1 << p.t
-    weights = (Fraction(1, nr),) * nr
-    in_a = []
-    for i in range(p.t):
-        rows = []
-        for x in range(xs):
-            row = []
-            for r in range(nr):
-                ri = (r >> i) & 1
-                pi = p.step_a[i][x][r & ((1 << i) - 1)]
-                row.append((ri, ri ^ pi))
-            rows.append(tuple(row))
-        in_a.append(tuple(rows))
-    in_b = tuple(tuple(tuple(p.step_b[i][y][pre] for pre in range(1 << i))
-                       for y in range(ys)) for i in range(p.t))
-    out_a = tuple(tuple(p.out_a[x][r] for r in range(nr)) for x in range(xs))
-    out_b = tuple(tuple(p.out_b[y][rec] for rec in range(nr)) for y in range(ys))
-    return OtProtocol(p.nx, p.ny, p.t, weights, tuple(in_a), in_b, out_a, out_b)
+    lo, hi = _OT_PAIRS
+    in_a = tuple(tuple((tuple(lo[v] for v in row) + tuple(hi[v] for v in row))
+                       * (nr >> (i + 1)) for row in p.step_a[i])
+                 for i in range(p.t))
+    return OtProtocol(p.nx, p.ny, p.t, (Fraction(1, nr),) * nr, in_a,
+                      p.step_b, p.out_a, p.out_b)
 
 
 def and_from_oneway(p: OneWayProtocol) -> AndProtocol:

@@ -28,10 +28,16 @@ def _fmt_frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
+_PAIR_TEXT = {pair: tok for tok, pair in _PAIR_TOKENS.items()}
+# byte value -> bit character ("0" for 0, "1" otherwise), and back
+_BIT_CHARS = b"0" + b"1" * 255
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 # how one row of each cell type is written
 _FORMATS = {
-    BITS: lambda row: "".join(["1" if v else "0" for v in row]),
-    PAIRS: lambda row: " ".join([f"{a}{b}" for a, b in row]),
+    BITS: lambda row: bytes(row).translate(_BIT_CHARS).decode(),
+    PAIRS: lambda row: " ".join(map(_PAIR_TEXT.__getitem__, row)),
     INTS: lambda row: " ".join(map(str, row)),
     FRACS: lambda row: " ".join(map(_fmt_frac, row)),
 }
@@ -63,9 +69,6 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             lines.extend(map(fmt, (tab,) if rows is None else tab))
 
 
-_PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
-
-
 class _Cursor:
     def __init__(self, text: str):
         self.lines = [ln.strip() for ln in text.splitlines()]
@@ -91,13 +94,14 @@ class _Cursor:
     def row(self, cells: str, width: int) -> tuple:
         ln = self.take()
         if cells == PAIRS:
-            pairs = tuple(_PAIR_TOKENS.get(tk) for tk in ln.split())
+            pairs = tuple(map(_PAIR_TOKENS.get, ln.split()))
             if len(pairs) != width or None in pairs:
                 raise ParseError("bad OT pair row")
             return pairs
-        if len(ln) != width or ln.strip("01"):
+        raw = ln.encode()
+        if len(raw) != width or raw.translate(None, b"01"):
             raise ParseError(f"expected {width}-bit line, found {ln!r}")
-        return tuple(map(int, ln))
+        return tuple(raw.translate(_BIT_VALUES))
 
 
 def parse(text: str) -> Protocol:

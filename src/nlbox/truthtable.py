@@ -90,7 +90,8 @@ def disj_table(n: int) -> TruthTable:
     return from_function(n, n, lambda x, y: 1 if x & y else 0)
 
 
-_WIDTH = re.compile(r"[0-9]+")
+# a nonnegative integer in ASCII decimal digits
+DECIMAL = re.compile(r"[0-9]+")
 
 
 def _is_power(n: int, width: str) -> bool:
@@ -111,7 +112,7 @@ def parse_truth_table(text: str) -> TruthTable:
         raise ValueError("empty truth-table file")
     header, body = lines[0], lines[1:]
     head = header.split()
-    if len(head) != 2 or not all(_WIDTH.fullmatch(w) for w in head):
+    if len(head) != 2 or not all(DECIMAL.fullmatch(w) for w in head):
         raise ValueError(f"header {header!r} must be 'nx ny' in decimal digits")
     if not _is_power(len(body), head[0]):
         raise ValueError(f"header {header!r} asks for 2^{head[0]} rows, got {len(body)}")

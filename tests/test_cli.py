@@ -302,20 +302,27 @@ def _assert_one_line_error(code, out, err, want=2, prefix="error: "):
 
 
 _BAD_CIRCUITS = {
-    "input-without-bit": "input a\ninput b 0\nand 0 1\noutput 2",
-    "one-operand": "input a 0\ninput b 0\nand 0\noutput 2",
-    "forward-reference": "input a 0\ninput b 0\nand 0 5\noutput 2",
-    "negative-operand": "input a 0\ninput b 0\nand 0 -1\noutput 2",
-    "output-past-last-wire": "input a 0\ninput b 0\nand 0 1\noutput 9",
-    "negative-output": "input a 0\ninput b 0\nand 0 1\noutput -1",
-    "input-bit-past-nx": "input a 5\ninput b 0\nand 0 1\noutput 2",
+    "input-without-bit": "circuit 1 1\ninput a\ninput b 0\nand 0 1\noutput 2",
+    "one-operand": "circuit 1 1\ninput a 0\ninput b 0\nand 0\noutput 2",
+    "forward-reference": "circuit 1 1\ninput a 0\ninput b 0\nand 0 5\noutput 2",
+    "negative-operand": "circuit 1 1\ninput a 0\ninput b 0\nand 0 -1\noutput 2",
+    "output-past-last-wire": "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 9",
+    "negative-output": "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\noutput -1",
+    "input-bit-past-nx": "circuit 1 1\ninput a 5\ninput b 0\nand 0 1\noutput 2",
+    # numbers that int() alone would read: other scripts' digits, signs
+    "fullwidth-width": "circuit \uff11 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
+    "arabic-indic-bit": "circuit 1 1\ninput a \u0661\ninput b 0\nand 0 1\noutput 2",
+    "negative-width": "circuit -1 1\ninput b 0\noutput 0",
+    "signed-operand": "circuit 1 1\ninput a 0\ninput b 0\nand 0 +1\noutput 2",
+    "two-token-header": "circuit 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
+    "misspelt-header": "circuits 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CIRCUITS))
 def test_compile_rejects_malformed_circuit(capsys, tmp_path, name):
     circ = tmp_path / "bad.circ"
-    circ.write_text(f"circuit 1 1\n{_BAD_CIRCUITS[name]}\n")
+    circ.write_text(_BAD_CIRCUITS[name] + "\n", encoding="utf-8")
     _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
                                 "-i", str(circ)))
 
@@ -324,6 +331,11 @@ _WIDE_CIRCUITS = {
     # 2^40 inputs of x to enumerate, with one box and with none
     "and-on-40-bit-x": "circuit 40 1\ninput a 39\ninput b 0\nand 0 1\noutput 2",
     "xor-on-40-bit-x": "circuit 40 1\ninput a 39\ninput b 0\nxor 0 1\noutput 2",
+    # widths whose 2^width must not be built: 1 << width overflows a
+    # C ssize_t, or is a 500 MB integer
+    "20-digit-width": "circuit 99999999999999999999 1\ninput a 0\ninput b 0\n"
+                      "and 0 1\noutput 2",
+    "4e9-bit-x": "circuit 4000000000 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
 }
 
 

@@ -6,6 +6,7 @@ brute-force oracle in tests/util.py, never with the compiler's own
 bookkeeping.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,10 +23,12 @@ from nlbox.engine import (ProtocolError, error_profile, exec_exact,
                           privacy_audit_and, privacy_audit_ot)
 from nlbox.library import disj_circuit
 from nlbox.protocols import OneWayProtocol, ParallelProtocol, validate
+from nlbox.serialize import serialize
 from nlbox.truthtable import (TruthTable, and_table, disj_table, ip_table,
                               xor_table)
-from util import (obfuscate, parity, random_table, random_tree,
-                  xor_as_ordered, xor_as_parallel)
+from util import (obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot, parity,
+                  random_ordered, random_table, random_tree, xor_as_ordered,
+                  xor_as_parallel)
 
 RNG = random.Random(31337)
 
@@ -271,6 +274,86 @@ def test_circuit_compiler_rejects_unknown_gate():
                                           (("nand", 0, 0),), 1))
 
 
+def test_circuit_rejects_negative_width():
+    for nx, ny, name in ((-1, 1, "nx=-1"), (1, -3, "ny=-3")):
+        with pytest.raises(ProtocolError, match=f"negative input width {name}"):
+            DistributedCircuit(nx, ny, (InputWire(None, None),), (), 0)
+
+
+def _chain(k: int, mixed: bool = False) -> DistributedCircuit:
+    """x_0 XOR y_0, then k gates each reading the wire before: "and w w"
+    (two boxes each), alternating with "or w 2" when mixed."""
+    gates = [("xor", 0, 1)] + [("or", 2 + j, 2) if mixed and j % 2 else
+                               ("and", 2 + j, 2 + j) for j in range(k)]
+    return DistributedCircuit(1, 1, (InputWire(0, None), InputWire(None, 0)),
+                              tuple(gates), 2 + k)
+
+
+def _golden_circuits() -> dict[str, list[DistributedCircuit]]:
+    rng = random.Random(4242)
+    return {
+        "disj": [disj_circuit(n) for n in range(1, 5)],
+        "random": [_random_circuit(rng.randrange(1, 4), rng.randrange(1, 4),
+                                   rng.randrange(1, 13), rng) for _ in range(40)],
+        "and-chain": [_chain(k) for k in range(1, 7)],
+        "mixed-chain": [_chain(k, mixed=True) for k in range(1, 7)],
+    }
+
+
+# first 16 hex digits of the sha256 of serialize(circuit_to_nlb(c)) for the
+# circuits above, recorded from the closure compiler (oracle_circuit_to_nlb)
+CIRCUIT_GOLDEN = {
+    "disj": ["091c3491747ba095", "9257f0b722df3d79", "59785a7dcb6e8748",
+             "dfb89e88a21b598c"],
+    "random": [
+        "a445a3787dfd7823", "3550d899b235adc4", "fbcfd148c103f900", "cfe036772eac413d",
+        "a0ec6d80a476df0d", "6fa54b8a4dd9166c", "c810433580438958", "bad7b944df67be85",
+        "acc3861c43b6ee8d", "6e31aee8efdd21ea", "1c9d26fb557f2b91", "caf4e0a984d5259b",
+        "9fdbd294e0b195a4", "90eccd1ef6208ac8", "8a84a52682de3652", "53fed030d135f87c",
+        "5ac50dbe24c0a114", "56a5a40cf8a48f52", "a1844b5226322560", "1793ccb42d6af549",
+        "8af5cb81ffddb781", "63e68d5295f5686d", "faeed3875f5c9b9b", "d3b2b49541a35787",
+        "0a34daf4938489e9", "4f20cbc24503d53e", "5cc8221bd38e205e", "12d190fa400f3a31",
+        "74c459c658568814", "5aed228bf8e189ef", "493f784e70a1e6e9", "dd375d0ca46dbf62",
+        "d535a5c94fc45ce8", "7b8247455b8524e4", "70095b373c3b0178", "eacaf399e5001a12",
+        "47055a40991cf637", "7feb460e6355ba0c", "16da9301ccb1b419", "0c2dec02724d3543"],
+    "and-chain": ["b7964136a51747cb", "113afebb53e3a755", "14a7260686314474",
+                  "32fdf7565818ce4e", "a059d44d093156e8", "d56cde4f7149b7f7"],
+    "mixed-chain": ["b7964136a51747cb", "9cd2dc8a8f8fd5d1", "5fa537d1caca3818",
+                    "5b7107aabec0bd8a", "93b899a79740a587", "b3d5f621e7cc6bac"],
+}
+
+
+def test_circuit_compiler_output_is_pinned():
+    for family, circuits in _golden_circuits().items():
+        got = [hashlib.sha256(serialize(circuit_to_nlb(c)).encode()).hexdigest()[:16]
+               for c in circuits]
+        assert got == CIRCUIT_GOLDEN[family], family
+
+
+def test_circuit_compiler_matches_closure_oracle():
+    rng = random.Random(2718)
+    circuits = [_chain(k, mixed) for k in range(7) for mixed in (False, True)]
+    circuits += [_random_circuit(rng.randrange(1, 4), rng.randrange(1, 4),
+                                 rng.randrange(1, 15), rng) for _ in range(80)]
+    compared = 0
+    for c in circuits:
+        p = circuit_to_nlb(c)
+        if p.t <= 12:
+            assert p == oracle_circuit_to_nlb(c)
+            compared += 1
+    assert compared >= 80
+
+
+def test_circuit_compiler_deep_chain_is_exact():
+    # 9 chained gates, 18 boxes: the closure compiler took minutes here
+    c = _chain(9)
+    p = circuit_to_nlb(c)
+    assert p.t == 18 and validate(p) == []
+    for x in range(2):
+        for y in range(2):
+            assert exec_exact(p, x, y).parity_prob(_circuit_value(c, x, y)) == 1
+
+
 # --- ordered-to-OT bridge ---
 
 
@@ -285,6 +368,16 @@ def test_ordered_to_ot_preserves_joint_distribution():
             for y in range(1 << src.ny):
                 assert exec_exact(ot, x, y).probs == exec_exact(src, x, y).probs
         assert privacy_audit_ot(ot) is None
+
+
+def test_ordered_to_ot_matches_loop_oracle():
+    rng = random.Random(161)
+    sources = [random_ordered(rng.randrange(3), rng.randrange(3), t, rng)
+               for t in (0, 0, 1, 2, 3, 4, 5) for _ in range(4)]
+    sources += [xor_normalize_general(random_ordered(1, 2, t, rng)) for t in range(4)]
+    sources += [circuit_to_nlb(_chain(3, mixed=True))]
+    for src in sources:
+        assert ordered_to_ot(src) == oracle_ordered_to_ot(src)
 
 
 def test_ordered_to_ot_rejects_other_kinds():

@@ -177,6 +177,33 @@ def test_parse_errors():
         parse("mix 1 1/0\n" + good)
 
 
+@pytest.mark.parametrize("row", ["0201", "01 1", "01\uff111", "0\u06611",
+                                 "010", "01011", "\u0661"])
+def test_parse_rejects_bad_bit_row(row):
+    # the row "0011" of pbox 1 replaced; digits of other scripts are one
+    # character but several bytes
+    text = serialize(ip_protocol(2)).replace("pbox 1:\n0011\n", f"pbox 1:\n{row}\n")
+    with pytest.raises(ParseError, match=f"^expected 4-bit line, found {re.escape(repr(row))}$"):
+        parse(text)
+
+
+@pytest.mark.parametrize("row", ["02 10", "1 10", "011 10", "00 1\uff11",
+                                 "00", "00 11 01"])
+def test_parse_rejects_bad_pair_row(row):
+    text = serialize(ordered_to_ot(disj_det_protocol(1)))
+    text = text.replace("inA 0:\n00 11\n", f"inA 0:\n{row}\n")
+    with pytest.raises(ParseError, match="^bad OT pair row$"):
+        parse(text)
+
+
+def test_serialize_bool_rows_as_bits():
+    p = ip_protocol(2)
+    as_bools = dataclasses.replace(
+        p, pbox=tuple(tuple(map(bool, row)) for row in p.pbox),
+        local_a=tuple(map(bool, p.local_a)))
+    assert serialize(as_bools) == serialize(p)
+
+
 @pytest.mark.parametrize("header", TRUTH_TABLE_BAD_HEADERS)
 def test_truth_table_header_rejected_without_building_rows(header):
     widths = header.split()

@@ -573,3 +573,77 @@ def oracle_sample(p, x: int, y: int, seed: int):
                     "in": ((pin >> i) & 1, (qin >> i) & 1),
                     "out": ((u >> i) & 1, (bvec >> i) & 1)} for i in range(p.t)]
     return a, b, transcript
+
+
+# The compilers' former closure and loop forms.  ``circuit_to_nlb``'s bit
+# tables and ``ordered_to_ot``'s repeated rows must build equal protocols.
+
+
+def oracle_circuit_to_nlb(c) -> OrderedNlbProtocol:
+    """Each share a Python closure (input, own outcome vector) -> bit,
+    evaluated entry by entry: time grows with the circuit's depth."""
+    xs, ys = 1 << c.nx, 1 << c.ny
+    a_sh = [(lambda ab: lambda x, av: (x >> ab) & 1 if ab is not None else 0)(w.a_bit)
+            for w in c.inputs]
+    b_sh = [(lambda bb: lambda y, bv: (y >> bb) & 1 if bb is not None else 0)(w.b_bit)
+            for w in c.inputs]
+    boxes = []
+
+    def add_box(pf, qf):
+        i = len(boxes)
+        if all(pf(x, av) == 0 for x in range(xs) for av in range(1 << i)) \
+                or all(qf(y, bv) == 0 for y in range(ys) for bv in range(1 << i)):
+            return None
+        boxes.append((pf, qf))
+        return lambda _inp, vec, i=i: (vec >> i) & 1
+
+    def xor_funcs(f, g):
+        return lambda inp, vec: f(inp, vec) ^ g(inp, vec)
+
+    for gate in c.gates:
+        if gate[0] == "not":
+            a_sh.append((lambda f: lambda x, av: f(x, av) ^ 1)(a_sh[gate[1]]))
+            b_sh.append(b_sh[gate[1]])
+        elif gate[0] == "xor":
+            a_sh.append(xor_funcs(a_sh[gate[1]], a_sh[gate[2]]))
+            b_sh.append(xor_funcs(b_sh[gate[1]], b_sh[gate[2]]))
+        else:
+            _, w1, w2 = gate
+            a1, a2, b1, b2 = a_sh[w1], a_sh[w2], b_sh[w1], b_sh[w2]
+            cross = [add_box(a1, b2), add_box(a2, b1)]
+            if gate[0] == "and":
+                fa = lambda x, av, a1=a1, a2=a2: a1(x, av) & a2(x, av)
+                fb = lambda y, bv, b1=b1, b2=b2: b1(y, bv) & b2(y, bv)
+            else:
+                fa = lambda x, av, a1=a1, a2=a2: a1(x, av) | a2(x, av)
+                fb = lambda y, bv, b1=b1, b2=b2: b1(y, bv) | b2(y, bv)
+            for acc in cross:
+                if acc is not None:
+                    fa, fb = xor_funcs(fa, acc), xor_funcs(fb, acc)
+            a_sh.append(fa)
+            b_sh.append(fb)
+    t = len(boxes)
+    return OrderedNlbProtocol(
+        c.nx, c.ny, t,
+        tuple(tuple(tuple(pf(x, pre) for pre in range(1 << i)) for x in range(xs))
+              for i, (pf, _qf) in enumerate(boxes)),
+        tuple(tuple(tuple(qf(y, pre) for pre in range(1 << i)) for y in range(ys))
+              for i, (_pf, qf) in enumerate(boxes)),
+        tuple(tuple(a_sh[c.output](x, av) for av in range(1 << t)) for x in range(xs)),
+        tuple(tuple(b_sh[c.output](y, bv) for bv in range(1 << t)) for y in range(ys)))
+
+
+def oracle_ordered_to_ot(p: OrderedNlbProtocol) -> OtProtocol:
+    """One OT per box, every pair (r_i, r_i ^ p_i) built in a loop over r."""
+    xs, ys = 1 << p.nx, 1 << p.ny
+    nr = 1 << p.t
+    in_a = tuple(tuple(tuple(((r >> i) & 1,
+                              ((r >> i) & 1) ^ p.step_a[i][x][r & ((1 << i) - 1)])
+                             for r in range(nr))
+                       for x in range(xs))
+                 for i in range(p.t))
+    in_b = tuple(tuple(tuple(p.step_b[i][y][pre] for pre in range(1 << i))
+                       for y in range(ys)) for i in range(p.t))
+    return OtProtocol(p.nx, p.ny, p.t, (Fraction(1, nr),) * nr, in_a, in_b,
+                      tuple(tuple(p.out_a[x][r] for r in range(nr)) for x in range(xs)),
+                      tuple(tuple(p.out_b[y][rec] for rec in range(nr)) for y in range(ys)))
