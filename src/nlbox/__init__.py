@@ -18,7 +18,7 @@ from .engine import (AuditViolation, ErrorProfile, OutcomeDistribution,
                      ProtocolError, ResourceLimitError, error_profile,
                      exec_exact, exec_sample, nonsignaling_audit,
                      privacy_audit_and, privacy_audit_ot)
-from .compilers import (CompilerReport, DistributedCircuit, InputWire,
+from .compilers import (DistributedCircuit, InputWire,
                         and_from_oneway, circuit_to_nlb, d_oneway,
                         independence_reduce, oneway_from_and, oneway_optimal,
                         oneway_to_parallel, ordered_to_ot, synth_rank,

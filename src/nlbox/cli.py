@@ -23,8 +23,8 @@ from . import gf2
 from . import truthtable as tt
 from .serialize import parse as parse_protocol
 from .serialize import serialize as serialize_protocol
-from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
-                        OrderedNlbProtocol, OtProtocol, ParallelProtocol,
+from .protocols import (KIND_NAMES, AndProtocol, GeneralNlbProtocol,
+                        OneWayProtocol, OrderedNlbProtocol, OtProtocol,
                         ParallelXorProtocol, ProtocolMixture, TwoWayTree)
 
 EXIT_OK = 0
@@ -320,8 +320,11 @@ def _cmd_compile(args) -> int:
     if args.normalize_xor:
         if isinstance(result, (OrderedNlbProtocol, GeneralNlbProtocol)):
             result = compilers.xor_normalize_general(result)
-        elif isinstance(result, ParallelProtocol):
+        elif isinstance(result, ParallelXorProtocol):
             result = compilers.xor_normalize_parallel(result)
+        else:
+            raise ValueError("--normalize-xor applies to parallel-xor, ordered or "
+                             f"general results, not {KIND_NAMES[type(result)]}")
     key, count = _count_key(result)
     print(f"input-hash: {digest}")
     print(f"source-size: {src_size}")

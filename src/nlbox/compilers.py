@@ -9,28 +9,19 @@ protocol object whose behavior can be checked with the exact engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import gf2
-from .engine import ProtocolError, _check_limit, privacy_audit_and
+from .engine import ProtocolError, _check_limit, _parities, privacy_audit_and
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree, validate)
 from .truthtable import TruthTable
 
 MAX_TREE_DEPTH = 8
-
-
-@dataclass(frozen=True)
-class CompilerReport:
-    """Size accounting for one compiler invocation."""
-
-    source_size: int  # bits of communication / gates / boxes consumed
-    target_count: int  # boxes / OT calls / gates emitted
-    certificate: str  # how behavior equality was (or can be) checked
 
 
 # --- synthesis from truth tables ---
@@ -103,52 +94,24 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
     errs = validate(p)
     if errs:
         raise ProtocolError("malformed tree: " + "; ".join(errs))
-    xs, ys = 1 << p.nx, 1 << p.ny
-    # fam_a[i][prefix][x], fam_b[i][prefix][y]; prefixes are k-bit transcripts
-    fam_a = [[list(p.out_a[tr]) for tr in range(1 << p.t)]]
-    fam_b = [[list(p.out_b[tr]) for tr in range(1 << p.t)]]
+    # per side, fam[i][prefix][input]; prefixes are k-bit transcripts
+    fams = [np.array(p.out_a)[None], np.array(p.out_b)[None]]
     for k in range(p.t, 0, -1):
         half = 1 << (k - 1)
-        n_old = len(fam_a)
-        new_a = [[[0] * xs for _ in range(half)] for _ in range(2 * n_old)]
-        new_b = [[[0] * ys for _ in range(half)] for _ in range(2 * n_old)]
-        for pre in range(half):
-            d = p.direction[k - 1][pre]
-            lo, hi = pre, pre | (1 << (k - 1))
-            if d:  # Alice speaks: she absorbs the bit, Bob splits
-                for x in range(xs):
-                    c = p.bit[k - 1][pre][x]
-                    tr = hi if c else lo
-                    for i in range(n_old):
-                        new_a[i][pre][x] = fam_a[i][tr][x]
-                        if i == 0:
-                            new_a[n_old][pre][x] = c
-                        else:
-                            new_a[i + n_old][pre][x] = fam_a[i][tr][x] & c
-                for y in range(ys):
-                    for i in range(n_old):
-                        new_b[i][pre][y] = fam_b[i][lo][y]
-                        new_b[i + n_old][pre][y] = fam_b[i][lo][y] ^ fam_b[i][hi][y]
-            else:  # Bob speaks: roles swapped
-                for y in range(ys):
-                    c = p.bit[k - 1][pre][y]
-                    tr = hi if c else lo
-                    for i in range(n_old):
-                        new_b[i][pre][y] = fam_b[i][tr][y]
-                        if i == 0:
-                            new_b[n_old][pre][y] = c
-                        else:
-                            new_b[i + n_old][pre][y] = fam_b[i][tr][y] & c
-                for x in range(xs):
-                    for i in range(n_old):
-                        new_a[i][pre][x] = fam_a[i][lo][x]
-                        new_a[i + n_old][pre][x] = fam_a[i][lo][x] ^ fam_a[i][hi][x]
-        fam_a, fam_b = new_a, new_b
-    local_a = tuple(fam_a[0][0])
-    local_b = tuple(fam_b[0][0])
-    pbox = tuple(tuple(fam_a[i][0]) for i in range(1, len(fam_a)))
-    qbox = tuple(tuple(fam_b[i][0]) for i in range(1, len(fam_b)))
-    return ParallelXorProtocol(p.nx, p.ny, len(pbox), pbox, qbox,
+        alice = np.array(p.direction[k - 1], bool)
+        for s, speaks in enumerate((alice, ~alice)):
+            fam = fams[s]
+            lo, hi = fam[:, :half], fam[:, half:]
+            # this side's bit at each prefix where it speaks (0 elsewhere)
+            c = np.array([bit if sp else (0,) * fam.shape[2]
+                          for bit, sp in zip(p.bit[k - 1], speaks)], fam.dtype)
+            taken = np.where(c, hi, lo)
+            fams[s] = np.where(speaks[:, None],
+                               np.concatenate([taken, c[None], taken[1:] & c]),
+                               np.concatenate([lo, lo ^ hi]))
+    (local_a, *pbox), (local_b, *qbox) = (tuple(map(tuple, f[:, 0].tolist()))
+                                          for f in fams)
+    return ParallelXorProtocol(p.nx, p.ny, len(pbox), tuple(pbox), tuple(qbox),
                                local_a, local_b)
 
 
@@ -261,76 +224,43 @@ def independence_reduce(p: ParallelProtocol) -> ParallelProtocol:
         alpha = [(rem >> (x * ys)) & 1 for x in range(1 << p.nx)]
         beta = [((rem >> y) & 1) ^ alpha[0] for y in range(ys)]
         c_rest = coeff & ~(1 << k)
-
-        def strip(vec: int, pos: int) -> int:
-            return (vec & ((1 << pos) - 1)) | ((vec >> (pos + 1)) << pos)
-
-        def unstrip(vec: int, pos: int, bit: int) -> int:
-            return (vec & ((1 << pos) - 1)) | (bit << pos) | ((vec >> pos) << (pos + 1))
-
-        new_out_a = []
-        for x in range(1 << p.nx):
-            row = []
-            for av in range(1 << (p.t - 1)):
-                ak = alpha[x] ^ ((unstrip(av, k, 0) & c_rest).bit_count() & 1)
-                row.append(p.out_a[x][unstrip(av, k, ak)])
-            new_out_a.append(tuple(row))
-        new_out_b = []
-        for y in range(ys):
-            row = []
-            for bv in range(1 << (p.t - 1)):
-                bk = beta[y] ^ ((unstrip(bv, k, 0) & c_rest).bit_count() & 1)
-                row.append(p.out_b[y][unstrip(bv, k, bk)])
-            new_out_b.append(tuple(row))
-        p = ParallelProtocol(
-            p.nx, p.ny, p.t - 1,
-            tuple(t for i, t in enumerate(p.pbox) if i != k),
-            tuple(t for i, t in enumerate(p.qbox) if i != k),
-            tuple(new_out_a), tuple(new_out_b))
+        # each (t-1)-outcome vector with a 0 inserted at bit k, and the
+        # parity of the other boxes in the dependency there: box k's
+        # outcome is that parity XOR the player's own alpha or beta term
+        keys = [(u, (u & c_rest).bit_count() & 1) for u in
+                ((v & ((1 << k) - 1)) | ((v >> k) << (k + 1))
+                 for v in range(1 << (p.t - 1)))]
+        out_a, out_b = (tuple(tuple(row[u | ((s ^ par) << k)] for u, par in keys)
+                              for row, s in zip(out, sep))
+                        for out, sep in ((p.out_a, alpha), (p.out_b, beta)))
+        p = ParallelProtocol(p.nx, p.ny, p.t - 1, p.pbox[:k] + p.pbox[k + 1:],
+                             p.qbox[:k] + p.qbox[k + 1:], out_a, out_b)
 
 
-def xor_normalize_parallel(p: ParallelProtocol) -> ParallelXorProtocol:
-    """Turn an exact parallel protocol into a strict XOR one, +2 boxes max.
-
-    After independence reduction, each output's algebraic normal form in
-    its own box outcomes must be affine with matching linear parts on
-    both sides; the affine constants are folded into two extra boxes
-    paired with a constant-1 input on the other side.
-    """
-    f = parallel_exact_function(p)
-    if f is None:
-        raise ProtocolError("claims violated: protocol parity is not deterministic")
-    p = independence_reduce(p)
-    xs, ys = 1 << p.nx, 1 << p.ny
-    lin = None
-    const_a = []
-    for x in range(xs):
-        mono = gf2.anf(p.out_a[x])
-        linear = 0
-        for m in mono:
-            if m and m & (m - 1):
-                raise ProtocolError("claims violated: nonlinear output term")
-            if m:
-                linear |= m
+def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[int, ...]]:
+    """The linear part and each row's constant term of the outputs'
+    algebraic normal forms in the box outcomes; raises unless every form
+    is affine with the linear part lin (the first row's when None)."""
+    consts = []
+    for row in rows:
+        mono = gf2.anf(row)
+        if any(m & (m - 1) for m in mono):
+            raise ProtocolError("claims violated: nonlinear output term")
+        linear = sum(mono)
         if lin is None:
             lin = linear
         elif lin != linear:
-            raise ProtocolError("claims violated: output linear part varies")
-        const_a.append(1 if 0 in mono else 0)
-    const_b = []
-    for y in range(ys):
-        mono = gf2.anf(p.out_b[y])
-        linear = 0
-        for m in mono:
-            if m and m & (m - 1):
-                raise ProtocolError("claims violated: nonlinear output term")
-            if m:
-                linear |= m
-        if lin != linear:
-            raise ProtocolError("claims violated: the two linear parts differ")
-        const_b.append(1 if 0 in mono else 0)
-    pbox = [p.pbox[i] for i in range(p.t) if (lin >> i) & 1]
-    qbox = [p.qbox[i] for i in range(p.t) if (lin >> i) & 1]
+            raise ProtocolError(f"claims violated: {varies}")
+        consts.append(1 if 0 in mono else 0)
+    return lin, tuple(consts)
+
+
+def _strict(p, pbox, qbox, const_a, const_b) -> ParallelXorProtocol:
+    """The boxes given, plus one box per side that carries that side's
+    constant terms (paired with a constant-1 input), as a strict XOR
+    protocol."""
+    xs, ys = 1 << p.nx, 1 << p.ny
+    pbox, qbox = list(pbox), list(qbox)
     if any(const_a):
         pbox.append(tuple(const_a))
         qbox.append((1,) * ys)
@@ -341,59 +271,69 @@ def xor_normalize_parallel(p: ParallelProtocol) -> ParallelXorProtocol:
                                (0,) * xs, (0,) * ys)
 
 
+def xor_normalize_parallel(p: ParallelProtocol | ParallelXorProtocol
+                           ) -> ParallelXorProtocol:
+    """Turn an exact parallel protocol into a strict XOR one, +2 boxes max.
+
+    After independence reduction, each output's algebraic normal form in
+    its own box outcomes must be affine with matching linear parts on
+    both sides; the affine constants are folded into two extra boxes
+    paired with a constant-1 input on the other side.  A parallel XOR
+    protocol's local terms are such constants already.
+    """
+    if isinstance(p, ParallelXorProtocol):
+        return _strict(p, p.pbox, p.qbox, p.local_a, p.local_b)
+    if parallel_exact_function(p) is None:
+        raise ProtocolError("claims violated: protocol parity is not deterministic")
+    p = independence_reduce(p)
+    lin, const_a = _affine_constants(p.out_a, None, "output linear part varies")
+    _, const_b = _affine_constants(p.out_b, lin, "the two linear parts differ")
+    keep = [i for i in range(p.t) if (lin >> i) & 1]
+    return _strict(p, [p.pbox[i] for i in keep], [p.qbox[i] for i in keep],
+                   const_a, const_b)
+
+
 def xor_normalize_general(p):
     """Append two boxes folding each side's output into a pure outcome XOR.
 
     Works for ordered and general-schedule protocols, exact or not; the
-    output parity distribution is preserved branch-by-branch.
+    output parity distribution is preserved branch-by-branch.  An ordered
+    protocol is a general one whose two touch orders are the identity:
+    box t carries Alice's output XOR the parity of her t outcomes (Bob
+    inputs 1), box t + 1 Bob's (Alice inputs 1), and both outputs become
+    the parity of all t + 2 outcomes.  Each table is 2^(max(nx, ny) + t
+    + 2) cells at most, checked against ``NLBOX_LIMIT_T`` before any is
+    built (``ResourceLimitError``).
     """
-    xs, ys = 1 << p.nx, 1 << p.ny
-    t = p.t
     if isinstance(p, OrderedNlbProtocol):
-        step_a = list(p.step_a)
-        step_b = list(p.step_b)
-        # box t: Alice folds her output, Bob inputs 1
-        step_a.append(tuple(tuple(p.out_a[x][u] ^ (u.bit_count() & 1)
-                                  for u in range(1 << t)) for x in range(xs)))
-        step_b.append(tuple(((1,) * (1 << t)) for _ in range(ys)))
-        # box t+1: Bob folds his output (ignoring his box-t outcome)
-        step_a.append(tuple(((1,) * (1 << (t + 1))) for _ in range(xs)))
-        step_b.append(tuple(tuple(p.out_b[y][u & ((1 << t) - 1)]
-                                  ^ ((u & ((1 << t) - 1)).bit_count() & 1)
-                                  for u in range(1 << (t + 1)))
-                            for y in range(ys)))
-        out_a = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
-                      for _ in range(xs))
-        out_b = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
-                      for _ in range(ys))
-        return OrderedNlbProtocol(p.nx, p.ny, t + 2, tuple(step_a),
-                                  tuple(step_b), out_a, out_b)
-    if isinstance(p, GeneralNlbProtocol):
-        def label_vec(obs: int, sched) -> int:
-            v = 0
-            for pos in range(t):
-                v |= ((obs >> pos) & 1) << sched[pos]
-            return v
+        scheds = (tuple(range(p.t)),) * 2
+    elif isinstance(p, GeneralNlbProtocol):
+        scheds = (p.sched_a, p.sched_b)
+    else:
+        raise ProtocolError("XOR normalization applies to ordered or general protocols")
+    t = p.t
+    _check_limit(max(p.nx, p.ny) + t + 2)
+    parity = _parities(np.arange(4 << t), t + 2)[None]
 
-        step_a = list(p.step_a)
-        step_b = list(p.step_b)
-        step_a.append(tuple(tuple(p.out_a[x][label_vec(o, p.sched_a)]
-                                  ^ (o.bit_count() & 1)
-                                  for o in range(1 << t)) for x in range(xs)))
-        step_a.append(tuple(((1,) * (1 << (t + 1))) for _ in range(xs)))
-        step_b.append(tuple(((1,) * (1 << t)) for _ in range(ys)))
-        step_b.append(tuple(tuple(p.out_b[y][label_vec(o & ((1 << t) - 1),
-                                                       p.sched_b)]
-                                  ^ ((o & ((1 << t) - 1)).bit_count() & 1)
-                                  for o in range(1 << (t + 1)))
-                            for y in range(ys)))
-        out = tuple(tuple(u.bit_count() & 1 for u in range(1 << (t + 2)))
-                    for _ in range(max(xs, ys)))
-        return GeneralNlbProtocol(p.nx, p.ny, t + 2,
-                                  p.sched_a + (t, t + 1), tuple(step_a),
-                                  p.sched_b + (t, t + 1), tuple(step_b),
-                                  out[:xs], out[:ys])
-    raise ProtocolError("XOR normalization applies to ordered or general protocols")
+    def fold(out, sched) -> np.ndarray:
+        """The output table read at the outcomes observed in touch order,
+        XOR their parity."""
+        obs = np.arange(1 << t)
+        label = np.zeros_like(obs)
+        for pos, box in enumerate(sched):
+            label |= ((obs >> pos) & 1) << box
+        return np.asarray(out, np.int64)[:, label] ^ parity[:, :1 << t]
+
+    fold_a, fold_b = map(fold, (p.out_a, p.out_b), scheds)
+    one = np.ones((1, 1), np.int64)
+    xs, ys = 1 << p.nx, 1 << p.ny
+    fields = dict(t=t + 2,
+                  step_a=p.step_a + (_rows(fold_a, xs, 1 << t), _rows(one, xs, 2 << t)),
+                  step_b=p.step_b + (_rows(one, ys, 1 << t), _rows(fold_b, ys, 2 << t)),
+                  out_a=_rows(parity, xs, 4 << t), out_b=_rows(parity, ys, 4 << t))
+    if isinstance(p, GeneralNlbProtocol):
+        fields.update(sched_a=p.sched_a + (t, t + 1), sched_b=p.sched_b + (t, t + 1))
+    return replace(p, **fields)
 
 
 # --- distributed circuits ---

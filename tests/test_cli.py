@@ -118,9 +118,11 @@ def test_compile_circuit_to_ot_pipeline(capsys, tmp_path):
 
 
 def test_compile_normalize_xor(capsys, tmp_path, ip2_file):
-    # oneway -> parallel boxes, already strict XOR via the compiler
+    # oneway -> 2^2 - 1 parallel boxes with Alice's local term 0110, which
+    # folds into one more box: a strict XOR protocol
     ow = str(tmp_path / "ip2.ow")
     from nlbox.compilers import oneway_optimal
+    from nlbox.engine import error_profile
     from nlbox.serialize import serialize
     with open(ow, "w") as fh:
         fh.write(serialize(oneway_optimal(ip_table(2))))
@@ -130,7 +132,27 @@ def test_compile_normalize_xor(capsys, tmp_path, ip2_file):
     assert code == 0
     with open(out_path) as fh:
         p = parse(fh.read())
-    assert p.t == 3  # 2-bit message -> 2^2 - 1 boxes
+    assert p.strict and p.t <= 5
+    prof = error_profile(p, ip_table(2))
+    assert prof.exact and prof.worst == 0
+
+
+def test_compile_normalize_xor_rejects_other_kinds(capsys, tmp_path):
+    files = {"o.nlb": serialize(disj_det_protocol(1)),
+             "ow.nlb": serialize(oneway_optimal(ip_table(1))),
+             "and.nlb": serialize(and_from_oneway(oneway_optimal(ip_table(1)))),
+             "t.tt": format_truth_table(ip_table(1))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for source, src, kind in (("ordered-to-ot", "o.nlb", "ot"),
+                              ("and-from-oneway", "ow.nlb", "and"),
+                              ("oneway-from-and", "and.nlb", "oneway")):
+        argv = ["compile", "--from", source, "-i", str(tmp_path / src), "--normalize-xor"]
+        if source == "oneway-from-and":
+            argv += ["-f", str(tmp_path / "t.tt")]
+        code, out, err = run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err.endswith(f"not {kind}\n")
 
 
 def test_stdout_byte_identical_across_runs(capsys, ip2_file):
@@ -357,6 +379,16 @@ def test_compile_circuit_caps_box_count(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NLBOX_LIMIT_T", "5")
     code, out, _ = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
     assert code == 0 and "boxes: 4" in out
+    # XOR normalization adds two boxes, so its tables span 2^(1 + 4 + 2)
+    _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
+                                "--normalize-xor", "-i", str(circ)),
+                           want=4, prefix="resource limit: ")
+    monkeypatch.setenv("NLBOX_LIMIT_T", "7")
+    code, out, _ = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
+    assert code == 0 and "boxes: 4" in out
+    code, out, _ = run(capsys, "compile", "--from", "circuit", "--normalize-xor",
+                       "-i", str(circ))
+    assert code == 0 and "boxes: 6" in out
     monkeypatch.setenv("NLBOX_LIMIT_T", "4")
     _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
                                 "-i", str(circ)),

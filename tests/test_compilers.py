@@ -27,8 +27,8 @@ from nlbox.serialize import serialize
 from nlbox.truthtable import (TruthTable, and_table, disj_table, ip_table,
                               xor_table)
 from util import (obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot, parity,
-                  random_ordered, random_table, random_tree, xor_as_ordered,
-                  xor_as_parallel)
+                  random_general, random_ordered, random_protocol, random_table,
+                  random_tree, xor_as_ordered, xor_as_parallel)
 
 RNG = random.Random(31337)
 
@@ -179,18 +179,18 @@ def test_xor_normalize_parallel_rejects_non_exact():
 
 def test_xor_normalize_general_preserves_parity_distribution():
     for _ in range(20):
-        from util import random_ordered
-        p = random_ordered(2, 2, RNG.randrange(1, 4), RNG)
-        norm = xor_normalize_general(p)
-        assert norm.t == p.t + 2
-        assert validate(norm) == []
-        for x in range(4):
-            for y in range(4):
-                assert exec_exact(norm, x, y).parity_prob(1) \
-                    == exec_exact(p, x, y).parity_prob(1)
-        # outputs are pure parities of all outcomes
-        assert all(norm.out_a[x][u] == parity(u)
-                   for x in range(4) for u in range(1 << norm.t))
+        t = RNG.randrange(1, 4)
+        for p in (random_ordered(2, 2, t, RNG), random_general(2, 2, t, RNG)):
+            norm = xor_normalize_general(p)
+            assert type(norm) is type(p) and norm.t == p.t + 2
+            assert validate(norm) == []
+            for x in range(4):
+                for y in range(4):
+                    assert exec_exact(norm, x, y).parity_prob(1) \
+                        == exec_exact(p, x, y).parity_prob(1)
+            # outputs are pure parities of all outcomes
+            assert all(row[u] == parity(u) for row in norm.out_a + norm.out_b
+                       for u in range(1 << norm.t))
 
 
 def test_xor_normalize_general_handles_general_schedules():
@@ -289,20 +289,49 @@ def _chain(k: int, mixed: bool = False) -> DistributedCircuit:
                               tuple(gates), 2 + k)
 
 
-def _golden_circuits() -> dict[str, list[DistributedCircuit]]:
+def _obfuscated(rng: random.Random) -> ParallelProtocol:
+    """A random parallel-XOR protocol, local terms included, as a parallel
+    protocol with one or two redundant boxes folded into its outputs."""
+    p = random_protocol("parallel-xor", rng.randrange(1, 3), rng.randrange(1, 3),
+                        rng.randrange(1, 4), rng)
+    p = obfuscate(xor_as_parallel(p), rng)
+    return obfuscate(p, rng) if rng.randrange(2) else p
+
+
+def _golden_outputs() -> dict:
+    """Compiler outputs by family: the circuits above through
+    circuit_to_nlb, then seeded inputs of the other compilers."""
     rng = random.Random(4242)
-    return {
+    circuits = {
         "disj": [disj_circuit(n) for n in range(1, 5)],
         "random": [_random_circuit(rng.randrange(1, 4), rng.randrange(1, 4),
                                    rng.randrange(1, 13), rng) for _ in range(40)],
         "and-chain": [_chain(k) for k in range(1, 7)],
         "mixed-chain": [_chain(k, mixed=True) for k in range(1, 7)],
     }
+    out = {name: map(circuit_to_nlb, cs) for name, cs in circuits.items()}
+    rng = random.Random(5151)
+    out["normalize-ordered"] = map(xor_normalize_general, [
+        random_ordered(rng.randrange(3), rng.randrange(3), rng.randrange(5), rng)
+        for _ in range(16)])
+    out["normalize-general"] = map(xor_normalize_general, [
+        random_general(rng.randrange(3), rng.randrange(3), rng.randrange(5), rng)
+        for _ in range(16)])
+    out["normalize-chain"] = map(xor_normalize_general, [circuit_to_nlb(_chain(9))])
+    out["twoway"] = map(twoway_to_parallel, [
+        random_tree(rng.randrange(3), rng.randrange(3), rng.randrange(6), rng)
+        for _ in range(24)])
+    obfuscated = [_obfuscated(rng) for _ in range(24)]
+    out["reduce"] = map(independence_reduce, obfuscated)
+    out["normalize-parallel"] = map(xor_normalize_parallel, obfuscated)
+    return out
 
 
-# first 16 hex digits of the sha256 of serialize(circuit_to_nlb(c)) for the
-# circuits above, recorded from the closure compiler (oracle_circuit_to_nlb)
-CIRCUIT_GOLDEN = {
+# first 16 hex digits of the sha256 of serialize(...) for the outputs above;
+# the circuit families recorded from the closure compiler
+# (oracle_circuit_to_nlb), the others from the entry-by-entry compilers
+# that the array and per-side ones replaced
+COMPILER_GOLDEN = {
     "disj": ["091c3491747ba095", "9257f0b722df3d79", "59785a7dcb6e8748",
              "dfb89e88a21b598c"],
     "random": [
@@ -320,14 +349,47 @@ CIRCUIT_GOLDEN = {
                   "32fdf7565818ce4e", "a059d44d093156e8", "d56cde4f7149b7f7"],
     "mixed-chain": ["b7964136a51747cb", "9cd2dc8a8f8fd5d1", "5fa537d1caca3818",
                     "5b7107aabec0bd8a", "93b899a79740a587", "b3d5f621e7cc6bac"],
+    "normalize-ordered": [
+        "6e0c5eac0494a62e", "baa7bfb490288042", "8ae90f6091811cc5", "1f70f750f6a28eb0",
+        "6d6a693be8a6e9f3", "b34a2567dbaa431a", "6c0c955237070d8e", "b7e956dcae815b6e",
+        "980ae37d218fa656", "0b40ef6280bbbc9d", "b69b7369a0768c84", "e9ae4e6f25855b5b",
+        "43f4ed0e391607e6", "7cc193790cd50969", "4324cf102969e15f", "8df1ed7c6e4bb544"],
+    "normalize-general": [
+        "6566a4e867b63253", "466ad882d6c6a92b", "46e095c72710ea1a", "37673adc7e1fbf66",
+        "4128dd79b3536337", "bd8a7b800aa424f3", "0d8797d3bfa1caa9", "2fb14aee908c0551",
+        "050c1d9b125b4186", "e08f69186c80d998", "97054cda124b6b84", "bc11a5dcfde8c74f",
+        "7c1615b13d89ed1e", "45398d04dd1c04bb", "50941b6545d376f7", "50bfedf145f4c5cf"],
+    "normalize-chain": ["6424b92120381486"],
+    "twoway": [
+        "b553bab9ea6775ff", "3e902f794058d49a", "760f1f863e417cd3", "63b65d9e988db18a",
+        "aaf3e8ed9cc8f63b", "c57be1edb49f892d", "c219a0dae1c00eee", "4e42be6032f320c6",
+        "b7a182e57ee5ec7d", "9cbb6b93e2312846", "834229ba7563a7b0", "b46769dc154afa22",
+        "d6f1ec4898daeca8", "496137f31309dee8", "5bbf66ec7acc742c", "64d4aed3557c761a",
+        "126c3d283ad063da", "00f70e12743b7624", "64e73686a28717af", "88822a46f93637a9",
+        "28b416d1198e899e", "6ec14596e2b74582", "a356b8366044587b", "20b2331654d3af0d"],
+    "reduce": [
+        "b113f32c9baec40f", "e0daceceb74e077f", "4b0825078635c43e", "191acbb46ce02ff1",
+        "b53e3dc7f2f1d5ca", "ddeef838665f3d69", "75692fe54942b5d6", "d716d9b3cb887ed7",
+        "820b17686b4c8743", "db580fcd27f831ab", "d27821dc2e2269d2", "450031b6a3422bc5",
+        "4abd7c674f3d357f", "a865b130c136b812", "8e9038a632e534aa", "9756b69088f4d877",
+        "95a2ac5923aaf12c", "362ce5e0f9843f19", "2b1b059b493f8a52", "0e689740aa25a2bd",
+        "b2126ac4645fb434", "004f957a3a668b22", "1abd43f9747d0aea", "dd3bcca5a7105aff"],
+    "normalize-parallel": [
+        "e0cbafa50e685aca", "d3ee64ef343643ef", "a335ad58fe338160", "27121812420a001e",
+        "2472392549fea10e", "d851e19f8a872d3c", "3d47ea702728c04e", "052c5cda84c7f042",
+        "32984738beb429d1", "987e2689b97d2413", "8fca2db84c477c8c", "3d4e1c54f54c5f5b",
+        "db6ad88efef88440", "a4439301063dce96", "4e980fdd44f5db23", "4ab52fafc017c271",
+        "f409224d9871a03f", "a15c40ce23704acf", "a4dc7e68d4e72086", "05efcc1ba6dea882",
+        "cc528aba1243ace5", "e9430fbe1efbb678", "e542150760733d79", "93d7c6e44133f4e2"],
 }
 
 
-def test_circuit_compiler_output_is_pinned():
-    for family, circuits in _golden_circuits().items():
-        got = [hashlib.sha256(serialize(circuit_to_nlb(c)).encode()).hexdigest()[:16]
-               for c in circuits]
-        assert got == CIRCUIT_GOLDEN[family], family
+def test_circuit_compiler_output_is_pinned(monkeypatch):
+    # the normalized 9-gate chain has tables of 2^(1 + 18 + 2) cells
+    monkeypatch.setenv("NLBOX_LIMIT_T", "21")
+    for family, outputs in _golden_outputs().items():
+        got = [hashlib.sha256(serialize(p).encode()).hexdigest()[:16] for p in outputs]
+        assert got == COMPILER_GOLDEN[family], family
 
 
 def test_circuit_compiler_matches_closure_oracle():
