@@ -287,6 +287,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    if args.function and args.source != "oneway-from-and":
+        raise ValueError(f"-f applies to --from oneway-from-and only, not {args.source}")
     src_text = _read(args.input)
     digest = _hash(src_text)
     if args.source == "circuit":
@@ -437,7 +439,7 @@ def _cmd_rt(args) -> int:
 def _cmd_sweep(_args) -> int:
     """Every 2x2-bit function's synth_rank protocol, checked by chunked batch
     kernels: its box count, the number of factors, against the rank of an
-    independent elimination, and its error table (as engine._leaf_errors
+    independent elimination, and its error table (as engine._xor_errors
     builds it: f XOR each column factor in the rows its row factor selects)
     against 0.  Acceptance criterion 1 checks the same through the protocol
     path."""

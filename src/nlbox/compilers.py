@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
 from . import gf2
-from .engine import ProtocolError, _check_limit, _parities, privacy_audit_and
+from .engine import (ProtocolError, _check_limit, _errors, _mask, _parities,
+                     privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree, validate)
-from .truthtable import TruthTable
+from .truthtable import TruthTable, from_entries
 
 MAX_TREE_DEPTH = 8
 
@@ -34,26 +37,16 @@ def synth_rank(f: TruthTable) -> ParallelXorProtocol:
     so the XOR of the box outcome parities reproduces f entrywise.
     """
     fac = gf2.gf2_factorize(f)
-    pbox = tuple(tuple((p >> x) & 1 for x in range(f.n_rows))
-                 for p in fac.row_factors)
-    qbox = tuple(tuple((q >> y) & 1 for y in range(f.n_cols))
-                 for q in fac.col_factors)
-    zero_a = (0,) * f.n_rows
-    zero_b = (0,) * f.n_cols
-    return ParallelXorProtocol(f.nx, f.ny, fac.t, pbox, qbox, zero_a, zero_b)
+    return _strict(f, [tuple((p >> x) & 1 for x in range(f.n_rows)) for p in fac.row_factors],
+                   [tuple((q >> y) & 1 for y in range(f.n_cols)) for q in fac.col_factors],
+                   (), ())
 
 
 def synth_vandam(f: TruthTable) -> ParallelXorProtocol:
     """One box per nonzero row: Alice selects her row, Bob inputs its value."""
-    pbox, qbox = [], []
-    for z in range(f.n_rows):
-        if f.rows[z]:
-            pbox.append(tuple(1 if x == z else 0 for x in range(f.n_rows)))
-            qbox.append(tuple(f.entry(z, y) for y in range(f.n_cols)))
-    zero_a = (0,) * f.n_rows
-    zero_b = (0,) * f.n_cols
-    return ParallelXorProtocol(f.nx, f.ny, len(pbox), tuple(pbox), tuple(qbox),
-                               zero_a, zero_b)
+    rows = [z for z in range(f.n_rows) if f.rows[z]]
+    return _strict(f, [tuple(1 if x == z else 0 for x in range(f.n_rows)) for z in rows],
+                   [tuple(f.entry(z, y) for y in range(f.n_cols)) for z in rows], (), ())
 
 
 # --- communication to boxes ---
@@ -119,86 +112,33 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
 
 
 def parallel_exact_function(p: ParallelProtocol) -> TruthTable | None:
-    """The function computed in parity when the parity is deterministic."""
-    xs, ys = 1 << p.nx, 1 << p.ny
-    rows = []
-    for x in range(xs):
-        r = 0
-        for y in range(ys):
-            shift = 0
-            for i in range(p.t):
-                shift |= (p.pbox[i][x] & p.qbox[i][y]) << i
-            vals = {p.out_a[x][a] ^ p.out_b[y][a ^ shift]
-                    for a in range(1 << p.t)}
-            if len(vals) != 1:
-                return None
-            r |= vals.pop() << y
-        rows.append(r)
-    return TruthTable(p.nx, p.ny, tuple(rows))
-
-
-def _product_vector(p: ParallelProtocol, i: int) -> int:
-    """p_i(x) q_i(y) packed over entries (x, y) at bit x * |Y| + y."""
-    ys = 1 << p.ny
-    v = 0
-    for x in range(1 << p.nx):
-        if p.pbox[i][x]:
-            for y in range(ys):
-                if p.qbox[i][y]:
-                    v |= 1 << (x * ys + y)
-    return v
-
-
-def _separable_basis(xs: int, ys: int) -> list[int]:
-    basis = []
-    for x in range(xs):
-        basis.append(((1 << ys) - 1) << (x * ys))
-    col = 0
-    for x in range(xs):
-        col |= 1 << (x * ys)
-    for y in range(ys):
-        basis.append(col << y)
-    return basis
+    """The function computed in parity when the parity is deterministic:
+    the error table against the zero function, if each entry is 0 or 1."""
+    errs, den = _errors(p, TruthTable(p.nx, p.ny, (0,) * (1 << p.nx)))
+    if ((errs != 0) & (errs != den)).any():
+        return None
+    return from_entries(p.nx, p.ny, (errs == den).reshape(1 << p.nx, -1).tolist())
 
 
 def _find_dependency(p: ParallelProtocol) -> tuple[int, int] | None:
     """Coefficients C (bitmask over boxes) and the separable remainder s
     with XOR_{C_i=1} p_i q_i = s, or None when the products are
-    independent modulo separable functions."""
+    independent modulo separable functions; entry (x, y) is bit x * |Y| +
+    y, and each basis vector and its boxes are keyed by its lowest bit."""
     xs, ys = 1 << p.nx, 1 << p.ny
-    # eliminate: basis of (vector, coeff) pairs, separable ones coeff 0
-    basis: list[tuple[int, int]] = []
-
-    def reduce(v: int, c: int) -> tuple[int, int]:
-        for bv, bc in basis:
-            low = bv & -bv
-            if v & low:
-                v ^= bv
-                c ^= bc
-        return v, c
-
-    def insert(v: int, c: int) -> None:
-        # keep rows pivot-reduced so the lowest set bit identifies each
-        for idx, (bv, bc) in enumerate(basis):
-            if bv & (v & -v):
-                basis[idx] = (bv ^ v, bc ^ c)
-        basis.append((v, c))
-        basis.sort(key=lambda e: e[0] & -e[0])
-
-    for s in _separable_basis(xs, ys):
-        v, c = reduce(s, 0)
+    col = sum(1 << (x * ys) for x in range(xs))
+    separable = [((1 << ys) - 1) << (x * ys) for x in range(xs)] + [col << y for y in range(ys)]
+    products = [sum(_mask(q) << (x * ys) for x in range(xs) if pb[x])
+                for pb, q in zip(p.pbox, p.qbox)]
+    basis: dict[int, tuple[int, int]] = {}
+    for v, c in [(s, 0) for s in separable] + [(v, 1 << i) for i, v in enumerate(products)]:
+        while v and v & -v in basis:
+            bv, bc = basis[v & -v]
+            v, c = v ^ bv, c ^ bc
         if v:
-            insert(v, c)
-    for i in range(p.t):
-        v, c = reduce(_product_vector(p, i), 1 << i)
-        if v == 0:
-            coeff = c | (1 << i)
-            rem = 0
-            for j in range(p.t):
-                if (coeff >> j) & 1:
-                    rem ^= _product_vector(p, j)
-            return coeff, rem
-        insert(v, c | (1 << i))
+            basis[v & -v] = (v, c)
+        elif c:
+            return c, reduce(xor, (v for i, v in enumerate(products) if c >> i & 1))
     return None
 
 
@@ -213,6 +153,11 @@ def independence_reduce(p: ParallelProtocol) -> ParallelProtocol:
     """
     if parallel_exact_function(p) is None:
         raise ProtocolError("independence reduction requires a deterministic parity")
+    return _drop_dependent(p)
+
+
+def _drop_dependent(p: ParallelProtocol) -> ParallelProtocol:
+    """independence_reduce of a protocol whose parity is deterministic."""
     while True:
         dep = _find_dependency(p)
         if dep is None:
@@ -257,8 +202,8 @@ def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[in
 
 def _strict(p, pbox, qbox, const_a, const_b) -> ParallelXorProtocol:
     """The boxes given, plus one box per side that carries that side's
-    constant terms (paired with a constant-1 input), as a strict XOR
-    protocol."""
+    constant terms (paired with a constant-1 input) if any, as a strict
+    XOR protocol of p's input widths."""
     xs, ys = 1 << p.nx, 1 << p.ny
     pbox, qbox = list(pbox), list(qbox)
     if any(const_a):
@@ -285,7 +230,7 @@ def xor_normalize_parallel(p: ParallelProtocol | ParallelXorProtocol
         return _strict(p, p.pbox, p.qbox, p.local_a, p.local_b)
     if parallel_exact_function(p) is None:
         raise ProtocolError("claims violated: protocol parity is not deterministic")
-    p = independence_reduce(p)
+    p = _drop_dependent(p)
     lin, const_a = _affine_constants(p.out_a, None, "output linear part varies")
     _, const_b = _affine_constants(p.out_b, lin, "the two linear parts differ")
     keep = [i for i in range(p.t) if (lin >> i) & 1]

@@ -10,15 +10,13 @@ Box semantics: each box outcome pair satisfies a XOR b = p AND q with
 the first-touched side's outcome a fresh unbiased bit.  Taking Alice's
 outcomes as the free uniform bits and forcing Bob's realizes the same
 joint law for every interleaving of the two schedules, because the XOR
-constraint is symmetric.  So a run of a non-local-box protocol on (x, y)
-is a function of one integer u, Alice's outcomes packed in box-label
-order, and ``_kernel(p)`` is that function for each of the four box
-kinds, on a numpy array of u: (x, y, u) -> (a, b, bvec, pin, qin), the
-two outputs, Bob's outcomes and each side's box inputs, all packed in
-label order; ``_ot_kernel(p)`` runs an OT protocol on Alice's
-randomness indices r.  Exact laws count branches in integers, then
-make one Fraction per outcome; the sampler draws a batch of runs'
-randomness first, then evaluates the kernel once on it.
+constraint is symmetric.  So a run on (x, y) is a function of one
+integer v: Alice's outcomes u packed in box-label order (box kinds), her
+randomness index r (OT), or 0 (deterministic kinds).  ``_kernel(p)`` is
+that function for each kind, on same-length numpy arrays (x, y, v).
+Exact laws, error tables and audits run it over every input and branch
+they need, count branches in integers, then make one Fraction per
+outcome; the sampler draws a batch of runs' randomness, then runs it.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from operator import lshift
 
 import numpy as np
@@ -44,8 +41,8 @@ from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
-# runs the sampler evaluates at once, so its arrays stay bounded
-_SAMPLE_BATCH = 1 << 16
+# runs evaluated at once, so the arrays stay small and in cache
+_BATCH = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -95,13 +92,15 @@ def _mask(bits) -> int:
     return sum(map(lshift, bits, range(len(bits))))
 
 
-def _packed(tables, v: int) -> int:
-    """Entry v of each per-box table, packed with box i at bit i."""
-    return _mask([tab[v] for tab in tables])
-
-
 def _ints(row) -> np.ndarray:
     return np.asarray(row, dtype=np.int64)
+
+
+def _entries(f: TruthTable) -> np.ndarray:
+    """Every entry of f, row-major."""
+    n = f.n_rows << f.ny
+    packed = sum(r << (x << f.ny) for x, r in enumerate(f.rows)).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")[:n].astype(np.int64)
 
 
 def _parities(v: np.ndarray, t: int) -> np.ndarray:
@@ -111,86 +110,120 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
     return v & 1
 
 
-def _kernel(p):
-    """The runs of a box protocol as one array function
-    (x, y, u) -> (a, b, bvec, pin, qin) of an array u of Alice's
-    outcomes, where Bob's outcomes are bvec = u ^ (pin & qin).  u is
-    int64, or of Python ints for parallel XOR from t = 63 on.  Each
-    input's table rows become arrays once, on first use."""
-    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
-        out_a = cache(lambda x: _ints(p.out_a[x]))
-        out_b = cache(lambda y: _ints(p.out_b[y]))
+def _distinct(x, n: int) -> tuple[list, np.ndarray]:
+    """The distinct entries of x, indices into n rows, and each entry's
+    position among them."""
+    seen = np.zeros(n, bool)
+    seen[x] = True
+    return np.flatnonzero(seen).tolist(), (np.cumsum(seen) - 1)[x]
 
+
+def _rows(tables, x, row=bytes):
+    """For each table, col -> tab[x[k]][col] for every k, as one gather
+    from the rows x reads alone, their cells row(tab[x]) flat, the i-th
+    distinct row of x at offset i * width."""
+    if not tables:
+        return []
+    used, inv = _distinct(x, len(tables[0]))
+
+    def reader(tab):
+        cells = np.frombuffer(b"".join(row(tab[r]) for r in used), np.uint8).astype(np.int64)
+        if len(used) == 1:
+            return cells.__getitem__
+        width = len(cells) // len(used)
+        return lambda col: cells[inv * width + col]
+    return [reader(tab) for tab in tables]
+
+
+def _packed_rows(tables, x, n: int) -> np.ndarray:
+    """Entry x[k] of each per-box table of n entries, packed with box i
+    at bit i, once per distinct x; Python ints from 63 tables on."""
+    used, inv = _distinct(x, n)
+    return np.array([_mask([tab[r] for tab in tables]) for r in used],
+                    dtype=np.int64 if len(tables) < 63 else object)[inv]
+
+
+def _kernel(p):
+    """The runs of a protocol on same-length arrays (x, y, v).  Box kinds
+    give (a, b, bvec, pin, qin) for Alice's outcomes u = v, Bob's being
+    bvec = u ^ (pin & qin); u is int64, or of Python ints for parallel
+    XOR from t = 63 on.  OT gives (a, b, received) for r = v, the bits
+    Bob received packed by call; AND gives (a, b, gates); one-way and
+    tree protocols give (a, b)."""
+    if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
         def run_parallel(x, y, u):
-            pin, qin = _packed(p.pbox, x), _packed(p.qbox, y)
+            pin, qin = _packed_rows(p.pbox, x, 1 << p.nx), _packed_rows(p.qbox, y, 1 << p.ny)
             bvec = u ^ (pin & qin)
             if isinstance(p, ParallelXorProtocol):
                 # parity(bvec) = parity(u) ^ parity(pin & qin)
                 par = _parities(u, p.t)
-                a, b = p.local_a[x] ^ par, p.local_b[y] ^ ((pin & qin).bit_count() & 1) ^ par
+                a = _ints(p.local_a)[x] ^ par
+                b = _ints(p.local_b)[y] ^ _parities(pin & qin, p.t) ^ par
             else:
-                a, b = out_a(x)[u], out_b(y)[bvec]
-            return a, b, bvec, np.full_like(u, pin), np.full_like(u, qin)
+                (oa,), (ob,) = _rows([p.out_a], x), _rows([p.out_b], y)
+                a, b = oa(u), ob(bvec)
+            return a, b, bvec, pin, qin
         return run_parallel
-    if not isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
-        raise ProtocolError(f"{type(p).__name__} is not a non-local-box protocol")
-    side_a = cache(lambda x: ([_ints(s[x]) for s in p.step_a], _ints(p.out_a[x])))
-    side_b = cache(lambda y: ([_ints(s[y]) for s in p.step_b], _ints(p.out_b[y])))
-    if isinstance(p, OrderedNlbProtocol):
-        def run_ordered(x, y, u):
-            # step i reads the first i outcomes of its own side: one
-            # gather per box and side
-            (sa, oa), (sb, ob) = side_a(x), side_b(y)
+    if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
+        def run_steps(x, y, u):
+            *sa, oa = _rows((*p.step_a, p.out_a), x)
+            *sb, ob = _rows((*p.step_b, p.out_b), y)
             pin, qin = np.zeros_like(u), np.zeros_like(u)
-            for i in range(p.t):
-                mask = (1 << i) - 1
-                pin |= sa[i][u & mask] << i
-                qin |= sb[i][(u ^ (pin & qin)) & mask] << i
+            if isinstance(p, OrderedNlbProtocol):
+                # step i reads the first i outcomes of its own side: one
+                # gather per box and side
+                for i in range(p.t):
+                    mask = (1 << i) - 1
+                    pin |= sa[i](u & mask) << i
+                    qin |= sb[i]((u ^ (pin & qin)) & mask) << i
+            else:
+                # each side reads its outcomes so far in its own touch
+                # order; Alice's inputs depend on u alone, so hers come first
+                obs = np.zeros_like(u)
+                for pos, label in enumerate(p.sched_a):
+                    pin |= sa[pos](obs) << label
+                    obs |= ((u >> label) & 1) << pos
+                obs = np.zeros_like(u)
+                for pos, label in enumerate(p.sched_b):
+                    q = sb[pos](obs)
+                    qin |= q << label
+                    obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
             bvec = u ^ (pin & qin)
-            return oa[u], ob[bvec], bvec, pin, qin
-        return run_ordered
-
-    def run_general(x, y, u):
-        # each side reads its outcomes so far in its own touch order;
-        # Alice's inputs depend on u alone, so hers come first
-        (sa, oa), (sb, ob) = side_a(x), side_b(y)
-        pin, obs = np.zeros_like(u), np.zeros_like(u)
-        for pos, label in enumerate(p.sched_a):
-            pin |= sa[pos][obs] << label
-            obs |= ((u >> label) & 1) << pos
-        qin, obs = np.zeros_like(u), np.zeros_like(u)
-        for pos, label in enumerate(p.sched_b):
-            q = sb[pos][obs]
-            qin |= q << label
-            obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
-        bvec = u ^ (pin & qin)
-        return oa[u], ob[bvec], bvec, pin, qin
-    return run_general
-
-
-def _ot_kernel(p: OtProtocol):
-    """The runs of an OT protocol as one array function
-    (x, y, r) -> (a, b, received, s0, s1, c) of an int64 array r of
-    Alice's randomness indices: the outputs, Bob's received bits, and
-    Alice's pairs and Bob's choices, each packed with call i at bit i."""
-    def rows_a(x):
-        # s0 and s1 of each call (2, t, nr), and both packed over the calls
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s[x] for s in p.in_a)),
-                            np.int64, 2 * p.t * len(p.r_weights))
-        pairs = pairs.reshape(p.t, len(p.r_weights), 2).transpose(2, 0, 1).copy()
-        return pairs, (pairs << np.arange(p.t)[:, None]).sum(1), _ints(p.out_a[x])
-    side_a = cache(rows_a)
-    side_b = cache(lambda y: ([_ints(s[y]) for s in p.in_b], _ints(p.out_b[y])))
-
-    def run_ot(x, y, r):
-        ((s0, s1), packed, oa), (choices, ob) = side_a(x), side_b(y)
-        received, c = np.zeros_like(r), np.zeros_like(r)
-        for i in range(p.t):
-            ci = choices[i][received & ((1 << i) - 1)]
-            received |= np.where(ci, s1[i][r], s0[i][r]) << i
-            c |= ci << i
-        return oa[r], ob[received], received, packed[0][r], packed[1][r], c
-    return run_ot
+            return oa(u), ob(bvec), bvec, pin, qin
+        return run_steps
+    if isinstance(p, OtProtocol):
+        def run_ot(x, y, r):
+            # a row of pairs is read flat: pair k's bit s at 2k + s
+            pairs = _rows(p.in_a, x, lambda row: bytes(chain.from_iterable(row)))
+            (oa,), (*choices, ob) = _rows([p.out_a], x), _rows((*p.in_b, p.out_b), y)
+            received, r2 = np.zeros_like(r), 2 * r
+            for i in range(p.t):
+                received |= pairs[i](r2 + choices[i](received & ((1 << i) - 1))) << i
+            return oa(r), ob(received), received
+        return run_ot
+    if isinstance(p, OneWayProtocol):
+        def run_oneway(x, y, _v):
+            ob, = _rows([p.out_b], _ints(p.msg)[x])
+            return _ints(p.out_a)[x], ob(y)
+        return run_oneway
+    if isinstance(p, TwoWayTree):
+        def run_tree(x, y, _v):
+            # round r's bits, one row per transcript prefix over the
+            # speaker's input, padded to one width
+            width, tr = max(1 << p.nx, 1 << p.ny), np.zeros_like(x)
+            for r in range(p.t):
+                bit, = _rows([p.bit[r]], tr, lambda row: bytes(row).ljust(width, b"\0"))
+                tr |= bit(np.where(_ints(p.direction[r])[tr] == 1, x, y)) << r
+            oa, ob = _rows([p.out_a, p.out_b], tr)
+            return oa(x), ob(y)
+        return run_tree
+    if isinstance(p, AndProtocol):
+        def run_and(x, y, _v):
+            oa, = _rows([p.out_a], x)
+            gates = _packed_rows(p.pbox, x, 1 << p.nx) & _packed_rows(p.qbox, y, 1 << p.ny)
+            return oa(gates), np.zeros_like(gates), gates
+        return run_and
+    raise ProtocolError(f"cannot run {type(p).__name__}")
 
 
 def _leaves(p, w=Fraction(1)) -> list:
@@ -201,54 +234,61 @@ def _leaves(p, w=Fraction(1)) -> list:
     return [(w, p)]
 
 
-def _numerators(weights, sizes=None) -> tuple[np.ndarray, int]:
-    """The weights over the lcm of their denominators, weight k repeated
-    sizes[k] times (once by default) as one integer array, of Python
-    ints where int64 could overflow, and that lcm."""
-    sizes = sizes or [1] * len(weights)
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (den // w.denominator) for w in weights]
-    big = sum(abs(n) * k for n, k in zip(nums, sizes)) >= 1 << 63
-    return np.repeat(np.array(nums, dtype=object if big else np.int64), sizes), den
+def _branches(p, w: Fraction, parity: bool) -> tuple[list, list]:
+    """The weights of the values v a run of p draws in a mixture leaf of
+    weight w, weight k taken by sizes[k] values.  With parity, parallel
+    XOR draws u in {0, 1}: its outputs read only u's parity."""
+    if isinstance(p, OtProtocol):
+        return p.r_weights if w == 1 else [w * r for r in p.r_weights], [1] * len(p.r_weights)
+    if not isinstance(p, NLB_KINDS):
+        return [w], [1]
+    t = min(p.t, 1) if parity and isinstance(p, ParallelXorProtocol) else p.t
+    _check_limit(t)
+    return [w / (1 << t)], [1 << t]
 
 
-def _tally(keys, nums):
-    """The distinct keys, sorted, and each one's total of nums."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    total = np.zeros(len(uniq), dtype=nums.dtype)
-    np.add.at(total, inv, nums)
-    return uniq, total
+def _batches(leaves, x, y, parity: bool = False):
+    """Every branch of every input pair (x[k], y[k]) run through the
+    kernel of each leaf (w, protocol): the branch weights' denominator
+    and chunks (j, v, nums, *outs) of runs, each run's input k, drawn v,
+    integer weight and the kernel outputs all leaves give.  A chunk holds
+    whole inputs in order: one, or as many as fit 2^NLBOX_LIMIT_T and
+    _BATCH runs."""
+    specs = [_branches(c, w, parity) for w, c in leaves]
+    den = math.lcm(*(b.denominator for bs, _n in specs for b in bs))
+    ints = [[b.numerator * (den // b.denominator) for b in bs] for bs, _n in specs]
+    # Python ints where int64 could overflow
+    big = max(abs(n) for ns in ints for n in ns) * sum(sum(n) for _b, n in specs) >= 1 << 63
+    runs = [(_kernel(c), np.repeat(np.array(ns, dtype=object if big else np.int64), sizes))
+            for (_w, c), ns, (_b, sizes) in zip(leaves, ints, specs)]
+    step = max(1, min(1 << _limit_t(), _BATCH) // sum(len(n) for _run, n in runs))
+
+    def chunks():
+        for lo in range(0, len(x), step):
+            parts = []
+            for run, n in runs:
+                j, v = np.divmod(np.arange(min(step, len(x) - lo) * len(n)), len(n))
+                j += lo
+                parts.append((j, v, n[v], *run(x[j], y[j], v)))
+            yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    return den, chunks()
+
+
+def _laws(j, keys, nums):
+    """The distinct keys, sorted, and the law of keys on each input of a
+    chunk: for input j[0] + i, row i of their total weights."""
+    uniq, col = np.unique(keys, return_inverse=True)
+    laws = np.zeros((j[-1] - j[0] + 1, len(uniq)), dtype=nums.dtype)
+    np.add.at(laws, (j - j[0], col), nums)
+    return uniq, laws
 
 
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
-    """Exact joint output distribution of the protocol on inputs (x, y)."""
-    if isinstance(p, ProtocolMixture):
-        probs: Counter = Counter()
-        for w, c in _leaves(p):
-            probs.update({k: w * q for k, q in exec_exact(c, x, y).probs.items()})
-        return OutcomeDistribution(dict(probs))
-    if isinstance(p, ParallelXorProtocol):
-        # closed form, O(t): the output parity is deterministic
-        d = (_packed(p.pbox, x) & _packed(p.qbox, y)).bit_count() & 1
-        la, lb = p.local_a[x], p.local_b[y]
-        if p.t == 0:
-            return OutcomeDistribution({(la, lb): Fraction(1)})
-        half = Fraction(1, 2)
-        return OutcomeDistribution({(la, lb ^ d): half, (la ^ 1, lb ^ d ^ 1): half})
-    if isinstance(p, OneWayProtocol):
-        return OutcomeDistribution({(p.out_a[x], p.out_b[p.msg[x]][y]): Fraction(1)})
-    if isinstance(p, TwoWayTree):
-        return OutcomeDistribution({p.evaluate(x, y): Fraction(1)})
-    if isinstance(p, AndProtocol):
-        return OutcomeDistribution({(p.out_a[x][p.gate_vector(x, y)], 0): Fraction(1)})
-    if isinstance(p, OtProtocol):
-        nums, den = _numerators(p.r_weights)
-        a, b = _ot_kernel(p)(x, y, np.arange(len(nums)))[:2]
-        keys, total = _tally(a << 1 | b, nums)
-    else:
-        _check_limit(p.t)
-        a, b = _kernel(p)(x, y, np.arange(1 << p.t))[:2]
-        (keys, total), den = np.unique(a << 1 | b, return_counts=True), 1 << p.t
+    """Exact joint output distribution of the protocol on inputs (x, y):
+    one integer tally over the branches of every protocol a mixture draws."""
+    den, chunks = _batches(_leaves(p), np.array([x]), np.array([y]), parity=True)
+    (j, _v, nums, a, b, *_), = chunks
+    keys, (total,) = _laws(j, a << 1 | b, nums)
     return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
                                 for k, n in zip(keys.tolist(), total.tolist())})
 
@@ -256,9 +296,10 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
 def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fraction]:
     """Exact distribution of Bob's received OT bits over Alice's coins,
     keyed in order of first receipt."""
-    nums, den = _numerators(p.r_weights)
-    received = _ot_kernel(p)(x, y, np.arange(len(nums)))[2]
-    total = dict(zip(*(v.tolist() for v in _tally(received, nums))))
+    den, chunks = _batches([(Fraction(1), p)], np.array([x]), np.array([y]))
+    (j, _r, nums, _a, _b, received, *_), = chunks
+    keys, (total,) = _laws(j, received, nums)
+    total = dict(zip(keys.tolist(), total.tolist()))
     return {k: Fraction(total[k], den) for k in dict.fromkeys(received.tolist())}
 
 
@@ -313,29 +354,25 @@ def exec_sample(p: Protocol, x: int, y: int, seed: int):
                         "in": ((pin >> i) & 1, (qin >> i) & 1),
                         "out": ((v >> i) & 1, (bvec >> i) & 1)} for i in range(p.t)]
     elif isinstance(p, OtProtocol):
-        got, s0, s1, c = run
+        got, = run
         transcript += [{"kind": "ot", "index": i,
-                        "in": (((s0 >> i) & 1, (s1 >> i) & 1), (c >> i) & 1),
+                        "in": (tuple(p.in_a[i][x][v]), p.in_b[i][y][got & ((1 << i) - 1)]),
                         "out": (got >> i) & 1} for i in range(p.t)]
     elif isinstance(p, OneWayProtocol):
         transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
     elif isinstance(p, AndProtocol):
-        g = p.gate_vector(x, y)
+        g, = run
         transcript += [{"kind": "and", "index": i, "in": (p.pbox[i][x], p.qbox[i][y]),
                         "out": (g >> i) & 1} for i in range(p.t)]
     return a, b, transcript
 
 
 def _runs(p, x: int, y: int, vs: list):
-    """The kernel's arrays of p's runs on the drawn values vs; only both
-    outputs for the deterministic kinds.  Box outcomes from 63 boxes on,
-    which only parallel XOR reaches, stay Python ints."""
-    if isinstance(p, NLB_KINDS):
-        return _kernel(p)(x, y, np.array(vs, dtype=np.int64 if p.t < 63 else object))
-    if isinstance(p, OtProtocol):
-        return _ot_kernel(p)(x, y, np.array(vs, dtype=np.int64))
-    (a, b), = exec_exact(p, x, y).probs
-    return np.full(len(vs), a), np.full(len(vs), b)
+    """The kernel's arrays of p's runs on (x, y) and the drawn values vs.
+    Box outcomes from 63 boxes on, which only parallel XOR reaches, stay
+    Python ints."""
+    v = np.array(vs, dtype=np.int64 if p.t < 63 else object)
+    return _kernel(p)(np.full(len(v), x), np.full(len(v), y), v)
 
 
 def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[int, int], int]:
@@ -344,9 +381,9 @@ def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[
     the same RNG calls, and each protocol a mixture selects then runs
     once on its part of the batch."""
     draw, counts = _sampler(p), Counter()
-    for lo in range(0, n, _SAMPLE_BATCH):
+    for lo in range(0, n, _BATCH):
         drawn: dict = {}
-        for i in range(lo, min(n, lo + _SAMPLE_BATCH)):
+        for i in range(lo, min(n, lo + _BATCH)):
             _path, leaf, v = draw(random.Random(derive_seed(derive_seed(seed, i), 0)))
             drawn.setdefault(id(leaf), (leaf, []))[1].append(v)
         for leaf, vs in drawn.values():
@@ -371,43 +408,54 @@ class ErrorProfile:
 _BITS = (Fraction(0), Fraction(1))
 
 
-@cache
-def _inputs(nx: int, ny: int) -> list:
-    return [(x, y) for x in range(1 << nx) for y in range(1 << ny)]
+def _xor_errors(p: ParallelXorProtocol, f: TruthTable) -> np.ndarray:
+    """A parallel-XOR protocol's error on every input, row-major: f XOR
+    its deterministic parity, by packed rows."""
+    qs, lb, full = [_mask(q) for q in p.qbox], _mask(p.local_b), (1 << f.n_cols) - 1
+    rows = []
+    for x, row in enumerate(f.rows):
+        r = row ^ lb ^ (full if p.local_a[x] else 0)
+        for px, q in zip(p.pbox, qs):
+            if px[x]:
+                r ^= q
+        rows.append(r)
+    return _entries(TruthTable(f.nx, f.ny, tuple(rows)))
 
 
-def _leaf_errors(p, f: TruthTable) -> tuple[list, int]:
-    """A protocol's error on every input, row-major, as integers over one
-    denominator; parallel XOR's by packed rows, as Gf2Factorization.reconstruct."""
-    if isinstance(p, ParallelXorProtocol):
-        qs, lb, full = [_mask(q) for q in p.qbox], _mask(p.local_b), (1 << f.n_cols) - 1
-        err = 0
-        for x, row in enumerate(f.rows):
-            r = row ^ lb ^ (full if p.local_a[x] else 0)
-            for px, q in zip(p.pbox, qs):
-                if px[x]:
-                    r ^= q
-            err |= r << (x << f.ny)
-        return [(err >> k) & 1 for k in range(f.n_rows << f.ny)], 1
-    errs = [exec_exact(p, x, y).parity_prob(f.entry(x, y) ^ 1) for x, y in _inputs(f.nx, f.ny)]
-    den = math.lcm(*(e.denominator for e in errs))
-    return [e.numerator * (den // e.denominator) for e in errs], den
+def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
+    """The probability that the output parity differs from f on every
+    input, row-major, in integers over one denominator: parallel XOR's
+    by packed rows, the other leaves' by their kernels."""
+    if (p.nx, p.ny) != (f.nx, f.ny):
+        raise ProtocolError("domain mismatch")
+    n = f.n_rows << f.ny
+    leaves = _leaves(p)
+    parts = [(w, _xor_errors(c, f), 1) for w, c in leaves if isinstance(c, ParallelXorProtocol)]
+    rest = [(w, c) for w, c in leaves if not isinstance(c, ParallelXorProtocol)]
+    if rest:
+        x, y = np.divmod(np.arange(n), f.n_cols)
+        want = _entries(f)
+        den, chunks = _batches(rest, x, y)
+        errs = []
+        for j, _v, nums, a, b, *_ in chunks:
+            err = np.zeros(j[-1] - j[0] + 1, dtype=nums.dtype)
+            np.add.at(err, j - j[0], nums * ((a ^ b) != want[j]))
+            errs.append(err)
+        parts.append((Fraction(1), np.concatenate(errs), den))
+    den = math.lcm(*(w.denominator * d for w, _e, d in parts))
+    dtype = object if den >= 1 << 63 else np.int64
+    return sum(e.astype(dtype) * (w.numerator * (den // (w.denominator * d)))
+               for w, e, d in parts), den
 
 
 def error_profile(p: Protocol, f: TruthTable) -> ErrorProfile:
-    """Exact probability of output parity differing from f, per input: the
-    tables of the protocols a mixture draws, summed in integers."""
-    if (p.nx, p.ny) != (f.nx, f.ny):
-        raise ProtocolError("domain mismatch")
-    leaves = [(w, *_leaf_errors(c, f)) for w, c in _leaves(p)]
-    den = math.lcm(*(w.denominator * d for w, _errs, d in leaves))
-    total = [0] * len(leaves[0][1])
-    for w, errs, d in leaves:
-        k = w.numerator * (den // (w.denominator * d))
-        total = [s + k * e for s, e in zip(total, errs)]
-    # den 1: one leaf of weight 1 with 0/1 errors, so the shared constants
+    """Exact probability of output parity differing from f, per input."""
+    errs, den = _errors(p, f)
+    total = errs.tolist()
+    # den 1: every error is 0 or 1, so the shared constants
     frac = _BITS if den == 1 else {n: Fraction(n, den) for n in set(total)}
-    return ErrorProfile(dict(zip(_inputs(f.nx, f.ny), map(frac.__getitem__, total))),
+    return ErrorProfile(dict(zip(product(range(f.n_rows), range(f.n_cols)),
+                                 map(frac.__getitem__, total))),
                         frac[max(total)])
 
 
@@ -424,46 +472,43 @@ class AuditViolation:
         return f"{self.check}: {self.detail} (witness {self.witness})"
 
 
-def _views(p):
-    """Each player's full view of a box protocol or mixture on (x, y) as
-    view(x, y, bob) -> (keys, weights): keys u << 1 | a for Alice and
-    bvec << 1 | b for Bob, integer weights over one denominator."""
-    leaves = [(w, _kernel(c), c.t) for w, c in _leaves(p)]
-    for _w, _run, t in leaves:
-        _check_limit(t)
-    nums, _den = _numerators([w / (1 << t) for w, _run, t in leaves],
-                             [1 << t for _w, _run, t in leaves])
-
-    def view(x, y, bob):
-        keys = []
-        for _w, run, t in leaves:
-            u = np.arange(1 << t)
-            a, b, bvec = run(x, y, u)[:3]
-            keys.append(bvec << 1 | b if bob else u << 1 | a)
-        return _tally(np.concatenate(keys), nums)
-    return view
+def _views(p, x, y, bob: bool):
+    """One player's view of a box protocol or mixture on each input pair
+    (x[k], y[k]) as chunks of runs (j, keys, nums), each run's input,
+    view key (u << 1 | a for Alice, bvec << 1 | b for Bob) and weight."""
+    leaves = _leaves(p)
+    for _w, c in leaves:
+        if not isinstance(c, NLB_KINDS):
+            raise ProtocolError(f"{type(c).__name__} is not a non-local-box protocol")
+    _den, chunks = _batches(leaves, x, y)
+    for j, u, nums, a, b, bvec, *_ in chunks:
+        yield j, bvec << 1 | b if bob else u << 1 | a, nums
 
 
 def nonsignaling_audit(p) -> AuditViolation | None:
-    """Check each player's full-view distribution ignores the other's input.
+    """Check each player's full-view distribution ignores the other's input:
+    over the inputs, own input outer, each must equal the one at the
+    other's input 0, carried into later chunks as runs of row lo.
 
     No protocol that passes validate fails it: for every (x, y), Bob's
     outcomes are a bijection of Alice's (each bit her bit XOR a term of
     earlier bits), and each output reads its own input and outcomes."""
-    view = _views(p)
-    xs, ys = 1 << p.nx, 1 << p.ny
-    for x in range(xs):
-        ref = view(x, 0, False)
-        for y in range(1, ys):
-            if not all(map(np.array_equal, view(x, y, False), ref)):
-                return AuditViolation("nonsignaling", "Alice view depends on y",
-                                      (x, 0, y))
-    for y in range(ys):
-        ref = view(0, y, True)
-        for x in range(1, xs):
-            if not all(map(np.array_equal, view(x, y, True), ref)):
-                return AuditViolation("nonsignaling", "Bob view depends on x",
-                                      (y, 0, x))
+    for bob, (own, other) in enumerate(((p.nx, p.ny), (p.ny, p.nx))):
+        mine, theirs = np.divmod(np.arange(1 << (own + other)), 1 << other)
+        ref = (np.array([-1]), np.array([0]), np.array([0]))
+        for run in _views(p, *((theirs, mine) if bob else (mine, theirs)), bool(bob)):
+            lo, k = ref[0][0], np.arange(run[0][0], run[0][-1] + 1)
+            keys, laws = _laws(*map(np.concatenate, zip(ref, run)))
+            start = k - theirs[k]
+            at = np.where(start > lo, start - lo, 0)
+            bad = (laws[at] != laws[1:]).any(1)
+            if bad.any():
+                i = k[bad.argmax()]
+                return AuditViolation("nonsignaling", "Bob view depends on x" if bob
+                                      else "Alice view depends on y",
+                                      (int(mine[i]), 0, int(theirs[i])))
+            row = laws[at[-1]]
+            ref = (np.full(np.count_nonzero(row), k[-1]), keys[row != 0], row[row != 0])
     return None
 
 
@@ -471,40 +516,48 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
     """Correctness plus perfect Alice-side privacy of a secure-AND protocol.
 
     Alice's received gate vector may depend on (x, f(x,y)) only; Bob
-    receives nothing, so his side is private by construction.
+    receives nothing, so his side is private by construction.  The
+    witness is the first input, x outer, where her output differs from
+    f, or her gate vector from the one at y0, the first y of her row with
+    the same value of f.
     """
     if (p.nx, p.ny) != (f.nx, f.ny):
         raise ProtocolError("domain mismatch")
-    for x in range(f.n_rows):
-        by_value: dict[int, int] = {}
-        for y in range(f.n_cols):
-            v = p.gate_vector(x, y)
-            if p.out_a[x][v] != f.entry(x, y):
-                return AuditViolation("and-correctness",
-                                      "Alice output differs from f", (x, y))
-            fv = f.entry(x, y)
-            if fv in by_value and by_value[fv] != v:
-                y0 = next(y2 for y2 in range(f.n_cols)
-                          if p.gate_vector(x, y2) == by_value[fv]
-                          and f.entry(x, y2) == fv)
-                return AuditViolation("and-privacy",
-                                      "gate vector not determined by (x, f)",
-                                      (x, y0, y))
-            by_value[fv] = v
-    return None
+    x, y = np.divmod(np.arange(f.n_rows << f.ny), f.n_cols)
+    want = _entries(f)
+    a, _b, gates = _kernel(p)(x, y, np.zeros_like(x))
+    rows = want.reshape(f.n_rows, f.n_cols)
+    y0 = np.where(rows, rows.argmax(1)[:, None], (1 - rows).argmax(1)[:, None]).ravel()
+    wrong = a != want
+    bad = wrong | (gates != gates[(x << f.ny) + y0])
+    if not bad.any():
+        return None
+    i = bad.argmax()
+    if wrong[i]:
+        return AuditViolation("and-correctness", "Alice output differs from f",
+                              (int(x[i]), int(y[i])))
+    return AuditViolation("and-privacy", "gate vector not determined by (x, f)",
+                          (int(x[i]), int(y0[i]), int(y[i])))
 
 
 def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
-    """Bob's received bits must be exactly uniform and independent of x."""
-    run, r = _ot_kernel(p), np.arange(len(p.r_weights))
-    nums, den = _numerators(p.r_weights)
-    for y in range(1 << p.ny):
-        for x in range(1 << p.nx):
-            _keys, total = _tally(run(x, y, r)[2], nums)
-            if len(total) != 1 << p.t or (total * (1 << p.t) != den).any():
-                return AuditViolation("ot-privacy", "received bits not uniform",
-                                      (x, y, ot_received_distribution(p, x, y)))
-    return None
+    """Bob's received bits must be exactly uniform and independent of x:
+    on every input, 2^t values of weight 2^-t each.  The witness is the
+    first failure, y outer; the runs go x outer, so that each of Alice's
+    rows, the wide ones, is converted once."""
+    x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
+    den, chunks = _batches([(Fraction(1), p)], x, y)
+    share, rem = divmod(den, 1 << p.t)
+    uniform = []
+    for j, _r, nums, _a, _b, received, *_ in chunks:
+        laws = _laws(j, received, nums)[1]
+        uniform.append(((laws == share).sum(1) == 1 << p.t) & (rem == 0))
+    bad = np.flatnonzero(~np.concatenate(uniform).reshape(1 << p.nx, -1).T)
+    if not len(bad):
+        return None
+    y0, x0 = divmod(int(bad[0]), 1 << p.nx)
+    return AuditViolation("ot-privacy", "received bits not uniform",
+                          (x0, y0, ot_received_distribution(p, x0, y0)))
 
 
 __all__ = [

@@ -155,6 +155,26 @@ def test_compile_normalize_xor_rejects_other_kinds(capsys, tmp_path):
         assert err.endswith(f"not {kind}\n")
 
 
+def test_compile_rejects_function_for_sources_that_ignore_it(capsys, tmp_path):
+    # -f is read by oneway-from-and alone; every other source exits 2
+    # before reading its input, and writes nothing
+    circ = "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 2\n"
+    files = {"o.nlb": serialize(disj_det_protocol(1)),
+             "ow.nlb": serialize(oneway_optimal(ip_table(1))),
+             "tw.nlb": serialize(random_protocol("twoway", 1, 1, 1, random.Random(2))),
+             "c.circ": circ, "t.tt": format_truth_table(ip_table(1))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for source, src in (("oneway", "ow.nlb"), ("twoway", "tw.nlb"), ("circuit", "c.circ"),
+                        ("ordered-to-ot", "o.nlb"), ("and-from-oneway", "ow.nlb")):
+        out_path = tmp_path / f"{source}.out"
+        code, out, err = run(capsys, "compile", "--from", source, "-i", str(tmp_path / src),
+                             "-f", str(tmp_path / "t.tt"), "-o", str(out_path))
+        _assert_one_line_error(code, out, err)
+        assert err == f"error: -f applies to --from oneway-from-and only, not {source}\n"
+        assert not out_path.exists()
+
+
 def test_stdout_byte_identical_across_runs(capsys, ip2_file):
     _, out1, _ = run(capsys, "rt", "--dim", "3", "--trials", "500",
                      "--seed", "11")

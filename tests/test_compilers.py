@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from nlbox import gf2
+from nlbox import compilers, gf2
 from nlbox.compilers import (DistributedCircuit, InputWire, and_from_oneway,
                              circuit_to_nlb, d_oneway, independence_reduce,
                              oneway_from_and, oneway_optimal,
-                             oneway_to_parallel, ordered_to_ot, synth_rank,
+                             oneway_to_parallel, ordered_to_ot,
+                             parallel_exact_function, synth_rank,
                              synth_vandam, twoway_to_parallel,
                              xor_normalize_general, xor_normalize_parallel)
 from nlbox.engine import (ProtocolError, error_profile, exec_exact,
@@ -26,7 +27,8 @@ from nlbox.protocols import OneWayProtocol, ParallelProtocol, validate
 from nlbox.serialize import serialize
 from nlbox.truthtable import (TruthTable, and_table, disj_table, ip_table,
                               xor_table)
-from util import (obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot, parity,
+from util import (obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot,
+                  oracle_parallel_exact_function, parity,
                   random_general, random_ordered, random_protocol, random_table,
                   random_tree, xor_as_ordered, xor_as_parallel)
 
@@ -175,6 +177,34 @@ def test_xor_normalize_parallel_rejects_non_exact():
                             ((0, 1),), ((0, 0),))
     with pytest.raises(ProtocolError, match="claims violated"):
         xor_normalize_parallel(coin)
+
+
+def test_parallel_exact_function_matches_loop_oracle():
+    # random parallel protocols, whose parity mostly varies (None), next to
+    # obfuscated exact ones, on every shape up to 2x2 input bits
+    rng = random.Random(404)
+    kinds = set()
+    for _ in range(80):
+        nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 4)
+        exact = obfuscate(xor_as_parallel(synth_rank(random_table(nx, ny, rng))), rng)
+        for p in (random_protocol("parallel", nx, ny, t, rng), exact):
+            got = parallel_exact_function(p)
+            assert got == oracle_parallel_exact_function(p)
+            kinds.add(got is None)
+    assert kinds == {True, False}
+
+
+def test_xor_normalize_parallel_checks_parity_once(monkeypatch):
+    calls = []
+    errors = compilers._errors
+    monkeypatch.setattr(compilers, "_errors", lambda *a: calls.append(a) or errors(*a))
+    src = obfuscate(xor_as_parallel(synth_rank(ip_table(2))), random.Random(9))
+    assert xor_normalize_parallel(src).strict and len(calls) == 1
+    coin = ParallelProtocol(0, 0, 1, ((1,),), ((0,),), ((0, 1),), ((0, 0),))
+    with pytest.raises(ProtocolError) as exc:
+        xor_normalize_parallel(coin)
+    assert str(exc.value) == "claims violated: protocol parity is not deterministic"
+    assert len(calls) == 2
 
 
 def test_xor_normalize_general_preserves_parity_distribution():

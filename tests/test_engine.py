@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nlbox.engine import (ProtocolError, ResourceLimitError, _views,
+from nlbox.engine import (ProtocolError, ResourceLimitError, _batches, _laws, _leaves, _views,
                           derive_seed, error_profile, exec_exact, exec_sample,
                           nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
@@ -17,6 +19,7 @@ from nlbox.protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
                              ProtocolMixture, validate)
 from nlbox.truthtable import TruthTable, and_table, disj_table, ip_table
 from util import (KINDS, leaky_ot, oracle_alice_view, oracle_bob_first,
+                  oracle_privacy_audit_ot as oracle_privacy_ot,
                   oracle_bob_view, oracle_error, oracle_exec,
                   oracle_nonsignaling_audit, oracle_ot_received,
                   oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
@@ -332,12 +335,17 @@ def _is_box(p) -> bool:
     return isinstance(p, NLB_KINDS)
 
 
-def _view_dict(law) -> dict:
-    """An integer view law of the engine as the oracle's Fraction dict;
-    the weights sum to their common denominator."""
-    keys, weights = (v.tolist() for v in law)
-    den = sum(weights)
-    return {(k >> 1, k & 1): Fraction(w, den) for k, w in zip(keys, weights)}
+def _view_dicts(p, bob: bool) -> dict:
+    """The engine's view law on every input as the oracle's Fraction
+    dicts; each law's weights sum to their common denominator."""
+    x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
+    out = {}
+    for j, *run in _views(p, x, y, bob):
+        keys, laws = _laws(j, *run)
+        for i, row in enumerate(laws.tolist()):
+            out[divmod(int(j[0]) + i, 1 << p.ny)] = {
+                (k >> 1, k & 1): Fraction(w, sum(row)) for k, w in zip(keys.tolist(), row) if w}
+    return out
 
 
 @pytest.mark.parametrize("kind", KINDS + ("nested",))
@@ -355,13 +363,13 @@ def test_engine_matches_scalar_oracle(kind):
         else:
             p = random_protocol(kind, nx, ny, t, rng)
         f = random_table(nx, ny, rng)
-        view = _views(p) if _is_box(p) else None
+        views = [_view_dicts(p, bob) for bob in (False, True)] if _is_box(p) else None
         for x in range(1 << nx):
             for y in range(1 << ny):
                 assert exec_exact(p, x, y).probs == oracle_exec(p, x, y)
-                if view is not None:
-                    assert _view_dict(view(x, y, False)) == oracle_alice_view(p, x, y)
-                    assert _view_dict(view(x, y, True)) == oracle_bob_view(p, x, y)
+                if views is not None:
+                    assert views[0][x, y] == oracle_alice_view(p, x, y)
+                    assert views[1][x, y] == oracle_bob_view(p, x, y)
                 if isinstance(p, OtProtocol):
                     rec = ot_received_distribution(p, x, y)
                     ref = oracle_ot_received(p, x, y)
@@ -504,3 +512,62 @@ def test_valid_box_protocols_never_signal():
                 assert nonsignaling_audit(p) is None
     assert validate(_signalling_ordered()) != []
     assert nonsignaling_audit(_signalling_ordered()) is not None
+
+
+def _only_rows(p, x: int, y: int):
+    """p with every table row of an input other than x (Alice's tables)
+    or y (Bob's) replaced by None."""
+    def keep(rows, k):
+        return tuple(row if i == k else None for i, row in enumerate(rows))
+    a, b = (("in_a", "in_b") if isinstance(p, OtProtocol) else ("step_a", "step_b"))
+    return replace(p, **{a: tuple(keep(tab, x) for tab in getattr(p, a)),
+                         b: tuple(keep(tab, y) for tab in getattr(p, b)),
+                         "out_a": keep(p.out_a, x), "out_b": keep(p.out_b, y)})
+
+
+def test_one_pair_reads_only_its_rows():
+    # a one-pair call converts the rows of x and y alone, so tables whose
+    # other rows are None give the same law
+    rng = random.Random(12)
+    for p in (random_ordered(2, 2, 3, rng), random_protocol("ot", 2, 2, 3, rng),
+              ordered_to_ot(disj_det_protocol(2))):
+        for x, y in ((0, 0), (3, 1), (2, 3)):
+            assert exec_exact(_only_rows(p, x, y), x, y).probs == oracle_exec(p, x, y)
+
+
+def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
+    # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
+    # every mixture leaf's runs, and every block of one player's input,
+    # are split between chunks (at least 8 of them)
+    rng = random.Random(99)
+    sig = _signalling_ordered()
+    valid = ProtocolMixture(((Fraction(1, 4), random_ordered(2, 2, 2, rng)),
+                             (Fraction(3, 4), random_protocol("general", 2, 2, 2, rng))))
+    nested = ProtocolMixture(((Fraction(1, 2), valid),
+                              (Fraction(1, 2), random_protocol("oneway", 2, 2, 2, rng))))
+    mix = ProtocolMixture(((Fraction(1, 3), sig), (Fraction(2, 3), random_ordered(2, 2, 1, rng))))
+    ots = (leaky_ot(), random_protocol("ot", 2, 2, 3, rng), ordered_to_ot(random_ordered(2, 2, 2, rng)))
+    f = random_table(2, 2, rng)
+
+    def results():
+        return ([error_profile(p, f) for p in (valid, nested, mix, *ots)],
+                [nonsignaling_audit(p) for p in (valid, mix, sig)],
+                [privacy_audit_ot(p) for p in ots],
+                [_view_dicts(p, bob) for p in (valid, mix) for bob in (False, True)])
+    whole = results()
+    monkeypatch.setenv("NLBOX_LIMIT_T", "3")
+    x, y = np.divmod(np.arange(16), 4)
+    for p in (valid, nested, mix, *ots):
+        assert len(list(_batches(_leaves(p), x, y)[1])) >= 8
+    assert results() == whole
+    profiles, audits, privacy, views = whole
+    for p, prof in zip((valid, nested, mix, *ots), profiles):
+        assert prof.table == {(i, j): oracle_error(p, f, i, j) for i in range(4) for j in range(4)}
+    assert audits == [oracle_nonsignaling_audit(p) for p in (valid, mix, sig)]
+    assert audits[0] is None and audits[1].witness == audits[2].witness == (1, 0, 3)
+    assert privacy == [oracle_privacy_ot(p) for p in ots] and privacy[0].witness[:2] == (2, 1)
+    oracles = (oracle_alice_view, oracle_bob_view)
+    for k, p in enumerate((valid, mix)):
+        for bob in (0, 1):
+            assert views[2 * k + bob] == {(i, j): oracles[bob](p, i, j)
+                                          for i in range(4) for j in range(4)}

@@ -576,7 +576,8 @@ def oracle_sample(p, x: int, y: int, seed: int):
 
 
 # The compilers' former closure and loop forms.  ``circuit_to_nlb``'s bit
-# tables and ``ordered_to_ot``'s repeated rows must build equal protocols.
+# tables and ``ordered_to_ot``'s repeated rows must build equal protocols,
+# and ``parallel_exact_function``'s kernel pass the same parity table.
 
 
 def oracle_circuit_to_nlb(c) -> OrderedNlbProtocol:
@@ -647,3 +648,21 @@ def oracle_ordered_to_ot(p: OrderedNlbProtocol) -> OtProtocol:
     return OtProtocol(p.nx, p.ny, p.t, (Fraction(1, nr),) * nr, in_a, in_b,
                       tuple(tuple(p.out_a[x][r] for r in range(nr)) for x in range(xs)),
                       tuple(tuple(p.out_b[y][rec] for rec in range(nr)) for y in range(ys)))
+
+
+def oracle_parallel_exact_function(p: ParallelProtocol):
+    """The parity table of a parallel protocol by a loop over every
+    input and outcome vector, or None when some input's parity varies."""
+    rows = []
+    for x in range(1 << p.nx):
+        r = 0
+        for y in range(1 << p.ny):
+            shift = 0
+            for i in range(p.t):
+                shift |= (p.pbox[i][x] & p.qbox[i][y]) << i
+            vals = {p.out_a[x][a] ^ p.out_b[y][a ^ shift] for a in range(1 << p.t)}
+            if len(vals) != 1:
+                return None
+            r |= vals.pop() << y
+        rows.append(r)
+    return TruthTable(p.nx, p.ny, tuple(rows))
