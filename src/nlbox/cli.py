@@ -347,19 +347,18 @@ def _cmd_exec(args) -> int:
     for name, v, bits in (("x", args.x, p.nx), ("y", args.y, p.ny)):
         if not 0 <= v < 1 << bits:
             raise ValueError(f"-{name} {v} is outside [0, {1 << bits})")
+    # the result first, so that a resource limit leaves stdout empty
+    if args.exact:
+        dist = engine.exec_exact(p, args.x, args.y)
+        report = [f"p {a} {b}: {_fmt(dist.probs[(a, b)])}" for (a, b) in sorted(dist.probs)]
+    else:
+        counts = engine.sample_counts(p, args.x, args.y, args.seed, args.samples)
+        report = [f"samples: {args.samples}", f"seed: {args.seed}",
+                  *(f"count {a} {b}: {counts[(a, b)]}" for (a, b) in sorted(counts))]
     print(f"input-hash: {_hash(text)}")
     print(f"x: {args.x}")
     print(f"y: {args.y}")
-    if args.exact:
-        dist = engine.exec_exact(p, args.x, args.y)
-        for (a, b) in sorted(dist.probs):
-            print(f"p {a} {b}: {_fmt(dist.probs[(a, b)])}")
-        return EXIT_OK
-    counts = engine.sample_counts(p, args.x, args.y, args.seed, args.samples)
-    print(f"samples: {args.samples}")
-    print(f"seed: {args.seed}")
-    for (a, b) in sorted(counts):
-        print(f"count {a} {b}: {counts[(a, b)]}")
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -185,7 +185,17 @@ def _drop_dependent(p: ParallelProtocol) -> ParallelProtocol:
 def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[int, ...]]:
     """The linear part and each row's constant term of the outputs'
     algebraic normal forms in the box outcomes; raises unless every form
-    is affine with the linear part lin (the first row's when None)."""
+    is affine with the linear part lin (the first row's when None).
+
+    After _drop_dependent no exact protocol raises here; the checks guard
+    the reduction.  Exactness says b_y(v) = a_x(v ^ s(x, y)) ^ f(x, y)
+    for all v, s_i = p_i(x) q_i(y).  Comparing x with x' and y with y',
+    b_y has a constant derivative in the direction whose bit i is the
+    mixed difference of p_i q_i over {x, x'} x {y, y'}.  Such directions
+    form a subspace, and these span GF(2)^t: a c orthogonal to all of
+    them would make the XOR of c_i p_i q_i separable, which the reduction
+    rules out.  So every b_y, and with it every a_x, is affine, and a
+    parity constant in v forces one linear part on both sides."""
     consts = []
     for row in rows:
         mono = gf2.anf(row)

@@ -2,9 +2,8 @@
 
 The exact engine enumerates shared randomness, Alice-private
 randomness, and box-outcome branches with rational probabilities, so
-every distributional claim can be asserted as an equality.  Monte Carlo
-sampling is the only floating-point surface and derives per-trial seeds
-from a cryptographic hash of (master seed, trial index).
+every distributional claim can be asserted as an equality.  Sampling
+draws exact uniform integers from one Philox stream per call.
 
 Box semantics: each box outcome pair satisfies a XOR b = p AND q with
 the first-touched side's outcome a fresh unbiased bit.  Taking Alice's
@@ -24,12 +23,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import random
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, count, product
 from operator import lshift
 
 import numpy as np
@@ -305,48 +302,60 @@ def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fractio
 
 # --- sampling ---
 
+_MAX_SAMPLES = 1 << 24  # runs per sample_counts call; memory stays one batch
+
 
 def derive_seed(master: int, index: int) -> int:
     h = hashlib.blake2b(f"{master}:{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
 
-def _sampler(p):
-    """The draw of one run's randomness, rng -> (path, leaf, v), in the
-    sampler's order of RNG calls: the shared-randomness components
-    drawn, the protocol they select, and its u (box kinds), r (OT) or 0
-    (deterministic kinds).  A component or r is drawn by one float roll:
-    the first running float sum of the weights above it, or the last
-    index when rounding leaves the roll past them all."""
+def _below(gen, n: int, m: int) -> np.ndarray:
+    """The next m integers uniform in [0, n) of gen's stream, each taking
+    the words its own draw needs: numpy's bounded draw below 2^63, then
+    whole 64-bit words masked to n's width, drawn again while at least n."""
+    if n < 1 << 63:
+        return gen.integers(n, size=m)
+    bits, out = (n - 1).bit_length(), []
+    while len(out) < m:
+        raw = gen.bit_generator.random_raw((m - len(out), -(-bits // 64)))
+        out += [v for w in raw if (v := int.from_bytes(w.tobytes(), "little") % (1 << bits)) < n]
+    return np.array(out, dtype=object)
+
+
+def _sampler(p, key: int, nodes=None):
+    """A batch of runs' randomness, m -> [(path, leaf, sel, v)]: for each
+    protocol a mixture can select, the components selecting it, which of
+    the m runs do, and its u (box kinds), r (OT) or 0 for every run.
+    Node i of p in preorder (nodes counts them) draws a value for every
+    run from its own Philox stream keyed (key, i): run j takes the j-th."""
+    nodes = count() if nodes is None else nodes
+    gen = np.random.Generator(np.random.Philox(key=next(nodes) << 64 | key))
+    n, pick = 1 << p.t if isinstance(p, NLB_KINDS) else 1, lambda v: v
     if isinstance(p, (ProtocolMixture, OtProtocol)):
-        weights = p.r_weights if isinstance(p, OtProtocol) else [w for w, _c in p.components]
-        cum = list(accumulate(float(w) for w in weights))
+        # index k takes L * w_k of the values, L the lcm of the denominators
+        ws = p.r_weights if isinstance(p, OtProtocol) else [w for w, _c in p.components]
+        n = math.lcm(*(w.denominator for w in ws))
+        bounds = np.array(list(accumulate(w.numerator * (n // w.denominator) for w in ws))[:-1],
+                          dtype=np.int64 if n < 1 << 63 else object)
+        pick = lambda r: np.searchsorted(bounds, r, side="right")
+    if not isinstance(p, ProtocolMixture):
+        return lambda m: [([], p, np.ones(m, bool), pick(_below(gen, n, m)))]
+    subs = [_sampler(c, key, nodes) for _w, c in p.components]
 
-        def pick(rng):
-            return min(bisect_right(cum, rng.random()), len(cum) - 1)
-    if isinstance(p, ProtocolMixture):
-        subs = [_sampler(c) for _w, c in p.components]
-
-        def draw_mixture(rng):
-            i = pick(rng)
-            path, leaf, v = subs[i](rng)
-            return [i, *path], leaf, v
-        return draw_mixture
-    if isinstance(p, OtProtocol):
-        return lambda rng: ([], p, pick(rng))
-    if isinstance(p, OrderedNlbProtocol):  # one coin per box, drawn in label order
-        return lambda rng: ([], p, sum(rng.getrandbits(1) << i for i in range(p.t)))
-    if isinstance(p, NLB_KINDS):  # 0, with no state consumed, when t = 0
-        return lambda rng: ([], p, rng.getrandbits(p.t))
-    if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
-        return lambda rng: ([], p, 0)
-    raise ProtocolError(f"cannot sample {type(p).__name__}")
+    def draw_mixture(m):
+        comp = pick(_below(gen, n, m))
+        return [([i, *path], leaf, sel & (comp == i), v)
+                for i, sub in enumerate(subs) for path, leaf, sel, v in sub(m)]
+    return draw_mixture
 
 
 def exec_sample(p: Protocol, x: int, y: int, seed: int):
-    """One run, deterministic given the seed; returns (a, b, transcript)."""
-    path, p, v = _sampler(p)(random.Random(derive_seed(seed, 0)))
-    a, b, *run = (int(z[0]) for z in _runs(p, x, y, [v]))
+    """Run 0 of sample_counts(p, x, y, seed, n); returns (a, b, transcript)."""
+    (path, p, v), = [(path, leaf, v[:1]) for path, leaf, sel, v
+                     in _sampler(p, derive_seed(seed, 0))(1) if sel[0]]
+    a, b, *run = (int(z[0]) for z in _kernel(p)(np.array([x]), np.array([y]), v))
+    v = int(v[0])
     transcript = [{"kind": "shared-randomness", "component": i} for i in path]
     if isinstance(p, NLB_KINDS):
         bvec, pin, qin = run
@@ -367,28 +376,18 @@ def exec_sample(p: Protocol, x: int, y: int, seed: int):
     return a, b, transcript
 
 
-def _runs(p, x: int, y: int, vs: list):
-    """The kernel's arrays of p's runs on (x, y) and the drawn values vs.
-    Box outcomes from 63 boxes on, which only parallel XOR reaches, stay
-    Python ints."""
-    v = np.array(vs, dtype=np.int64 if p.t < 63 else object)
-    return _kernel(p)(np.full(len(v), x), np.full(len(v), y), v)
-
-
 def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[int, int], int]:
-    """Output counts of the runs exec_sample(p, x, y, derive_seed(seed, i))
-    for i < n.  The randomness of a batch of runs is drawn first, with
-    the same RNG calls, and each protocol a mixture selects then runs
-    once on its part of the batch."""
-    draw, counts = _sampler(p), Counter()
+    """Output counts of runs 0 to n - 1 of p on (x, y) from _sampler's
+    streams for seed: each batch's randomness is drawn as arrays, then
+    each protocol a mixture selects runs once on its part of the batch."""
+    if n > _MAX_SAMPLES:
+        raise ResourceLimitError(f"{n} samples exceed the {_MAX_SAMPLES} cap")
+    draw, counts = _sampler(p, derive_seed(seed, 0)), Counter()
     for lo in range(0, n, _BATCH):
-        drawn: dict = {}
-        for i in range(lo, min(n, lo + _BATCH)):
-            _path, leaf, v = draw(random.Random(derive_seed(derive_seed(seed, i), 0)))
-            drawn.setdefault(id(leaf), (leaf, []))[1].append(v)
-        for leaf, vs in drawn.values():
-            a, b = _runs(leaf, x, y, vs)[:2]
-            counts.update(zip(a.tolist(), b.tolist()))
+        for _path, leaf, sel, v in draw(min(_BATCH, n - lo)):
+            if sel.any():
+                a, b = _kernel(leaf)(np.full(sel.sum(), x), np.full(sel.sum(), y), v[sel])[:2]
+                counts.update(zip(a.tolist(), b.tolist()))
     return dict(counts)
 
 

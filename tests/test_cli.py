@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlbox import engine
 from nlbox.cli import dispatch
 from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.library import disj_det_protocol, ip_protocol
@@ -199,32 +200,32 @@ def test_exec_sampling_deterministic_given_seed(capsys, tmp_path, ip2_file):
     assert "count" in out1
 
 
-# stdout of `exec -x 3 -y 2 --samples 300 --seed s`, recorded before the
-# CLI drew its samples in batches; a batch must count every run as the
-# one-run sampler would.
+# stdout of `exec -x 3 -y 2 --samples 300 --seed s`, recorded when
+# sampling moved to one Philox stream per call; a batch must count every
+# run as the one-run sampler would.
 SAMPLES_STDOUT = {
-    ('parallel-xor', 0): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 150\ncount 1 0: 150\n',
-    ('parallel-xor', 1): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 147\ncount 1 0: 153\n',
-    ('parallel', 0): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 147\ncount 1 0: 153\n',
-    ('parallel', 1): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 156\ncount 1 0: 144\n',
-    ('ordered', 0): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 145\ncount 1 0: 155\n',
-    ('ordered', 1): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 143\ncount 1 0: 157\n',
-    ('general', 0): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 121\ncount 1 0: 145\ncount 1 1: 34\n',
-    ('general', 1): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 111\ncount 1 0: 153\ncount 1 1: 36\n',
-    ('mixture', 0): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 45\ncount 0 1: 101\ncount 1 0: 111\ncount 1 1: 43\n',
-    ('mixture', 1): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 44\ncount 0 1: 104\ncount 1 0: 102\ncount 1 1: 50\n',
-    ('ot', 0): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 155\ncount 1 0: 145\n',
-    ('ot', 1): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 139\ncount 1 0: 161\n',
-    ('ot-weighted', 0): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 173\ncount 1 0: 127\n',
-    ('ot-weighted', 1): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 182\ncount 1 0: 118\n',
-    ('mix-ordered', 0): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 111\ncount 0 1: 13\ncount 1 0: 83\ncount 1 1: 93\n',
-    ('mix-ordered', 1): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 89\ncount 0 1: 27\ncount 1 0: 87\ncount 1 1: 97\n',
-    ('mix-ot', 0): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 139\ncount 0 1: 76\ncount 1 1: 85\n',
-    ('mix-ot', 1): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 143\ncount 0 1: 69\ncount 1 1: 88\n',
+    ('parallel-xor', 0): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 147\ncount 1 0: 153\n',
+    ('parallel-xor', 1): 'input-hash: ed34c59c695bee95\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 143\ncount 1 0: 157\n',
+    ('parallel', 0): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 136\ncount 1 0: 164\n',
+    ('parallel', 1): 'input-hash: 2e56257592ff999b\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 147\ncount 1 0: 153\n',
+    ('ordered', 0): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 138\ncount 1 0: 162\n',
+    ('ordered', 1): 'input-hash: 9257f0b722df3d79\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 154\ncount 1 0: 146\n',
+    ('general', 0): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 106\ncount 1 0: 154\ncount 1 1: 40\n',
+    ('general', 1): 'input-hash: 6393bf61f0794030\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 116\ncount 1 0: 152\ncount 1 1: 32\n',
+    ('mixture', 0): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 50\ncount 0 1: 98\ncount 1 0: 94\ncount 1 1: 58\n',
+    ('mixture', 1): 'input-hash: 3c79f129911a0700\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 43\ncount 0 1: 114\ncount 1 0: 99\ncount 1 1: 44\n',
+    ('ot', 0): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 138\ncount 1 0: 162\n',
+    ('ot', 1): 'input-hash: 7926484d20f8f6d1\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 154\ncount 1 0: 146\n',
+    ('ot-weighted', 0): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 174\ncount 1 0: 126\n',
+    ('ot-weighted', 1): 'input-hash: 420eca1480ab7671\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 186\ncount 1 0: 114\n',
+    ('mix-ordered', 0): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 88\ncount 0 1: 22\ncount 1 0: 94\ncount 1 1: 96\n',
+    ('mix-ordered', 1): 'input-hash: 25c516cf3a667543\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 103\ncount 0 1: 25\ncount 1 0: 85\ncount 1 1: 87\n',
+    ('mix-ot', 0): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 158\ncount 0 1: 65\ncount 1 1: 77\n',
+    ('mix-ot', 1): 'input-hash: 99b5f09fb805b558\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 139\ncount 0 1: 64\ncount 1 1: 97\n',
     ('mix-oneway', 0): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 1: 300\n',
     ('mix-oneway', 1): 'input-hash: 06b9b91fe7fbb369\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 1: 300\n',
-    ('parallel-xor-100', 0): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 155\ncount 1 1: 145\n',
-    ('parallel-xor-100', 1): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 154\ncount 1 1: 146\n',
+    ('parallel-xor-100', 0): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 0\ncount 0 0: 145\ncount 1 1: 155\n',
+    ('parallel-xor-100', 1): 'input-hash: a72e2973aedf66eb\nx: 3\ny: 2\nsamples: 300\nseed: 1\ncount 0 0: 144\ncount 1 1: 156\n',
 }
 
 
@@ -237,6 +238,29 @@ def test_exec_samples_matches_recorded_stdout(capsys, tmp_path, name):
                            "--samples", "300", "--seed", str(seed))
         assert code == 0
         assert out == SAMPLES_STDOUT[(name, seed)]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_exec_samples_takes_any_integer_seed(capsys, tmp_path, seed):
+    path = tmp_path / "mixture.nlb"
+    path.write_text(serialize(sampled_kinds()["mixture"]))
+    code, out, _ = run(capsys, "exec", "-p", str(path), "-x", "3", "-y", "2",
+                       "--samples", "50", "--seed", seed)
+    assert code == 0
+    assert f"seed: {seed}\n" in out
+    assert sum(int(line.split(": ")[1]) for line in out.splitlines()
+               if line.startswith("count ")) == 50
+
+
+def test_exec_samples_cap_exits_before_any_draw(capsys, tmp_path, monkeypatch):
+    def no_draw(*_args, **_kw):
+        raise AssertionError("drew samples past the cap")
+    path = tmp_path / "ip1.nlb"
+    path.write_text(serialize(ip_protocol(1)))
+    monkeypatch.setattr(engine, "_sampler", no_draw)
+    _assert_one_line_error(*run(capsys, "exec", "-p", str(path), "-x", "0", "-y", "0",
+                                "--samples", str(engine._MAX_SAMPLES + 1), "--seed", "1"),
+                           want=4, prefix="resource limit: ")
 
 
 # stdout of `audit --privacy-ot` on two OT protocols that fail it,

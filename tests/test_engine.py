@@ -1,5 +1,6 @@
 """Exact engine: closed forms vs brute force, order invariance, audits."""
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -8,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlbox.engine import (ProtocolError, ResourceLimitError, _batches, _laws, _leaves, _views,
-                          derive_seed, error_profile, exec_exact, exec_sample,
-                          nonsignaling_audit, ot_received_distribution,
+from nlbox import engine
+from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitError, _batches,
+                          _laws, _leaves, _views, derive_seed, error_profile, exec_exact,
+                          exec_sample, nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
 from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank, synth_vandam
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
@@ -22,7 +24,7 @@ from util import (KINDS, leaky_ot, oracle_alice_view, oracle_bob_first,
                   oracle_privacy_audit_ot as oracle_privacy_ot,
                   oracle_bob_view, oracle_error, oracle_exec,
                   oracle_nonsignaling_audit, oracle_ot_received,
-                  oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
+                  oracle_counts, oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
                   parity, random_ordered, random_protocol, random_table,
                   random_tree, sampled_kinds, xor_as_ordered, xor_as_parallel)
 
@@ -263,26 +265,26 @@ def _encode_run(a, b, transcript) -> str:
     return " ".join(toks)
 
 
-# exec_sample(p, 3, 2, seed) for seeds 0..5, recorded before the engine
-# derived sampling from the per-kind branch kernel; seeded runs must not
-# change with the engine's internals.
+# exec_sample(p, 3, 2, seed) for seeds 0..5, recorded when sampling moved
+# to one Philox stream per call; seeded runs must not change with the
+# engine's internals.
 SAMPLE_GOLDEN = {
-    "parallel-xor": ("10 10>11 11>01", "01 10>00 11>01", "01 10>00 11>01",
-                     "01 10>00 11>01", "10 10>00 11>10", "10 10>00 11>10"),
-    "parallel": ("10 01>11 10>00 11>10 11>01", "01 01>00 10>00 11>01 11>01",
-                 "01 01>11 10>11 11>01 11>01", "01 01>00 10>00 11>01 11>01",
-                 "10 01>00 10>00 11>01 11>10", "01 01>00 10>11 11>01 11>10"),
-    "ordered": ("10 10>00 11>10 00>11 10>11", "01 10>00 11>01 01>11 00>11",
-                "01 10>00 11>10 00>11 10>00", "01 10>00 11>10 00>11 10>00",
-                "01 10>11 11>10 10>11 11>01", "10 10>11 11>10 10>11 11>10"),
-    "general": ("10 01>00 10>11 11>01", "10 10>00 10>00 01>00",
-                "11 10>11 10>00 00>00", "10 10>00 10>00 01>00",
-                "10 10>00 10>00 01>11", "00 10>11 10>00 00>11"),
-    "mixture": ("01 m2 00>11 11>10", "00 m0 00>11 00>11", "11 m1 10>00 00>11",
-                "00 m0 00>11 00>11", "10 m3 10>00 11>10", "10 m4 00>11 00>11"),
-    "ot": ("01 100>1 011>1 101>0 001>0", "01 010>0 011>1 001>0 000>0",
-           "10 100>1 101>0 010>0 011>1", "01 010>0 011>1 001>0 000>0",
-           "10 010>0 011>1 001>0 110>1", "01 010>0 101>0 000>0 100>1"),
+    "parallel-xor": ("10 10>00 11>10", "01 10>00 11>01", "01 10>11 11>10",
+                     "10 10>11 11>01", "10 10>00 11>10", "10 10>11 11>01"),
+    "parallel": ("01 01>00 10>11 11>01 11>10", "01 01>00 10>00 11>01 11>01",
+                 "10 01>00 10>00 11>10 11>10", "10 01>00 10>11 11>10 11>01",
+                 "10 01>00 10>00 11>01 11>10", "10 01>11 10>00 11>10 11>01"),
+    "ordered": ("01 10>00 11>10 00>00 10>11", "01 10>00 11>01 01>00 00>00",
+                "01 10>00 11>01 01>11 00>11", "01 10>00 11>10 00>11 10>00",
+                "10 10>00 11>01 01>00 00>11", "01 10>11 11>01 11>10 01>00"),
+    "general": ("00 10>11 10>00 00>11", "10 10>00 10>00 01>00",
+                "10 11>01 10>11 11>10", "00 01>11 10>11 11>01",
+                "10 10>00 10>00 01>11", "10 01>00 10>11 11>01"),
+    "mixture": ("10 m3 10>00 11>10", "11 m0 00>00 00>11", "10 m4 00>11 00>11",
+                "01 m2 00>11 11>10", "01 m3 10>11 11>10", "10 m2 00>11 11>01"),
+    "ot": ("01 010>0 101>0 000>0 100>1", "01 010>0 011>1 001>0 000>0",
+           "01 010>0 011>1 111>1 110>1", "01 010>0 101>0 110>1 010>0",
+           "10 010>0 011>1 001>0 110>1", "01 100>1 011>1 101>0 001>0"),
 }
 
 
@@ -376,10 +378,8 @@ def test_engine_matches_scalar_oracle(kind):
                     assert list(rec.items()) == list(ref.items())
                 seeds = [rng.randrange(1 << 30) for _ in range(4)]
                 for s in seeds:
-                    assert exec_sample(p, x, y, s) == oracle_sample(p, x, y, s)
-                runs = Counter(oracle_sample(p, x, y, derive_seed(seeds[0], i))[:2]
-                               for i in range(40))
-                assert sample_counts(p, x, y, seeds[0], 40) == runs
+                    assert exec_sample(p, x, y, s) == oracle_sample(p, x, y, s)[0]
+                assert sample_counts(p, x, y, seeds[0], 40) == oracle_counts(p, x, y, seeds[0], 40)
         assert error_profile(p, f).table == {
             (x, y): oracle_error(p, f, x, y)
             for x in range(1 << nx) for y in range(1 << ny)}
@@ -392,9 +392,59 @@ def test_wide_parallel_xor_runs_match_oracle():
     for t in (5, 9, 17, 33, 62, 63, 64, 100):
         p = random_protocol("parallel-xor", 1, 1, t, rng)
         for seed in range(8):
-            assert exec_sample(p, 1, 0, seed) == oracle_sample(p, 1, 0, seed)
-        runs = Counter(oracle_sample(p, 1, 0, derive_seed(t, i))[:2] for i in range(40))
-        assert sample_counts(p, 1, 0, t, 40) == runs
+            assert exec_sample(p, 1, 0, seed) == oracle_sample(p, 1, 0, seed)[0]
+        assert sample_counts(p, 1, 0, t, 40) == oracle_counts(p, 1, 0, t, 40)
+
+
+@pytest.mark.parametrize("name", sorted(sampled_kinds()))
+def test_sample_counts_follow_one_stream_across_batches(name):
+    # run i depends on (seed, i) alone: the batches of sample_counts give
+    # the runs of one oracle draw, the runs past the first batch included,
+    # and exec_sample is run 0
+    p = sampled_kinds()[name]
+    for n in (5, _BATCH + 5):
+        assert sample_counts(p, 3, 2, 11, n) == oracle_counts(p, 3, 2, 11, n)
+    assert exec_sample(p, 3, 2, 11) == oracle_sample(p, 3, 2, 11)[0]
+
+
+@pytest.mark.parametrize("weights", [(Fraction(1, 3), Fraction(2, 3)),
+                                     (Fraction(1, 6), Fraction(1, 4), Fraction(7, 12)),
+                                     (1 - Fraction(1, 1 << 60), Fraction(1, 1 << 60))])
+def test_draw_domain_maps_exactly_by_weight(monkeypatch, weights):
+    # the mixture's draws r in [0, L) fed in directly: component k takes
+    # exactly L * w_k of them.  The map is nondecreasing, so the ends of
+    # each run of values give the count where L (2^60) is too large to list
+    den = math.lcm(*(w.denominator for w in weights))
+    sizes = [int(w * den) for w in weights]
+    ends = np.cumsum([0] + sizes)
+    r = np.arange(den) if den < 1 << 16 else np.concatenate([ends[:-1], ends[1:] - 1])
+    monkeypatch.setattr(engine, "_below",
+                        lambda _gen, n, m: r if n == den else np.zeros(m, np.int64))
+    comp = np.full(len(r), -1)
+    for path, _leaf, sel, _v in engine._sampler(
+            ProtocolMixture(tuple((w, ip_protocol(1)) for w in weights)), 0)(len(r)):
+        comp[sel] = path[0]
+    if den < 1 << 16:
+        assert Counter(comp.tolist()) == dict(enumerate(sizes))
+    else:
+        assert comp.tolist() == list(range(len(weights))) * 2
+
+
+def test_sampling_a_mixture_whose_draw_passes_int64():
+    # L = 3^41 > 2^63: the component draw stays in Python ints
+    w = Fraction(1, 3 ** 41)
+    p = ProtocolMixture(((w, ip_protocol(1)), (1 - w, random_ordered(1, 1, 2, RNG))))
+    for seed in (0, 5):
+        assert sample_counts(p, 1, 1, seed, 300) == oracle_counts(p, 1, 1, seed, 300)
+        assert exec_sample(p, 1, 1, seed) == oracle_sample(p, 1, 1, seed)[0]
+
+
+def test_sample_count_cap_is_checked_before_any_draw(monkeypatch):
+    def no_draw(*_args, **_kw):
+        raise AssertionError("drew samples past the cap")
+    monkeypatch.setattr(engine, "_sampler", no_draw)
+    with pytest.raises(ResourceLimitError, match="exceed"):
+        sample_counts(ip_protocol(1), 0, 0, 1, _MAX_SAMPLES + 1)
 
 
 def _signalling_ordered() -> OrderedNlbProtocol:

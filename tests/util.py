@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import count
+from math import lcm
 
 import numpy as np
 from hypothesis import strategies as st
@@ -526,53 +529,100 @@ def oracle_privacy_audit_ot(p: OtProtocol):
     return None
 
 
-def _draw(weights, rng: random.Random) -> int:
-    """The sampler's float roll against the running sums of the weights,
-    summed as it rolls; the last index when the roll passes them all."""
-    roll = rng.random()
-    acc = 0.0
+def _oracle_below(gen, n: int, m: int) -> list:
+    """m integers uniform in [0, n), in stream order: numpy's bounded
+    draw below 2^63; from there one value at a time, whole 64-bit words
+    low word first, masked to n's width and drawn again while at least n."""
+    if n < 1 << 63:
+        return gen.integers(n, size=m).tolist()
+    bits, out = (n - 1).bit_length(), []
+    while len(out) < m:
+        v = 0
+        for i, w in enumerate(gen.bit_generator.random_raw(-(-bits // 64)).tolist()):
+            v |= w << (64 * i)
+        v &= (1 << bits) - 1
+        if v < n:
+            out.append(v)
+    return out
+
+
+def _oracle_index(weights, den: int, r: int) -> int:
+    """The index whose run of den * w consecutive values in [0, den) holds r."""
+    acc = 0
     for i, w in enumerate(weights):
-        acc += float(w)
-        if roll < acc:
+        acc += int(w * den)
+        if r < acc:
             return i
-    return len(weights) - 1
+    raise AssertionError(f"{r} is outside [0, {den})")
 
 
-def oracle_sample(p, x: int, y: int, seed: int):
-    """(a, b, transcript) of the seeded run, drawn and executed branch
-    by branch in the RNG call order of ``exec_sample``."""
-    rng = random.Random(derive_seed(seed, 0))
+def _oracle_streams(p, seed: int, n: int):
+    """The draws of runs 0 to n - 1 as a tree (protocol, values,
+    components).  Node k of p in preorder, a mixture before its
+    components, draws one value per run, all n in one call, from the
+    Philox stream keyed (derive_seed(seed, 0), k): an integer uniform in
+    [0, L) mapped to a component or OT index, L the lcm of the weights'
+    denominators, or a box protocol's t outcome bits."""
+    key, nodes = derive_seed(seed, 0), count()
+
+    def draw(q):
+        gen = np.random.Generator(np.random.Philox(key=np.array([key, next(nodes)], np.uint64)))
+        if isinstance(q, (ProtocolMixture, OtProtocol)):
+            weights = q.r_weights if isinstance(q, OtProtocol) else [w for w, _c in q.components]
+            den = lcm(*(w.denominator for w in weights))
+            picks = [_oracle_index(weights, den, r) for r in _oracle_below(gen, den, n)]
+            if isinstance(q, OtProtocol):
+                return q, picks, []
+            return q, picks, [draw(c) for _w, c in q.components]
+        if isinstance(q, (ParallelXorProtocol, ParallelProtocol, OrderedNlbProtocol,
+                          GeneralNlbProtocol)):
+            return q, _oracle_below(gen, 1 << q.t, n), []
+        return q, [0] * n, []
+    return draw(p)
+
+
+def oracle_sample(p, x: int, y: int, seed: int, n: int = 1) -> list:
+    """Runs 0 to n - 1 (a, b, transcript) of the seeded stream, drawn and
+    executed branch by branch."""
+    tree = _oracle_streams(p, seed, n)
+    return [_oracle_run(tree, x, y, i, True) for i in range(n)]
+
+
+def oracle_counts(p, x: int, y: int, seed: int, n: int) -> Counter:
+    """The output counts of oracle_sample's runs, without transcripts."""
+    tree = _oracle_streams(p, seed, n)
+    return Counter(_oracle_run(tree, x, y, i, False)[:2] for i in range(n))
+
+
+def _oracle_run(node, x: int, y: int, i: int, events: bool):
+    """(a, b, transcript) of run i of a tree of draws; the transcript is
+    None without events."""
     transcript: list[dict] = []
-    while isinstance(p, ProtocolMixture):
-        i = _draw([w for w, _c in p.components], rng)
-        transcript.append({"kind": "shared-randomness", "component": i})
-        p = p.components[i][1]
-    if isinstance(p, OrderedNlbProtocol):
-        u = 0
-        for i in range(p.t):
-            u |= rng.getrandbits(1) << i
-    elif isinstance(p, (ParallelXorProtocol, ParallelProtocol, GeneralNlbProtocol)):
-        u = rng.getrandbits(p.t) if p.t else 0
+    while isinstance(node[0], ProtocolMixture):
+        c = node[1][i]
+        transcript.append({"kind": "shared-randomness", "component": c})
+        node = node[2][c]
+    p, v = node[0], node[1][i]
     if isinstance(p, OtProtocol):
-        a, b, _received, calls = oracle_run_ot(p, x, y, _draw(p.r_weights, rng))
-        transcript += [{"kind": "ot", "index": i, "in": (pair, c), "out": o}
-                       for i, pair, c, o in calls]
-        return a, b, transcript
-    if isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
+        a, b, _received, calls = oracle_run_ot(p, x, y, v)
+        transcript += [{"kind": "ot", "index": k, "in": (pair, c), "out": o}
+                       for k, pair, c, o in calls]
+    elif isinstance(p, (OneWayProtocol, TwoWayTree, AndProtocol)):
         (a, b), = oracle_exec(p, x, y)
         if isinstance(p, OneWayProtocol):
             transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
         if isinstance(p, AndProtocol):
-            v = p.gate_vector(x, y)
-            transcript += [{"kind": "and", "index": i,
-                            "in": (p.pbox[i][x], p.qbox[i][y]),
-                            "out": (v >> i) & 1} for i in range(p.t)]
-        return a, b, transcript
-    a, b, bvec, pin, qin = oracle_kernel(p, x, y)(u)
-    transcript += [{"kind": "box", "index": i,
-                    "in": ((pin >> i) & 1, (qin >> i) & 1),
-                    "out": ((u >> i) & 1, (bvec >> i) & 1)} for i in range(p.t)]
-    return a, b, transcript
+            g = p.gate_vector(x, y)
+            transcript += [{"kind": "and", "index": k,
+                            "in": (p.pbox[k][x], p.qbox[k][y]),
+                            "out": (g >> k) & 1} for k in range(p.t)]
+    else:
+        a, b, bvec, pin, qin = oracle_kernel(p, x, y)(v)
+        if events:
+            transcript += [{"kind": "box", "index": k,
+                            "in": ((pin >> k) & 1, (qin >> k) & 1),
+                            "out": ((v >> k) & 1, (bvec >> k) & 1)} for k in range(p.t)]
+    return a, b, transcript if events else None
 
 
 # The compilers' former closure and loop forms.  ``circuit_to_nlb``'s bit
