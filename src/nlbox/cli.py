@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 validation error, 3 audit failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -18,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import compilers, correlations, engine, epsrank, library
-from . import gf2
+from . import compilers, correlations, engine, epsrank, gf2, library
 from . import truthtable as tt
 from .serialize import parse as parse_protocol
 from .serialize import serialize as serialize_protocol
-from .protocols import (KIND_NAMES, AndProtocol, GeneralNlbProtocol,
+from .protocols import (KIND_NAMES, NLB_KINDS, AndProtocol, GeneralNlbProtocol,
                         OneWayProtocol, OrderedNlbProtocol, OtProtocol,
                         ParallelXorProtocol, ProtocolMixture, TwoWayTree)
 
@@ -43,19 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
+def _frac(text: str, option: str) -> Fraction:
+    """--eps or --flip: a rational n/d, or an integer n for n/1."""
+    if tt.DECIMAL.fullmatch(text.removeprefix("-")):
         return Fraction(int(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _fmt(v) -> str:
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    return tt.parse_fraction(text, option)
 
 
 def _read(path: str) -> str:
@@ -67,8 +59,33 @@ def _hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _load_table(path: str) -> tt.TruthTable:
-    return tt.parse_truth_table(_read(path))
+def _load_table(path: str) -> tuple[tt.TruthTable, str]:
+    """A truth table and the hash of its canonical text."""
+    f = tt.parse_truth_table(_read(path))
+    return f, _hash(tt.format_truth_table(f))
+
+
+def _load_protocol(path: str):
+    """A valid protocol and the hash of its file."""
+    text = _read(path)
+    p = parse_protocol(text)
+    errs = engine.validate(p)
+    if errs:
+        raise ValueError("invalid protocol: " + "; ".join(errs))
+    return p, _hash(text)
+
+
+def _load_source(path: str):
+    """A valid protocol to compile, the hash of its file, and its t."""
+    p, digest = _load_protocol(path)
+    return p, digest, p.t
+
+
+def _load_circuit(path: str):
+    """A circuit to compile, the hash of its file, and its gate count."""
+    text = _read(path)
+    c = parse_circuit(text)
+    return c, _hash(text), len(c.gates)
 
 
 def _emit_protocol(p, path: str | None, provenance: str) -> None:
@@ -83,14 +100,9 @@ def _emit_protocol(p, path: str | None, provenance: str) -> None:
 # tokens on each kind of circuit line, its keywords included
 _CIRCUIT_TOKENS = {"input a": 3, "input b": 3, "input ab": 4, "and": 3,
                    "or": 3, "xor": 3, "not": 2, "output": 2}
-
-
-def _circuit_number(tok: str, ln: str) -> int:
-    """A width, bit or wire index: ASCII decimal digits only, where int()
-    alone would also take a sign, underscores or other scripts' digits."""
-    if not tt.DECIMAL.fullmatch(tok):
-        raise ValueError(f"circuit line {ln!r}: {tok!r} is not a decimal number")
-    return int(tok)
+# an input wire's (a bit, b bit) from the numbers on its line
+_INPUT_BITS = {"input a": lambda a: (a, None), "input b": lambda b: (None, b),
+               "input ab": lambda a, b: (a, b)}
 
 
 def parse_circuit(text: str) -> compilers.DistributedCircuit:
@@ -104,7 +116,7 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
     head = lines[0].split() if lines else []
     if len(head) != 3 or head[0] != "circuit":
         raise ValueError("circuit file must start with 'circuit nx ny'")
-    nx, ny = (_circuit_number(tok, lines[0]) for tok in head[1:])
+    nx, ny = (tt.parse_decimal(tok, f"circuit line {lines[0]!r}:") for tok in head[1:])
     inputs: list[compilers.InputWire] = []
     gates: list[tuple] = []
     output = None
@@ -116,16 +128,12 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
         if len(toks) != _CIRCUIT_TOKENS[kind]:
             raise ValueError(f"circuit line {ln!r} needs "
                              f"{_CIRCUIT_TOKENS[kind]} tokens")
-        nums = [_circuit_number(tok, ln) for tok in toks[len(kind.split()):]]
+        nums = [tt.parse_decimal(tok, f"circuit line {ln!r}:")
+                for tok in toks[len(kind.split()):]]
         if toks[0] == "input":
             if gates:
                 raise ValueError("inputs must precede gates")
-            if kind == "input a":
-                inputs.append(compilers.InputWire(nums[0], None))
-            elif kind == "input b":
-                inputs.append(compilers.InputWire(None, nums[0]))
-            else:
-                inputs.append(compilers.InputWire(*nums))
+            inputs.append(compilers.InputWire(*_INPUT_BITS[kind](*nums)))
         elif kind == "output":
             output = nums[0]
         else:
@@ -135,21 +143,58 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
     return compilers.DistributedCircuit(nx, ny, tuple(inputs), tuple(gates), output)
 
 
-def _count_key(p) -> tuple[str, int]:
-    if isinstance(p, OtProtocol):
-        return "calls", p.t
-    if isinstance(p, AndProtocol):
-        return "gates", p.t
-    return "boxes", p.t
+# Each choice below maps the protocol kinds it takes to the name of the
+# function it calls on them, looked up when the command runs: a tracer
+# may wrap the module attribute after this module is imported.
+
+# compile --from S: the loader of its input file, {kind: compilers
+# function}, and whether that function also takes the -f truth table
+_SOURCES = {
+    "oneway": (_load_source, {OneWayProtocol: "oneway_to_parallel"}, False),
+    "twoway": (_load_source, {TwoWayTree: "twoway_to_parallel"}, False),
+    "circuit": (_load_circuit, {compilers.DistributedCircuit: "circuit_to_nlb"}, False),
+    "ordered-to-ot": (_load_source, {OrderedNlbProtocol: "ordered_to_ot"}, False),
+    "and-from-oneway": (_load_source, {OneWayProtocol: "and_from_oneway"}, False),
+    "oneway-from-and": (_load_source, {AndProtocol: "oneway_from_and"}, True),
+}
+
+# compile --normalize-xor: {kind of the compiled result: compilers function}
+_NORMALIZE = {ParallelXorProtocol: "xor_normalize_parallel",
+              OrderedNlbProtocol: "xor_normalize_general",
+              GeneralNlbProtocol: "xor_normalize_general"}
+
+# audit --CHECK: {kind: engine function}, and whether it takes the -f table
+_AUDITS = {
+    "nonsignaling": (dict.fromkeys((*NLB_KINDS, ProtocolMixture), "nonsignaling_audit"),
+                     False),
+    "privacy-and": ({AndProtocol: "privacy_audit_and"}, True),
+    "privacy-ot": ({OtProtocol: "privacy_audit_ot"}, False),
+}
+
+# what a compile or lib report counts in t, by kind (boxes otherwise)
+_COUNTED = {OtProtocol: "calls", AndProtocol: "gates"}
+# every kind a protocol file can hold, by name
+_KINDS = {**KIND_NAMES, ProtocolMixture: "mixture"}
 
 
-def _require_valid(p) -> None:
-    errs = engine.validate(p)
-    if errs:
-        raise ValueError("invalid protocol: " + "; ".join(errs))
+def _pick(calls: dict, p, what: str) -> str:
+    """The name of the function ``what`` calls on p's kind."""
+    if type(p) not in calls:
+        want = " or ".join(_KINDS[k] for k in calls)
+        raise ValueError(f"{what} requires kind {want}, not {_KINDS[type(p)]}")
+    return calls[type(p)]
 
 
+def _required_table(args, what: str) -> tt.TruthTable:
+    """The -f truth table of a choice that reads one."""
+    if not args.function:
+        raise ValueError(f"{what} requires -f with the target function")
+    return _load_table(args.function)[0]
+
+
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     ap = _Parser(prog="nlbox", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -175,12 +220,9 @@ def build_parser() -> _Parser:
     sp.add_argument("-o", "--out")
 
     sp = sub.add_parser("compile", help="compile between protocol models")
-    sp.add_argument("--from", dest="source", required=True,
-                    choices=("oneway", "twoway", "circuit", "ordered-to-ot",
-                             "and-from-oneway", "oneway-from-and"))
+    sp.add_argument("--from", dest="source", required=True, choices=tuple(_SOURCES))
     sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-f", "--function",
-                    help="truth table (oneway-from-and only)")
+    sp.add_argument("-f", "--function", help="truth table (oneway-from-and only)")
     sp.add_argument("--normalize-xor", action="store_true",
                     help="XOR-normalize the compiled protocol")
     sp.add_argument("-o", "--out")
@@ -196,18 +238,15 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("audit", help="non-signaling / privacy audits")
     sp.add_argument("-p", "--protocol", required=True)
-    kind = sp.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--nonsignaling", action="store_true")
-    kind.add_argument("--privacy-and", action="store_true")
-    kind.add_argument("--privacy-ot", action="store_true")
+    check = sp.add_mutually_exclusive_group(required=True)
+    for name in _AUDITS:
+        check.add_argument(f"--{name}", dest="check", action="store_const", const=name)
     sp.add_argument("-f", "--function", help="truth table (privacy-and)")
 
     sp = sub.add_parser("lib", help="named protocols")
-    sp.add_argument("name", choices=("ip", "disj-det", "disj-rand", "chsh",
-                                     "vandam"))
+    sp.add_argument("name", choices=tuple(_LIB))
     sp.add_argument("-n", type=int, default=2)
-    sp.add_argument("--flip", default="1/3",
-                    help="output-flip weight for disj-rand")
+    sp.add_argument("--flip", default="1/3", help="output-flip weight for disj-rand")
     sp.add_argument("-f", "--function", help="truth table (vandam)")
     sp.add_argument("-o", "--out")
 
@@ -221,16 +260,16 @@ def build_parser() -> _Parser:
 
 
 def _cmd_rank(args) -> int:
-    f = _load_table(args.function)
-    print(f"input-hash: {_hash(tt.format_truth_table(f))}")
+    f, digest = _load_table(args.function)
+    print(f"input-hash: {digest}")
     print(f"rank: {gf2.gf2_rank(f)}")
     return EXIT_OK
 
 
 def _cmd_factorize(args) -> int:
-    f = _load_table(args.function)
+    f, digest = _load_table(args.function)
     fac = gf2.gf2_factorize(f)
-    print(f"input-hash: {_hash(tt.format_truth_table(f))}")
+    print(f"input-hash: {digest}")
     print(f"rank: {fac.t}")
     for i in range(fac.t):
         p = "".join(str((fac.row_factors[i] >> x) & 1) for x in range(f.n_rows))
@@ -242,15 +281,14 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_epsrank(args) -> int:
     if args.function is not None:
-        target = _load_table(args.function)
-        digest = _hash(tt.format_truth_table(target))
+        target, digest = _load_table(args.function)
     else:
         target = correlations.parse_correlation(_read(args.corr))
         digest = _hash(correlations.format_correlation(target))
-    q = epsrank.EpsRankQuery(target, _frac(args.eps), args.tmax)
+    q = epsrank.EpsRankQuery(target, _frac(args.eps, "--eps"), args.tmax)
     res = epsrank.eps_rank(q)
     print(f"input-hash: {digest}")
-    print(f"eps: {_fmt(q.eps)}")
+    print(f"eps: {tt.format_fraction(q.eps)}")
     if res.exceeded:
         print(f"eps-rank: exceeds tmax {args.tmax}")
         return EXIT_OK
@@ -258,79 +296,45 @@ def _cmd_epsrank(args) -> int:
     ok = epsrank.verify_witness(target, q.eps, res.witness)
     for i, (w, grid) in enumerate(res.witness):
         rows = ";".join("".join(str(v) for v in row) for row in grid)
-        print(f"witness {i}: {_fmt(w)} {rows}")
+        print(f"witness {i}: {tt.format_fraction(w)} {rows}")
     print(f"witness-verified: {ok}")
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    f = _load_table(args.function)
+    f, digest = _load_table(args.function)
     rep = gf2.fourier_l1(f)
-    print(f"input-hash: {_hash(tt.format_truth_table(f))}")
+    print(f"input-hash: {digest}")
     print(f"l1: {rep.l1!r}")
     print(f"parseval-defect: {rep.parseval_defect()!r}")
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    f = _load_table(args.function)
-    p = compilers.synth_rank(f) if args.method == "rank" else \
-        compilers.synth_vandam(f)
+    f, digest = _load_table(args.function)
+    p = getattr(compilers, f"synth_{args.method}")(f)
     prof = engine.error_profile(p, f)
-    print(f"input-hash: {_hash(tt.format_truth_table(f))}")
+    print(f"input-hash: {digest}")
     print(f"method: {args.method}")
     print(f"boxes: {p.t}")
-    print(f"worst-error: {_fmt(prof.worst)}")
-    _emit_protocol(p, args.out,
-                   f"synth --method {args.method} source {_hash(tt.format_truth_table(f))}")
+    print(f"worst-error: {tt.format_fraction(prof.worst)}")
+    _emit_protocol(p, args.out, f"synth --method {args.method} source {digest}")
     return EXIT_OK
 
 
 def _cmd_compile(args) -> int:
-    if args.function and args.source != "oneway-from-and":
+    load, calls, reads_f = _SOURCES[args.source]
+    if args.function and not reads_f:
         raise ValueError(f"-f applies to --from oneway-from-and only, not {args.source}")
-    src_text = _read(args.input)
-    digest = _hash(src_text)
-    if args.source == "circuit":
-        circuit = parse_circuit(src_text)
-        result = compilers.circuit_to_nlb(circuit)
-        src_size = len(circuit.gates)
-    else:
-        src = parse_protocol(src_text)
-        _require_valid(src)
-        if args.source == "oneway":
-            if not isinstance(src, OneWayProtocol):
-                raise ValueError("--from oneway requires a oneway protocol file")
-            result = compilers.oneway_to_parallel(src)
-        elif args.source == "twoway":
-            if not isinstance(src, TwoWayTree):
-                raise ValueError("--from twoway requires a twoway protocol file")
-            result = compilers.twoway_to_parallel(src)
-        elif args.source == "ordered-to-ot":
-            result = compilers.ordered_to_ot(src)
-        elif args.source == "and-from-oneway":
-            if not isinstance(src, OneWayProtocol):
-                raise ValueError("--from and-from-oneway requires a oneway protocol")
-            result = compilers.and_from_oneway(src)
-        else:  # oneway-from-and
-            if not isinstance(src, AndProtocol):
-                raise ValueError("--from oneway-from-and requires an AND protocol")
-            if not args.function:
-                raise ValueError("oneway-from-and requires -f with the target function")
-            result = compilers.oneway_from_and(src, _load_table(args.function))
-        src_size = src.t
+    what = f"--from {args.source}"
+    table = (_required_table(args, what),) if reads_f else ()
+    src, digest, size = load(args.input)
+    result = getattr(compilers, _pick(calls, src, what))(src, *table)
     if args.normalize_xor:
-        if isinstance(result, (OrderedNlbProtocol, GeneralNlbProtocol)):
-            result = compilers.xor_normalize_general(result)
-        elif isinstance(result, ParallelXorProtocol):
-            result = compilers.xor_normalize_parallel(result)
-        else:
-            raise ValueError("--normalize-xor applies to parallel-xor, ordered or "
-                             f"general results, not {KIND_NAMES[type(result)]}")
-    key, count = _count_key(result)
+        result = getattr(compilers, _pick(_NORMALIZE, result, "--normalize-xor"))(result)
     print(f"input-hash: {digest}")
-    print(f"source-size: {src_size}")
-    print(f"{key}: {count}")
+    print(f"source-size: {size}")
+    print(f"{_COUNTED.get(type(result), 'boxes')}: {result.t}")
     _emit_protocol(result, args.out, f"compile --from {args.source} source {digest}")
     return EXIT_OK
 
@@ -341,21 +345,20 @@ def _cmd_exec(args) -> int:
             raise UsageError("--samples requires an explicit --seed")
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    text = _read(args.protocol)
-    p = parse_protocol(text)
-    _require_valid(p)
+    p, digest = _load_protocol(args.protocol)
     for name, v, bits in (("x", args.x, p.nx), ("y", args.y, p.ny)):
         if not 0 <= v < 1 << bits:
             raise ValueError(f"-{name} {v} is outside [0, {1 << bits})")
     # the result first, so that a resource limit leaves stdout empty
     if args.exact:
         dist = engine.exec_exact(p, args.x, args.y)
-        report = [f"p {a} {b}: {_fmt(dist.probs[(a, b)])}" for (a, b) in sorted(dist.probs)]
+        report = [f"p {a} {b}: {tt.format_fraction(dist.probs[(a, b)])}"
+                  for (a, b) in sorted(dist.probs)]
     else:
         counts = engine.sample_counts(p, args.x, args.y, args.seed, args.samples)
         report = [f"samples: {args.samples}", f"seed: {args.seed}",
                   *(f"count {a} {b}: {counts[(a, b)]}" for (a, b) in sorted(counts))]
-    print(f"input-hash: {_hash(text)}")
+    print(f"input-hash: {digest}")
     print(f"x: {args.x}")
     print(f"y: {args.y}")
     print("\n".join(report))
@@ -363,25 +366,14 @@ def _cmd_exec(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    text = _read(args.protocol)
-    p = parse_protocol(text)
-    _require_valid(p)
-    print(f"input-hash: {_hash(text)}")
-    if args.nonsignaling:
-        bad = engine.nonsignaling_audit(p)
-        print("check: nonsignaling")
-    elif args.privacy_and:
-        if not args.function:
-            raise ValueError("--privacy-and requires -f with the target function")
-        if not isinstance(p, AndProtocol):
-            raise ValueError("--privacy-and requires an AND protocol")
-        bad = engine.privacy_audit_and(p, _load_table(args.function))
-        print("check: privacy-and")
-    else:
-        if not isinstance(p, OtProtocol):
-            raise ValueError("--privacy-ot requires an OT protocol")
-        bad = engine.privacy_audit_ot(p)
-        print("check: privacy-ot")
+    calls, reads_f = _AUDITS[args.check]
+    what = f"--{args.check}"
+    table = (_required_table(args, what),) if reads_f else ()
+    p, digest = _load_protocol(args.protocol)
+    # the verdict first, so that an error or resource limit leaves stdout empty
+    bad = getattr(engine, _pick(calls, p, what))(p, *table)
+    print(f"input-hash: {digest}")
+    print(f"check: {args.check}")
     if bad is None:
         print("audit: ok")
         return EXIT_OK
@@ -390,39 +382,46 @@ def _cmd_audit(args) -> int:
     return EXIT_AUDIT
 
 
-def _cmd_lib(args) -> int:
-    if args.name == "chsh":
-        print(f"classical-optimum: {_fmt(library.chsh_classical_optimum())}")
-        p = library.chsh_box_protocol()
-        prof = engine.error_profile(p, tt.and_table())
-        print(f"nlb-success: {_fmt(1 - prof.worst)}")
-        return EXIT_OK
-    if args.name == "ip":
-        p = library.ip_protocol(args.n)
-        f = tt.ip_table(args.n)
-    elif args.name == "disj-det":
-        p = library.disj_det_protocol(args.n)
-        f = tt.disj_table(args.n)
-    elif args.name == "disj-rand":
-        p = library.disj_rand_parallel(args.n, _frac(args.flip))
-        f = tt.disj_table(args.n)
-    else:  # vandam
-        if not args.function:
-            raise ValueError("lib vandam requires -f with the target function")
-        f = _load_table(args.function)
-        p = library.vandam_protocol(f)
+def _lib_report(args, p, f) -> None:
     prof = engine.error_profile(p, f)
-    key, count = _count_key(p)
     print(f"name: {args.name}")
-    print(f"{key}: {count}")
-    print(f"worst-error: {_fmt(prof.worst)}")
+    print(f"{_COUNTED.get(type(p), 'boxes')}: {p.t}")
+    print(f"worst-error: {tt.format_fraction(prof.worst)}")
     _emit_protocol(p, args.out, f"lib {args.name} n={args.n}")
+
+
+def _chsh_report(_args, p, f) -> None:
+    print(f"classical-optimum: {tt.format_fraction(library.chsh_classical_optimum())}")
+    print(f"nlb-success: {tt.format_fraction(1 - engine.error_profile(p, f).worst)}")
+
+
+def _vandam(args):
+    f = _required_table(args, "lib vandam")
+    return library.vandam_protocol(f), f
+
+
+# lib NAME: its protocol and the function it computes, built from the
+# arguments (library's functions looked up at call time, as above), and
+# the report printed for it
+_LIB = {
+    "ip": (lambda a: (library.ip_protocol(a.n), tt.ip_table(a.n)), _lib_report),
+    "disj-det": (lambda a: (library.disj_det_protocol(a.n), tt.disj_table(a.n)),
+                 _lib_report),
+    "disj-rand": (lambda a: (library.disj_rand_parallel(a.n, _frac(a.flip, "--flip")),
+                             tt.disj_table(a.n)), _lib_report),
+    "chsh": (lambda a: (library.chsh_box_protocol(), tt.and_table()), _chsh_report),
+    "vandam": (_vandam, _lib_report),
+}
+
+
+def _cmd_lib(args) -> int:
+    build, report = _LIB[args.name]
+    report(args, *build(args))
     return EXIT_OK
 
 
 def _cmd_rt(args) -> int:
-    a_c, b_c, a_n, b_n = correlations.rt_trials(args.dim, args.trials,
-                                                args.seed)
+    a_c, b_c, a_n, b_n = correlations.rt_trials(args.dim, args.trials, args.seed)
     mism = int(((a_c * b_c) != (a_n * b_n)).sum())
     print(f"dim: {args.dim}")
     print(f"trials: {args.trials}")

@@ -8,10 +8,8 @@ equality there is on discrete outputs (signs and bits), never floats.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -59,9 +57,6 @@ def correlation_of_table(m: tt.TruthTable) -> CorrelationMatrix:
                                    for x in range(m.n_rows)))
 
 
-_ENTRY = re.compile(r"-?\d+/\d+", re.ASCII)
-
-
 def parse_correlation(text: str) -> CorrelationMatrix:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -70,28 +65,19 @@ def parse_correlation(text: str) -> CorrelationMatrix:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "corr":
         raise ValueError("header must be 'corr |X| |Y|'")
-    rows, cols = int(head[1]), int(head[2])
+    rows, cols = (tt.parse_decimal(tok, "corr size") for tok in head[1:])
     toks = " ".join(lines[1:]).split()
     if len(toks) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(toks)}")
-
-    def frac(tok: str) -> Fraction:
-        if not _ENTRY.fullmatch(tok):
-            raise ValueError(f"entry {tok!r} is not of the form n/d")
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {tok!r}")
-        return Fraction(int(num), int(den))
-
-    return CorrelationMatrix(tuple(tuple(frac(toks[x * cols + y])
-                                         for y in range(cols))
+    entries = [tt.parse_fraction(tok, "entry") for tok in toks]
+    return CorrelationMatrix(tuple(tuple(entries[x * cols:(x + 1) * cols])
                                    for x in range(rows)))
 
 
 def format_correlation(c: CorrelationMatrix) -> str:
     out = [f"corr {c.n_rows} {c.n_cols}"]
     for row in c.entries:
-        out.append(" ".join(f"{v.numerator}/{v.denominator}" for v in row))
+        out.append(" ".join(map(tt.format_fraction, row)))
     return "\n".join(out) + "\n"
 
 
@@ -186,17 +172,15 @@ def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
 class RtContext:
     """Projection context for the 3-box measurement simulation.
 
-    ``g`` projects onto a random 3-dimensional subspace; ``transform_c``
-    is the pluggable unit-vector map applied before projection (identity
-    by default — the exact quantum correlation needs an externally
-    defined transformation, so only discrete-output identities are
-    asserted against this context).
+    ``g`` projects onto a random 3-dimensional subspace.  Unit vectors
+    are projected as they are: the exact quantum correlation needs a
+    transformation of them defined elsewhere, so only discrete-output
+    identities are asserted against this context.
     """
 
     dim: int
     g: np.ndarray
     seed: int
-    transform_c: Callable[[np.ndarray], np.ndarray] = field(default=lambda v: v)
 
     def __post_init__(self):
         if self.g.shape != (3, self.dim):
@@ -206,15 +190,11 @@ class RtContext:
             raise ValueError("projector rows must be orthonormal")
 
 
-def make_context(dim: int, seed: int,
-                 transform_c: Callable[[np.ndarray], np.ndarray] | None = None,
-                 g: np.ndarray | None = None) -> RtContext:
+def make_context(dim: int, seed: int, g: np.ndarray | None = None) -> RtContext:
     if g is None:
         rng = np.random.default_rng(derive_seed(seed, 0))
         g = _gram_schmidt(rng.standard_normal((3, dim)))
-    if transform_c is None:
-        return RtContext(dim, g, seed)
-    return RtContext(dim, g, seed, transform_c)
+    return RtContext(dim, g, seed)
 
 
 def _project(v: np.ndarray, ctx: RtContext) -> np.ndarray:
@@ -223,10 +203,7 @@ def _project(v: np.ndarray, ctx: RtContext) -> np.ndarray:
         raise ValueError(f"vector must have dimension {ctx.dim}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise ValueError("input must be a unit vector")
-    w = np.asarray(ctx.transform_c(v), dtype=np.float64)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-6:
-        raise ValueError("transform_c must preserve unit norm")
-    return ctx.g @ w
+    return ctx.g @ v
 
 
 BOX_LABELS = ((1, -1), (-1, 1), (-1, -1))

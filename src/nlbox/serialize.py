@@ -4,8 +4,9 @@ Header "protocol <kind> nx=<..> ny=<..> t=<..>", then one labelled
 section per table of ``protocols.layout``, in its order: integer and
 fraction lists inline after the label, other tables one row per line
 (bitstrings, or space-separated OT input pairs).  Mixtures are written
-as one "mix <k> <num>/<den>" header per component, wrapping the k
-serialized components.  Blank lines and '#' comments are ignored.
+as one "mix <k> <num>/<den>" header per component, wrapping the k >= 1
+serialized components.  Numbers follow ``truthtable.DECIMAL`` and
+``truthtable.RATIONAL``.  Blank lines and '#' comments are ignored.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
 
+from . import truthtable as tt
 from .protocols import (BITS, FRACS, INTS, KIND_NAMES, PAIRS, Protocol,
                         ProtocolMixture, layout)
 
@@ -22,10 +24,6 @@ _KINDS = {name: kind for kind, name in KIND_NAMES.items()}
 
 class ParseError(ValueError):
     pass
-
-
-def _fmt_frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 _PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
@@ -39,7 +37,7 @@ _FORMATS = {
     BITS: lambda row: bytes(row).translate(_BIT_CHARS).decode(),
     PAIRS: lambda row: " ".join(map(_PAIR_TEXT.__getitem__, row)),
     INTS: lambda row: " ".join(map(str, row)),
-    FRACS: lambda row: " ".join(map(_fmt_frac, row)),
+    FRACS: lambda row: " ".join(map(tt.format_fraction, row)),
 }
 
 
@@ -55,7 +53,7 @@ def _emit(p: Protocol, lines: list[str]) -> None:
     if isinstance(p, ProtocolMixture):
         k = len(p.components)
         for w, comp in p.components:
-            lines.append(f"mix {k} {_fmt_frac(w)}")
+            lines.append(f"mix {k} {tt.format_fraction(w)}")
             _emit(comp, lines)
         return
     lines.append(f"protocol {KIND_NAMES[type(p)]} nx={p.nx} ny={p.ny} t={p.t}")
@@ -112,16 +110,8 @@ def parse(text: str) -> Protocol:
     return p
 
 
-def _parse_frac(tok: str) -> Fraction:
-    try:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad fraction {tok!r}") from None
-
-
 # cell types listed on their label's line, and how one cell is read
-_INLINE = {INTS: int, FRACS: _parse_frac}
+_INLINE = {INTS: tt.parse_decimal, FRACS: tt.parse_fraction}
 
 
 def _mix_header(line: str) -> tuple[int, Fraction]:
@@ -129,7 +119,10 @@ def _mix_header(line: str) -> tuple[int, Fraction]:
     try:
         if head[0] != "mix" or len(head) != 3:
             raise ValueError
-        return int(head[1]), _parse_frac(head[2])
+        k = tt.parse_decimal(head[1], "component count")
+        if k < 1:
+            raise ValueError
+        return k, tt.parse_fraction(head[2], "weight")
     except ValueError:
         raise ParseError(f"bad mixture header {line!r}") from None
 
@@ -154,8 +147,8 @@ def _parse_body(cur: _Cursor):
     head = line.split()
     try:
         header = dict(kv.split("=") for kv in head[2:])
-        nx, ny, t = int(header["nx"]), int(header["ny"]), int(header["t"])
-        if head[0] != "protocol" or len(head) < 2 or min(nx, ny) < 0:
+        nx, ny, t = (tt.parse_decimal(header[key], key) for key in ("nx", "ny", "t"))
+        if head[0] != "protocol" or len(head) < 2:
             raise ValueError
     except (ValueError, KeyError):
         raise ParseError(f"bad header {line!r}") from None
@@ -168,7 +161,14 @@ def _parse_body(cur: _Cursor):
     for label, field, index, cells, rows, width in layout(kind, nx, ny, t, got):
         line = cur.expect(f"{label}:")
         if cells in _INLINE:
-            tab = tuple(map(_INLINE[cells], line.split()[1:]))
+            # an OT file repeats one rweights token 2^t times: read each
+            # distinct token once
+            toks, read = line.split()[1:], _INLINE[cells]
+            try:
+                value = {tok: read(tok, label) for tok in dict.fromkeys(toks)}
+            except ValueError as exc:
+                raise ParseError(str(exc)) from None
+            tab = tuple(map(value.__getitem__, toks))
         elif rows is None:
             tab = cur.row(cells, width)
         else:

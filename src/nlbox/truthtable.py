@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 
@@ -90,8 +91,34 @@ def disj_table(n: int) -> TruthTable:
     return from_function(n, n, lambda x, y: 1 if x & y else 0)
 
 
-# a nonnegative integer in ASCII decimal digits
+# The number rules of every text format and command-line rational: a
+# count, width, index or cell value is a nonnegative integer in ASCII
+# decimal digits, a rational is n/d in them with an optional leading "-".
+# int() alone would also take a sign, underscores or other scripts' digits.
 DECIMAL = re.compile(r"[0-9]+")
+RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def parse_decimal(tok: str, what: str) -> int:
+    """``tok`` as a DECIMAL number; ``what`` names it in the error."""
+    if not DECIMAL.fullmatch(tok):
+        raise ValueError(f"{what} {tok!r} is not a decimal number")
+    return int(tok)
+
+
+def parse_fraction(tok: str, what: str) -> Fraction:
+    """``tok`` as a RATIONAL n/d; ``what`` names it in the error."""
+    m = RATIONAL.fullmatch(tok)
+    if m is None:
+        raise ValueError(f"{what} {tok!r} is not of the form n/d")
+    if not int(m[2]):
+        raise ValueError(f"zero denominator in {what} {tok!r}")
+    return Fraction(int(m[1]), int(m[2]))
+
+
+def format_fraction(v) -> str:
+    """A Fraction or an int as n/d in lowest terms."""
+    return f"{v.numerator}/{v.denominator}"
 
 
 def _is_power(n: int, width: str) -> bool:

@@ -288,9 +288,41 @@ def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
     path = tmp_path / "nine.nlb"
     path.write_text(serialize(random_ordered(1, 1, 9, random.Random(9))))
     monkeypatch.setenv("NLBOX_LIMIT_T", "8")
-    code, _, err = run(capsys, argv[0], "-p", str(path), *argv[1:])
-    assert code == 4
+    code, out, err = run(capsys, argv[0], "-p", str(path), *argv[1:])
+    assert (code, out) == (4, "")
     assert err.count("\n") == 1 and err.startswith("resource limit: 2^9 ")
+
+
+@pytest.mark.parametrize("check", ["--privacy-ot", "--privacy-and"])
+def test_audit_rejection_leaves_stdout_empty(capsys, tmp_path, check):
+    # an ordered protocol for the OT check; the AND check without -f
+    path = tmp_path / "o.nlb"
+    path.write_text(serialize(disj_det_protocol(1)))
+    _assert_one_line_error(*run(capsys, "audit", "-p", str(path), check))
+
+
+def test_dispatch_looks_up_module_functions_when_it_runs(capsys, tmp_path, monkeypatch):
+    # a tracer wraps these module attributes after nlbox.cli is imported;
+    # the commands look them up when they run, so each wrapper is called
+    from nlbox import cli, compilers, library
+    assert cli.build_parser() is cli.build_parser()
+    called = []
+    for module, name in ((compilers, "ordered_to_ot"), (compilers, "xor_normalize_general"),
+                         (engine, "nonsignaling_audit"), (library, "ip_protocol")):
+        def counted(*a, _fn=getattr(module, name), _name=name):
+            called.append(_name)
+            return _fn(*a)
+        monkeypatch.setattr(module, name, counted)
+    nlb, circ = tmp_path / "o.nlb", tmp_path / "c.circ"
+    nlb.write_text(serialize(disj_det_protocol(1)))
+    circ.write_text("circuit 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 2\n")
+    for argv in (("compile", "--from", "ordered-to-ot", "-i", str(nlb)),
+                 ("compile", "--from", "circuit", "--normalize-xor", "-i", str(circ)),
+                 ("audit", "-p", str(nlb), "--nonsignaling"),
+                 ("lib", "ip", "-n", "1")):
+        assert run(capsys, *argv)[0] == 0
+    assert called == ["ordered_to_ot", "xor_normalize_general", "nonsignaling_audit",
+                      "ip_protocol"]
 
 
 def test_exit_code_usage(capsys):
@@ -321,17 +353,26 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
         code, out, err = run(capsys, "rank", "-f", str(bad))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: header {header!r}") and err.count("\n") == 1
+    ip1 = serialize(ip_protocol(1))
     for name, text in (("no-ny.nlb", "protocol parallel-xor nx=1 t=0\n"),
-                       ("bare-mix.nlb", "mix\n")):
+                       ("bare-mix.nlb", "mix\n"),
+                       ("empty-mix.nlb", "mix 0 1/1\n" + ip1),
+                       ("arabic-indic-nx.nlb", ip1.replace("nx=1", "nx=\u0661"))):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "exec", "-p", str(path), "-x", "0",
                              "-y", "0", "--exact")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
     corr = tmp_path / "zero-den.corr"
     corr.write_text("corr 1 2\n1/0 1/2\n")
+    arabic = tmp_path / "arabic-indic.corr"
+    arabic.write_text("corr \u0661 1\n1/2\n", encoding="utf-8")
     for argv in (("epsrank", "-f", and_file, "--eps", "1/0"),
+                 ("epsrank", "--corr", str(arabic), "--eps", "0"),
+                 ("epsrank", "-f", and_file, "--eps", "\u0661/4"),
+                 ("epsrank", "-f", and_file, "--eps", "1_0/40"),
+                 ("epsrank", "-f", and_file, "--eps", "1/-4"),
                  ("epsrank", "--corr", str(corr), "--eps", "0"),
                  ("epsrank", "-f", "", "--eps", "0"),
                  ("lib", "disj-rand", "--flip", "1/0")):

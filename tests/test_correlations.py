@@ -50,6 +50,9 @@ def test_correlation_file_roundtrip():
         parse_correlation("corr 2 2\n1/2 1/2 1/2\n")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_correlation("corr 1 2\n1/0 1/2\n")
+    for head in ("corr \u0661 2", "corr 1 +2", "corr 1_0 2"):
+        with pytest.raises(ValueError, match="is not a decimal number"):
+            parse_correlation(f"{head}\n1/2 1/2\n")
     # int() would take the last three; an Arabic-Indic digit is not ASCII
     for tok in ("0", "0x1/2", "1/2/3", "1/", "1_0/20", "+1/2", "\u0661/2"):
         msg = f"entry {tok!r} is not of the form n/d"

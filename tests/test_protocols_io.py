@@ -175,6 +175,32 @@ def test_parse_errors():
         parse("mix\n")
     with pytest.raises(ParseError):  # zero-denominator mixture weight
         parse("mix 1 1/0\n" + good)
+    # a mixture of fewer than one component
+    for head in ("mix 0 1/1", "mix -3 1/1"):
+        with pytest.raises(ParseError, match="^bad mixture header"):
+            parse(f"{head}\n{good}")
+
+
+def test_parse_reads_numbers_as_ascii_decimal():
+    # int() would read each replacement; counts, widths and cells are
+    # ASCII decimal digits, rationals n/d in them
+    ip = serialize(ip_protocol(1))
+    for bad in ("nx=\u0661", "nx=+1", "nx=1_0", "nx=-1"):
+        with pytest.raises(ParseError, match="^bad header"):
+            parse(ip.replace("nx=1", bad, 1))
+    ow = serialize(oneway_optimal(ip_table(1)))
+    msg = re.search(r"^msg: (\S+)", ow, re.M)
+    for bad in ("+" + msg[1], "\u0661", "1_0"):
+        with pytest.raises(ParseError, match=f"^msg {re.escape(repr(bad))} is not a decimal"):
+            parse(ow.replace(msg[0], f"msg: {bad}", 1))
+    ot = serialize(ordered_to_ot(disj_det_protocol(1)))
+    weights = re.search(r"^rweights: .*$", ot, re.M)[0]
+    for bad in ("+1/2", "1/+2", "1_0/20", "\u0661/2", "1", "1/0"):
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            parse(ot.replace(weights, weights + " " + bad, 1))
+    for bad in ("mix 1 +1/1", "mix \u0661 1/1", "mix 1 1"):
+        with pytest.raises(ParseError, match="^bad mixture header"):
+            parse(f"{bad}\n{ip}")
 
 
 @pytest.mark.parametrize("row", ["0201", "01 1", "01\uff111", "0\u06611",
