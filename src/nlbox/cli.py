@@ -186,10 +186,10 @@ def _pick(calls: dict, p, what: str) -> str:
 
 
 def _required_table(args, what: str) -> tt.TruthTable:
-    """The -f truth table of a choice that reads one."""
+    """The -f truth table of a choice that reads one; nothing prints its hash."""
     if not args.function:
         raise ValueError(f"{what} requires -f with the target function")
-    return _load_table(args.function)[0]
+    return tt.parse_truth_table(_read(args.function))
 
 
 @functools.cache
@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("lib", help="named protocols")
     sp.add_argument("name", choices=tuple(_LIB))
     sp.add_argument("-n", type=int, default=2)
-    sp.add_argument("--flip", default="1/3", help="output-flip weight for disj-rand")
+    sp.add_argument("--flip", help="output-flip weight for disj-rand (default 1/3)")
     sp.add_argument("-f", "--function", help="truth table (vandam)")
     sp.add_argument("-o", "--out")
 
@@ -368,6 +368,8 @@ def _cmd_exec(args) -> int:
 def _cmd_audit(args) -> int:
     calls, reads_f = _AUDITS[args.check]
     what = f"--{args.check}"
+    if args.function and not reads_f:
+        raise ValueError(f"-f applies to --privacy-and only, not {what}")
     table = (_required_table(args, what),) if reads_f else ()
     p, digest = _load_protocol(args.protocol)
     # the verdict first, so that an error or resource limit leaves stdout empty
@@ -395,6 +397,11 @@ def _chsh_report(_args, p, f) -> None:
     print(f"nlb-success: {tt.format_fraction(1 - engine.error_profile(p, f).worst)}")
 
 
+def _disj_rand(args):
+    flip = Fraction(1, 3) if args.flip is None else _frac(args.flip, "--flip")
+    return library.disj_rand_parallel(args.n, flip), tt.disj_table(args.n)
+
+
 def _vandam(args):
     f = _required_table(args, "lib vandam")
     return library.vandam_protocol(f), f
@@ -407,14 +414,17 @@ _LIB = {
     "ip": (lambda a: (library.ip_protocol(a.n), tt.ip_table(a.n)), _lib_report),
     "disj-det": (lambda a: (library.disj_det_protocol(a.n), tt.disj_table(a.n)),
                  _lib_report),
-    "disj-rand": (lambda a: (library.disj_rand_parallel(a.n, _frac(a.flip, "--flip")),
-                             tt.disj_table(a.n)), _lib_report),
+    "disj-rand": (_disj_rand, _lib_report),
     "chsh": (lambda a: (library.chsh_box_protocol(), tt.and_table()), _chsh_report),
     "vandam": (_vandam, _lib_report),
 }
 
 
 def _cmd_lib(args) -> int:
+    for option, given, reader in (("-f", args.function, "vandam"),
+                                  ("--flip", args.flip is not None, "disj-rand")):
+        if given and args.name != reader:
+            raise ValueError(f"{option} applies to {reader} only, not {args.name}")
     build, report = _LIB[args.name]
     report(args, *build(args))
     return EXIT_OK

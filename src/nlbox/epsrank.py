@@ -6,6 +6,12 @@ epsilon of it entrywise.  Candidate Boolean matrices are enumerated
 exhaustively (desk scale: at most 16 entries) and grouped by rank; the
 mixture search is a phase-1 simplex over rationals, accelerated by
 column generation so the master LP stays tiny even with 65k candidates.
+
+Each shape has one cached candidate table (``candidate_table``): the
+masks in rank order, their entry bits as uint8, and where the masks of
+rank at most t end, so the search at t reads a prefix of it.  Each
+search builds its float pricing matrix from those bits and passes the
+master's columns to the simplex as one int64 array.
 """
 
 from __future__ import annotations
@@ -49,6 +55,22 @@ def enumerate_ranks(n_rows: int, n_cols: int) -> tuple[np.ndarray, ...]:
     return tuple(masks[ranks == r] for r in range(rmax + 1))
 
 
+@lru_cache(maxsize=None)
+def candidate_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every Boolean n_rows x n_cols matrix in order of GF(2) rank.
+
+    Returns the masks of ``enumerate_ranks`` concatenated, their entry
+    bits as uint8 (column e holds entry e, row-major), and for each t the
+    end of the prefix of masks with rank at most t.
+    """
+    by_rank = enumerate_ranks(n_rows, n_cols)
+    masks = np.concatenate(by_rank)
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(len(masks), 8), axis=1,
+                         count=n_rows * n_cols, bitorder="little")
+    masks.flags.writeable = bits.flags.writeable = False
+    return masks, bits, tuple(np.cumsum([len(g) for g in by_rank]).tolist())
+
+
 def mask_entries(mask: int, n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((mask >> (x * n_cols + y)) & 1 for y in range(n_cols))
                  for x in range(n_rows))
@@ -89,38 +111,41 @@ def _target_entries(matrix) -> tuple[int, int, list[Fraction]]:
     return r, c, flat
 
 
-def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
-    """Search for a convex mixture of the masked matrices whose entrywise
-    expectation lies in [lo, hi]; returns (mask, weight) pairs or None.
+def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
+    """Search for a convex mixture of the Boolean matrices of GF(2) rank at
+    most t whose entrywise expectation lies in [lo, hi]; returns (mask,
+    weight) pairs or None.
 
     Column generation over an exact phase-1 master: candidates are ranked
     by float prices and admitted by an exact integer reduced-cost check,
     so both feasibility and infeasibility verdicts are exact.
     """
+    masks, bits, ends = candidate_table(n_rows, n_cols)
+    masks, bits = masks[:ends[t]], bits[:ends[t]]
+    n_entries = n_rows * n_cols
     # Row layout: one <=hi row per entry, one >=lo row per entry with lo>0,
     # and the convexity row.
     lo_rows = [e for e in range(n_entries) if lo[e] > 0]
     m = n_entries + len(lo_rows) + 1
     b = [hi[e] for e in range(n_entries)] + [lo[e] for e in lo_rows] + [ONE]
 
-    def candidate_column(mask: int) -> list[int]:
-        bits = [(int(mask) >> e) & 1 for e in range(n_entries)]
-        return bits + [bits[e] for e in lo_rows] + [1]
+    def candidate_columns(js) -> np.ndarray:
+        chosen = bits[js]
+        return np.concatenate([chosen, chosen[:, lo_rows], np.ones((len(js), 1), np.uint8)],
+                              axis=1)
 
     # permanent slack/surplus columns
-    fixed_cols = [[int(k == e) for k in range(m)] for e in range(n_entries)]
-    fixed_cols += [[-int(k == n_entries + i) for k in range(m)]
-                   for i in range(len(lo_rows))]
+    fixed_cols = np.eye(m - 1, m, dtype=np.int64)
+    fixed_cols[n_entries:] *= -1
 
     # float pricing matrix: value of each candidate column under duals
-    bits_f = ((np.asarray(masks, dtype=np.int64)[:, None]
-               >> np.arange(n_entries, dtype=np.int64)) & 1).astype(np.float64)
+    bits_f = bits.astype(np.float64)
     lo_bits_f = bits_f[:, lo_rows]
 
     active: list[int] = []
     active_set: set[int] = set()
     for _round in range(len(masks) + 1):
-        cols = [candidate_column(masks[j]) for j in active] + fixed_cols
+        cols = np.concatenate([candidate_columns(active), fixed_cols], dtype=np.int64)
         opt, x, y = solve_phase1(cols, b)
         if opt == 0:
             return [(int(masks[j]), x[i]) for i, j in enumerate(active) if x[i] > 0]
@@ -133,14 +158,13 @@ def _mixture_feasible(masks: np.ndarray, lo, hi, n_entries: int, n_cols: int):
         if lo_rows:
             scores += lo_bits_f @ y_f[n_entries:n_entries + len(lo_rows)]
         scores += y_f[-1]
-        order = np.argsort(-scores)
+        top = np.argsort(-scores)[:64].tolist()
         added = 0
-        for j in order[:64]:
-            j = int(j)
+        for j, col in zip(top, candidate_columns(top).tolist()):
             if j in active_set:
                 continue
             # exact reduced-cost check before admitting the column
-            if sum(map(mul, y_int, candidate_column(masks[j]))) > 0:
+            if sum(map(mul, y_int, col)) > 0:
                 active.append(j)
                 active_set.add(j)
                 added += 1
@@ -160,11 +184,9 @@ def eps_rank(q: EpsRankQuery) -> EpsRankResult:
             f"{n_rows}x{n_cols} exceeds the {MAX_ENTRIES}-entry enumeration limit")
     lo = [max(ZERO, v - q.eps) for v in target]
     hi = [min(ONE, v + q.eps) for v in target]
-    by_rank = enumerate_ranks(n_rows, n_cols)
-    rmax = len(by_rank) - 1
+    rmax = min(n_rows, n_cols)
     for t in range(min(q.tmax, rmax) + 1):
-        masks = np.concatenate([by_rank[r] for r in range(t + 1)])
-        mix = _mixture_feasible(masks, lo, hi, n_entries, n_cols)
+        mix = _mixture_feasible(t, n_rows, n_cols, lo, hi)
         if mix is not None:
             witness = tuple((w, mask_entries(mask, n_rows, n_cols)) for mask, w in mix)
             return EpsRankResult(t, witness)

@@ -176,6 +176,40 @@ def test_compile_rejects_function_for_sources_that_ignore_it(capsys, tmp_path):
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("check", ["--nonsignaling", "--privacy-ot"])
+def test_audit_rejects_function_for_checks_that_ignore_it(capsys, tmp_path, ip2_file, check):
+    path = tmp_path / "ot.nlb"
+    path.write_text(serialize(ordered_to_ot(disj_det_protocol(1))))
+    code, out, err = run(capsys, "audit", "-p", str(path), check, "-f", ip2_file)
+    _assert_one_line_error(code, out, err)
+    assert err == f"error: -f applies to --privacy-and only, not {check}\n"
+
+
+@pytest.mark.parametrize("name", ["ip", "disj-det", "disj-rand", "chsh", "vandam"])
+def test_lib_rejects_options_its_name_ignores(capsys, tmp_path, ip2_file, name):
+    # -f is read by vandam alone and --flip by disj-rand alone; a malformed
+    # weight is rejected as unread before it is parsed
+    for option, value, reader in (("-f", ip2_file, "vandam"),
+                                  ("--flip", "1/4", "disj-rand"),
+                                  ("--flip", "x", "disj-rand")):
+        if name == reader:
+            continue
+        out_path = tmp_path / f"{name}.out"
+        argv = ["lib", name, option, value, "-o", str(out_path)]
+        if name == "vandam":
+            argv += ["-f", ip2_file]
+        code, out, err = run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err == f"error: {option} applies to {reader} only, not {name}\n"
+        assert not out_path.exists()
+
+
+def test_lib_disj_rand_flip_defaults_to_one_third(capsys):
+    default = run(capsys, "lib", "disj-rand", "-n", "2")[:2]
+    assert default == run(capsys, "lib", "disj-rand", "-n", "2", "--flip", "1/3")[:2]
+    assert default != run(capsys, "lib", "disj-rand", "-n", "2", "--flip", "1/4")[:2]
+
+
 def test_stdout_byte_identical_across_runs(capsys, ip2_file):
     _, out1, _ = run(capsys, "rt", "--dim", "3", "--trials", "500",
                      "--seed", "11")

@@ -4,12 +4,13 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nlbox import epsrank, gf2
 from nlbox.correlations import CorrelationMatrix
 from nlbox.epsrank import (DimensionLimitError, EpsRankQuery, EpsRankResult,
-                           enumerate_ranks, eps_rank, verify_witness)
+                           candidate_table, enumerate_ranks, eps_rank, verify_witness)
 from nlbox.truthtable import TruthTable, and_table, xor_table
 from util import random_table
 
@@ -91,6 +92,19 @@ def test_enumerate_ranks_partition():
     # rank-1 2x2 Boolean matrices: 9 (choose nonzero row/col supports)
     assert len(groups[1]) == 9
     assert len(groups[2]) == 6
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(1, 5) for c in range(1, 5)]
+                         + [(3, 5)])
+def test_candidate_table_is_the_rank_enumeration(shape):
+    groups = enumerate_ranks(*shape)
+    masks, bits, ends = candidate_table(*shape)
+    assert np.array_equal(masks, np.concatenate(groups))
+    assert bits.dtype == np.uint8
+    n_entries = shape[0] * shape[1]
+    assert np.array_equal(bits, (masks[:, None] >> np.arange(n_entries)) & 1)
+    assert ends == tuple(np.cumsum([len(g) for g in groups]))
+    assert ends[-1] == len(masks) == 1 << n_entries
 
 
 def test_rational_target_between_levels():

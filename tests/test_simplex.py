@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nlbox import _simplex
 from nlbox._simplex import solve_phase1
 from util import oracle_phase1
 
@@ -46,6 +48,58 @@ def test_matches_rational_tableau():
     assert 100 < feasible < len(LPS) - 100
 
 
+def _as_array(cols, b):
+    return np.array(cols, dtype=np.int64).reshape(len(cols), len(b))
+
+
+def test_array_columns_match_lists():
+    for cols, b in LPS:
+        assert solve_phase1(_as_array(cols, b), b) == solve_phase1(cols, b)
+
+
+# entries at and past 2^31, where the tableau leaves int64 for Python ints
+WIDE_LPS = [
+    # rhs denominators 2^40 + 1 and 2^70 + 3: the scaled rhs is wide from the start
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+     [Fraction(1, 2**40 + 1), Fraction(2**39, 2**40 + 1), Fraction(1, 3)]),
+    ([[1, 0], [1, 1], [0, -1]], [Fraction(3, 2**70 + 3), Fraction(2**69, 2**70 + 3)]),
+    # column entries of +-2^33
+    ([[2**33, -1, 1], [1, 2**33, -2**33], [-2**33, 1, 1]],
+     [Fraction(1), Fraction(2, 7), Fraction(0)]),
+    ([[2**33, 2**33], [-2**33, 1]], [Fraction(5), Fraction(3)]),
+]
+# entries below 2^31 whose pivots reach it: int64 first, Python ints after
+GROWING_LP = ([[2**20, 3, 1], [5, 2**20, 1], [1, 7, 2**20]],
+              [Fraction(1), Fraction(1), Fraction(1)])
+
+
+@pytest.mark.parametrize("cols, b", [*WIDE_LPS, GROWING_LP],
+                         ids=["rhs-2^40+1", "rhs-2^70+3", "cols-2^33", "cols-2^33-square",
+                              "growing"])
+def test_wide_entries_match_rational_tableau(cols, b):
+    want = oracle_phase1(cols, b)
+    assert solve_phase1(cols, b) == want
+    assert solve_phase1(_as_array(cols, b), b) == want
+
+
+def test_tableau_leaves_int64_when_an_entry_reaches_2_31(monkeypatch):
+    widened, wide = _simplex._widened, []
+
+    def spy(tab):
+        tab = widened(tab)
+        wide.append(tab.dtype == object)
+        return tab
+
+    monkeypatch.setattr(_simplex, "_widened", spy)
+    solve_phase1(*GROWING_LP)
+    # int64 at the start, Python ints from some pivot on
+    assert not wide[0] and wide[-1] and wide == sorted(wide)
+    for lp, want in ((WIDE_LPS[0], True), (WIDE_LPS[2], True), (LPS[-3], False)):
+        wide.clear()
+        solve_phase1(*lp)
+        assert set(wide) == {want}
+
+
 def test_results_are_exact_certificates():
     for cols, b in LPS:
         opt, x, y = solve_phase1(cols, b)
@@ -70,6 +124,12 @@ def test_integral_entries_of_any_type_are_accepted():
 def test_rejects_non_integral_column_entry(entry):
     with pytest.raises(ValueError, match="integer"):
         solve_phase1([[1, 0], [0, entry]], [Fraction(1), Fraction(1)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool, object])
+def test_rejects_non_integer_column_array(dtype):
+    with pytest.raises(ValueError, match="integer"):
+        solve_phase1(np.eye(2, dtype=dtype), [Fraction(1), Fraction(1)])
 
 
 def test_rejects_negative_rhs():
