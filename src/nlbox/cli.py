@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("lib", help="named protocols")
     sp.add_argument("name", choices=tuple(_LIB))
-    sp.add_argument("-n", type=int, default=2)
+    sp.add_argument("-n", type=int)
     sp.add_argument("--flip", help="output-flip weight for disj-rand (default 1/3)")
     sp.add_argument("-f", "--function", help="truth table (vandam)")
     sp.add_argument("-o", "--out")
@@ -272,8 +272,8 @@ def _cmd_factorize(args) -> int:
     print(f"input-hash: {digest}")
     print(f"rank: {fac.t}")
     for i in range(fac.t):
-        p = "".join(str((fac.row_factors[i] >> x) & 1) for x in range(f.n_rows))
-        q = "".join(str((fac.col_factors[i] >> y) & 1) for y in range(f.n_cols))
+        p = tt.bit_string(fac.row_factors[i], f.n_rows)
+        q = tt.bit_string(fac.col_factors[i], f.n_cols)
         print(f"factor {i}: {p} x {q}")
     print(f"reconstruction-exact: {fac.reconstruct() == f}")
     return EXIT_OK
@@ -421,10 +421,14 @@ _LIB = {
 
 
 def _cmd_lib(args) -> int:
-    for option, given, reader in (("-f", args.function, "vandam"),
-                                  ("--flip", args.flip is not None, "disj-rand")):
-        if given and args.name != reader:
-            raise ValueError(f"{option} applies to {reader} only, not {args.name}")
+    checks = (("-n", args.n is not None, "ip or disj-det or disj-rand"),
+              ("-f", args.function, "vandam"),
+              ("--flip", args.flip is not None, "disj-rand"))
+    for option, given, readers in checks:
+        if given and args.name not in readers.split(" or "):
+            raise ValueError(f"{option} applies to {readers} only, not {args.name}")
+    if args.n is None:  # defaulted only now, so that a given -n is told apart
+        args.n = 2
     build, report = _LIB[args.name]
     report(args, *build(args))
     return EXIT_OK

@@ -45,8 +45,9 @@ def synth_rank(f: TruthTable) -> ParallelXorProtocol:
 def synth_vandam(f: TruthTable) -> ParallelXorProtocol:
     """One box per nonzero row: Alice selects her row, Bob inputs its value."""
     rows = [z for z in range(f.n_rows) if f.rows[z]]
+    bits = f.bits().tolist()
     return _strict(f, [tuple(1 if x == z else 0 for x in range(f.n_rows)) for z in rows],
-                   [tuple(f.entry(z, y) for y in range(f.n_cols)) for z in rows], (), ())
+                   [tuple(bits[z]) for z in rows], (), ())
 
 
 # --- communication to boxes ---
@@ -117,7 +118,7 @@ def parallel_exact_function(p: ParallelProtocol) -> TruthTable | None:
     errs, den = _errors(p, TruthTable(p.nx, p.ny, (0,) * (1 << p.nx)))
     if ((errs != 0) & (errs != den)).any():
         return None
-    return from_entries(p.nx, p.ny, (errs == den).reshape(1 << p.nx, -1).tolist())
+    return from_entries(p.nx, p.ny, (errs == den).reshape(1 << p.nx, -1))
 
 
 def _find_dependency(p: ParallelProtocol) -> tuple[int, int] | None:
@@ -547,7 +548,7 @@ def oneway_optimal(f: TruthTable, parity: bool = True) -> OneWayProtocol:
         msg.append(reps[key])
         out_a.append(1 if parity and row != key else 0)
     t = max(0, (len(reps) - 1)).bit_length()
-    rows_by_m = {m: key for key, m in reps.items()}
-    out_b = tuple(tuple((rows_by_m.get(m, 0) >> y) & 1 for y in range(f.n_cols))
-                  for m in range(1 << t))
+    # Bob answers message m with its key row, and unused messages with 0s
+    keys = TruthTable(t, f.ny, (*reps, *(0,) * ((1 << t) - len(reps))))
+    out_b = tuple(map(tuple, keys.bits().tolist()))
     return OneWayProtocol(f.nx, f.ny, t, tuple(msg), tuple(out_a), out_b)

@@ -52,9 +52,7 @@ class CorrelationMatrix:
 
 
 def correlation_of_table(m: tt.TruthTable) -> CorrelationMatrix:
-    return CorrelationMatrix(tuple(tuple(Fraction(m.entry(x, y))
-                                         for y in range(m.n_cols))
-                                   for x in range(m.n_rows)))
+    return CorrelationMatrix(tuple(tuple(map(Fraction, row)) for row in m.bits().tolist()))
 
 
 def parse_correlation(text: str) -> CorrelationMatrix:
@@ -88,14 +86,8 @@ class BooleanMixture:
     components: tuple[tuple[Fraction, tt.TruthTable], ...]
 
     def reconstruct(self) -> CorrelationMatrix:
-        w0, m0 = self.components[0]
-        acc = [[w0 * m0.entry(x, y) for y in range(m0.n_cols)]
-               for x in range(m0.n_rows)]
-        for w, m in self.components[1:]:
-            for x in range(m.n_rows):
-                for y in range(m.n_cols):
-                    acc[x][y] += w * m.entry(x, y)
-        return CorrelationMatrix(tuple(tuple(row) for row in acc))
+        acc = sum(w * m.bits().astype(object) for w, m in self.components)
+        return CorrelationMatrix(tuple(map(tuple, acc.tolist())))
 
 
 def _log2_ceil(n: int) -> int:
@@ -117,8 +109,7 @@ def layercake_decompose(c: CorrelationMatrix) -> BooleanMixture:
     comps = []
     prev = Fraction(0)
     for u in levels:
-        m = tt.from_entries(nx, ny, [[1 if v >= u else 0 for v in row]
-                                     for row in c.entries])
+        m = tt.from_entries(nx, ny, [[v >= u for v in row] for row in c.entries])
         comps.append((u - prev, m))
         prev = u
     if prev < 1:

@@ -93,13 +93,6 @@ def _ints(row) -> np.ndarray:
     return np.asarray(row, dtype=np.int64)
 
 
-def _entries(f: TruthTable) -> np.ndarray:
-    """Every entry of f, row-major."""
-    n = f.n_rows << f.ny
-    packed = sum(r << (x << f.ny) for x, r in enumerate(f.rows)).to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")[:n].astype(np.int64)
-
-
 def _parities(v: np.ndarray, t: int) -> np.ndarray:
     """Parity of each entry of v, all below 2^t."""
     for k in reversed(range(max(t - 1, 0).bit_length())):
@@ -418,7 +411,7 @@ def _xor_errors(p: ParallelXorProtocol, f: TruthTable) -> np.ndarray:
             if px[x]:
                 r ^= q
         rows.append(r)
-    return _entries(TruthTable(f.nx, f.ny, tuple(rows)))
+    return TruthTable(f.nx, f.ny, tuple(rows)).bits().ravel()
 
 
 def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
@@ -433,7 +426,7 @@ def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
     rest = [(w, c) for w, c in leaves if not isinstance(c, ParallelXorProtocol)]
     if rest:
         x, y = np.divmod(np.arange(n), f.n_cols)
-        want = _entries(f)
+        want = f.bits().ravel()
         den, chunks = _batches(rest, x, y)
         errs = []
         for j, _v, nums, a, b, *_ in chunks:
@@ -523,7 +516,7 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
     if (p.nx, p.ny) != (f.nx, f.ny):
         raise ProtocolError("domain mismatch")
     x, y = np.divmod(np.arange(f.n_rows << f.ny), f.n_cols)
-    want = _entries(f)
+    want = f.bits().ravel()
     a, _b, gates = _kernel(p)(x, y, np.zeros_like(x))
     rows = want.reshape(f.n_rows, f.n_cols)
     y0 = np.where(rows, rows.argmax(1)[:, None], (1 - rows).argmax(1)[:, None]).ravel()

@@ -103,7 +103,7 @@ def _target_entries(matrix) -> tuple[int, int, list[Fraction]]:
     """Flatten the target into rational entries in row-major order."""
     if isinstance(matrix, TruthTable):
         r, c = matrix.n_rows, matrix.n_cols
-        flat = [Fraction(matrix.entry(x, y)) for x in range(r) for y in range(c)]
+        flat = list(map(Fraction, matrix.bits().ravel().tolist()))
         return r, c, flat
     entries = matrix.entries  # CorrelationMatrix duck-typing
     r, c = len(entries), len(entries[0])

@@ -158,11 +158,7 @@ def fourier_l1(m: TruthTable) -> SpectrumReport:
     """
     n = m.nx + m.ny
     size = 1 << n
-    width = (m.n_cols + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in m.rows),
-                           dtype=np.uint8).reshape(m.n_rows, width)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :m.n_cols]
-    signs = 1.0 - 2.0 * bits.reshape(-1)  # index x << ny | y
+    signs = 1.0 - 2.0 * m.bits().reshape(-1)  # index x << ny | y
     # fast WHT, one butterfly over every block of each level
     h = 1
     while h < size:

@@ -5,6 +5,10 @@ communication matrix: row index is Alice's input x, column index is
 Bob's input y, both read as big-endian integers.  Rows are bit-packed
 into Python integers (bit y of ``rows[x]`` is the entry at (x, y)),
 which keeps row XOR and row comparisons word-parallel for free.
+
+This module owns that packing: other modules read a table's entries
+through ``TruthTable.bits()`` (a uint8 array), build one from a 0/1
+table with ``from_entries``, and print packed bits with ``bit_string``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,29 +53,32 @@ class TruthTable:
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
 
+    def bits(self) -> np.ndarray:
+        """The entries as a new (n_rows, n_cols) uint8 array."""
+        width = (self.n_cols + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows),
+                               np.uint8).reshape(self.n_rows, width)
+        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
+
 
 def from_function(nx: int, ny: int, f: Callable[[int, int], int]) -> TruthTable:
-    rows = []
-    for x in range(1 << nx):
-        r = 0
-        for y in range(1 << ny):
-            r |= (f(x, y) & 1) << y
-        rows.append(r)
-    return TruthTable(nx, ny, tuple(rows))
+    return from_entries(nx, ny, [[f(x, y) for y in range(1 << ny)] for x in range(1 << nx)])
 
 
-def from_entries(nx: int, ny: int, entries: Iterable[Iterable[int]]) -> TruthTable:
-    rows = []
-    for row in entries:
-        r = 0
-        for y, v in enumerate(row):
-            r |= (v & 1) << y
-        rows.append(r)
-    return TruthTable(nx, ny, tuple(rows))
+def from_entries(nx: int, ny: int, entries: np.typing.ArrayLike) -> TruthTable:
+    """The table whose entry (x, y) is ``entries[x][y]`` mod 2, from a
+    2^nx x 2^ny array-like of integers or bools; a ragged or wrongly
+    sized table is a ValueError."""
+    a = np.asarray(entries)  # ragged rows raise ValueError here
+    if a.shape != (1 << nx, 1 << ny):
+        raise ValueError(f"entries of shape {a.shape} for a 2^{nx} x 2^{ny} table")
+    packed = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little")
+    return TruthTable(nx, ny, tuple(int.from_bytes(r, "little") for r in packed))
 
 
-def bit_count(v: int) -> int:
-    return bin(v).count("1")
+def bit_string(v: int, n: int) -> str:
+    """The n low bits of v as '0'/'1' characters, bit 0 first."""
+    return format(v, f"0{n}b")[::-1][:n]
 
 
 def and_table() -> TruthTable:
@@ -83,7 +92,7 @@ def xor_table() -> TruthTable:
 
 def ip_table(n: int) -> TruthTable:
     """Inner product mod 2 on n-bit inputs."""
-    return from_function(n, n, lambda x, y: bit_count(x & y) & 1)
+    return from_function(n, n, lambda x, y: (x & y).bit_count() & 1)
 
 
 def disj_table(n: int) -> TruthTable:
@@ -97,6 +106,7 @@ def disj_table(n: int) -> TruthTable:
 # int() alone would also take a sign, underscores or other scripts' digits.
 DECIMAL = re.compile(r"[0-9]+")
 RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_ROW = re.compile(r"[01]+")
 
 
 def parse_decimal(tok: str, what: str) -> int:
@@ -148,18 +158,14 @@ def parse_truth_table(text: str) -> TruthTable:
         if not _is_power(len(ln), head[1]):
             raise ValueError(f"header {header!r} asks for rows of 2^{head[1]} cells, "
                              f"got {ln!r}")
-        if any(c not in "01" for c in ln):
+        # both checks come first: int() would also take "_", a sign or "0b"
+        if not _ROW.fullmatch(ln):
             raise ValueError(f"bad row {ln!r}")
-        r = 0
-        for y, c in enumerate(ln):
-            r |= (c == "1") << y
-        rows.append(r)
+        rows.append(int(ln[::-1], 2))
     nx, ny = len(body).bit_length() - 1, len(body[0]).bit_length() - 1
     return TruthTable(nx, ny, tuple(rows))
 
 
 def format_truth_table(tt: TruthTable) -> str:
-    out = [f"{tt.nx} {tt.ny}"]
-    for x in range(tt.n_rows):
-        out.append("".join("1" if tt.entry(x, y) else "0" for y in range(tt.n_cols)))
-    return "\n".join(out) + "\n"
+    rows = (bit_string(r, tt.n_cols) for r in tt.rows)
+    return "\n".join((f"{tt.nx} {tt.ny}", *rows)) + "\n"

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from nlbox import engine
 from nlbox.cli import dispatch
 from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
+from nlbox.gf2 import gf2_factorize
 from nlbox.library import disj_det_protocol, ip_protocol
 from nlbox.serialize import parse, serialize
-from nlbox.truthtable import format_truth_table, ip_table, and_table
+from nlbox.truthtable import TruthTable, format_truth_table, ip_table, and_table
 from util import (TRUTH_TABLE_BAD_HEADERS, leaky_ot, mutated, random_ordered,
                   random_protocol, random_table, sampled_kinds)
 
@@ -58,6 +59,22 @@ def test_factorize_reports_exact_reconstruction(capsys, ip2_file):
     code, out, _ = run(capsys, "factorize", "-f", ip2_file)
     assert code == 0
     assert "reconstruction-exact: True" in out
+
+
+@pytest.mark.parametrize("f", [TruthTable(0, 0, (1,)), TruthTable(0, 3, (0b10110010,)),
+                               random_table(6, 6, random.Random(6))],
+                         ids=["0x0", "0x3", "6x6"])
+def test_factorize_prints_factors_bit_0_first(capsys, tmp_path, f):
+    table = tmp_path / "f.tt"
+    table.write_text(format_truth_table(f))
+    code, out, _ = run(capsys, "factorize", "-f", str(table))
+    fac = gf2_factorize(f)
+    want = ["".join(str((p >> x) & 1) for x in range(f.n_rows)) + " x "
+            + "".join(str((q >> y) & 1) for y in range(f.n_cols))
+            for p, q in zip(fac.row_factors, fac.col_factors)]
+    assert code == 0 and want
+    factors = [ln.split(": ")[1] for ln in out.splitlines() if ln.startswith("factor ")]
+    assert factors == want
 
 
 def test_spectrum_values(capsys, and_file):
@@ -187,12 +204,15 @@ def test_audit_rejects_function_for_checks_that_ignore_it(capsys, tmp_path, ip2_
 
 @pytest.mark.parametrize("name", ["ip", "disj-det", "disj-rand", "chsh", "vandam"])
 def test_lib_rejects_options_its_name_ignores(capsys, tmp_path, ip2_file, name):
-    # -f is read by vandam alone and --flip by disj-rand alone; a malformed
-    # weight is rejected as unread before it is parsed
-    for option, value, reader in (("-f", ip2_file, "vandam"),
+    # -n is read by ip, disj-det and disj-rand, -f by vandam alone and
+    # --flip by disj-rand alone; a malformed weight is rejected as unread
+    # before it is parsed
+    for option, value, reader in (("-n", "2", "ip or disj-det or disj-rand"),
+                                  ("-n", "99", "ip or disj-det or disj-rand"),
+                                  ("-f", ip2_file, "vandam"),
                                   ("--flip", "1/4", "disj-rand"),
                                   ("--flip", "x", "disj-rand")):
-        if name == reader:
+        if name in reader.split(" or "):
             continue
         out_path = tmp_path / f"{name}.out"
         argv = ["lib", name, option, value, "-o", str(out_path)]
@@ -202,6 +222,12 @@ def test_lib_rejects_options_its_name_ignores(capsys, tmp_path, ip2_file, name):
         _assert_one_line_error(code, out, err)
         assert err == f"error: {option} applies to {reader} only, not {name}\n"
         assert not out_path.exists()
+
+
+def test_lib_n_defaults_to_2(capsys, ip2_file):
+    assert run(capsys, "lib", "ip")[:2] == run(capsys, "lib", "ip", "-n", "2")[:2]
+    code, out, _ = run(capsys, "lib", "vandam", "-f", ip2_file)
+    assert code == 0 and "\n# provenance: lib vandam n=2\n" in out
 
 
 def test_lib_disj_rand_flip_defaults_to_one_third(capsys):
