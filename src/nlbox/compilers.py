@@ -17,12 +17,12 @@ from operator import xor
 import numpy as np
 
 from . import gf2
-from .engine import (ProtocolError, _check_limit, _errors, _mask, _parities,
+from .engine import (ProtocolError, _check_limit, _errors, _parities,
                      privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree, validate)
-from .truthtable import TruthTable, from_entries
+from .truthtable import TruthTable, from_entries, unpack_bits
 
 MAX_TREE_DEPTH = 8
 
@@ -37,17 +37,14 @@ def synth_rank(f: TruthTable) -> ParallelXorProtocol:
     so the XOR of the box outcome parities reproduces f entrywise.
     """
     fac = gf2.gf2_factorize(f)
-    return _strict(f, [tuple((p >> x) & 1 for x in range(f.n_rows)) for p in fac.row_factors],
-                   [tuple((q >> y) & 1 for y in range(f.n_cols)) for q in fac.col_factors],
-                   (), ())
+    return _strict(f, unpack_bits(fac.row_factors, f.n_rows),
+                   unpack_bits(fac.col_factors, f.n_cols), (), ())
 
 
 def synth_vandam(f: TruthTable) -> ParallelXorProtocol:
     """One box per nonzero row: Alice selects her row, Bob inputs its value."""
     rows = [z for z in range(f.n_rows) if f.rows[z]]
-    bits = f.bits().tolist()
-    return _strict(f, [tuple(1 if x == z else 0 for x in range(f.n_rows)) for z in rows],
-                   [tuple(bits[z]) for z in rows], (), ())
+    return _strict(f, np.eye(f.n_rows, dtype=np.uint8)[rows], f.bits()[rows], (), ())
 
 
 # --- communication to boxes ---
@@ -60,19 +57,13 @@ def oneway_to_parallel(p: OneWayProtocol) -> ParallelXorProtocol:
     m, Bob inputs how receiving m would change his answer relative to
     message 0.  Sources never sending 0 are relabeled first.
     """
-    xs, ys = 1 << p.nx, 1 << p.ny
     msg, out_b = p.msg, p.out_b
-    if 0 not in set(msg):
+    if not (msg == 0).any():
         shift = msg[0]
-        msg = tuple(m ^ shift for m in msg)
-        out_b = tuple(p.out_b[m ^ shift] for m in range(1 << p.t))
-    pbox, qbox = [], []
-    for m in range(1, 1 << p.t):
-        pbox.append(tuple(1 if msg[x] == m else 0 for x in range(xs)))
-        qbox.append(tuple(out_b[m][y] ^ out_b[0][y] for y in range(ys)))
-    return ParallelXorProtocol(p.nx, p.ny, (1 << p.t) - 1, tuple(pbox),
-                               tuple(qbox), tuple(p.out_a),
-                               tuple(out_b[0]))
+        msg, out_b = msg ^ shift, out_b[np.arange(1 << p.t) ^ shift]
+    pbox = (msg == np.arange(1, 1 << p.t)[:, None]).astype(np.uint8)
+    return ParallelXorProtocol(p.nx, p.ny, (1 << p.t) - 1, pbox, out_b[1:] ^ out_b[0],
+                               p.out_a, out_b[0])
 
 
 def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
@@ -89,7 +80,7 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
     if errs:
         raise ProtocolError("malformed tree: " + "; ".join(errs))
     # per side, fam[i][prefix][input]; prefixes are k-bit transcripts
-    fams = [np.array(p.out_a)[None], np.array(p.out_b)[None]]
+    fams = [p.out_a[None], p.out_b[None]]
     for k in range(p.t, 0, -1):
         half = 1 << (k - 1)
         alice = np.array(p.direction[k - 1], bool)
@@ -103,10 +94,9 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
             fams[s] = np.where(speaks[:, None],
                                np.concatenate([taken, c[None], taken[1:] & c]),
                                np.concatenate([lo, lo ^ hi]))
-    (local_a, *pbox), (local_b, *qbox) = (tuple(map(tuple, f[:, 0].tolist()))
-                                          for f in fams)
-    return ParallelXorProtocol(p.nx, p.ny, len(pbox), tuple(pbox), tuple(qbox),
-                               local_a, local_b)
+    fam_a, fam_b = (f[:, 0] for f in fams)
+    return ParallelXorProtocol(p.nx, p.ny, len(fam_a) - 1, fam_a[1:], fam_b[1:],
+                               fam_a[0], fam_b[0])
 
 
 # --- box-count reduction and XOR normalization ---
@@ -121,6 +111,11 @@ def parallel_exact_function(p: ParallelProtocol) -> TruthTable | None:
     return from_entries(p.nx, p.ny, (errs == den).reshape(1 << p.nx, -1))
 
 
+def _mask(bits) -> int:
+    """A table of bits packed row-major, entry k at bit k."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _find_dependency(p: ParallelProtocol) -> tuple[int, int] | None:
     """Coefficients C (bitmask over boxes) and the separable remainder s
     with XOR_{C_i=1} p_i q_i = s, or None when the products are
@@ -129,8 +124,7 @@ def _find_dependency(p: ParallelProtocol) -> tuple[int, int] | None:
     xs, ys = 1 << p.nx, 1 << p.ny
     col = sum(1 << (x * ys) for x in range(xs))
     separable = [((1 << ys) - 1) << (x * ys) for x in range(xs)] + [col << y for y in range(ys)]
-    products = [sum(_mask(q) << (x * ys) for x in range(xs) if pb[x])
-                for pb, q in zip(p.pbox, p.qbox)]
+    products = [_mask(np.outer(pb, q)) for pb, q in zip(p.pbox, p.qbox)]
     basis: dict[int, tuple[int, int]] = {}
     for v, c in [(s, 0) for s in separable] + [(v, 1 << i) for i, v in enumerate(products)]:
         while v and v & -v in basis:
@@ -173,14 +167,13 @@ def _drop_dependent(p: ParallelProtocol) -> ParallelProtocol:
         # each (t-1)-outcome vector with a 0 inserted at bit k, and the
         # parity of the other boxes in the dependency there: box k's
         # outcome is that parity XOR the player's own alpha or beta term
-        keys = [(u, (u & c_rest).bit_count() & 1) for u in
-                ((v & ((1 << k) - 1)) | ((v >> k) << (k + 1))
-                 for v in range(1 << (p.t - 1)))]
-        out_a, out_b = (tuple(tuple(row[u | ((s ^ par) << k)] for u, par in keys)
-                              for row, s in zip(out, sep))
+        v = np.arange(1 << (p.t - 1))
+        u = (v & ((1 << k) - 1)) | ((v >> k) << (k + 1))
+        par = _parities(u & c_rest, p.t)
+        out_a, out_b = (np.take_along_axis(out, u | ((np.array(sep)[:, None] ^ par) << k), 1)
                         for out, sep in ((p.out_a, alpha), (p.out_b, beta)))
-        p = ParallelProtocol(p.nx, p.ny, p.t - 1, p.pbox[:k] + p.pbox[k + 1:],
-                             p.qbox[:k] + p.qbox[k + 1:], out_a, out_b)
+        p = ParallelProtocol(p.nx, p.ny, p.t - 1, np.delete(p.pbox, k, axis=0),
+                             np.delete(p.qbox, k, axis=0), out_a, out_b)
 
 
 def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[int, ...]]:
@@ -212,19 +205,17 @@ def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[in
 
 
 def _strict(p, pbox, qbox, const_a, const_b) -> ParallelXorProtocol:
-    """The boxes given, plus one box per side that carries that side's
-    constant terms (paired with a constant-1 input) if any, as a strict
-    XOR protocol of p's input widths."""
+    """The boxes given (an input row each, as sequences of rows), plus one
+    box per side that carries that side's constant terms (paired with a
+    constant-1 input) if any, as a strict XOR protocol of p's input
+    widths."""
     xs, ys = 1 << p.nx, 1 << p.ny
-    pbox, qbox = list(pbox), list(qbox)
     if any(const_a):
-        pbox.append(tuple(const_a))
-        qbox.append((1,) * ys)
+        pbox, qbox = (*pbox, const_a), (*qbox, np.ones(ys, np.uint8))
     if any(const_b):
-        pbox.append((1,) * xs)
-        qbox.append(tuple(const_b))
-    return ParallelXorProtocol(p.nx, p.ny, len(pbox), tuple(pbox), tuple(qbox),
-                               (0,) * xs, (0,) * ys)
+        pbox, qbox = (*pbox, np.ones(xs, np.uint8)), (*qbox, const_b)
+    return ParallelXorProtocol(p.nx, p.ny, len(pbox), pbox, qbox,
+                               np.zeros(xs, np.uint8), np.zeros(ys, np.uint8))
 
 
 def xor_normalize_parallel(p: ParallelProtocol | ParallelXorProtocol
@@ -269,7 +260,7 @@ def xor_normalize_general(p):
         raise ProtocolError("XOR normalization applies to ordered or general protocols")
     t = p.t
     _check_limit(max(p.nx, p.ny) + t + 2)
-    parity = _parities(np.arange(4 << t), t + 2)[None]
+    parity = _parities(np.arange(4 << t), t + 2)[None].astype(np.uint8)
 
     def fold(out, sched) -> np.ndarray:
         """The output table read at the outcomes observed in touch order,
@@ -278,17 +269,17 @@ def xor_normalize_general(p):
         label = np.zeros_like(obs)
         for pos, box in enumerate(sched):
             label |= ((obs >> pos) & 1) << box
-        return np.asarray(out, np.int64)[:, label] ^ parity[:, :1 << t]
+        return out[:, label] ^ parity[:, :1 << t]
 
     fold_a, fold_b = map(fold, (p.out_a, p.out_b), scheds)
-    one = np.ones((1, 1), np.int64)
+    one = np.ones((1, 1), np.uint8)
     xs, ys = 1 << p.nx, 1 << p.ny
     fields = dict(t=t + 2,
-                  step_a=p.step_a + (_rows(fold_a, xs, 1 << t), _rows(one, xs, 2 << t)),
-                  step_b=p.step_b + (_rows(one, ys, 1 << t), _rows(fold_b, ys, 2 << t)),
-                  out_a=_rows(parity, xs, 4 << t), out_b=_rows(parity, ys, 4 << t))
+                  step_a=p.step_a + (_widen(fold_a, 1 << t, xs), _widen(one, 2 << t, xs)),
+                  step_b=p.step_b + (_widen(one, 1 << t, ys), _widen(fold_b, 2 << t, ys)),
+                  out_a=_widen(parity, 4 << t, xs), out_b=_widen(parity, 4 << t, ys))
     if isinstance(p, GeneralNlbProtocol):
-        fields.update(sched_a=p.sched_a + (t, t + 1), sched_b=p.sched_b + (t, t + 1))
+        fields.update(sched_a=(*p.sched_a, t, t + 1), sched_b=(*p.sched_b, t, t + 1))
     return replace(p, **fields)
 
 
@@ -349,21 +340,18 @@ class DistributedCircuit:
         return len(self.inputs) + len(self.gates)
 
 
-def _widen(tab: np.ndarray, width: int) -> np.ndarray:
+def _widen(tab: np.ndarray, width: int, rows: int | None = None) -> np.ndarray:
     """A share table over (input, outcome prefix) read at a wider prefix:
-    it ignores the new outcome bits, so its columns repeat."""
-    return np.tile(tab, (1, width // tab.shape[1]))
+    it ignores the new outcome bits, so its columns repeat.  With rows, a
+    table of one row is read at every input too, as a protocol table."""
+    tab = np.tile(tab, (1, width // tab.shape[1]))
+    return tab if rows is None else np.broadcast_to(tab, (rows, width))
 
 
 def _input_share(bit: int | None, n: int) -> np.ndarray:
     if bit is None:
         return np.zeros((1, 1), np.uint8)
     return ((np.arange(n) >> bit) & 1).astype(np.uint8)[:, None]
-
-
-def _rows(tab: np.ndarray, n: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """The table as n rows of width Python ints."""
-    return tuple(map(tuple, np.broadcast_to(_widen(tab, width), (n, width)).tolist()))
 
 
 def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
@@ -435,16 +423,16 @@ def circuit_to_nlb(c: DistributedCircuit) -> OrderedNlbProtocol:
     _check_limit(max(c.nx, c.ny) + t)
     return OrderedNlbProtocol(
         c.nx, c.ny, t,
-        tuple(_rows(tab, xs, 1 << i) for i, tab in enumerate(step_a)),
-        tuple(_rows(tab, ys, 1 << i) for i, tab in enumerate(step_b)),
-        _rows(a_sh[c.output], xs, 1 << t), _rows(b_sh[c.output], ys, 1 << t))
+        tuple(_widen(tab, 1 << i, xs) for i, tab in enumerate(step_a)),
+        tuple(_widen(tab, 1 << i, ys) for i, tab in enumerate(step_b)),
+        _widen(a_sh[c.output], 1 << t, xs), _widen(b_sh[c.output], 1 << t, ys))
 
 
 # --- oblivious transfer and secure AND ---
 
 
-# Alice's OT input pair (r_i, r_i ^ p_i) for each (r_i, p_i)
-_OT_PAIRS = (((0, 0), (0, 1)), ((1, 1), (1, 0)))
+# Alice's OT input pair (r_i, r_i ^ p_i) at [r_i, p_i]
+_OT_PAIRS = np.array((((0, 0), (0, 1)), ((1, 1), (1, 0))), np.uint8)
 
 
 def ordered_to_ot(p) -> OtProtocol:
@@ -460,9 +448,8 @@ def ordered_to_ot(p) -> OtProtocol:
         raise ProtocolError("OT compilation requires an ordered protocol")
     nr = 1 << p.t
     lo, hi = _OT_PAIRS
-    in_a = tuple(tuple((tuple(lo[v] for v in row) + tuple(hi[v] for v in row))
-                       * (nr >> (i + 1)) for row in p.step_a[i])
-                 for i in range(p.t))
+    in_a = tuple(np.tile(np.concatenate((lo[step], hi[step]), axis=1), (1, nr >> (i + 1), 1))
+                 for i, step in enumerate(p.step_a))
     return OtProtocol(p.nx, p.ny, p.t, (Fraction(1, nr),) * nr, in_a,
                       p.step_b, p.out_a, p.out_b)
 
@@ -473,14 +460,10 @@ def and_from_oneway(p: OneWayProtocol) -> AndProtocol:
     Alice raises the gate matching her message; Bob inputs his answer to
     that message, so exactly one gate output carries his contribution.
     """
-    xs, ys = 1 << p.nx, 1 << p.ny
     n_gates = 1 << p.t
-    pbox = tuple(tuple(1 if p.msg[x] == m else 0 for x in range(xs))
-                 for m in range(n_gates))
-    qbox = tuple(tuple(p.out_b[m][y] for y in range(ys)) for m in range(n_gates))
-    out_a = tuple(tuple(p.out_a[x] ^ ((gv >> p.msg[x]) & 1)
-                        for gv in range(1 << n_gates)) for x in range(xs))
-    return AndProtocol(p.nx, p.ny, n_gates, pbox, qbox, out_a)
+    pbox = (p.msg == np.arange(n_gates)[:, None]).astype(np.uint8)
+    out_a = p.out_a[:, None] ^ ((np.arange(1 << n_gates) >> p.msg[:, None]) & 1)
+    return AndProtocol(p.nx, p.ny, n_gates, pbox, p.out_b, out_a)
 
 
 def oneway_from_and(p: AndProtocol, f: TruthTable) -> OneWayProtocol:
@@ -550,5 +533,4 @@ def oneway_optimal(f: TruthTable, parity: bool = True) -> OneWayProtocol:
     t = max(0, (len(reps) - 1)).bit_length()
     # Bob answers message m with its key row, and unused messages with 0s
     keys = TruthTable(t, f.ny, (*reps, *(0,) * ((1 << t) - len(reps))))
-    out_b = tuple(map(tuple, keys.bits().tolist()))
-    return OneWayProtocol(f.nx, f.ny, t, tuple(msg), tuple(out_a), out_b)
+    return OneWayProtocol(f.nx, f.ny, t, tuple(msg), tuple(out_a), keys.bits())

@@ -122,7 +122,7 @@ def _pad_boxes(p: ParallelXorProtocol, t: int) -> ParallelXorProtocol:
         return p
     dead_p = ((0,) * (1 << p.nx),) * (t - p.t)
     dead_q = ((0,) * (1 << p.ny),) * (t - p.t)
-    return ParallelXorProtocol(p.nx, p.ny, t, p.pbox + dead_p, p.qbox + dead_q,
+    return ParallelXorProtocol(p.nx, p.ny, t, (*p.pbox, *dead_p), (*p.qbox, *dead_q),
                                p.local_a, p.local_b)
 
 
@@ -141,7 +141,7 @@ def simulate_distribution(c: CorrelationMatrix) -> ProtocolMixture:
         p = _pad_boxes(p, t)
         flipped = ParallelXorProtocol(
             p.nx, p.ny, p.t, p.pbox, p.qbox,
-            tuple(v ^ 1 for v in p.local_a), tuple(v ^ 1 for v in p.local_b))
+            p.local_a ^ 1, p.local_b ^ 1)
         comps.append((w / 2, p))
         comps.append((w / 2, flipped))
     return ProtocolMixture(tuple(comps))

@@ -26,8 +26,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, product
-from operator import lshift
+from functools import cached_property
+from itertools import accumulate, count, product
 
 import numpy as np
 
@@ -84,15 +84,6 @@ class OutcomeDistribution:
                 for v in (0, 1)}
 
 
-def _mask(bits) -> int:
-    """A table of bits packed with entry k at bit k."""
-    return sum(map(lshift, bits, range(len(bits))))
-
-
-def _ints(row) -> np.ndarray:
-    return np.asarray(row, dtype=np.int64)
-
-
 def _parities(v: np.ndarray, t: int) -> np.ndarray:
     """Parity of each entry of v, all below 2^t."""
     for k in reversed(range(max(t - 1, 0).bit_length())):
@@ -100,37 +91,27 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
     return v & 1
 
 
-def _distinct(x, n: int) -> tuple[list, np.ndarray]:
-    """The distinct entries of x, indices into n rows, and each entry's
-    position among them."""
-    seen = np.zeros(n, bool)
-    seen[x] = True
-    return np.flatnonzero(seen).tolist(), (np.cumsum(seen) - 1)[x]
+def _boxes(tables, n: int, dtype=np.int64) -> np.ndarray:
+    """A field of per-box tables of n entries as a (boxes, n) array."""
+    return np.asarray(tables).reshape(len(tables), n).astype(dtype)
 
 
-def _rows(tables, x, row=bytes):
-    """For each table, col -> tab[x[k]][col] for every k, as one gather
-    from the rows x reads alone, their cells row(tab[x]) flat, the i-th
-    distinct row of x at offset i * width."""
-    if not tables:
-        return []
-    used, inv = _distinct(x, len(tables[0]))
-
-    def reader(tab):
-        cells = np.frombuffer(b"".join(row(tab[r]) for r in used), np.uint8).astype(np.int64)
-        if len(used) == 1:
-            return cells.__getitem__
-        width = len(cells) // len(used)
-        return lambda col: cells[inv * width + col]
-    return [reader(tab) for tab in tables]
+def _packed(tables, n: int) -> np.ndarray:
+    """Entry k of each per-box table of n entries, packed with box i at
+    bit i, for every k < n: int64, or Python ints from 63 tables on."""
+    dtype = np.int64 if len(tables) < 63 else object
+    bits = _boxes(tables, n, dtype)
+    return np.bitwise_or.reduce(bits << np.arange(len(tables)).astype(dtype)[:, None],
+                                axis=0, initial=0)
 
 
-def _packed_rows(tables, x, n: int) -> np.ndarray:
-    """Entry x[k] of each per-box table of n entries, packed with box i
-    at bit i, once per distinct x; Python ints from 63 tables on."""
-    used, inv = _distinct(x, n)
-    return np.array([_mask([tab[r] for tab in tables]) for r in used],
-                    dtype=np.int64 if len(tables) < 63 else object)[inv]
+def _at(tab: np.ndarray, *index) -> np.ndarray:
+    """tab[index] for same-length arrays, one per axis, as one gather from
+    the flat table: numpy's indexing by several arrays is slower."""
+    flat = index[0]
+    for n, i in zip(tab.shape[1:], index[1:]):
+        flat = flat * n + i
+    return tab.reshape(-1)[flat]
 
 
 def _kernel(p):
@@ -139,79 +120,73 @@ def _kernel(p):
     bvec = u ^ (pin & qin); u is int64, or of Python ints for parallel
     XOR from t = 63 on.  OT gives (a, b, received) for r = v, the bits
     Bob received packed by call; AND gives (a, b, gates); one-way and
-    tree protocols give (a, b)."""
+    tree protocols give (a, b).  The kernel indexes the tables directly;
+    a and b are uint8 bits read off them, and any bit it shifts is first
+    widened to int64, since a uint8 shift wraps at 8 bits."""
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
         def run_parallel(x, y, u):
-            pin, qin = _packed_rows(p.pbox, x, 1 << p.nx), _packed_rows(p.qbox, y, 1 << p.ny)
+            pin, qin = _packed(p.pbox, 1 << p.nx)[x], _packed(p.qbox, 1 << p.ny)[y]
             bvec = u ^ (pin & qin)
             if isinstance(p, ParallelXorProtocol):
                 # parity(bvec) = parity(u) ^ parity(pin & qin)
                 par = _parities(u, p.t)
-                a = _ints(p.local_a)[x] ^ par
-                b = _ints(p.local_b)[y] ^ _parities(pin & qin, p.t) ^ par
+                a = p.local_a[x] ^ par
+                b = p.local_b[y] ^ _parities(pin & qin, p.t) ^ par
             else:
-                (oa,), (ob,) = _rows([p.out_a], x), _rows([p.out_b], y)
-                a, b = oa(u), ob(bvec)
+                a, b = _at(p.out_a, x, u), _at(p.out_b, y, bvec)
             return a, b, bvec, pin, qin
         return run_parallel
     if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
         def run_steps(x, y, u):
-            *sa, oa = _rows((*p.step_a, p.out_a), x)
-            *sb, ob = _rows((*p.step_b, p.out_b), y)
             pin, qin = np.zeros_like(u), np.zeros_like(u)
             if isinstance(p, OrderedNlbProtocol):
                 # step i reads the first i outcomes of its own side: one
                 # gather per box and side
-                for i in range(p.t):
+                for i, (sa, sb) in enumerate(zip(p.step_a, p.step_b)):
                     mask = (1 << i) - 1
-                    pin |= sa[i](u & mask) << i
-                    qin |= sb[i]((u ^ (pin & qin)) & mask) << i
+                    pin |= _at(sa, x, u & mask).astype(np.int64) << i
+                    qin |= _at(sb, y, (u ^ (pin & qin)) & mask).astype(np.int64) << i
             else:
                 # each side reads its outcomes so far in its own touch
                 # order; Alice's inputs depend on u alone, so hers come first
                 obs = np.zeros_like(u)
-                for pos, label in enumerate(p.sched_a):
-                    pin |= sa[pos](obs) << label
+                for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
+                    pin |= _at(sa, x, obs).astype(np.int64) << label
                     obs |= ((u >> label) & 1) << pos
                 obs = np.zeros_like(u)
-                for pos, label in enumerate(p.sched_b):
-                    q = sb[pos](obs)
+                for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
+                    q = _at(sb, y, obs).astype(np.int64)
                     qin |= q << label
                     obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
             bvec = u ^ (pin & qin)
-            return oa(u), ob(bvec), bvec, pin, qin
+            return _at(p.out_a, x, u), _at(p.out_b, y, bvec), bvec, pin, qin
         return run_steps
     if isinstance(p, OtProtocol):
         def run_ot(x, y, r):
-            # a row of pairs is read flat: pair k's bit s at 2k + s
-            pairs = _rows(p.in_a, x, lambda row: bytes(chain.from_iterable(row)))
-            (oa,), (*choices, ob) = _rows([p.out_a], x), _rows((*p.in_b, p.out_b), y)
-            received, r2 = np.zeros_like(r), 2 * r
-            for i in range(p.t):
-                received |= pairs[i](r2 + choices[i](received & ((1 << i) - 1))) << i
-            return oa(r), ob(received), received
+            received = np.zeros_like(r)
+            for i, (pairs, choices) in enumerate(zip(p.in_a, p.in_b)):
+                choice = _at(choices, y, received & ((1 << i) - 1))
+                received |= _at(pairs, x, r, choice).astype(np.int64) << i
+            return _at(p.out_a, x, r), _at(p.out_b, y, received), received
         return run_ot
     if isinstance(p, OneWayProtocol):
         def run_oneway(x, y, _v):
-            ob, = _rows([p.out_b], _ints(p.msg)[x])
-            return _ints(p.out_a)[x], ob(y)
+            return p.out_a[x], _at(p.out_b, p.msg[x], y)
         return run_oneway
     if isinstance(p, TwoWayTree):
         def run_tree(x, y, _v):
-            # round r's bits, one row per transcript prefix over the
-            # speaker's input, padded to one width
-            width, tr = max(1 << p.nx, 1 << p.ny), np.zeros_like(x)
-            for r in range(p.t):
-                bit, = _rows([p.bit[r]], tr, lambda row: bytes(row).ljust(width, b"\0"))
-                tr |= bit(np.where(_ints(p.direction[r])[tr] == 1, x, y)) << r
-            oa, ob = _rows([p.out_a, p.out_b], tr)
-            return oa(x), ob(y)
+            tr = np.zeros_like(x)
+            for r, (speaker, rows) in enumerate(zip(p.direction, p.bit)):
+                # round r's rows end to end, each prefix's row from start
+                start = np.cumsum([0, *map(len, rows[:-1])])
+                bits = np.concatenate(rows)[start[tr] + np.where(speaker[tr] == 1, x, y)]
+                tr |= bits.astype(np.int64) << r
+            return _at(p.out_a, tr, x), _at(p.out_b, tr, y)
         return run_tree
     if isinstance(p, AndProtocol):
         def run_and(x, y, _v):
-            oa, = _rows([p.out_a], x)
-            gates = _packed_rows(p.pbox, x, 1 << p.nx) & _packed_rows(p.qbox, y, 1 << p.ny)
-            return oa(gates), np.zeros_like(gates), gates
+            gates = _packed(p.pbox, 1 << p.nx)[x] & _packed(p.qbox, 1 << p.ny)[y]
+            return _at(p.out_a, x, gates), np.zeros_like(gates), gates
         return run_and
     raise ProtocolError(f"cannot run {type(p).__name__}")
 
@@ -266,9 +241,19 @@ def _batches(leaves, x, y, parity: bool = False):
 
 def _laws(j, keys, nums):
     """The distinct keys, sorted, and the law of keys on each input of a
-    chunk: for input j[0] + i, row i of their total weights."""
+    chunk: for input j[0] + i, row i of their total weights.  When the
+    keys lie in [0, k) and a column for each of the k takes at most twice
+    the runs, each key indexes its own column and the empty ones are
+    dropped; otherwise np.unique sorts the keys."""
+    rows = int(j[-1] - j[0]) + 1
+    k = int(keys.max()) + 1 if keys.dtype != object else None
+    if k is not None and rows * k <= 2 * len(keys) and keys.min() >= 0:
+        laws = np.zeros((rows, k), dtype=nums.dtype)
+        np.add.at(laws.reshape(-1), (j - j[0]) * k + keys, nums)
+        used = np.flatnonzero((laws != 0).any(0))
+        return used, laws[:, used]
     uniq, col = np.unique(keys, return_inverse=True)
-    laws = np.zeros((j[-1] - j[0] + 1, len(uniq)), dtype=nums.dtype)
+    laws = np.zeros((rows, len(uniq)), dtype=nums.dtype)
     np.add.at(laws, (j - j[0], col), nums)
     return uniq, laws
 
@@ -358,13 +343,14 @@ def exec_sample(p: Protocol, x: int, y: int, seed: int):
     elif isinstance(p, OtProtocol):
         got, = run
         transcript += [{"kind": "ot", "index": i,
-                        "in": (tuple(p.in_a[i][x][v]), p.in_b[i][y][got & ((1 << i) - 1)]),
+                        "in": (tuple(p.in_a[i][x, v].tolist()),
+                               int(p.in_b[i][y, got & ((1 << i) - 1)])),
                         "out": (got >> i) & 1} for i in range(p.t)]
     elif isinstance(p, OneWayProtocol):
-        transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
+        transcript.append({"kind": "message", "from": "A", "value": int(p.msg[x])})
     elif isinstance(p, AndProtocol):
         g, = run
-        transcript += [{"kind": "and", "index": i, "in": (p.pbox[i][x], p.qbox[i][y]),
+        transcript += [{"kind": "and", "index": i, "in": (int(p.pbox[i][x]), int(p.qbox[i][y])),
                         "out": (g >> i) & 1} for i in range(p.t)]
     return a, b, transcript
 
@@ -387,31 +373,45 @@ def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[
 # --- error profile ---
 
 
-@dataclass(frozen=True)
+_BITS = (Fraction(0), Fraction(1))
+
+
+@dataclass(frozen=True, eq=False)
 class ErrorProfile:
-    table: dict[tuple[int, int], Fraction]
-    worst: Fraction
+    """The probability that the output parity differs from f on input
+    (x, y) is ``errors[x, y] / den``, in integers."""
+
+    errors: np.ndarray
+    den: int
+
+    @property
+    def worst(self) -> Fraction:
+        return Fraction(int(self.errors.max()), self.den)
 
     @property
     def exact(self) -> bool:
         return self.worst == 0
 
+    @cached_property
+    def table(self) -> dict[tuple[int, int], Fraction]:
+        """{(x, y): error} for every input, built on first use."""
+        total = self.errors.ravel().tolist()
+        # den 1: every error is 0 or 1, so the shared constants
+        frac = _BITS if self.den == 1 else {n: Fraction(n, self.den) for n in set(total)}
+        return dict(zip(product(*map(range, self.errors.shape)), map(frac.__getitem__, total)))
 
-_BITS = (Fraction(0), Fraction(1))
+    def __eq__(self, other):
+        if not isinstance(other, ErrorProfile):
+            return NotImplemented
+        return self.table == other.table
 
 
 def _xor_errors(p: ParallelXorProtocol, f: TruthTable) -> np.ndarray:
     """A parallel-XOR protocol's error on every input, row-major: f XOR
-    its deterministic parity, by packed rows."""
-    qs, lb, full = [_mask(q) for q in p.qbox], _mask(p.local_b), (1 << f.n_cols) - 1
-    rows = []
-    for x, row in enumerate(f.rows):
-        r = row ^ lb ^ (full if p.local_a[x] else 0)
-        for px, q in zip(p.pbox, qs):
-            if px[x]:
-                r ^= q
-        rows.append(r)
-    return TruthTable(f.nx, f.ny, tuple(rows)).bits().ravel()
+    its deterministic parity, the local terms and the box products
+    p_i(x) q_i(y) summed mod 2."""
+    products = (_boxes(p.pbox, f.n_rows).T @ _boxes(p.qbox, f.n_cols)) & 1
+    return (f.bits() ^ p.local_a[:, None] ^ p.local_b ^ products).ravel()
 
 
 def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
@@ -443,12 +443,7 @@ def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
 def error_profile(p: Protocol, f: TruthTable) -> ErrorProfile:
     """Exact probability of output parity differing from f, per input."""
     errs, den = _errors(p, f)
-    total = errs.tolist()
-    # den 1: every error is 0 or 1, so the shared constants
-    frac = _BITS if den == 1 else {n: Fraction(n, den) for n in set(total)}
-    return ErrorProfile(dict(zip(product(range(f.n_rows), range(f.n_cols)),
-                                 map(frac.__getitem__, total))),
-                        frac[max(total)])
+    return ErrorProfile(errs.reshape(f.n_rows, f.n_cols), den)
 
 
 # --- audits ---

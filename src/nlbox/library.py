@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import truthtable as tt
 from .compilers import (DistributedCircuit, InputWire, circuit_to_nlb,
                         synth_vandam)
@@ -20,11 +22,14 @@ def ip_protocol(n: int) -> ParallelXorProtocol:
     """Inner product mod 2 with n boxes: box i's inputs are (x_i, y_i)."""
     if not 1 <= n <= 8:
         raise ValueError("n must be in 1..8")
-    size = 1 << n
-    pbox = tuple(tuple((x >> i) & 1 for x in range(size)) for i in range(n))
-    qbox = tuple(tuple((y >> i) & 1 for y in range(size)) for i in range(n))
-    zero = (0,) * size
-    return ParallelXorProtocol(n, n, n, pbox, qbox, zero, zero)
+    bits = _input_bits(n)
+    zero = np.zeros(1 << n, np.uint8)
+    return ParallelXorProtocol(n, n, n, bits, bits, zero, zero)
+
+
+def _input_bits(n: int) -> np.ndarray:
+    """Row i: bit i of each n-bit input."""
+    return ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
 
 
 def disj_circuit(n: int) -> DistributedCircuit:
@@ -65,24 +70,21 @@ def disj_rand_parallel(n: int, p: Fraction) -> ProtocolMixture:
     if not 0 <= p <= 1:
         raise ValueError("flip weight must be in [0, 1]")
     size = 1 << n
-    zero = (0,) * size
-    ones = (1,) * size
+    zero, ones = np.zeros(size, np.uint8), np.ones(size, np.uint8)
+    bits = _input_bits(n)
     comps = []
     if p < 1:
         w = (1 - p) / size
         for r in range(size):
-            pbox = tuple(tuple((x >> i) & (r >> i) & 1 for x in range(size))
-                         for i in range(n))
-            qbox = tuple(tuple((y >> i) & (r >> i) & 1 for y in range(size))
-                         for i in range(n))
-            comps.append((w, ParallelXorProtocol(n, n, n, pbox, qbox,
+            # box i reads bit i of the input masked by r
+            masked = bits & bits[:, r:r + 1]
+            comps.append((w, ParallelXorProtocol(n, n, n, masked, masked,
                                                  zero, zero)))
     if p > 0:
-        dead_p = tuple(zero for _ in range(n))
-        dead_q = tuple(zero for _ in range(n))
-        comps.append((p / 2, ParallelXorProtocol(n, n, n, dead_p, dead_q,
+        dead = np.zeros((n, size), np.uint8)
+        comps.append((p / 2, ParallelXorProtocol(n, n, n, dead, dead,
                                                  ones, zero)))
-        comps.append((p / 2, ParallelXorProtocol(n, n, n, dead_p, dead_q,
+        comps.append((p / 2, ParallelXorProtocol(n, n, n, dead, dead,
                                                  zero, ones)))
     return ProtocolMixture(tuple(comps))
 

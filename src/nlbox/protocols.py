@@ -1,12 +1,28 @@
 """Protocol representations for every resource model.
 
-All tables are tuples indexed by integer-encoded inputs: Alice's input
-x in [0, 2^nx), Bob's y in [0, 2^ny), box-outcome vectors packed
-little-endian (bit i is box i).  Values are immutable after
-construction.  ``layout`` describes the tables of each kind once; the
-text format and the shape checks of ``validate`` both follow it.
-``validate`` reports violations instead of raising so that malformed
-protocols can be diagnosed.
+Tables are indexed by integer-encoded inputs: Alice's input x in
+[0, 2^nx), Bob's y in [0, 2^ny), box-outcome vectors packed
+little-endian (bit i is box i).  ``layout`` describes the tables of each
+kind once; the text format, the shape checks of ``validate`` and the
+arrays below all follow it.
+
+Each table is one read-only numpy array: a bit table of rows is
+``(rows, width)`` uint8, OT input pairs are ``(rows, width, 2)`` uint8
+and a one-line table is 1-D (uint8 bits, int64 integers).  A field of
+one table per box or round is one array of them, box first, when they
+share a shape (``pbox`` is ``(t, 2^nx)``, ``in_a`` ``(t, 2^nx, nr,
+2)``), and a tuple of them otherwise (steps, OT choices, tree rounds).
+A tree round, whose rows have their speakers' widths, is a tuple of 1-D
+rows; OT weights stay a tuple of Fractions.  The constructors convert
+tuple input.  A table that is ragged or not a table, or that needs a
+cast and has a cell outside its range, is kept as given, so that
+``validate`` reports it instead of a uint8 cast wrapping it.  Protocols
+compare and hash by kind, shapes and bytes.
+
+A value read off a table is a numpy scalar: convert it with ``int``
+before it is printed or shifted, since numpy prints ``np.uint8(1)`` and
+a uint8 shift wraps at 8 bits.  ``validate`` reports violations instead
+of raising so that malformed protocols can be diagnosed.
 """
 
 from __future__ import annotations
@@ -14,11 +30,51 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Union
 
+import numpy as np
 
-@dataclass(frozen=True)
-class ParallelXorProtocol:
+_SEQUENCES = (tuple, list, np.ndarray)
+
+
+class _Tables:
+    """The array conversion, equality and hash of every protocol kind."""
+
+    def __post_init__(self):
+        for field, (cells, ndim, indexed) in _SPECS[type(self)].items():
+            tab = getattr(self, field)
+            convert = _round if ndim is None else _array
+            if not indexed:
+                tab = convert(tab, ndim, cells)
+            elif isinstance(tab, _SEQUENCES):
+                tab = tuple(convert(t, ndim, cells) for t in tab)
+            object.__setattr__(self, field, tab)
+
+    def _state(self):
+        return tuple(_key(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self):
+        return hash((type(self), self._state()))
+
+
+def _key(v):
+    """A table's shape and bytes (tuples of them for tuples of tables); a
+    field of no tables is () however it was given."""
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes()) if v.size else ()
+    if isinstance(v, (tuple, list)):
+        return tuple(map(_key, v))
+    return v
+
+
+@dataclass(frozen=True, eq=False)
+class ParallelXorProtocol(_Tables):
     """Parallel boxes, outputs = local term XOR all own box outcomes.
 
     The "strict" form (local terms identically zero) is the model whose
@@ -28,34 +84,34 @@ class ParallelXorProtocol:
     nx: int
     ny: int
     t: int
-    pbox: tuple[tuple[int, ...], ...]  # t tables over X
-    qbox: tuple[tuple[int, ...], ...]  # t tables over Y
-    local_a: tuple[int, ...]
-    local_b: tuple[int, ...]
+    pbox: np.ndarray  # t tables over X, one per row
+    qbox: np.ndarray  # t tables over Y
+    local_a: np.ndarray
+    local_b: np.ndarray
 
     @property
     def strict(self) -> bool:
-        return not any(self.local_a) and not any(self.local_b)
+        return not (np.any(self.local_a) or np.any(self.local_b))
 
 
-@dataclass(frozen=True)
-class ParallelProtocol:
+@dataclass(frozen=True, eq=False)
+class ParallelProtocol(_Tables):
     """Parallel boxes with arbitrary output tables over (input, outcomes)."""
 
     nx: int
     ny: int
     t: int
-    pbox: tuple[tuple[int, ...], ...]
-    qbox: tuple[tuple[int, ...], ...]
-    out_a: tuple[tuple[int, ...], ...]  # out_a[x][avec]
-    out_b: tuple[tuple[int, ...], ...]  # out_b[y][bvec]
+    pbox: np.ndarray
+    qbox: np.ndarray
+    out_a: np.ndarray  # out_a[x, avec]
+    out_b: np.ndarray  # out_b[y, bvec]
 
 
-@dataclass(frozen=True)
-class OrderedNlbProtocol:
+@dataclass(frozen=True, eq=False)
+class OrderedNlbProtocol(_Tables):
     """Boxes used in label order; step i sees outcomes of boxes 0..i-1 only.
 
-    ``step_a[i][x][prefix]`` is Alice's input to box i given her first i
+    ``step_a[i][x, prefix]`` is Alice's input to box i given her first i
     outcomes packed in ``prefix`` (so the table width 2^i enforces the
     ordering structurally).
     """
@@ -63,18 +119,18 @@ class OrderedNlbProtocol:
     nx: int
     ny: int
     t: int
-    step_a: tuple[tuple[tuple[int, ...], ...], ...]
-    step_b: tuple[tuple[tuple[int, ...], ...], ...]
-    out_a: tuple[tuple[int, ...], ...]  # out_a[x][avec]
-    out_b: tuple[tuple[int, ...], ...]
+    step_a: tuple[np.ndarray, ...]
+    step_b: tuple[np.ndarray, ...]
+    out_a: np.ndarray  # out_a[x, avec]
+    out_b: np.ndarray
 
 
-@dataclass(frozen=True)
-class GeneralNlbProtocol:
+@dataclass(frozen=True, eq=False)
+class GeneralNlbProtocol(_Tables):
     """Each side uses the boxes in its own order.
 
     ``sched_a`` is the label order in which Alice touches the boxes;
-    ``step_a[pos][x][obs]`` her input at position pos given the outcomes
+    ``step_a[pos][x, obs]`` her input at position pos given the outcomes
     she has observed so far (packed in touch order).  Output tables are
     indexed by outcomes in label order.
     """
@@ -82,28 +138,28 @@ class GeneralNlbProtocol:
     nx: int
     ny: int
     t: int
-    sched_a: tuple[int, ...]
-    step_a: tuple[tuple[tuple[int, ...], ...], ...]
-    sched_b: tuple[int, ...]
-    step_b: tuple[tuple[tuple[int, ...], ...], ...]
-    out_a: tuple[tuple[int, ...], ...]
-    out_b: tuple[tuple[int, ...], ...]
+    sched_a: np.ndarray
+    step_a: tuple[np.ndarray, ...]
+    sched_b: np.ndarray
+    step_b: tuple[np.ndarray, ...]
+    out_a: np.ndarray
+    out_b: np.ndarray
 
 
-@dataclass(frozen=True)
-class OneWayProtocol:
+@dataclass(frozen=True, eq=False)
+class OneWayProtocol(_Tables):
     """One t-bit message from Alice; parity of the two outputs is the value."""
 
     nx: int
     ny: int
     t: int
-    msg: tuple[int, ...]  # msg[x] in [0, 2^t)
-    out_a: tuple[int, ...]
-    out_b: tuple[tuple[int, ...], ...]  # out_b[m][y]
+    msg: np.ndarray  # msg[x] in [0, 2^t)
+    out_a: np.ndarray
+    out_b: np.ndarray  # out_b[m, y]
 
 
-@dataclass(frozen=True)
-class TwoWayTree:
+@dataclass(frozen=True, eq=False)
+class TwoWayTree(_Tables):
     """Depth-t deterministic two-way protocol tree.
 
     Transcripts are packed little-endian (round r bit at position r).
@@ -114,61 +170,57 @@ class TwoWayTree:
     nx: int
     ny: int
     t: int
-    direction: tuple[tuple[int, ...], ...]
-    bit: tuple[tuple[tuple[int, ...], ...], ...]
-    out_a: tuple[tuple[int, ...], ...]  # out_a[transcript][x]
-    out_b: tuple[tuple[int, ...], ...]  # out_b[transcript][y]
+    direction: tuple[np.ndarray, ...]
+    bit: tuple[tuple[np.ndarray, ...], ...]
+    out_a: np.ndarray  # out_a[transcript, x]
+    out_b: np.ndarray  # out_b[transcript, y]
 
     def transcript(self, x: int, y: int) -> int:
         tr = 0
         for r in range(self.t):
-            if self.direction[r][tr]:
-                c = self.bit[r][tr][x]
-            else:
-                c = self.bit[r][tr][y]
-            tr |= c << r
+            tr |= int(self.bit[r][tr][x if self.direction[r][tr] else y]) << r
         return tr
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
         tr = self.transcript(x, y)
-        return self.out_a[tr][x], self.out_b[tr][y]
+        return int(self.out_a[tr][x]), int(self.out_b[tr][y])
 
 
-@dataclass(frozen=True)
-class AndProtocol:
+@dataclass(frozen=True, eq=False)
+class AndProtocol(_Tables):
     """Parallel secure-AND gates; only Alice receives gate outputs."""
 
     nx: int
     ny: int
     t: int
-    pbox: tuple[tuple[int, ...], ...]
-    qbox: tuple[tuple[int, ...], ...]
-    out_a: tuple[tuple[int, ...], ...]  # out_a[x][gate-output vector]
+    pbox: np.ndarray
+    qbox: np.ndarray
+    out_a: np.ndarray  # out_a[x, gate-output vector]
 
     def gate_vector(self, x: int, y: int) -> int:
         v = 0
         for i in range(self.t):
-            v |= (self.pbox[i][x] & self.qbox[i][y]) << i
+            v |= int(self.pbox[i][x] & self.qbox[i][y]) << i
         return v
 
 
-@dataclass(frozen=True)
-class OtProtocol:
+@dataclass(frozen=True, eq=False)
+class OtProtocol(_Tables):
     """Sequence of 2-1 oblivious transfers; only Bob receives outputs.
 
     Alice's private randomness ranges over ``len(r_weights)`` values.
-    Call i: Alice supplies the pair ``in_a[i][x][r]``, Bob supplies the
-    choice bit ``in_b[i][y][received]`` from the bits received so far.
+    Call i: Alice supplies the pair ``in_a[i][x, r]``, Bob supplies the
+    choice bit ``in_b[i][y, received]`` from the bits received so far.
     """
 
     nx: int
     ny: int
     t: int
     r_weights: tuple[Fraction, ...]
-    in_a: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    in_b: tuple[tuple[tuple[int, ...], ...], ...]
-    out_a: tuple[tuple[int, ...], ...]  # out_a[x][r]
-    out_b: tuple[tuple[int, ...], ...]  # out_b[y][received]
+    in_a: np.ndarray
+    in_b: tuple[np.ndarray, ...]
+    out_a: np.ndarray  # out_a[x, r]
+    out_b: np.ndarray  # out_b[y, received]
 
 
 @dataclass(frozen=True)
@@ -215,7 +267,7 @@ BITS, INTS, FRACS, PAIRS = "bits", "ints", "fracs", "pairs"
 
 def _entry(tab, i):
     """``tab[i]``, or None when tab is not a table or has no entry i."""
-    return tab[i] if isinstance(tab, (tuple, list)) and i < len(tab) else None
+    return tab[i] if isinstance(tab, _SEQUENCES) and i < len(tab) else None
 
 
 def layout(kind, nx: int, ny: int, t: int, p):
@@ -245,7 +297,7 @@ def layout(kind, nx: int, ny: int, t: int, p):
         for r in range(t):
             yield f"dir {r}", "direction", r, BITS, None, 1 << r
             d = _entry(p.direction, r)
-            d = d if isinstance(d, (tuple, list)) else ()
+            d = d if isinstance(d, _SEQUENCES) else ()
             yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
         yield "outA", "out_a", None, BITS, 1 << t, xs
         yield "outB", "out_b", None, BITS, 1 << t, ys
@@ -270,27 +322,121 @@ def layout(kind, nx: int, ny: int, t: int, p):
                 yield f"{label} {i}", field, i, BITS, dom, 1 << i
 
 
-# the cell types whose every entry validate checks
+def _specs(kind) -> dict:
+    """{field: (cells, ndim, indexed)} for each table field of a kind: the
+    cell type, the dimensions of its array (None for a tuple of 1-D rows
+    of their own widths) and whether the field is a tuple of tables.  A
+    field of one table per box whose tables all have one shape is one
+    array of them, box first; one whose shapes vary is a tuple."""
+    probe = SimpleNamespace(direction=((1,), (1, 1)), r_weights=())
+    tabs: dict = {}
+    for _label, field, index, cells, rows, width in layout(kind, 0, 0, 2, probe):
+        tabs.setdefault(field, []).append((cells, index, rows, width))
+    specs = {}
+    for field, [(cells, index, rows, width), *rest] in tabs.items():
+        ndim = 1 if rows is None else None if isinstance(width, tuple) else 2 + (cells == PAIRS)
+        stacked = index is not None and all((r, w) == (rows, width) for _c, _i, r, w in rest)
+        if cells != FRACS:
+            specs[field] = ((cells, ndim + 1, False) if stacked
+                            else (cells, ndim, index is not None))
+    return specs
+
+
+# each array cell type's dtype, and the largest value it holds
+_DTYPES = {BITS: (np.dtype(np.uint8), 1), PAIRS: (np.dtype(np.uint8), 1),
+           INTS: (np.dtype(np.int64), (1 << 63) - 1)}
+
+
+def _array(tab, ndim: int, cells):
+    """tab as a read-only C-contiguous array of ndim dimensions and the
+    cells' dtype; tab itself when it is ragged, not a table of ndim
+    dimensions, or needs a cast to that dtype and has a cell outside
+    [0, largest value], checked before the cast, which would wrap.  Cells
+    already of the dtype are kept as they are; validate checks them."""
+    dtype, top = _DTYPES[cells]
+    if isinstance(tab, np.ndarray) and tab.dtype == dtype and tab.ndim == ndim:
+        flags = tab.flags
+        if not flags.writeable and flags.c_contiguous:
+            return tab
+        a = tab.copy()
+    elif isinstance(tab, _SEQUENCES):
+        try:
+            a = np.array(tab)
+        except (ValueError, TypeError):
+            return tab
+        if a.ndim != ndim:
+            return tab
+        if a.dtype != dtype:
+            if a.size and (a.dtype.kind not in "biu" or a.min() < 0 or a.max() > top):
+                return tab
+            a = a.astype(dtype)
+    else:
+        return tab
+    a.setflags(write=False)
+    return a
+
+
+def _round(tab, _ndim, cells):
+    """A tree round, a table of 1-D rows of their own widths: each row an
+    _array."""
+    if not isinstance(tab, _SEQUENCES):
+        return tab
+    return tuple(_array(row, 1, cells) for row in tab)
+
+
+_SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
+
+# the cell types whose every entry validate checks, and the shape of
+# one cell of an array table
 _CELL_CHECKS = {
     BITS: frozenset((0, 1)).issuperset,
     PAIRS: frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}).issuperset,
 }
+_CELL_SHAPES = {BITS: (), PAIRS: (2,)}
+
+
+def _cells_ok(tab, cells) -> bool:
+    """Whether every entry of a line has the cell type."""
+    if isinstance(tab, np.ndarray):
+        if tab.dtype == np.uint8:
+            # a line is short: deleting the bytes 0 and 1 beats a reduction
+            return (tab.shape[1:] == _CELL_SHAPES[cells]
+                    and not tab.tobytes().translate(None, b"\0\1"))
+        tab = tab.tolist()
+    try:
+        return _CELL_CHECKS[cells](tab)
+    except TypeError:  # an unhashable entry
+        return False
 
 
 def _shape_error(tab, n, cells) -> str | None:
     """What keeps tab from being a line of n cells (any number if n is
     None) of type cells, or None if nothing does."""
-    if not isinstance(tab, (tuple, list)):
+    if not isinstance(tab, _SEQUENCES) or isinstance(tab, np.ndarray) and tab.ndim == 0:
         return "not a table"
     if n is not None and len(tab) != n:
         return f"{len(tab)} entries, expected {n}" + (
             ": reads future or absent inputs" if len(tab) > n else ": not total")
-    try:
-        if cells not in _CELL_CHECKS or _CELL_CHECKS[cells](tab):
-            return None
-    except TypeError:  # an unhashable entry
-        pass
+    if cells not in _CELL_CHECKS or _cells_ok(tab, cells):
+        return None
     return f"entry not of type {cells}"
+
+
+def _table_error(tab, rows: int, width, cells) -> str | None:
+    """What keeps tab from being ``rows`` rows of ``width`` cells of type
+    cells, naming the first bad row, or None if nothing does: a uint8
+    array of that shape passes by one maximum, anything else is walked
+    row by row."""
+    if (isinstance(tab, np.ndarray) and tab.dtype == np.uint8
+            and tab.shape == (rows, width, *_CELL_SHAPES[cells]) and tab.max(initial=0) <= 1):
+        return None
+    if err := _shape_error(tab, rows, None):
+        return err
+    widths = width if isinstance(width, tuple) else repeat(width)
+    for k, (row, w) in enumerate(zip(tab, widths)):
+        if row_err := _shape_error(row, w, cells):
+            return f"row {k}: {row_err}"
+    return None
 
 
 def validate(p) -> list[str]:
@@ -332,17 +478,12 @@ def validate(p) -> list[str]:
         if rows is None:
             err = _shape_error(tab, width, cells)
         else:
-            err = _shape_error(tab, rows, None)
-            widths = width if isinstance(width, tuple) else repeat(width)
-            for k, (row, w) in enumerate(zip(tab if err is None else (), widths)):
-                if row_err := _shape_error(row, w, cells):
-                    err = f"row {k}: {row_err}"
-                    break
+            err = _table_error(tab, rows, width, cells)
         if err:
             out.append(f"{label}: {err}")
     for field, n in counts.items():
         tabs = getattr(p, field)
-        if n is not None and (not isinstance(tabs, (tuple, list)) or len(tabs) != n):
+        if n is not None and (not isinstance(tabs, _SEQUENCES) or len(tabs) != n):
             out.append(f"{field}: expected {n} tables")
 
     if isinstance(p, GeneralNlbProtocol):
@@ -350,7 +491,8 @@ def validate(p) -> list[str]:
             if sorted(sched) != list(range(p.t)):
                 out.append(f"sched{side}: not a permutation of box labels")
     if isinstance(p, OneWayProtocol):
-        if any(not 0 <= m < 1 << p.t for m in p.msg):
+        msg = p.msg.tolist() if isinstance(p.msg, np.ndarray) else p.msg
+        if any(not 0 <= m < 1 << p.t for m in msg):
             out.append("msg value outside the t-bit message space")
     if isinstance(p, OtProtocol):
         if not p.r_weights:

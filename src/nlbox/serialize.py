@@ -15,6 +15,8 @@ from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import truthtable as tt
 from .protocols import (BITS, FRACS, INTS, KIND_NAMES, PAIRS, Protocol,
                         ProtocolMixture, layout)
@@ -27,21 +29,37 @@ class ParseError(ValueError):
 
 
 _PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
-_PAIR_TEXT = {pair: tok for tok, pair in _PAIR_TOKENS.items()}
 # byte value -> bit character ("0" for 0, "1" otherwise), and back
 _BIT_CHARS = b"0" + b"1" * 255
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_SPACE, _NEWLINE = ord(" "), ord("\n")
 
-# how one row of each cell type is written
+# how an inline line of each cell type is written
 _FORMATS = {
-    BITS: lambda row: bytes(row).translate(_BIT_CHARS).decode(),
-    PAIRS: lambda row: " ".join(map(_PAIR_TEXT.__getitem__, row)),
-    INTS: lambda row: " ".join(map(str, row)),
-    FRACS: lambda row: " ".join(map(tt.format_fraction, row)),
+    INTS: lambda line: " ".join(map(str, line.tolist())),
+    FRACS: lambda line: " ".join(map(tt.format_fraction, line)),
 }
 
 
+def _lines(tab, cells) -> list[str]:
+    """The rows of an array of tables, one line each: bits as one
+    character each, OT pairs as two, space-separated.  A tree round is a
+    tuple of rows of their own widths."""
+    if isinstance(tab, tuple):
+        return [line for row in tab for line in _lines(row, cells)]
+    chars = tab.tobytes().translate(_BIT_CHARS)
+    if cells == BITS:
+        text, width = chars.decode(), tab.shape[-1]
+        return [text[k:k + width] for k in range(0, len(text), width)]
+    # each pair's two characters, then a space, or a newline after a row
+    out = np.full((*tab.shape[:-1], 3), _SPACE, np.uint8)
+    out[..., :2] = np.frombuffer(chars, np.uint8).reshape(tab.shape)
+    out[..., -1, -1] = _NEWLINE
+    return out.tobytes()[:-1].decode().split("\n")
+
+
 def serialize(p: Protocol, provenance: str | None = None) -> str:
+    """The text of a valid protocol (tables as the constructors make them)."""
     lines: list[str] = []
     if provenance:
         lines.append(f"# provenance: {provenance}")
@@ -57,14 +75,22 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             _emit(comp, lines)
         return
     lines.append(f"protocol {KIND_NAMES[type(p)]} nx={p.nx} ny={p.ny} t={p.t}")
-    for label, field, index, cells, rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
-        tab = getattr(p, field) if index is None else getattr(p, field)[index]
-        fmt = _FORMATS[cells]
+    # the lines of each field that is one array, written once and shared
+    # out among its tables
+    field_lines: dict[str, list[str]] = {}
+    for label, field, index, cells, _rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
+        tab = getattr(p, field)
         if cells in _INLINE:
-            lines.append(f"{label}: " + fmt(tab))
-        else:
-            lines.append(f"{label}:")
-            lines.extend(map(fmt, (tab,) if rows is None else tab))
+            lines.append(f"{label}: " + _FORMATS[cells](tab))
+            continue
+        lines.append(f"{label}:")
+        if index is None or not isinstance(tab, np.ndarray):
+            lines.extend(_lines(tab if index is None else tab[index], cells))
+            continue
+        if field not in field_lines:
+            field_lines[field] = _lines(tab, cells)
+        n = len(field_lines[field]) // len(tab)
+        lines.extend(field_lines[field][index * n:(index + 1) * n])
 
 
 class _Cursor:
@@ -89,7 +115,9 @@ class _Cursor:
             raise ParseError(f"expected {prefix!r}, found {ln!r}")
         return ln
 
-    def row(self, cells: str, width: int) -> tuple:
+    def row(self, cells: str, width: int):
+        """The next line as a row of width bits (a read-only uint8 array)
+        or OT pairs (a tuple of them)."""
         ln = self.take()
         if cells == PAIRS:
             pairs = tuple(map(_PAIR_TOKENS.get, ln.split()))
@@ -99,7 +127,41 @@ class _Cursor:
         raw = ln.encode()
         if len(raw) != width or raw.translate(None, b"01"):
             raise ParseError(f"expected {width}-bit line, found {ln!r}")
-        return tuple(raw.translate(_BIT_VALUES))
+        return np.frombuffer(raw.translate(_BIT_VALUES), np.uint8)
+
+    def rows(self, cells: str, n: int, width: int) -> np.ndarray:
+        """The next n lines as an (n, width) bit table or (n, width, 2)
+        OT pairs: in one read when serialize wrote them, else line by
+        line, which also reports the first bad line."""
+        tab = _written_rows(self.lines[self.pos:self.pos + n], cells, n, width)
+        if tab is None:
+            return np.array([self.row(cells, width) for _ in range(n)], np.uint8)
+        self.pos += n
+        return tab
+
+
+def _written_rows(block: list[str], cells: str, n: int, width: int) -> np.ndarray | None:
+    """n lines of width cells each, as serialize writes them, read with
+    one frombuffer; None when they are not all such lines."""
+    size = 3 * width - 1 if cells == PAIRS else width
+    if len(block) != n or not set(map(len, block)) <= {size}:
+        return None
+    # the byte count equals the character count only for ASCII text
+    if cells == BITS:
+        raw = "".join(block).encode()
+        if len(raw) != n * width or raw.translate(None, b"01"):
+            return None
+        return np.frombuffer(raw.translate(_BIT_VALUES), np.uint8).reshape(n, width)
+    # each pair's two characters, then a space
+    raw = (" ".join(block) + " ").encode()
+    if len(raw) != 3 * n * width or raw[2::3].translate(None, b" "):
+        return None
+    bits = bytearray(2 * n * width)
+    bits[0::2], bits[1::2] = raw[0::3], raw[1::3]
+    bits = bytes(bits)
+    if bits.translate(None, b"01"):
+        return None
+    return np.frombuffer(bits.translate(_BIT_VALUES), np.uint8).reshape(n, width, 2)
 
 
 def parse(text: str) -> Protocol:
@@ -171,11 +233,13 @@ def _parse_body(cur: _Cursor):
             tab = tuple(map(value.__getitem__, toks))
         elif rows is None:
             tab = cur.row(cells, width)
+        elif isinstance(width, tuple):  # a tree round: rows of their own widths
+            tab = tuple(cur.row(cells, w) for w in width)
         else:
-            tab = tuple(cur.row(cells, width if isinstance(width, int) else width[k])
-                        for k in range(rows))
+            tab = cur.rows(cells, rows, width)
         if index is None:
             setattr(got, field, tab)
         else:
             getattr(got, field).append(tab)
-    return kind(nx, ny, t, **{name: tuple(tab) for name, tab in vars(got).items()})
+    return kind(nx, ny, t, **{name: tuple(tab) if isinstance(tab, list) else tab
+                              for name, tab in vars(got).items()})

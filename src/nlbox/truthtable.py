@@ -7,8 +7,9 @@ into Python integers (bit y of ``rows[x]`` is the entry at (x, y)),
 which keeps row XOR and row comparisons word-parallel for free.
 
 This module owns that packing: other modules read a table's entries
-through ``TruthTable.bits()`` (a uint8 array), build one from a 0/1
-table with ``from_entries``, and print packed bits with ``bit_string``.
+through ``TruthTable.bits()`` (a uint8 array), unpack other packed
+lines with ``unpack_bits``, build a table from a 0/1 array with
+``from_entries``, and print packed bits with ``bit_string``.
 """
 
 from __future__ import annotations
@@ -55,10 +56,16 @@ class TruthTable:
 
     def bits(self) -> np.ndarray:
         """The entries as a new (n_rows, n_cols) uint8 array."""
-        width = (self.n_cols + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows),
-                               np.uint8).reshape(self.n_rows, width)
-        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
+        return unpack_bits(self.rows, self.n_cols)
+
+
+def unpack_bits(values, n: int) -> np.ndarray:
+    """The n low bits of each nonnegative int below 2^n, bit 0 first, as
+    a new (len(values), n) uint8 array."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values),
+                           np.uint8).reshape(len(values), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def from_function(nx: int, ny: int, f: Callable[[int, int], int]) -> TruthTable:

@@ -16,8 +16,8 @@ from nlbox import gf2
 from nlbox.compilers import (and_from_oneway, oneway_from_and, oneway_optimal,
                              ordered_to_ot, synth_rank, twoway_to_parallel,
                              xor_normalize_parallel)
-from nlbox.correlations import CorrelationMatrix, make_context, rt_comm, \
-    rt_nlb, rt_trials, simulate_distribution
+from nlbox.correlations import CorrelationMatrix, _rt_kernel, make_context, \
+    rt_comm, rt_nlb, rt_trials, simulate_distribution
 from nlbox.engine import (error_profile, exec_exact, privacy_audit_and,
                           privacy_audit_ot)
 from nlbox.epsrank import EpsRankQuery, eps_rank, verify_witness
@@ -183,6 +183,14 @@ def test_criterion_09_measurement_simulation_trials(capsys):
         assert int(((a_c * b_c) != (a_n * b_n)).sum()) == 0
         assert abs(float(a_n.mean())) <= bound
         assert abs(float(b_n.mean())) <= bound
+    # every branch: one fixed batch of projected trials run with the three
+    # box outcomes set to each of their 8 values, so that the agreement
+    # does not rest on the outcomes drawn
+    x2, y2 = np.random.default_rng(9).standard_normal((2, 1000, 3))
+    for v in range(8):
+        bits = np.broadcast_to([(v >> i) & 1 for i in range(3)], (1000, 3))
+        a_c, b_c, a_n, b_n = _rt_kernel(x2, y2, bits)
+        assert ((a_c * b_c) == (a_n * b_n)).all(), v
     ctx = make_context(3, seed=0, g=np.eye(3))
     rng = np.random.default_rng(1)
     for trial in range(100):
@@ -192,7 +200,8 @@ def test_criterion_09_measurement_simulation_trials(capsys):
         an, bn = rt_nlb(v, v, ctx, box_seed=trial)
         assert a * b == 1 and an * bn == 1
     report(capsys, "criterion 9: 3 boxes per run, 100% coupled agreement over "
-                   "3x100,000 trials, marginals within 4/sqrt(N); identity "
+                   "3x100,000 trials and on all 8 box-outcome branches of "
+                   "1,000 trials, marginals within 4/sqrt(N); identity "
                    "dim-3 case gives E[AB] = 1 exactly")
 
 

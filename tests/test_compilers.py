@@ -145,7 +145,7 @@ def test_independence_reduce_drops_dead_boxes():
     # append a box whose Alice input is identically zero
     dead = ParallelProtocol(
         base.nx, base.ny, base.t + 1,
-        base.pbox + ((0, 0),), base.qbox + ((1, 1),),
+        (*base.pbox, (0, 0)), (*base.qbox, (1, 1)),
         tuple(tuple(row[u & ((1 << base.t) - 1)] for u in range(1 << (base.t + 1)))
               for row in base.out_a),
         tuple(tuple(row[u & ((1 << base.t) - 1)] for u in range(1 << (base.t + 1)))
@@ -219,7 +219,7 @@ def test_xor_normalize_general_preserves_parity_distribution():
                     assert exec_exact(norm, x, y).parity_prob(1) \
                         == exec_exact(p, x, y).parity_prob(1)
             # outputs are pure parities of all outcomes
-            assert all(row[u] == parity(u) for row in norm.out_a + norm.out_b
+            assert all(row[u] == parity(u) for row in (*norm.out_a, *norm.out_b)
                        for u in range(1 << norm.t))
 
 

@@ -453,9 +453,11 @@ def _signalling_ordered() -> OrderedNlbProtocol:
     on (x, y) = (3, 1) and (2, 2).  Well-formed protocols cannot signal
     (Bob's outcomes are a bijection of Alice's for every (x, y)), so
     only such tables, which ``validate`` rejects, make the audit fail;
-    its loop order (y outer on Bob's side) decides the witness."""
+    its loop order (y outer on Bob's side) decides the witness.  The
+    step tables are uint8 arrays, which the constructor keeps as given."""
     return OrderedNlbProtocol(
-        2, 2, 1, (((0,), (0,), (4,), (2,)),), (((0,), (2,), (4,), (0,)),),
+        2, 2, 1, (np.array(((0,), (0,), (4,), (2,)), np.uint8),),
+        (np.array(((0,), (2,), (4,), (0,)), np.uint8),),
         ((0, 1),) * 4, ((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
 
 
@@ -497,7 +499,7 @@ def test_error_profile_of_parallel_xor_matches_oracle():
         for t in (0, 1, 3, 64, 100):
             p = random_protocol("parallel-xor", nx, ny, t, rng)
             p = ParallelXorProtocol(nx, ny, t, p.pbox, p.qbox,
-                                    (1,) + p.local_a[1:], (1,) + p.local_b[1:])
+                                    (1, *p.local_a[1:]), (1, *p.local_b[1:]))
             _assert_profile_is_oracle(p, random_table(nx, ny, rng))
             zero = TruthTable(nx, ny, (0,) * (1 << nx))
             own = TruthTable(nx, ny, tuple(
@@ -566,9 +568,11 @@ def test_valid_box_protocols_never_signal():
 
 def _only_rows(p, x: int, y: int):
     """p with every table row of an input other than x (Alice's tables)
-    or y (Bob's) replaced by None."""
+    or y (Bob's) filled with 255, which the uint8 tables keep as given."""
     def keep(rows, k):
-        return tuple(row if i == k else None for i, row in enumerate(rows))
+        out = np.full_like(rows, 255)
+        out[k] = rows[k]
+        return out
     a, b = (("in_a", "in_b") if isinstance(p, OtProtocol) else ("step_a", "step_b"))
     return replace(p, **{a: tuple(keep(tab, x) for tab in getattr(p, a)),
                          b: tuple(keep(tab, y) for tab in getattr(p, b)),
@@ -576,8 +580,8 @@ def _only_rows(p, x: int, y: int):
 
 
 def test_one_pair_reads_only_its_rows():
-    # a one-pair call converts the rows of x and y alone, so tables whose
-    # other rows are None give the same law
+    # a one-pair call reads the rows of x and y alone, so tables whose
+    # other rows hold 255 give the same law
     rng = random.Random(12)
     for p in (random_ordered(2, 2, 3, rng), random_protocol("ot", 2, 2, 3, rng),
               ordered_to_ot(disj_det_protocol(2))):

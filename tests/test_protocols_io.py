@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,32 +76,36 @@ def test_serialize_matches_recorded_text():
 @given(kind=st.sampled_from(KINDS), nx=st.integers(0, 2), ny=st.integers(0, 2),
        t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_property(kind, nx, ny, t, seed):
+    # p is built from tuples; parsing its text gives arrays equal to them
     p = random_protocol(kind, nx, ny, t, random.Random(seed))
     assert validate(p) == []
-    assert parse(serialize(p)) == p
+    q = parse(serialize(p))
+    assert q == p and hash(q) == hash(p)
 
 
 def _tables(obj, path=()):
-    """(path, table) for every nested tuple of a protocol's fields: each
-    table, row and OT pair, through mixture components."""
+    """(path, table) for every table of a protocol's fields, array or
+    tuple: each table, row and OT pair, through mixture components."""
     if isinstance(obj, ProtocolMixture):
         for i, (_w, comp) in enumerate(obj.components):
             yield from _tables(comp, path + ("components", i, 1))
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj)[3:]:  # past nx, ny, t
             yield from _tables(getattr(obj, f.name), path + (f.name,))
-    elif isinstance(obj, tuple):
+    elif isinstance(obj, tuple) or isinstance(obj, np.ndarray) and obj.ndim:
         yield path, obj
         for i, v in enumerate(obj):
             yield from _tables(v, path + (i,))
 
 
 def _replace(obj, path, new):
+    """obj with the table at path replaced by new, rebuilt through the
+    constructors; a table holding new becomes a tuple of its entries."""
     if not path:
         return new
     key, rest = path[0], path[1:]
-    if isinstance(obj, tuple):
-        return obj[:key] + (_replace(obj[key], rest, new),) + obj[key + 1:]
+    if isinstance(obj, (tuple, np.ndarray)):
+        return (*obj[:key], _replace(obj[key], rest, new), *obj[key + 1:])
     return dataclasses.replace(obj, **{key: _replace(getattr(obj, key), rest, new)})
 
 
@@ -108,13 +113,23 @@ def _replace(obj, path, new):
 def test_validate_reports_every_malformed_table(kind):
     """Each table, row or pair truncated, extended by a copy of its last
     entry, or with one entry set to 2^t (2 for t = 1; the first value
-    outside every table's range) is reported, and validate never raises."""
+    outside every table's range), -1 or 2^70 is reported, and validate
+    never raises: the constructor keeps such a table as given instead of
+    a uint8 cast wrapping its cells.  An array table with its first or
+    last cell set to 2^t in its own dtype, which needs no cast, is
+    reported too."""
     rng = random.Random(kind)
     for nx, ny, t in ((1, 1, 1), (1, 2, 2)):
         p = random_protocol(kind, nx, ny, t, rng)
-        for path, tab in _tables(p):
-            bad = [tab[:-1], tab + tab[-1:]]
-            bad += [tab[:i] + (1 << t,) + tab[i + 1:] for i in range(len(tab))]
+        tables = list(_tables(p))
+        assert any(isinstance(tab, np.ndarray) for _path, tab in tables)
+        for path, tab in tables:
+            bad = [tab[:-1], (*tab, tab[-1])]
+            bad += [(*tab[:i], cell, *tab[i + 1:])
+                    for i in range(len(tab)) for cell in (1 << t, -1, 2**70)]
+            for k in (0, -1) if isinstance(tab, np.ndarray) else ():
+                bad.append(tab.copy())
+                bad[-1].reshape(-1)[k] = 1 << t
             for new in bad:
                 q = _replace(p, path, new)
                 assert validate(q), (path, new)
@@ -124,17 +139,21 @@ def test_validate_names_the_malformed_table():
     """Leaf rows, rounds, OT output bits, non-table entries and tables
     beyond t are each reported under their label or field."""
     tree = random_tree(1, 1, 2, RNG)
-    short_leaf = dataclasses.replace(tree, out_a=((0,),) + tree.out_a[1:])
+    short_leaf = dataclasses.replace(tree, out_a=((0,), *tree.out_a[1:]))
     assert any(e.startswith("outA: row 0") for e in validate(short_leaf))
     fewer_rounds = dataclasses.replace(tree, direction=tree.direction[:1],
                                        bit=tree.bit[:1])
     assert "direction: expected 2 tables" in validate(fewer_rounds)
     ot = ordered_to_ot(disj_det_protocol(1))
-    bad_out = dataclasses.replace(ot, out_a=((2,) + ot.out_a[0][1:],) + ot.out_a[1:])
+    bad_out = dataclasses.replace(ot, out_a=((2, *ot.out_a[0][1:]), *ot.out_a[1:]))
     assert any(e.startswith("outA: row 0: entry") for e in validate(bad_out))
+    bad_cell = dataclasses.replace(ot, out_a=np.array([[0, 1], [1, 2]], np.uint8))
+    assert "outA: row 1: entry not of type bits" in validate(bad_cell)
     xor = ip_protocol(1)
     assert any(e.startswith("pbox 0: not a table")
                for e in validate(dataclasses.replace(xor, pbox=(2,))))
+    bad_box = dataclasses.replace(xor, pbox=np.array([[0, 2]], np.uint8))
+    assert "pbox 0: entry not of type bits" in validate(bad_box)
     no_boxes = random_protocol("parallel", 1, 1, 0, RNG)
     extra = dataclasses.replace(no_boxes, pbox=((0, 1),))
     assert any(e.startswith("pbox: expected 0") for e in validate(extra))

@@ -2,7 +2,9 @@
 
 Oracles here are deliberately implemented differently from the library
 code (dense lists instead of bit-packing, brute-force enumeration
-instead of closed forms) so agreement is meaningful.
+instead of closed forms) so agreement is meaningful.  Protocol tables
+are numpy arrays: the oracles take each value they shift with ``int``,
+since a uint8 shift wraps at 8 bits.
 """
 
 from __future__ import annotations
@@ -197,8 +199,8 @@ def obfuscate(p: ParallelProtocol, rng: random.Random) -> ParallelProtocol:
                         for u in range(1 << (p.t + 1))) for x in range(xs))
     out_b = tuple(tuple(p.out_b[y][u & mask_t] ^ ((u >> p.t) & 1) ^ ((u >> k) & 1)
                         for u in range(1 << (p.t + 1))) for y in range(ys))
-    return ParallelProtocol(p.nx, p.ny, p.t + 1, p.pbox + (p.pbox[k],),
-                            p.qbox + (p.qbox[k],), out_a, out_b)
+    return ParallelProtocol(p.nx, p.ny, p.t + 1, (*p.pbox, p.pbox[k]),
+                            (*p.qbox, p.qbox[k]), out_a, out_b)
 
 
 def sampled_kinds() -> dict:
@@ -232,11 +234,11 @@ def leaky_ot() -> OtProtocol:
     (1, 2): the audit's loop order (y outer) decides the witness."""
     from nlbox.compilers import ordered_to_ot
     ot = ordered_to_ot(random_ordered(2, 2, 2, random.Random(6)))
-    in_a = [list(call) for call in ot.in_a]
-    in_a[0][2] = ((0, 0),) + in_a[0][2][1:]
-    in_a[1][1] = ((1, 1),) + in_a[1][1][1:]
+    in_a = [call.copy() for call in ot.in_a]
+    in_a[0][2, 0] = (0, 0)
+    in_a[1][1, 0] = (1, 1)
     return OtProtocol(ot.nx, ot.ny, ot.t, ot.r_weights,
-                      tuple(tuple(call) for call in in_a), ot.in_b, ot.out_a, ot.out_b)
+                      tuple(in_a), ot.in_b, ot.out_a, ot.out_b)
 
 
 def oracle_parallel_dist(p: ParallelProtocol, x: int, y: int):
@@ -251,7 +253,7 @@ def oracle_parallel_dist(p: ParallelProtocol, x: int, y: int):
         bvec = 0
         for i in range(p.t):
             ai = (avec >> i) & 1
-            bvec |= (ai ^ (p.pbox[i][x] & p.qbox[i][y])) << i
+            bvec |= (ai ^ int(p.pbox[i][x] & p.qbox[i][y])) << i
         key = (p.out_a[x][avec], p.out_b[y][bvec])
         dists[key] = dists.get(key, Fraction(0)) + w
     return dists
@@ -349,7 +351,7 @@ def oracle_phase1(columns, b):
 def _packed(tables, v: int) -> int:
     s = 0
     for i, tab in enumerate(tables):
-        s |= tab[v] << i
+        s |= int(tab[v]) << i
     return s
 
 
@@ -373,8 +375,8 @@ def oracle_kernel(p, x: int, y: int):
             pin = qin = 0
             for i in range(p.t):
                 mask = (1 << i) - 1
-                pin |= sa[i][u & mask] << i
-                qin |= sb[i][(u ^ (pin & qin)) & mask] << i
+                pin |= int(sa[i][u & mask]) << i
+                qin |= int(sb[i][(u ^ (pin & qin)) & mask]) << i
             bvec = u ^ (pin & qin)
             return oa[u], ob[bvec], bvec, pin, qin
         return run_ordered
@@ -384,11 +386,11 @@ def oracle_kernel(p, x: int, y: int):
         def run_general(u):
             pin = obs = 0
             for pos, label in enumerate(p.sched_a):
-                pin |= p.step_a[pos][x][obs] << label
+                pin |= int(p.step_a[pos][x][obs]) << label
                 obs |= ((u >> label) & 1) << pos
             qin = obs = 0
             for pos, label in enumerate(p.sched_b):
-                q = p.step_b[pos][y][obs]
+                q = int(p.step_b[pos][y][obs])
                 qin |= q << label
                 bit = ((u >> label) & 1) ^ ((pin >> label) & q)
                 obs |= bit << pos
@@ -403,8 +405,8 @@ def oracle_run_ot(p: OtProtocol, x: int, y: int, r: int):
     received = 0
     calls = []
     for i in range(p.t):
-        s0, s1 = p.in_a[i][x][r]
-        c = p.in_b[i][y][received & ((1 << i) - 1)]
+        s0, s1 = map(int, p.in_a[i][x][r])
+        c = int(p.in_b[i][y][received & ((1 << i) - 1)])
         o = s1 if c else s0
         calls.append((i, (s0, s1), c, o))
         received |= o << i
@@ -470,8 +472,8 @@ def oracle_bob_first(p: OrderedNlbProtocol, x: int, y: int) -> dict:
     for v in range(1 << p.t):
         avec = 0
         for i in range(p.t):
-            qi = p.step_b[i][y][v & ((1 << i) - 1)]
-            pi = p.step_a[i][x][avec & ((1 << i) - 1)]
+            qi = int(p.step_b[i][y][v & ((1 << i) - 1)])
+            pi = int(p.step_a[i][x][avec & ((1 << i) - 1)])
             avec |= (((v >> i) & 1) ^ (pi & qi)) << i
         k = (p.out_a[x][avec], p.out_b[y][v])
         counts[k] = counts.get(k, 0) + 1
@@ -492,8 +494,8 @@ def oracle_error(p, f: TruthTable, x: int, y: int) -> Fraction:
     parallel-XOR protocol too wide to enumerate its 2^t branches has the
     parity of its locals and its sum of box products p_i(x) q_i(y)."""
     if isinstance(p, ParallelXorProtocol) and p.t > 16:
-        par = p.local_a[x] + p.local_b[y] + sum(
-            p.pbox[i][x] * p.qbox[i][y] for i in range(p.t))
+        par = int(p.local_a[x]) + int(p.local_b[y]) + sum(
+            int(p.pbox[i][x]) * int(p.qbox[i][y]) for i in range(p.t))
         return Fraction(int(par % 2 != f.entry(x, y)))
     return sum((q for (a, b), q in oracle_exec(p, x, y).items()
                 if a ^ b != f.entry(x, y)), Fraction(0))
@@ -709,10 +711,10 @@ def oracle_parallel_exact_function(p: ParallelProtocol):
         for y in range(1 << p.ny):
             shift = 0
             for i in range(p.t):
-                shift |= (p.pbox[i][x] & p.qbox[i][y]) << i
+                shift |= int(p.pbox[i][x] & p.qbox[i][y]) << i
             vals = {p.out_a[x][a] ^ p.out_b[y][a ^ shift] for a in range(1 << p.t)}
             if len(vals) != 1:
                 return None
-            r |= vals.pop() << y
+            r |= int(vals.pop()) << y
         rows.append(r)
     return TruthTable(p.nx, p.ny, tuple(rows))
