@@ -172,8 +172,8 @@ def _drop_dependent(p: ParallelProtocol) -> ParallelProtocol:
         par = _parities(u & c_rest, p.t)
         out_a, out_b = (np.take_along_axis(out, u | ((np.array(sep)[:, None] ^ par) << k), 1)
                         for out, sep in ((p.out_a, alpha), (p.out_b, beta)))
-        p = ParallelProtocol(p.nx, p.ny, p.t - 1, np.delete(p.pbox, k, axis=0),
-                             np.delete(p.qbox, k, axis=0), out_a, out_b)
+        p = ParallelProtocol(p.nx, p.ny, p.t - 1, p.pbox[:k] + p.pbox[k + 1:],
+                             p.qbox[:k] + p.qbox[k + 1:], out_a, out_b)
 
 
 def _affine_constants(rows, lin: int | None, varies: str) -> tuple[int, tuple[int, ...]]:

@@ -91,9 +91,25 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
     return v & 1
 
 
+def _table(tab) -> np.ndarray:
+    """A table as an array: itself as the constructors make it, or,
+    when they kept it as given (a cell out of range), read through
+    np.asarray, so that the audits report what such a table does.  A
+    table of no rectangular integer form is a ProtocolError."""
+    if isinstance(tab, np.ndarray):
+        return tab
+    try:
+        arr = np.asarray(tab)
+    except ValueError:
+        arr = None
+    if arr is None or arr.size and arr.dtype.kind not in "biu":
+        raise ProtocolError("malformed table: validate names it")
+    return arr
+
+
 def _boxes(tables, n: int, dtype=np.int64) -> np.ndarray:
     """A field of per-box tables of n entries as a (boxes, n) array."""
-    return np.asarray(tables).reshape(len(tables), n).astype(dtype)
+    return _table(tables).reshape(len(tables), n).astype(dtype)
 
 
 def _packed(tables, n: int) -> np.ndarray:
@@ -105,10 +121,10 @@ def _packed(tables, n: int) -> np.ndarray:
                                 axis=0, initial=0)
 
 
-def _at(tab: np.ndarray, *index) -> np.ndarray:
+def _at(tab, *index) -> np.ndarray:
     """tab[index] for same-length arrays, one per axis, as one gather from
     the flat table: numpy's indexing by several arrays is slower."""
-    flat = index[0]
+    tab, flat = _table(tab), index[0]
     for n, i in zip(tab.shape[1:], index[1:]):
         flat = flat * n + i
     return tab.reshape(-1)[flat]
@@ -120,18 +136,21 @@ def _kernel(p):
     bvec = u ^ (pin & qin); u is int64, or of Python ints for parallel
     XOR from t = 63 on.  OT gives (a, b, received) for r = v, the bits
     Bob received packed by call; AND gives (a, b, gates); one-way and
-    tree protocols give (a, b).  The kernel indexes the tables directly;
-    a and b are uint8 bits read off them, and any bit it shifts is first
-    widened to int64, since a uint8 shift wraps at 8 bits."""
+    tree protocols give (a, b).  The kernel indexes the tables directly,
+    through _at; a and b are uint8 bits read off them, and any bit it
+    shifts is first widened to int64, since a uint8 shift wraps at 8
+    bits."""
+    if isinstance(p, (ParallelXorProtocol, ParallelProtocol, AndProtocol)):
+        pins, qins = _packed(p.pbox, 1 << p.nx), _packed(p.qbox, 1 << p.ny)
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
         def run_parallel(x, y, u):
-            pin, qin = _packed(p.pbox, 1 << p.nx)[x], _packed(p.qbox, 1 << p.ny)[y]
+            pin, qin = pins[x], qins[y]
             bvec = u ^ (pin & qin)
             if isinstance(p, ParallelXorProtocol):
                 # parity(bvec) = parity(u) ^ parity(pin & qin)
                 par = _parities(u, p.t)
-                a = p.local_a[x] ^ par
-                b = p.local_b[y] ^ _parities(pin & qin, p.t) ^ par
+                a = _at(p.local_a, x) ^ par
+                b = _at(p.local_b, y) ^ _parities(pin & qin, p.t) ^ par
             else:
                 a, b = _at(p.out_a, x, u), _at(p.out_b, y, bvec)
             return a, b, bvec, pin, qin
@@ -150,11 +169,11 @@ def _kernel(p):
                 # each side reads its outcomes so far in its own touch
                 # order; Alice's inputs depend on u alone, so hers come first
                 obs = np.zeros_like(u)
-                for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
+                for pos, (label, sa) in enumerate(zip(_table(p.sched_a).tolist(), p.step_a)):
                     pin |= _at(sa, x, obs).astype(np.int64) << label
                     obs |= ((u >> label) & 1) << pos
                 obs = np.zeros_like(u)
-                for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
+                for pos, (label, sb) in enumerate(zip(_table(p.sched_b).tolist(), p.step_b)):
                     q = _at(sb, y, obs).astype(np.int64)
                     qin |= q << label
                     obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
@@ -171,7 +190,7 @@ def _kernel(p):
         return run_ot
     if isinstance(p, OneWayProtocol):
         def run_oneway(x, y, _v):
-            return p.out_a[x], _at(p.out_b, p.msg[x], y)
+            return _at(p.out_a, x), _at(p.out_b, _at(p.msg, x), y)
         return run_oneway
     if isinstance(p, TwoWayTree):
         def run_tree(x, y, _v):
@@ -179,13 +198,14 @@ def _kernel(p):
             for r, (speaker, rows) in enumerate(zip(p.direction, p.bit)):
                 # round r's rows end to end, each prefix's row from start
                 start = np.cumsum([0, *map(len, rows[:-1])])
-                bits = np.concatenate(rows)[start[tr] + np.where(speaker[tr] == 1, x, y)]
+                own = np.where(_at(speaker, tr) == 1, x, y)
+                bits = _at(np.concatenate(rows), start[tr] + own)
                 tr |= bits.astype(np.int64) << r
             return _at(p.out_a, tr, x), _at(p.out_b, tr, y)
         return run_tree
     if isinstance(p, AndProtocol):
         def run_and(x, y, _v):
-            gates = _packed(p.pbox, 1 << p.nx)[x] & _packed(p.qbox, 1 << p.ny)[y]
+            gates = pins[x] & qins[y]
             return _at(p.out_a, x, gates), np.zeros_like(gates), gates
         return run_and
     raise ProtocolError(f"cannot run {type(p).__name__}")
@@ -242,12 +262,16 @@ def _batches(leaves, x, y, parity: bool = False):
 def _laws(j, keys, nums):
     """The distinct keys, sorted, and the law of keys on each input of a
     chunk: for input j[0] + i, row i of their total weights.  When the
-    keys lie in [0, k) and a column for each of the k takes at most twice
-    the runs, each key indexes its own column and the empty ones are
-    dropped; otherwise np.unique sorts the keys."""
+    keys lie in [0, k) and the rows have at most 4 cells per run, each key
+    indexes its own column and the empty ones are dropped; otherwise
+    np.unique sorts the keys.  Every key space the engine tallies is that
+    dense (exact outputs, 4 keys; a view, 2^(t+1) keys for 2^t runs; OT
+    receipts of 2^t-valued randomness) except Python-int keys, from
+    t = 63 on, and OT receipts of sparse randomness; at 8 cells per run
+    a chunk of 1,024 inputs already tallies slower than the sort."""
     rows = int(j[-1] - j[0]) + 1
     k = int(keys.max()) + 1 if keys.dtype != object else None
-    if k is not None and rows * k <= 2 * len(keys) and keys.min() >= 0:
+    if k is not None and rows * k <= 4 * len(keys) and keys.min() >= 0:
         laws = np.zeros((rows, k), dtype=nums.dtype)
         np.add.at(laws.reshape(-1), (j - j[0]) * k + keys, nums)
         used = np.flatnonzero((laws != 0).any(0))
@@ -411,7 +435,7 @@ def _xor_errors(p: ParallelXorProtocol, f: TruthTable) -> np.ndarray:
     its deterministic parity, the local terms and the box products
     p_i(x) q_i(y) summed mod 2."""
     products = (_boxes(p.pbox, f.n_rows).T @ _boxes(p.qbox, f.n_cols)) & 1
-    return (f.bits() ^ p.local_a[:, None] ^ p.local_b ^ products).ravel()
+    return (f.bits() ^ _table(p.local_a)[:, None] ^ _table(p.local_b) ^ products).ravel()
 
 
 def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:

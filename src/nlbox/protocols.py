@@ -9,15 +9,13 @@ arrays below all follow it.
 Each table is one read-only numpy array: a bit table of rows is
 ``(rows, width)`` uint8, OT input pairs are ``(rows, width, 2)`` uint8
 and a one-line table is 1-D (uint8 bits, int64 integers).  A field of
-one table per box or round is one array of them, box first, when they
-share a shape (``pbox`` is ``(t, 2^nx)``, ``in_a`` ``(t, 2^nx, nr,
-2)``), and a tuple of them otherwise (steps, OT choices, tree rounds).
-A tree round, whose rows have their speakers' widths, is a tuple of 1-D
-rows; OT weights stay a tuple of Fractions.  The constructors convert
-tuple input.  A table that is ragged or not a table, or that needs a
-cast and has a cell outside its range, is kept as given, so that
-``validate`` reports it instead of a uint8 cast wrapping it.  Protocols
-compare and hash by kind, shapes and bytes.
+one table per box or round is a tuple of them (``pbox[i]`` is box i's
+table over X).  A tree round, whose rows have their speakers' widths,
+is a tuple of 1-D rows; OT weights stay a tuple of Fractions.  The
+constructors convert tuple input.  A table that is ragged or not a
+table, or that needs a cast and has a cell outside its range, is kept
+as given, so that ``validate`` reports it instead of a uint8 cast
+wrapping it.  Protocols compare and hash by kind, shapes and bytes.
 
 A value read off a table is a numpy scalar: convert it with ``int``
 before it is printed or shifted, since numpy prints ``np.uint8(1)`` and
@@ -47,6 +45,9 @@ class _Tables:
             convert = _round if ndim is None else _array
             if not indexed:
                 tab = convert(tab, ndim, cells)
+            elif isinstance(tab, np.ndarray) and ndim is not None:
+                # the tables are its rows: one conversion, read as views
+                tab = tuple(_array(tab, ndim + 1, cells))
             elif isinstance(tab, _SEQUENCES):
                 tab = tuple(convert(t, ndim, cells) for t in tab)
             object.__setattr__(self, field, tab)
@@ -84,8 +85,8 @@ class ParallelXorProtocol(_Tables):
     nx: int
     ny: int
     t: int
-    pbox: np.ndarray  # t tables over X, one per row
-    qbox: np.ndarray  # t tables over Y
+    pbox: tuple[np.ndarray, ...]  # t tables over X, one per box
+    qbox: tuple[np.ndarray, ...]  # t tables over Y
     local_a: np.ndarray
     local_b: np.ndarray
 
@@ -101,8 +102,8 @@ class ParallelProtocol(_Tables):
     nx: int
     ny: int
     t: int
-    pbox: np.ndarray
-    qbox: np.ndarray
+    pbox: tuple[np.ndarray, ...]
+    qbox: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, avec]
     out_b: np.ndarray  # out_b[y, bvec]
 
@@ -193,8 +194,8 @@ class AndProtocol(_Tables):
     nx: int
     ny: int
     t: int
-    pbox: np.ndarray
-    qbox: np.ndarray
+    pbox: tuple[np.ndarray, ...]
+    qbox: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, gate-output vector]
 
     def gate_vector(self, x: int, y: int) -> int:
@@ -217,7 +218,7 @@ class OtProtocol(_Tables):
     ny: int
     t: int
     r_weights: tuple[Fraction, ...]
-    in_a: np.ndarray
+    in_a: tuple[np.ndarray, ...]
     in_b: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, r]
     out_b: np.ndarray  # out_b[y, received]
@@ -325,20 +326,13 @@ def layout(kind, nx: int, ny: int, t: int, p):
 def _specs(kind) -> dict:
     """{field: (cells, ndim, indexed)} for each table field of a kind: the
     cell type, the dimensions of its array (None for a tuple of 1-D rows
-    of their own widths) and whether the field is a tuple of tables.  A
-    field of one table per box whose tables all have one shape is one
-    array of them, box first; one whose shapes vary is a tuple."""
-    probe = SimpleNamespace(direction=((1,), (1, 1)), r_weights=())
-    tabs: dict = {}
-    for _label, field, index, cells, rows, width in layout(kind, 0, 0, 2, probe):
-        tabs.setdefault(field, []).append((cells, index, rows, width))
+    of their own widths) and whether the field is a tuple of tables."""
+    probe = SimpleNamespace(direction=((1,),), r_weights=())
     specs = {}
-    for field, [(cells, index, rows, width), *rest] in tabs.items():
+    for _label, field, index, cells, rows, width in layout(kind, 0, 0, 1, probe):
         ndim = 1 if rows is None else None if isinstance(width, tuple) else 2 + (cells == PAIRS)
-        stacked = index is not None and all((r, w) == (rows, width) for _c, _i, r, w in rest)
         if cells != FRACS:
-            specs[field] = ((cells, ndim + 1, False) if stacked
-                            else (cells, ndim, index is not None))
+            specs[field] = (cells, ndim, index is not None)
     return specs
 
 
@@ -395,13 +389,18 @@ _CELL_CHECKS = {
 _CELL_SHAPES = {BITS: (), PAIRS: (2,)}
 
 
+def _binary(tab: np.ndarray) -> bool:
+    """Whether a uint8 array holds only 0 and 1: deleting those bytes
+    leaves none, which on the short lines most tables are costs a fifth
+    of a reduction (0.2 against 1.1 us) and on 2^16 cells 31 us."""
+    return not tab.tobytes().translate(None, b"\0\1")
+
+
 def _cells_ok(tab, cells) -> bool:
     """Whether every entry of a line has the cell type."""
     if isinstance(tab, np.ndarray):
         if tab.dtype == np.uint8:
-            # a line is short: deleting the bytes 0 and 1 beats a reduction
-            return (tab.shape[1:] == _CELL_SHAPES[cells]
-                    and not tab.tobytes().translate(None, b"\0\1"))
+            return tab.shape[1:] == _CELL_SHAPES[cells] and _binary(tab)
         tab = tab.tolist()
     try:
         return _CELL_CHECKS[cells](tab)
@@ -425,10 +424,10 @@ def _shape_error(tab, n, cells) -> str | None:
 def _table_error(tab, rows: int, width, cells) -> str | None:
     """What keeps tab from being ``rows`` rows of ``width`` cells of type
     cells, naming the first bad row, or None if nothing does: a uint8
-    array of that shape passes by one maximum, anything else is walked
-    row by row."""
+    array of that shape passes by one check of its bytes, anything else
+    is walked row by row."""
     if (isinstance(tab, np.ndarray) and tab.dtype == np.uint8
-            and tab.shape == (rows, width, *_CELL_SHAPES[cells]) and tab.max(initial=0) <= 1):
+            and tab.shape == (rows, width, *_CELL_SHAPES[cells]) and _binary(tab)):
         return None
     if err := _shape_error(tab, rows, None):
         return err

@@ -42,14 +42,16 @@ _FORMATS = {
 
 
 def _lines(tab, cells) -> list[str]:
-    """The rows of an array of tables, one line each: bits as one
-    character each, OT pairs as two, space-separated.  A tree round is a
-    tuple of rows of their own widths."""
+    """The rows of a table, one line each (a one-line table's one line):
+    bits as one character each, OT pairs as two, space-separated.  A tree
+    round is a tuple of rows of their own widths."""
     if isinstance(tab, tuple):
         return [line for row in tab for line in _lines(row, cells)]
     chars = tab.tobytes().translate(_BIT_CHARS)
     if cells == BITS:
         text, width = chars.decode(), tab.shape[-1]
+        if tab.ndim == 1:  # a one-line table, such as each box's
+            return [text]
         return [text[k:k + width] for k in range(0, len(text), width)]
     # each pair's two characters, then a space, or a newline after a row
     out = np.full((*tab.shape[:-1], 3), _SPACE, np.uint8)
@@ -75,22 +77,13 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             _emit(comp, lines)
         return
     lines.append(f"protocol {KIND_NAMES[type(p)]} nx={p.nx} ny={p.ny} t={p.t}")
-    # the lines of each field that is one array, written once and shared
-    # out among its tables
-    field_lines: dict[str, list[str]] = {}
     for label, field, index, cells, _rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
-        tab = getattr(p, field)
+        tab = getattr(p, field) if index is None else getattr(p, field)[index]
         if cells in _INLINE:
             lines.append(f"{label}: " + _FORMATS[cells](tab))
-            continue
-        lines.append(f"{label}:")
-        if index is None or not isinstance(tab, np.ndarray):
-            lines.extend(_lines(tab if index is None else tab[index], cells))
-            continue
-        if field not in field_lines:
-            field_lines[field] = _lines(tab, cells)
-        n = len(field_lines[field]) // len(tab)
-        lines.extend(field_lines[field][index * n:(index + 1) * n])
+        else:
+            lines.append(f"{label}:")
+            lines.extend(_lines(tab, cells))
 
 
 class _Cursor:

@@ -453,11 +453,9 @@ def _signalling_ordered() -> OrderedNlbProtocol:
     on (x, y) = (3, 1) and (2, 2).  Well-formed protocols cannot signal
     (Bob's outcomes are a bijection of Alice's for every (x, y)), so
     only such tables, which ``validate`` rejects, make the audit fail;
-    its loop order (y outer on Bob's side) decides the witness.  The
-    step tables are uint8 arrays, which the constructor keeps as given."""
+    its loop order (y outer on Bob's side) decides the witness."""
     return OrderedNlbProtocol(
-        2, 2, 1, (np.array(((0,), (0,), (4,), (2,)), np.uint8),),
-        (np.array(((0,), (2,), (4,), (0,)), np.uint8),),
+        2, 2, 1, (((0,), (0,), (4,), (2,)),), (((0,), (2,), (4,), (0,)),),
         ((0, 1),) * 4, ((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
 
 
@@ -506,6 +504,19 @@ def test_error_profile_of_parallel_xor_matches_oracle():
                 sum(int(oracle_error(p, zero, x, y)) << y for y in range(1 << ny))
                 for x in range(1 << nx)))
             assert _assert_profile_is_oracle(p, own).exact
+
+
+def test_exact_law_of_wide_parallel_xor_matches_oracle():
+    # from t = 63 on the outcome keys are Python ints, which _laws sorts:
+    # Alice's output is an unbiased bit and the parity is the oracle's
+    rng = random.Random(64)
+    zero = TruthTable(2, 2, (0,) * 4)
+    for t in (63, 64, 100):
+        p = random_protocol("parallel-xor", 2, 2, t, rng)
+        for x, y in ((0, 0), (3, 1), (2, 3)):
+            dist = exec_exact(p, x, y)
+            assert dist.marginal_a() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+            assert dist.parity_prob(1) == oracle_error(p, zero, x, y)
 
 
 def test_error_profile_of_synthesized_6x6_matches_oracle():
@@ -564,6 +575,27 @@ def test_valid_box_protocols_never_signal():
                 assert nonsignaling_audit(p) is None
     assert validate(_signalling_ordered()) != []
     assert nonsignaling_audit(_signalling_ordered()) is not None
+
+
+def test_kernel_reads_tables_the_constructor_keeps_as_given():
+    # the constructor keeps a tuple step table holding 2s and 4s as
+    # given, and the same cells in a uint8 array as they are: the audit
+    # and exact runs read both alike; a table of no rectangular integer
+    # form is a ProtocolError, not an indexing error
+    sig = _signalling_ordered()
+    assert isinstance(sig.step_a[0], tuple)
+    as_array = replace(sig, step_a=(np.array(sig.step_a[0], np.uint8),),
+                       step_b=(np.array(sig.step_b[0], np.uint8),))
+    assert isinstance(as_array.step_a[0], np.ndarray)
+    for p in (sig, as_array):
+        assert nonsignaling_audit(p) == oracle_nonsignaling_audit(sig)
+        for x, y in ((3, 1), (2, 2)):
+            assert exec_exact(p, x, y).probs == oracle_exec(sig, x, y)
+    ragged = replace(sig, step_a=(((0,), (0, 1), (0,), (0,)),))
+    assert validate(ragged)
+    for run in (nonsignaling_audit, lambda p: exec_exact(p, 0, 0)):
+        with pytest.raises(ProtocolError, match="malformed table"):
+            run(ragged)
 
 
 def _only_rows(p, x: int, y: int):
