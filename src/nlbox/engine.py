@@ -13,9 +13,9 @@ constraint is symmetric.  So a run on (x, y) is a function of one
 integer v: Alice's outcomes u packed in box-label order (box kinds), her
 randomness index r (OT), or 0 (deterministic kinds).  ``_kernel(p)`` is
 that function for each kind, on same-length numpy arrays (x, y, v).
-Exact laws, error tables and audits run it over every input and branch
-they need, count branches in integers, then make one Fraction per
-outcome; the sampler draws a batch of runs' randomness, then runs it.
+Exact laws, error tables and the OT audit run it over every input and
+branch they need, count branches in integers, then make one Fraction
+per outcome; the sampler draws a batch of runs' randomness and runs it.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
 def _table(tab) -> np.ndarray:
     """A table as an array: itself as the constructors make it, or,
     when they kept it as given (a cell out of range), read through
-    np.asarray, so that the audits report what such a table does.  A
+    np.asarray, so that exec_exact runs what such a table does.  A
     table of no rectangular integer form is a ProtocolError."""
     if isinstance(tab, np.ndarray):
         return tab
@@ -265,10 +265,10 @@ def _laws(j, keys, nums):
     keys lie in [0, k) and the rows have at most 4 cells per run, each key
     indexes its own column and the empty ones are dropped; otherwise
     np.unique sorts the keys.  Every key space the engine tallies is that
-    dense (exact outputs, 4 keys; a view, 2^(t+1) keys for 2^t runs; OT
-    receipts of 2^t-valued randomness) except Python-int keys, from
-    t = 63 on, and OT receipts of sparse randomness; at 8 cells per run
-    a chunk of 1,024 inputs already tallies slower than the sort."""
+    dense (exact outputs, 4 keys; OT receipts of 2^t-valued randomness)
+    except Python-int keys, from t = 63 on, and OT receipts of sparse
+    randomness; at 8 cells per run a chunk of 1,024 inputs already
+    tallies slower than the sort."""
     rows = int(j[-1] - j[0]) + 1
     k = int(keys.max()) + 1 if keys.dtype != object else None
     if k is not None and rows * k <= 4 * len(keys) and keys.min() >= 0:
@@ -483,44 +483,22 @@ class AuditViolation:
         return f"{self.check}: {self.detail} (witness {self.witness})"
 
 
-def _views(p, x, y, bob: bool):
-    """One player's view of a box protocol or mixture on each input pair
-    (x[k], y[k]) as chunks of runs (j, keys, nums), each run's input,
-    view key (u << 1 | a for Alice, bvec << 1 | b for Bob) and weight."""
-    leaves = _leaves(p)
-    for _w, c in leaves:
+def nonsignaling_audit(p) -> None:
+    """Check that each player's view (own box outcomes and output) has a
+    law that ignores the other's input.  Every valid box protocol passes,
+    so no branch is run: an invalid protocol, or a leaf of no box kind,
+    is a ProtocolError.  The lemma: on every (x, y) of all four kinds,
+    Bob's outcome at box i is Alice's XOR the AND of both inputs to it,
+    each input read off its own side's input and earlier outcomes, so his
+    outcomes are a bijection of her uniform ones (solved for hers box by
+    box in her touch order), and each output reads only its own input
+    and outcomes; a mixture's laws are sums of its leaves'.  The tests'
+    oracle runs the branches."""
+    if errs := validate(p):
+        raise ProtocolError("invalid protocol: " + "; ".join(errs))
+    for _w, c in _leaves(p):
         if not isinstance(c, NLB_KINDS):
             raise ProtocolError(f"{type(c).__name__} is not a non-local-box protocol")
-    _den, chunks = _batches(leaves, x, y)
-    for j, u, nums, a, b, bvec, *_ in chunks:
-        yield j, bvec << 1 | b if bob else u << 1 | a, nums
-
-
-def nonsignaling_audit(p) -> AuditViolation | None:
-    """Check each player's full-view distribution ignores the other's input:
-    over the inputs, own input outer, each must equal the one at the
-    other's input 0, carried into later chunks as runs of row lo.
-
-    No protocol that passes validate fails it: for every (x, y), Bob's
-    outcomes are a bijection of Alice's (each bit her bit XOR a term of
-    earlier bits), and each output reads its own input and outcomes."""
-    for bob, (own, other) in enumerate(((p.nx, p.ny), (p.ny, p.nx))):
-        mine, theirs = np.divmod(np.arange(1 << (own + other)), 1 << other)
-        ref = (np.array([-1]), np.array([0]), np.array([0]))
-        for run in _views(p, *((theirs, mine) if bob else (mine, theirs)), bool(bob)):
-            lo, k = ref[0][0], np.arange(run[0][0], run[0][-1] + 1)
-            keys, laws = _laws(*map(np.concatenate, zip(ref, run)))
-            start = k - theirs[k]
-            at = np.where(start > lo, start - lo, 0)
-            bad = (laws[at] != laws[1:]).any(1)
-            if bad.any():
-                i = k[bad.argmax()]
-                return AuditViolation("nonsignaling", "Bob view depends on x" if bob
-                                      else "Alice view depends on y",
-                                      (int(mine[i]), 0, int(theirs[i])))
-            row = laws[at[-1]]
-            ref = (np.full(np.count_nonzero(row), k[-1]), keys[row != 0], row[row != 0])
-    return None
 
 
 def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:

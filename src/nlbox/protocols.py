@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
+from numbers import Integral, Rational
 from types import SimpleNamespace
 from typing import Union
 
@@ -271,6 +273,14 @@ def _entry(tab, i):
     return tab[i] if isinstance(tab, _SEQUENCES) and i < len(tab) else None
 
 
+def _entries(tab) -> list | None:
+    """A one-line table's entries as a list, or None when it is not a
+    table, which the shape checks report."""
+    if isinstance(tab, np.ndarray):
+        return tab.tolist() if tab.ndim else None
+    return list(tab) if isinstance(tab, (tuple, list)) else None
+
+
 def layout(kind, nx: int, ny: int, t: int, p):
     """Every table of a protocol kind as (label, field, index, cells,
     rows, width), in text-format order.
@@ -297,14 +307,13 @@ def layout(kind, nx: int, ny: int, t: int, p):
     elif kind is TwoWayTree:
         for r in range(t):
             yield f"dir {r}", "direction", r, BITS, None, 1 << r
-            d = _entry(p.direction, r)
-            d = d if isinstance(d, _SEQUENCES) else ()
+            d = _entries(_entry(p.direction, r)) or ()
             yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
         yield "outA", "out_a", None, BITS, 1 << t, xs
         yield "outB", "out_b", None, BITS, 1 << t, ys
     elif kind is OtProtocol:
         yield "rweights", "r_weights", None, FRACS, None, None
-        nr = len(p.r_weights)
+        nr = len(_entries(p.r_weights) or ())
         for i in range(t):
             yield f"inA {i}", "in_a", i, PAIRS, xs, nr
             yield f"inB {i}", "in_b", i, BITS, ys, 1 << i
@@ -438,6 +447,19 @@ def _table_error(tab, rows: int, width, cells) -> str | None:
     return None
 
 
+def _weight_errors(weights, not_rational: str, bad_sum: str, nonpositive: str) -> list[str]:
+    """The violations of one or more weights that must be positive
+    rationals summing to 1, summed in integers over the lcm of their
+    denominators; bad_sum is formatted with the sum, a Fraction, if not 1."""
+    if not all(issubclass(kind, Rational) for kind in set(map(type, weights))):
+        return [not_rational]
+    nums, dens = [w.numerator for w in weights], [w.denominator for w in weights]
+    den = lcm(*set(dens))
+    total = sum(n * (den // d) for n, d in zip(nums, dens))
+    return ([bad_sum.format(Fraction(total, den))] if total != den else []) + (
+        [nonpositive] if min(nums) <= 0 else [])
+
+
 def validate(p) -> list[str]:
     """Structural audit: every table of ``layout`` has its shape and cell
     type, plus mixture weights, schedules, message range and OT weights.
@@ -448,11 +470,8 @@ def validate(p) -> list[str]:
     if isinstance(p, ProtocolMixture):
         if not p.components:
             return ["mixture: no components"]
-        total = sum((w for w, _ in p.components), Fraction(0))
-        if total != 1:
-            out.append(f"mixture: weights sum to {total}, not 1")
-        if any(w <= 0 for w, _ in p.components):
-            out.append("mixture: nonpositive weight")
+        out += _weight_errors([w for w, _ in p.components], "mixture: weight not a rational number",
+                              "mixture: weights sum to {}, not 1", "mixture: nonpositive weight")
         if len({type(c) for _, c in p.components}) > 1:
             out.append("mixture: components of mixed kinds")
         if len({(c.nx, c.ny, c.t) for _, c in p.components}) > 1:
@@ -487,17 +506,18 @@ def validate(p) -> list[str]:
 
     if isinstance(p, GeneralNlbProtocol):
         for side, sched in (("A", p.sched_a), ("B", p.sched_b)):
-            if sorted(sched) != list(range(p.t)):
+            # an entry that is no integer sorts as -1, which no permutation holds
+            if sorted(v if isinstance(v, Integral) else -1
+                      for v in _entries(sched) or ()) != list(range(p.t)):
                 out.append(f"sched{side}: not a permutation of box labels")
     if isinstance(p, OneWayProtocol):
-        msg = p.msg.tolist() if isinstance(p.msg, np.ndarray) else p.msg
-        if any(not 0 <= m < 1 << p.t for m in msg):
+        if not all(isinstance(m, Integral) and 0 <= m < 1 << p.t for m in _entries(p.msg) or ()):
             out.append("msg value outside the t-bit message space")
     if isinstance(p, OtProtocol):
-        if not p.r_weights:
+        if not (weights := _entries(p.r_weights)):
             out.append("empty private-randomness domain")
-        elif sum(p.r_weights, Fraction(0)) != 1:
-            out.append("private-randomness weights do not sum to 1")
-        if any(w <= 0 for w in p.r_weights):
-            out.append("nonpositive private-randomness weight")
+        else:
+            out += _weight_errors(weights, "private-randomness weight not a rational number",
+                                  "private-randomness weights do not sum to 1",
+                                  "nonpositive private-randomness weight")
     return out

@@ -342,8 +342,7 @@ def test_privacy_ot_failure_matches_recorded_stdout(capsys, tmp_path):
         assert (code, out) == (3, OT_AUDIT_STDOUT[name])
 
 
-@pytest.mark.parametrize("argv", [["exec", "-x", "0", "-y", "1", "--exact"],
-                                  ["audit", "--nonsignaling"]])
+@pytest.mark.parametrize("argv", [["exec", "-x", "0", "-y", "1", "--exact"]])
 def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
     path = tmp_path / "nine.nlb"
     path.write_text(serialize(random_ordered(1, 1, 9, random.Random(9))))
@@ -351,6 +350,16 @@ def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run(capsys, argv[0], "-p", str(path), *argv[1:])
     assert (code, out) == (4, "")
     assert err.count("\n") == 1 and err.startswith("resource limit: 2^9 ")
+
+
+def test_nonsignaling_audit_answers_past_the_branch_limit(capsys, tmp_path, monkeypatch):
+    # the audit enumerates no branch, so the limit that stops exec --exact
+    # on the same file does not apply to it
+    path = tmp_path / "nine.nlb"
+    path.write_text(serialize(random_ordered(1, 1, 9, random.Random(9))))
+    monkeypatch.setenv("NLBOX_LIMIT_T", "8")
+    code, out, err = run(capsys, "audit", "-p", str(path), "--nonsignaling")
+    assert code == 0 and out.endswith("\ncheck: nonsignaling\naudit: ok\n")
 
 
 @pytest.mark.parametrize("check", ["--privacy-ot", "--privacy-and"])
@@ -424,6 +433,12 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
                              "-y", "0", "--exact")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+    # a step table holding a 2 is refused at load, before the audit
+    two = tmp_path / "two.nlb"
+    two.write_text(serialize(disj_det_protocol(1)).replace("stepA 0:\n0\n1\n", "stepA 0:\n0\n2\n"))
+    code, out, err = run(capsys, "audit", "-p", str(two), "--nonsignaling")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     corr = tmp_path / "zero-den.corr"
     corr.write_text("corr 1 2\n1/0 1/2\n")
     arabic = tmp_path / "arabic-indic.corr"

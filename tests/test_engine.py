@@ -11,18 +11,19 @@ import pytest
 
 from nlbox import engine
 from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitError, _batches,
-                          _laws, _leaves, _views, derive_seed, error_profile, exec_exact,
+                          _leaves, derive_seed, error_profile, exec_exact,
                           exec_sample, nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
-from nlbox.compilers import oneway_optimal, ordered_to_ot, synth_rank, synth_vandam
+from nlbox.compilers import (oneway_optimal, oneway_to_parallel, ordered_to_ot, synth_rank,
+                             synth_vandam, xor_normalize_general)
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
-from nlbox.protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
+from nlbox.protocols import (AndProtocol, GeneralNlbProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelXorProtocol,
                              ProtocolMixture, validate)
 from nlbox.truthtable import TruthTable, and_table, disj_table, ip_table
-from util import (KINDS, leaky_ot, oracle_alice_view, oracle_bob_first,
+from util import (KINDS, leaky_ot, oracle_bob_first,
                   oracle_privacy_audit_ot as oracle_privacy_ot,
-                  oracle_bob_view, oracle_error, oracle_exec,
+                  oracle_error, oracle_exec,
                   oracle_nonsignaling_audit, oracle_ot_received,
                   oracle_counts, oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
                   parity, random_ordered, random_protocol, random_table,
@@ -331,31 +332,12 @@ def test_nonsignaling_audit_rejects_non_box_protocols():
             nonsignaling_audit(p)
 
 
-def _is_box(p) -> bool:
-    if isinstance(p, ProtocolMixture):
-        return all(_is_box(c) for _w, c in p.components)
-    return isinstance(p, NLB_KINDS)
-
-
-def _view_dicts(p, bob: bool) -> dict:
-    """The engine's view law on every input as the oracle's Fraction
-    dicts; each law's weights sum to their common denominator."""
-    x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
-    out = {}
-    for j, *run in _views(p, x, y, bob):
-        keys, laws = _laws(j, *run)
-        for i, row in enumerate(laws.tolist()):
-            out[divmod(int(j[0]) + i, 1 << p.ny)] = {
-                (k >> 1, k & 1): Fraction(w, sum(row)) for k, w in zip(keys.tolist(), row) if w}
-    return out
-
-
 @pytest.mark.parametrize("kind", KINDS + ("nested",))
 def test_engine_matches_scalar_oracle(kind):
     # seeded random protocols of every kind (mixtures of every kind and
     # mixtures of two such mixtures, OT with one to three weighted coins)
-    # on every input: exact laws, both views, received-bit laws in key
-    # order, error profiles and seeded runs equal the scalar reference
+    # on every input: exact laws, received-bit laws in key order, error
+    # profiles and seeded runs equal the scalar reference
     rng = random.Random(f"oracle:{kind}")
     for _ in range(12):
         nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
@@ -365,13 +347,9 @@ def test_engine_matches_scalar_oracle(kind):
         else:
             p = random_protocol(kind, nx, ny, t, rng)
         f = random_table(nx, ny, rng)
-        views = [_view_dicts(p, bob) for bob in (False, True)] if _is_box(p) else None
         for x in range(1 << nx):
             for y in range(1 << ny):
                 assert exec_exact(p, x, y).probs == oracle_exec(p, x, y)
-                if views is not None:
-                    assert views[0][x, y] == oracle_alice_view(p, x, y)
-                    assert views[1][x, y] == oracle_bob_view(p, x, y)
                 if isinstance(p, OtProtocol):
                     rec = ot_received_distribution(p, x, y)
                     ref = oracle_ot_received(p, x, y)
@@ -452,21 +430,27 @@ def _signalling_ordered() -> OrderedNlbProtocol:
     that box inputs land on bits 1 and 2 and Bob's outcomes leave [0, 2)
     on (x, y) = (3, 1) and (2, 2).  Well-formed protocols cannot signal
     (Bob's outcomes are a bijection of Alice's for every (x, y)), so
-    only such tables, which ``validate`` rejects, make the audit fail;
-    its loop order (y outer on Bob's side) decides the witness."""
+    only such tables, which ``validate`` rejects, make the oracle's
+    branch enumeration fail; its loop order (y outer on Bob's side)
+    decides the witness."""
     return OrderedNlbProtocol(
         2, 2, 1, (((0,), (0,), (4,), (2,)),), (((0,), (2,), (4,), (0,)),),
         ((0, 1),) * 4, ((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
 
 
 def test_audit_failures_match_oracle_witness():
+    # the oracle finds the signalling fixture's witness, alone and mixed,
+    # so the property test against it is not vacuous; the audit refuses
+    # both, which validate rejects
     sig = _signalling_ordered()
     mix = ProtocolMixture(((Fraction(1, 3), sig),
                            (Fraction(2, 3), random_ordered(2, 2, 1, random.Random(3)))))
-    for p, witness in ((sig, (1, 0, 3)), (mix, (1, 0, 3))):
-        bad = nonsignaling_audit(p)
-        assert bad == oracle_nonsignaling_audit(p)
-        assert (bad.detail, bad.witness) == ("Bob view depends on x", witness)
+    for p in (sig, mix):
+        bad = oracle_nonsignaling_audit(p)
+        assert (bad.check, bad.detail, bad.witness) == (
+            "nonsignaling", "Bob view depends on x", (1, 0, 3))
+        with pytest.raises(ProtocolError, match="invalid protocol: .*stepA 0"):
+            nonsignaling_audit(p)
     for p in (leaky_ot(), random_protocol("ot", 2, 2, 3, random.Random(8))):
         bad, ref = privacy_audit_ot(p), oracle_privacy_audit_ot(p)
         assert bad == ref and str(bad) == str(ref)
@@ -560,27 +544,60 @@ def test_error_profile_rejects_domain_mismatch():
             error_profile(p, f)
 
 
-def test_valid_box_protocols_never_signal():
-    # Bob's outcome vector is a bijection of Alice's for every (x, y), so
-    # no valid protocol of the four box kinds, or mixture of one, fails
+def _box_samples():
+    """Valid box protocols: random ones of the four kinds, alone, mixed
+    and mixed two levels deep, then library and compiled ones."""
     rng = random.Random(5150)
     for kind in ("parallel-xor", "parallel", "ordered", "general"):
         for _ in range(10):
             nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
-            single = random_protocol(kind, nx, ny, t, rng)
-            mix = ProtocolMixture(tuple((w, random_protocol(kind, nx, ny, t, rng))
-                                        for w in (Fraction(1, 5), Fraction(4, 5))))
-            for p in (single, mix):
-                assert validate(p) == []
-                assert nonsignaling_audit(p) is None
-    assert validate(_signalling_ordered()) != []
-    assert nonsignaling_audit(_signalling_ordered()) is not None
+            mix = [ProtocolMixture(tuple((w, random_protocol(kind, nx, ny, t, rng))
+                                         for w in (Fraction(1, 5), Fraction(4, 5))))
+                   for _ in range(2)]
+            yield random_protocol(kind, nx, ny, t, rng)
+            yield mix[0]
+            yield ProtocolMixture(((Fraction(2, 3), mix[0]), (Fraction(1, 3), mix[1])))
+    for n in (1, 2, 3):
+        yield disj_det_protocol(n)
+    yield xor_normalize_general(disj_det_protocol(1))
+    yield xor_normalize_general(random_protocol("general", 2, 1, 2, rng))
+    yield oneway_to_parallel(oneway_optimal(ip_table(2)))
+    yield oneway_to_parallel(random_protocol("oneway", 2, 2, 2, rng))
+
+
+def test_valid_box_protocols_never_signal():
+    # Bob's outcome vector is a bijection of Alice's for every (x, y), so
+    # the oracle's branch enumeration finds no valid box protocol that
+    # signals, and the audit, which runs none, passes each
+    for p in _box_samples():
+        assert validate(p) == []
+        assert oracle_nonsignaling_audit(p) is None
+        assert nonsignaling_audit(p) is None
+
+
+def test_nonsignaling_audit_runs_no_branch(monkeypatch):
+    # the verdict is validate plus the per-kind lemma: no kernel, no
+    # batch of branches and so no branch limit, whatever t is
+    samples = (disj_det_protocol(4), xor_as_parallel(ip_protocol(3)),
+               random_protocol("general", 2, 2, 3, RNG),
+               ProtocolMixture(((HALF, ip_protocol(2)), (HALF, ip_protocol(2)))))
+
+    def no_run(*_args):
+        raise AssertionError("the audit ran branches")
+    monkeypatch.setattr(engine, "_kernel", no_run)
+    monkeypatch.setattr(engine, "_batches", no_run)
+    monkeypatch.setenv("NLBOX_LIMIT_T", "1")
+    for p in samples:
+        assert nonsignaling_audit(p) is None
+    with pytest.raises(ProtocolError, match="invalid protocol"):
+        nonsignaling_audit(_signalling_ordered())
 
 
 def test_kernel_reads_tables_the_constructor_keeps_as_given():
     # the constructor keeps a tuple step table holding 2s and 4s as
-    # given, and the same cells in a uint8 array as they are: the audit
-    # and exact runs read both alike; a table of no rectangular integer
+    # given, and the same cells in a uint8 array as they are: exact runs
+    # read both alike, the oracle finds the same witness in both and the
+    # audit refuses both as invalid; a table of no rectangular integer
     # form is a ProtocolError, not an indexing error
     sig = _signalling_ordered()
     assert isinstance(sig.step_a[0], tuple)
@@ -588,14 +605,17 @@ def test_kernel_reads_tables_the_constructor_keeps_as_given():
                        step_b=(np.array(sig.step_b[0], np.uint8),))
     assert isinstance(as_array.step_a[0], np.ndarray)
     for p in (sig, as_array):
-        assert nonsignaling_audit(p) == oracle_nonsignaling_audit(sig)
+        assert oracle_nonsignaling_audit(p).witness == (1, 0, 3)
+        with pytest.raises(ProtocolError, match="invalid protocol"):
+            nonsignaling_audit(p)
         for x, y in ((3, 1), (2, 2)):
             assert exec_exact(p, x, y).probs == oracle_exec(sig, x, y)
     ragged = replace(sig, step_a=(((0,), (0, 1), (0,), (0,)),))
     assert validate(ragged)
-    for run in (nonsignaling_audit, lambda p: exec_exact(p, 0, 0)):
-        with pytest.raises(ProtocolError, match="malformed table"):
-            run(ragged)
+    with pytest.raises(ProtocolError, match="malformed table"):
+        exec_exact(ragged, 0, 0)
+    with pytest.raises(ProtocolError, match="invalid protocol"):
+        nonsignaling_audit(ragged)
 
 
 def _only_rows(p, x: int, y: int):
@@ -623,8 +643,8 @@ def test_one_pair_reads_only_its_rows():
 
 def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
     # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
-    # every mixture leaf's runs, and every block of one player's input,
-    # are split between chunks (at least 8 of them)
+    # every mixture leaf's runs are split between chunks (at least 8 of
+    # them)
     rng = random.Random(99)
     sig = _signalling_ordered()
     valid = ProtocolMixture(((Fraction(1, 4), random_ordered(2, 2, 2, rng)),
@@ -637,23 +657,14 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
 
     def results():
         return ([error_profile(p, f) for p in (valid, nested, mix, *ots)],
-                [nonsignaling_audit(p) for p in (valid, mix, sig)],
-                [privacy_audit_ot(p) for p in ots],
-                [_view_dicts(p, bob) for p in (valid, mix) for bob in (False, True)])
+                [privacy_audit_ot(p) for p in ots])
     whole = results()
     monkeypatch.setenv("NLBOX_LIMIT_T", "3")
     x, y = np.divmod(np.arange(16), 4)
     for p in (valid, nested, mix, *ots):
         assert len(list(_batches(_leaves(p), x, y)[1])) >= 8
     assert results() == whole
-    profiles, audits, privacy, views = whole
+    profiles, privacy = whole
     for p, prof in zip((valid, nested, mix, *ots), profiles):
         assert prof.table == {(i, j): oracle_error(p, f, i, j) for i in range(4) for j in range(4)}
-    assert audits == [oracle_nonsignaling_audit(p) for p in (valid, mix, sig)]
-    assert audits[0] is None and audits[1].witness == audits[2].witness == (1, 0, 3)
     assert privacy == [oracle_privacy_ot(p) for p in ots] and privacy[0].witness[:2] == (2, 1)
-    oracles = (oracle_alice_view, oracle_bob_view)
-    for k, p in enumerate((valid, mix)):
-        for bob in (0, 1):
-            assert views[2 * k + bob] == {(i, j): oracles[bob](p, i, j)
-                                          for i in range(4) for j in range(4)}

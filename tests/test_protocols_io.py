@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nlbox.cli import parse_circuit
 from nlbox.compilers import and_from_oneway, ordered_to_ot, oneway_optimal
 from nlbox.correlations import parse_correlation
+from nlbox.engine import ProtocolError, nonsignaling_audit
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
@@ -311,24 +312,43 @@ def test_validate_rejects_future_reading_step():
 def test_validate_rejects_bad_mixture_weights():
     comp = ip_protocol(1)
     bad = ProtocolMixture(((HALF, comp), (Fraction(1, 3), comp)))
-    assert any("sum" in e for e in validate(bad))
+    assert validate(bad) == ["mixture: weights sum to 5/6, not 1"]
     neg = ProtocolMixture(((Fraction(3, 2), comp), (-HALF, comp)))
-    assert any("nonpositive" in e for e in validate(neg))
+    assert validate(neg) == ["mixture: nonpositive weight"]
+    # weights that are no rational number are reported, not raised on;
+    # so are the OT randomness weights
+    for w in ("1", None, 0.5, (1, 2)):
+        assert validate(ProtocolMixture(((w, comp), (HALF, comp)))) == [
+            "mixture: weight not a rational number"]
+    ot = ordered_to_ot(disj_det_protocol(1))
+    assert validate(ot) == []
+    for weights in (("1",), (HALF, "1"), (None, HALF), (0.5, 0.5)):
+        errs = validate(dataclasses.replace(ot, r_weights=weights))
+        assert "private-randomness weight not a rational number" in errs
+    for weights, err in (((HALF, HALF, HALF), "private-randomness weights do not sum to 1"),
+                         ((Fraction(3, 2), -HALF), "nonpositive private-randomness weight"),
+                         ((), "empty private-randomness domain")):
+        assert err in validate(dataclasses.replace(ot, r_weights=weights))
 
 
 def test_validate_rejects_bad_schedule():
     ordered = xor_as_ordered(ip_protocol(2))
-    bad = GeneralNlbProtocol(ordered.nx, ordered.ny, ordered.t,
-                             (0, 0), ordered.step_a,
-                             (0, 1), ordered.step_b,
-                             ordered.out_a, ordered.out_b)
-    assert any("permutation" in e for e in validate(bad))
+    for sched in ((0, 0), (0, "1"), (None, 0), (1.0, 0), ((0, 1), 1)):
+        bad = GeneralNlbProtocol(ordered.nx, ordered.ny, ordered.t,
+                                 sched, ordered.step_a,
+                                 (0, 1), ordered.step_b,
+                                 ordered.out_a, ordered.out_b)
+        assert validate(bad) == ["schedA: not a permutation of box labels"]
+        # the audit rests on validate: an invalid protocol, not a TypeError
+        with pytest.raises(ProtocolError, match="invalid protocol: schedA"):
+            nonsignaling_audit(bad)
 
 
 def test_validate_rejects_out_of_range_message():
     p = oneway_optimal(ip_table(1))
-    bad = OneWayProtocol(p.nx, p.ny, p.t, (0, 1 << p.t), p.out_a, p.out_b)
-    assert any("message space" in e for e in validate(bad))
+    for msg in ((0, 1 << p.t), (0, -1), (None, 0), ("1", 0), (0, 0.5)):
+        bad = OneWayProtocol(p.nx, p.ny, p.t, msg, p.out_a, p.out_b)
+        assert validate(bad) == ["msg value outside the t-bit message space"]
 
 
 def test_validate_rejects_desynchronized_ot():
