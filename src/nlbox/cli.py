@@ -111,8 +111,7 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
     "and W1 W2" / "or W1 W2" / "xor W1 W2" / "not W"; final "output W".
     Numbers are ASCII decimal digits.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = tt.content_lines(text)
     head = lines[0].split() if lines else []
     if len(head) != 3 or head[0] != "circuit":
         raise ValueError("circuit file must start with 'circuit nx ny'")

@@ -17,7 +17,7 @@ from operator import xor
 import numpy as np
 
 from . import gf2
-from .engine import (ProtocolError, _check_limit, _errors, _parities,
+from .engine import (ProtocolError, _check_limit, _errors, _kernel, _parities,
                      privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
@@ -480,11 +480,11 @@ def oneway_from_and(p: AndProtocol, f: TruthTable) -> OneWayProtocol:
     if bad is not None:
         raise ProtocolError(f"not private: {bad}")
     xs, ys = 1 << p.nx, 1 << p.ny
+    runs = np.arange(xs << p.ny)
+    gates = _kernel(p)(runs >> p.ny, runs & (ys - 1), 0 * runs)[2].reshape(xs, ys)
     msg, out_a = [], []
-    for x in range(xs):
-        vec = [None, None]
-        for y in range(ys):
-            vec[f.entry(x, y)] = p.gate_vector(x, y)
+    for x, (row, want) in enumerate(zip(gates.tolist(), f.bits().tolist())):
+        vec = [dict(zip(want, row)).get(c) for c in (0, 1)]
         if vec[0] is None or vec[1] is None:
             c = 0 if vec[1] is None else 1
             m = next((i for i in range(p.t)

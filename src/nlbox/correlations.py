@@ -56,8 +56,7 @@ def correlation_of_table(m: tt.TruthTable) -> CorrelationMatrix:
 
 
 def parse_correlation(text: str) -> CorrelationMatrix:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = tt.content_lines(text)
     if not lines:
         raise ValueError("empty correlation file")
     head = lines[0].split()

@@ -13,8 +13,8 @@ constraint is symmetric.  So a run on (x, y) is a function of one
 integer v: Alice's outcomes u packed in box-label order (box kinds), her
 randomness index r (OT), or 0 (deterministic kinds).  ``_kernel(p)`` is
 that function for each kind, on same-length numpy arrays (x, y, v).
-Exact laws, error tables and the OT audit run it over every input and
-branch they need, count branches in integers, then make one Fraction
+Exact laws, error tables and the OT audit read one ``_tally``: a key's
+law over every input and branch they need, in integers, then one Fraction
 per outcome; the sampler draws a batch of runs' randomness and runs it.
 """
 
@@ -219,27 +219,37 @@ def _leaves(p, w=Fraction(1)) -> list:
     return [(w, p)]
 
 
-def _branches(p, w: Fraction, parity: bool) -> tuple[list, list]:
-    """The weights of the values v a run of p draws in a mixture leaf of
-    weight w, weight k taken by sizes[k] values.  With parity, parallel
-    XOR draws u in {0, 1}: its outputs read only u's parity."""
-    if isinstance(p, OtProtocol):
-        return p.r_weights if w == 1 else [w * r for r in p.r_weights], [1] * len(p.r_weights)
-    if not isinstance(p, NLB_KINDS):
-        return [w], [1]
-    t = min(p.t, 1) if parity and isinstance(p, ParallelXorProtocol) else p.t
-    _check_limit(t)
-    return [w / (1 << t)], [1 << t]
+def _check_inputs(leaves, x, y) -> None:
+    """A ProtocolError unless 0 <= x < 2^nx and 0 <= y < 2^ny in each leaf (w, p)."""
+    lo, x_hi, y_hi = int(min(x.min(), y.min())), int(x.max()), int(y.max())
+    for _w, c in leaves:
+        if lo < 0 or x_hi >> c.nx or y_hi >> c.ny:
+            raise ProtocolError(f"input outside 0 <= x < 2^{c.nx}, 0 <= y < 2^{c.ny}")
 
 
-def _batches(leaves, x, y, parity: bool = False):
-    """Every branch of every input pair (x[k], y[k]) run through the
-    kernel of each leaf (w, protocol): the branch weights' denominator
-    and chunks (j, v, nums, *outs) of runs, each run's input k, drawn v,
-    integer weight and the kernel outputs all leaves give.  A chunk holds
-    whole inputs in order: one, or as many as fit 2^NLBOX_LIMIT_T and
-    _BATCH runs."""
-    specs = [_branches(c, w, parity) for w, c in leaves]
+def _tally(leaves, x, y, key, parity: bool = False):
+    """The law of key(j, *outs) over the branches of each input (x[j], y[j])
+    run through the kernel of each leaf (w, protocol), drawing v with
+    weight w times v's: OT's r by its weights, box kinds' u uniform (with
+    parity, parallel XOR's u in {0, 1}, whose parity is all its outputs
+    read), else 0.  Returns the weights' denominator and, per chunk of
+    whole inputs in order (one, or as many as fit 2^NLBOX_LIMIT_T and
+    _BATCH runs), the distinct keys, sorted, and row i of their integer
+    weights on its input i.  Keys in [0, k), at most 4 cells per run (all
+    but Python-int keys, from t = 63 on, and OT receipts of sparse
+    randomness), index their own columns, empty ones dropped; np.unique
+    sorts any others, which at 8 cells per run is already faster."""
+    _check_inputs(leaves, x, y)
+    specs = []
+    for w, c in leaves:
+        if isinstance(c, OtProtocol):
+            specs.append((c.r_weights if w == 1 else [w * r for r in c.r_weights],
+                          [1] * len(c.r_weights)))
+            continue
+        t = (min(c.t, 1) if parity and isinstance(c, ParallelXorProtocol)
+             else c.t if isinstance(c, NLB_KINDS) else 0)
+        _check_limit(t)
+        specs.append(([w / (1 << t)], [1 << t]))
     den = math.lcm(*(b.denominator for bs, _n in specs for b in bs))
     ints = [[b.numerator * (den // b.denominator) for b in bs] for bs, _n in specs]
     # Python ints where int64 could overflow
@@ -250,44 +260,34 @@ def _batches(leaves, x, y, parity: bool = False):
 
     def chunks():
         for lo in range(0, len(x), step):
-            parts = []
+            rows, parts = min(step, len(x) - lo), []
             for run, n in runs:
-                j, v = np.divmod(np.arange(min(step, len(x) - lo) * len(n)), len(n))
-                j += lo
-                parts.append((j, v, n[v], *run(x[j], y[j], v)))
-            yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+                i, v = np.divmod(np.arange(rows * len(n)), len(n))
+                j = i + lo
+                # outs lives to the next run, or its freed pages fault back in
+                outs = run(x[j], y[j], v)
+                parts.append((i, n[v], key(j, *outs)))
+            i, nums, keys = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            k = int(keys.max()) + 1 if keys.dtype != object else None
+            if k is not None and rows * k <= 4 * len(keys) and keys.min() >= 0:
+                laws = np.zeros((rows, k), dtype=nums.dtype)
+                i *= k  # each run's flat cell, in place: one array fewer to fault in
+                np.add.at(laws.reshape(-1), np.add(i, keys, out=i), nums)
+                used = np.flatnonzero((laws != 0).any(0))
+                yield used, laws[:, used]
+            else:
+                uniq, col = np.unique(keys, return_inverse=True)
+                laws = np.zeros((rows, len(uniq)), dtype=nums.dtype)
+                np.add.at(laws, (i, col), nums)
+                yield uniq, laws
     return den, chunks()
-
-
-def _laws(j, keys, nums):
-    """The distinct keys, sorted, and the law of keys on each input of a
-    chunk: for input j[0] + i, row i of their total weights.  When the
-    keys lie in [0, k) and the rows have at most 4 cells per run, each key
-    indexes its own column and the empty ones are dropped; otherwise
-    np.unique sorts the keys.  Every key space the engine tallies is that
-    dense (exact outputs, 4 keys; OT receipts of 2^t-valued randomness)
-    except Python-int keys, from t = 63 on, and OT receipts of sparse
-    randomness; at 8 cells per run a chunk of 1,024 inputs already
-    tallies slower than the sort."""
-    rows = int(j[-1] - j[0]) + 1
-    k = int(keys.max()) + 1 if keys.dtype != object else None
-    if k is not None and rows * k <= 4 * len(keys) and keys.min() >= 0:
-        laws = np.zeros((rows, k), dtype=nums.dtype)
-        np.add.at(laws.reshape(-1), (j - j[0]) * k + keys, nums)
-        used = np.flatnonzero((laws != 0).any(0))
-        return used, laws[:, used]
-    uniq, col = np.unique(keys, return_inverse=True)
-    laws = np.zeros((rows, len(uniq)), dtype=nums.dtype)
-    np.add.at(laws, (j - j[0], col), nums)
-    return uniq, laws
 
 
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     """Exact joint output distribution of the protocol on inputs (x, y):
     one integer tally over the branches of every protocol a mixture draws."""
-    den, chunks = _batches(_leaves(p), np.array([x]), np.array([y]), parity=True)
-    (j, _v, nums, a, b, *_), = chunks
-    keys, (total,) = _laws(j, a << 1 | b, nums)
+    den, ((keys, (total,)),) = _tally(_leaves(p), np.array([x]), np.array([y]),
+                                      lambda _j, a, b, *_: a << 1 | b, parity=True)
     return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
                                 for k, n in zip(keys.tolist(), total.tolist())})
 
@@ -295,11 +295,11 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
 def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fraction]:
     """Exact distribution of Bob's received OT bits over Alice's coins,
     keyed in order of first receipt."""
-    den, chunks = _batches([(Fraction(1), p)], np.array([x]), np.array([y]))
-    (j, _r, nums, _a, _b, received, *_), = chunks
-    keys, (total,) = _laws(j, received, nums)
+    got = []  # the one input's receipts, r in order
+    den, ((keys, (total,)),) = _tally([(Fraction(1), p)], np.array([x]), np.array([y]),
+                                      lambda _j, _a, _b, received: got.append(received) or received)
     total = dict(zip(keys.tolist(), total.tolist()))
-    return {k: Fraction(total[k], den) for k in dict.fromkeys(received.tolist())}
+    return {k: Fraction(total[k], den) for k in dict.fromkeys(got[0].tolist())}
 
 
 # --- sampling ---
@@ -352,10 +352,16 @@ def _sampler(p, key: int, nodes=None):
     return draw_mixture
 
 
+def _draws(p, x: int, y: int, seed: int):
+    """_sampler's streams for seed, for runs of p on the input (x, y)."""
+    _check_inputs([(1, p)], np.array([x]), np.array([y]))
+    return _sampler(p, derive_seed(seed, 0))
+
+
 def exec_sample(p: Protocol, x: int, y: int, seed: int):
     """Run 0 of sample_counts(p, x, y, seed, n); returns (a, b, transcript)."""
     (path, p, v), = [(path, leaf, v[:1]) for path, leaf, sel, v
-                     in _sampler(p, derive_seed(seed, 0))(1) if sel[0]]
+                     in _draws(p, x, y, seed)(1) if sel[0]]
     a, b, *run = (int(z[0]) for z in _kernel(p)(np.array([x]), np.array([y]), v))
     v = int(v[0])
     transcript = [{"kind": "shared-randomness", "component": i} for i in path]
@@ -385,7 +391,7 @@ def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[
     each protocol a mixture selects runs once on its part of the batch."""
     if n > _MAX_SAMPLES:
         raise ResourceLimitError(f"{n} samples exceed the {_MAX_SAMPLES} cap")
-    draw, counts = _sampler(p, derive_seed(seed, 0)), Counter()
+    draw, counts = _draws(p, x, y, seed), Counter()
     for lo in range(0, n, _BATCH):
         for _path, leaf, sel, v in draw(min(_BATCH, n - lo)):
             if sel.any():
@@ -451,13 +457,9 @@ def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
     if rest:
         x, y = np.divmod(np.arange(n), f.n_cols)
         want = f.bits().ravel()
-        den, chunks = _batches(rest, x, y)
-        errs = []
-        for j, _v, nums, a, b, *_ in chunks:
-            err = np.zeros(j[-1] - j[0] + 1, dtype=nums.dtype)
-            np.add.at(err, j - j[0], nums * ((a ^ b) != want[j]))
-            errs.append(err)
-        parts.append((Fraction(1), np.concatenate(errs), den))
+        den, chunks = _tally(rest, x, y, lambda j, a, b, *_: a ^ b ^ want[j])
+        errs = np.concatenate([laws[:, keys == 1].sum(1) for keys, laws in chunks])
+        parts.append((Fraction(1), errs, den))
     den = math.lcm(*(w.denominator * d for w, _e, d in parts))
     dtype = object if den >= 1 << 63 else np.int64
     return sum(e.astype(dtype) * (w.numerator * (den // (w.denominator * d)))
@@ -535,13 +537,10 @@ def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
     first failure, y outer; the runs go x outer, so that each of Alice's
     rows, the wide ones, is converted once."""
     x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
-    den, chunks = _batches([(Fraction(1), p)], x, y)
+    den, chunks = _tally([(Fraction(1), p)], x, y, lambda _j, _a, _b, received: received)
     share, rem = divmod(den, 1 << p.t)
-    uniform = []
-    for j, _r, nums, _a, _b, received, *_ in chunks:
-        laws = _laws(j, received, nums)[1]
-        uniform.append(((laws == share).sum(1) == 1 << p.t) & (rem == 0))
-    bad = np.flatnonzero(~np.concatenate(uniform).reshape(1 << p.nx, -1).T)
+    uniform = np.concatenate([(laws == share).sum(1) == 1 << p.t for _keys, laws in chunks])
+    bad = np.flatnonzero(~(uniform & (rem == 0)).reshape(1 << p.nx, -1).T)
     if not len(bad):
         return None
     y0, x0 = divmod(int(bad[0]), 1 << p.nx)

@@ -35,8 +35,6 @@ from typing import Union
 
 import numpy as np
 
-_SEQUENCES = (tuple, list, np.ndarray)
-
 
 class _Tables:
     """The array conversion, equality and hash of every protocol kind."""
@@ -47,10 +45,10 @@ class _Tables:
             convert = _round if ndim is None else _array
             if not indexed:
                 tab = convert(tab, ndim, cells)
-            elif isinstance(tab, np.ndarray) and ndim is not None:
+            elif isinstance(tab, np.ndarray) and ndim is not None and tab.ndim:
                 # the tables are its rows: one conversion, read as views
                 tab = tuple(_array(tab, ndim + 1, cells))
-            elif isinstance(tab, _SEQUENCES):
+            elif _is_table(tab):
                 tab = tuple(convert(t, ndim, cells) for t in tab)
             object.__setattr__(self, field, tab)
 
@@ -200,12 +198,6 @@ class AndProtocol(_Tables):
     qbox: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, gate-output vector]
 
-    def gate_vector(self, x: int, y: int) -> int:
-        v = 0
-        for i in range(self.t):
-            v |= int(self.pbox[i][x] & self.qbox[i][y]) << i
-        return v
-
 
 @dataclass(frozen=True, eq=False)
 class OtProtocol(_Tables):
@@ -268,9 +260,14 @@ KIND_NAMES = {
 BITS, INTS, FRACS, PAIRS = "bits", "ints", "fracs", "pairs"
 
 
+def _is_table(tab) -> bool:
+    """Whether tab is a tuple, a list or a numpy array of one or more axes."""
+    return isinstance(tab, (tuple, list)) or isinstance(tab, np.ndarray) and tab.ndim > 0
+
+
 def _entry(tab, i):
     """``tab[i]``, or None when tab is not a table or has no entry i."""
-    return tab[i] if isinstance(tab, _SEQUENCES) and i < len(tab) else None
+    return tab[i] if _is_table(tab) and i < len(tab) else None
 
 
 def _entries(tab) -> list | None:
@@ -362,7 +359,7 @@ def _array(tab, ndim: int, cells):
         if not flags.writeable and flags.c_contiguous:
             return tab
         a = tab.copy()
-    elif isinstance(tab, _SEQUENCES):
+    elif _is_table(tab):
         try:
             a = np.array(tab)
         except (ValueError, TypeError):
@@ -382,9 +379,7 @@ def _array(tab, ndim: int, cells):
 def _round(tab, _ndim, cells):
     """A tree round, a table of 1-D rows of their own widths: each row an
     _array."""
-    if not isinstance(tab, _SEQUENCES):
-        return tab
-    return tuple(_array(row, 1, cells) for row in tab)
+    return tuple(_array(row, 1, cells) for row in tab) if _is_table(tab) else tab
 
 
 _SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
@@ -420,7 +415,7 @@ def _cells_ok(tab, cells) -> bool:
 def _shape_error(tab, n, cells) -> str | None:
     """What keeps tab from being a line of n cells (any number if n is
     None) of type cells, or None if nothing does."""
-    if not isinstance(tab, _SEQUENCES) or isinstance(tab, np.ndarray) and tab.ndim == 0:
+    if not _is_table(tab):
         return "not a table"
     if n is not None and len(tab) != n:
         return f"{len(tab)} entries, expected {n}" + (
@@ -468,17 +463,21 @@ def validate(p) -> list[str]:
     """
     out: list[str] = []
     if isinstance(p, ProtocolMixture):
-        if not p.components:
+        comps = p.components
+        if not _is_table(comps) or not all(_is_table(c) and len(c) == 2 for c in comps):
+            return ["mixture: components not (weight, protocol) pairs"]
+        if not len(comps):
             return ["mixture: no components"]
-        out += _weight_errors([w for w, _ in p.components], "mixture: weight not a rational number",
+        out += _weight_errors([w for w, _ in comps], "mixture: weight not a rational number",
                               "mixture: weights sum to {}, not 1", "mixture: nonpositive weight")
-        if len({type(c) for _, c in p.components}) > 1:
+        if len({type(c) for _, c in comps}) > 1:
             out.append("mixture: components of mixed kinds")
-        if len({(c.nx, c.ny, c.t) for _, c in p.components}) > 1:
+        errs = [validate(c) for _, c in comps]
+        # only a protocol kind or a valid mixture has dimensions to read
+        if len({(c.nx, c.ny, c.t) for (_, c), e in zip(comps, errs)
+                if type(c) in KIND_NAMES or not e}) > 1:
             out.append("mixture: components disagree on dimensions or box count")
-        for _, c in p.components:
-            out.extend(validate(c))
-        return out
+        return out + [e for es in errs for e in es]
     if type(p) not in KIND_NAMES:
         return [f"{type(p).__name__} is not a protocol kind"]
     if min(p.nx, p.ny, p.t) < 0:
@@ -501,7 +500,7 @@ def validate(p) -> list[str]:
             out.append(f"{label}: {err}")
     for field, n in counts.items():
         tabs = getattr(p, field)
-        if n is not None and (not isinstance(tabs, _SEQUENCES) or len(tabs) != n):
+        if n is not None and (not _is_table(tabs) or len(tabs) != n):
             out.append(f"{field}: expected {n} tables")
 
     if isinstance(p, GeneralNlbProtocol):

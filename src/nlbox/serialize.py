@@ -88,8 +88,7 @@ def _emit(p: Protocol, lines: list[str]) -> None:
 
 class _Cursor:
     def __init__(self, text: str):
-        self.lines = [ln.strip() for ln in text.splitlines()]
-        self.lines = [ln for ln in self.lines if ln and not ln.startswith("#")]
+        self.lines = tt.content_lines(text)
         self.pos = 0
 
     def peek(self) -> str | None:

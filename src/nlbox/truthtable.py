@@ -9,7 +9,8 @@ which keeps row XOR and row comparisons word-parallel for free.
 This module owns that packing: other modules read a table's entries
 through ``TruthTable.bits()`` (a uint8 array), unpack other packed
 lines with ``unpack_bits``, build a table from a 0/1 array with
-``from_entries``, and print packed bits with ``bit_string``.
+``from_entries``, and print packed bits with ``bit_string``.  The text
+formats share its number parsers and comment rule, ``content_lines``.
 """
 
 from __future__ import annotations
@@ -144,14 +145,18 @@ def _is_power(n: int, width: str) -> bool:
     return n & (n - 1) == 0 and str(n.bit_length() - 1) == (width.lstrip("0") or "0")
 
 
+def content_lines(text: str) -> list[str]:
+    """The lines of a text file, stripped, without blank and '#' lines."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def parse_truth_table(text: str) -> TruthTable:
     """Parse the line-oriented truth-table format.
 
     Line 1 is "nx ny"; then 2^nx lines of 2^ny characters from {0,1}.
     Blank and '#'-prefixed lines are ignored.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty truth-table file")
     header, body = lines[0], lines[1:]

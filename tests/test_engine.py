@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nlbox import engine
-from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitError, _batches,
+from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitError, _tally,
                           _leaves, derive_seed, error_profile, exec_exact,
                           exec_sample, nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
@@ -491,7 +491,7 @@ def test_error_profile_of_parallel_xor_matches_oracle():
 
 
 def test_exact_law_of_wide_parallel_xor_matches_oracle():
-    # from t = 63 on the outcome keys are Python ints, which _laws sorts:
+    # from t = 63 on the outcome keys are Python ints, which _tally sorts:
     # Alice's output is an unbiased bit and the parity is the oracle's
     rng = random.Random(64)
     zero = TruthTable(2, 2, (0,) * 4)
@@ -585,12 +585,28 @@ def test_nonsignaling_audit_runs_no_branch(monkeypatch):
     def no_run(*_args):
         raise AssertionError("the audit ran branches")
     monkeypatch.setattr(engine, "_kernel", no_run)
-    monkeypatch.setattr(engine, "_batches", no_run)
+    monkeypatch.setattr(engine, "_tally", no_run)
     monkeypatch.setenv("NLBOX_LIMIT_T", "1")
     for p in samples:
         assert nonsignaling_audit(p) is None
     with pytest.raises(ProtocolError, match="invalid protocol"):
         nonsignaling_audit(_signalling_ordered())
+
+
+def test_inputs_outside_the_domain_are_protocol_errors():
+    # -1 would wrap to the last row and 2^n index past it: each exact or
+    # sampled call on one pair refuses both, on either side
+    for p in (ip_protocol(1), ordered_to_ot(disj_det_protocol(1)),
+              ProtocolMixture(((HALF, ip_protocol(2)), (HALF, xor_as_parallel(ip_protocol(2)))))):
+        calls = [lambda x, y: exec_exact(p, x, y), lambda x, y: sample_counts(p, x, y, 1, 4),
+                 lambda x, y: exec_sample(p, x, y, 1)]
+        if isinstance(p, OtProtocol):
+            calls.append(lambda x, y: ot_received_distribution(p, x, y))
+        for call in calls:
+            call((1 << p.nx) - 1, (1 << p.ny) - 1)
+            for x, y in ((-1, 0), (0, -1), (1 << p.nx, 0), (0, 1 << p.ny)):
+                with pytest.raises(ProtocolError, match="input outside"):
+                    call(x, y)
 
 
 def test_kernel_reads_tables_the_constructor_keeps_as_given():
@@ -654,17 +670,23 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
     mix = ProtocolMixture(((Fraction(1, 3), sig), (Fraction(2, 3), random_ordered(2, 2, 1, rng))))
     ots = (leaky_ot(), random_protocol("ot", 2, 2, 3, rng), ordered_to_ot(random_ordered(2, 2, 2, rng)))
     f = random_table(2, 2, rng)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
 
     def results():
         return ([error_profile(p, f) for p in (valid, nested, mix, *ots)],
-                [privacy_audit_ot(p) for p in ots])
+                [privacy_audit_ot(p) for p in ots],
+                [exec_exact(p, i, j) for p in (valid, nested, mix, *ots) for i, j in pairs],
+                [list(ot_received_distribution(p, i, j).items()) for p in ots for i, j in pairs])
     whole = results()
     monkeypatch.setenv("NLBOX_LIMIT_T", "3")
     x, y = np.divmod(np.arange(16), 4)
     for p in (valid, nested, mix, *ots):
-        assert len(list(_batches(_leaves(p), x, y)[1])) >= 8
+        assert len(list(_tally(_leaves(p), x, y, lambda _j, a, b, *_: a ^ b)[1])) >= 8
     assert results() == whole
-    profiles, privacy = whole
+    profiles, privacy, laws, receipts = whole
     for p, prof in zip((valid, nested, mix, *ots), profiles):
         assert prof.table == {(i, j): oracle_error(p, f, i, j) for i in range(4) for j in range(4)}
+    assert [d.probs for d in laws] == [oracle_exec(p, i, j) for p in (valid, nested, mix, *ots)
+                                       for i, j in pairs]
+    assert receipts == [list(oracle_ot_received(p, i, j).items()) for p in ots for i, j in pairs]
     assert privacy == [oracle_privacy_ot(p) for p in ots] and privacy[0].witness[:2] == (2, 1)

@@ -19,7 +19,7 @@ from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, ProtocolMixture, validate)
 from nlbox.serialize import ParseError, parse, serialize
-from nlbox.truthtable import format_truth_table, ip_table, parse_truth_table
+from nlbox.truthtable import content_lines, format_truth_table, ip_table, parse_truth_table
 from util import KINDS, TRUTH_TABLE_BAD_HEADERS, mutated, random_ordered, \
     random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
 
@@ -113,10 +113,11 @@ def _replace(obj, path, new):
 @pytest.mark.parametrize("kind", KINDS)
 def test_validate_reports_every_malformed_table(kind):
     """Each table, row or pair truncated, extended by a copy of its last
-    entry, or with one entry set to 2^t (2 for t = 1; the first value
-    outside every table's range), -1 or 2^70 is reported, and validate
-    never raises: the constructor keeps such a table as given instead of
-    a uint8 cast wrapping its cells.  An array table with its first or
+    entry, replaced by a 0-d array, or with one entry set to 2^t (2 for
+    t = 1; the first value outside every table's range), -1 or 2^70 is
+    reported, and validate never raises: the constructor keeps such a
+    table as given instead of a uint8 cast wrapping its cells or
+    iterating a 0-d array.  An array table with its first or
     last cell set to 2^t in its own dtype, which needs no cast, is
     reported too."""
     rng = random.Random(kind)
@@ -125,7 +126,7 @@ def test_validate_reports_every_malformed_table(kind):
         tables = list(_tables(p))
         assert any(isinstance(tab, np.ndarray) for _path, tab in tables)
         for path, tab in tables:
-            bad = [tab[:-1], (*tab, tab[-1])]
+            bad = [tab[:-1], (*tab, tab[-1]), np.array(5)]
             bad += [(*tab[:i], cell, *tab[i + 1:])
                     for i in range(len(tab)) for cell in (1 << t, -1, 2**70)]
             for k in (0, -1) if isinstance(tab, np.ndarray) else ():
@@ -173,6 +174,12 @@ def test_parse_ignores_comments_and_blank_lines():
     text = serialize(ip_protocol(1))
     noisy = "\n# a comment\n" + text.replace("\n", "\n\n# noise\n")
     assert parse(noisy) == ip_protocol(1)
+    # every text format drops the blank lines and the lines that start
+    # with '#' once stripped: one rule, truthtable.content_lines
+    for parser, text in _PARSER_INPUTS.values():
+        noisy = "\n# a comment\n" + text.replace("\n", "\n\n  # noise\n\t\n")
+        assert content_lines(noisy) == text.strip().splitlines()
+        assert parser(noisy) == parser(text)
 
 
 def test_parse_errors():
@@ -320,6 +327,17 @@ def test_validate_rejects_bad_mixture_weights():
     for w in ("1", None, 0.5, (1, 2)):
         assert validate(ProtocolMixture(((w, comp), (HALF, comp)))) == [
             "mixture: weight not a rational number"]
+    # so are components that are no (weight, protocol) pairs or hold no
+    # protocol, and the audit that rests on validate refuses them
+    for components, errs in ((((HALF,),), ["mixture: components not (weight, protocol) pairs"]),
+                             (5, ["mixture: components not (weight, protocol) pairs"]),
+                             (((HALF, None), (HALF, None)), ["NoneType is not a protocol kind"] * 2),
+                             (((HALF, comp), (HALF, ProtocolMixture(5))),
+                              ["mixture: components of mixed kinds",
+                               "mixture: components not (weight, protocol) pairs"])):
+        assert validate(ProtocolMixture(components)) == errs
+        with pytest.raises(ProtocolError, match="invalid protocol"):
+            nonsignaling_audit(ProtocolMixture(components))
     ot = ordered_to_ot(disj_det_protocol(1))
     assert validate(ot) == []
     for weights in (("1",), (HALF, "1"), (None, HALF), (0.5, 0.5)):

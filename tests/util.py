@@ -450,7 +450,7 @@ def oracle_exec(p, x: int, y: int) -> dict:
     if isinstance(p, TwoWayTree):
         return {p.evaluate(x, y): Fraction(1)}
     if isinstance(p, AndProtocol):
-        return {(p.out_a[x][p.gate_vector(x, y)], 0): Fraction(1)}
+        return {(p.out_a[x][_packed(p.pbox, x) & _packed(p.qbox, y)], 0): Fraction(1)}
     return oracle_law(p, x, y, lambda _u, branch: branch[:2])
 
 
@@ -614,7 +614,7 @@ def _oracle_run(node, x: int, y: int, i: int, events: bool):
         if isinstance(p, OneWayProtocol):
             transcript.append({"kind": "message", "from": "A", "value": p.msg[x]})
         if isinstance(p, AndProtocol):
-            g = p.gate_vector(x, y)
+            g = _packed(p.pbox, x) & _packed(p.qbox, y)
             transcript += [{"kind": "and", "index": k,
                             "in": (p.pbox[k][x], p.qbox[k][y]),
                             "out": (g >> k) & 1} for k in range(p.t)]
