@@ -511,26 +511,19 @@ def d_oneway(f: TruthTable, parity: bool = True) -> int:
     """One-way deterministic communication of f, optionally in parity
     (rows counted up to complementation)."""
     full = (1 << f.n_cols) - 1
-    if parity:
-        classes = {min(r, r ^ full) for r in f.rows}
-    else:
-        classes = set(f.rows)
+    classes = {min(r, r ^ full) for r in f.rows} if parity else set(f.rows)
     return max(0, (len(classes) - 1)).bit_length()
 
 
-def oneway_optimal(f: TruthTable, parity: bool = True) -> OneWayProtocol:
+def oneway_optimal(f: TruthTable) -> OneWayProtocol:
     """A d_oneway-optimal one-way protocol computing f in parity."""
     full = (1 << f.n_cols) - 1
-    reps: dict[int, int] = {}
-    msg, out_a = [], []
-    for x in range(f.n_rows):
-        row = f.rows[x]
-        key = min(row, row ^ full) if parity else row
-        if key not in reps:
-            reps[key] = len(reps)
-        msg.append(reps[key])
-        out_a.append(1 if parity and row != key else 0)
+    # each row's key is its class up to complementation; message m names
+    # the m-th key met, and Alice flips her output on a complemented row
+    keys = [min(row, row ^ full) for row in f.rows]
+    reps = {key: m for m, key in enumerate(dict.fromkeys(keys))}
     t = max(0, (len(reps) - 1)).bit_length()
     # Bob answers message m with its key row, and unused messages with 0s
-    keys = TruthTable(t, f.ny, (*reps, *(0,) * ((1 << t) - len(reps))))
-    return OneWayProtocol(f.nx, f.ny, t, tuple(msg), tuple(out_a), keys.bits())
+    out_b = TruthTable(t, f.ny, (*reps, *(0,) * ((1 << t) - len(reps))))
+    return OneWayProtocol(f.nx, f.ny, t, tuple(map(reps.get, keys)),
+                          tuple(int(row != key) for row, key in zip(f.rows, keys)), out_b.bits())

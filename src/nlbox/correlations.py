@@ -149,12 +149,13 @@ def simulate_distribution(c: CorrelationMatrix) -> ProtocolMixture:
 # --- Regev-Toner measurement simulation ---
 
 
-def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
-    g = rows.astype(np.float64).copy()
-    for i in range(g.shape[0]):
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Orthonormalize in place the rows of each matrix of g, an
+    (n, k, dim) float64 array, by modified Gram-Schmidt; returns g."""
+    for i in range(g.shape[1]):
         for j in range(i):
-            g[i] -= (g[i] @ g[j]) * g[j]
-        g[i] /= np.linalg.norm(g[i])
+            g[:, i] -= np.einsum("td,td->t", g[:, i], g[:, j])[:, None] * g[:, j]
+        g[:, i] /= np.linalg.norm(g[:, i], axis=1, keepdims=True)
     return g
 
 
@@ -183,7 +184,7 @@ class RtContext:
 def make_context(dim: int, seed: int, g: np.ndarray | None = None) -> RtContext:
     if g is None:
         rng = np.random.default_rng(derive_seed(seed, 0))
-        g = _gram_schmidt(rng.standard_normal((3, dim)))
+        g = _gram_schmidt(rng.standard_normal((1, 3, dim)))[0]
     return RtContext(dim, g, seed)
 
 
@@ -265,13 +266,7 @@ def rt_trials(dim: int, n_trials: int, seed: int):
     ys = rng.standard_normal((n_trials, dim))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-    # batched Gram-Schmidt for the 3 x dim projectors
-    g = rng.standard_normal((n_trials, 3, dim))
-    g[:, 0] /= np.linalg.norm(g[:, 0], axis=1, keepdims=True)
-    for i in (1, 2):
-        for j in range(i):
-            g[:, i] -= np.einsum("td,td->t", g[:, i], g[:, j])[:, None] * g[:, j]
-        g[:, i] /= np.linalg.norm(g[:, i], axis=1, keepdims=True)
+    g = _gram_schmidt(rng.standard_normal((n_trials, 3, dim)))
     x2 = np.einsum("tkd,td->tk", g, xs)
     y2 = np.einsum("tkd,td->tk", g, ys)
     return _rt_kernel(x2, y2, rng.integers(0, 2, size=(n_trials, 3)))

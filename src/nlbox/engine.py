@@ -31,10 +31,9 @@ from itertools import accumulate, count, product
 
 import numpy as np
 
-from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol,
-                        OneWayProtocol, OrderedNlbProtocol, OtProtocol,
-                        ParallelProtocol, ParallelXorProtocol,
-                        ProtocolMixture, Protocol, TwoWayTree, validate)
+from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol, OneWayProtocol,
+                        OrderedNlbProtocol, OtProtocol, ParallelProtocol, ParallelXorProtocol,
+                        ProtocolMixture, Protocol, TwoWayTree, _structure_error, validate)
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
@@ -92,19 +91,18 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
 
 
 def _table(tab) -> np.ndarray:
-    """A table as an array: itself as the constructors make it, or,
-    when they kept it as given (a cell out of range), read through
-    np.asarray, so that exec_exact runs what such a table does.  A
-    table of no rectangular integer form is a ProtocolError."""
-    if isinstance(tab, np.ndarray):
-        return tab
-    try:
-        arr = np.asarray(tab)
-    except ValueError:
-        arr = None
-    if arr is None or arr.size and arr.dtype.kind not in "biu":
+    """A table as an integer array: the constructors' array, or one they
+    kept as given read through np.asarray, so that exec_exact runs integer
+    cells out of range as the tests' oracle does; any other table (ragged,
+    float, complex, Fraction) is a ProtocolError."""
+    if not isinstance(tab, np.ndarray):
+        try:
+            tab = np.asarray(tab)
+        except ValueError:
+            tab = None
+    if tab is None or tab.size and tab.dtype.kind not in "biu":
         raise ProtocolError("malformed table: validate names it")
-    return arr
+    return tab
 
 
 def _boxes(tables, n: int, dtype=np.int64) -> np.ndarray:
@@ -213,7 +211,10 @@ def _kernel(p):
 
 def _leaves(p, w=Fraction(1)) -> list:
     """(weight, protocol) for each protocol a mixture draws, nested
-    mixtures flattened; [(1, p)] for any other protocol."""
+    mixtures flattened; [(1, p)] for any other protocol.  What
+    _structure_error names is a ProtocolError; tables are the kernel's."""
+    if err := _structure_error(p):
+        raise ProtocolError(err)
     if isinstance(p, ProtocolMixture):
         return [leaf for v, c in p.components for leaf in _leaves(c, w * v)]
     return [(w, p)]
@@ -227,18 +228,19 @@ def _check_inputs(leaves, x, y) -> None:
             raise ProtocolError(f"input outside 0 <= x < 2^{c.nx}, 0 <= y < 2^{c.ny}")
 
 
-def _tally(leaves, x, y, key, parity: bool = False):
+def _tally(leaves, x, y, key):
     """The law of key(j, *outs) over the branches of each input (x[j], y[j])
     run through the kernel of each leaf (w, protocol), drawing v with
-    weight w times v's: OT's r by its weights, box kinds' u uniform (with
-    parity, parallel XOR's u in {0, 1}, whose parity is all its outputs
-    read), else 0.  Returns the weights' denominator and, per chunk of
-    whole inputs in order (one, or as many as fit 2^NLBOX_LIMIT_T and
-    _BATCH runs), the distinct keys, sorted, and row i of their integer
-    weights on its input i.  Keys in [0, k), at most 4 cells per run (all
-    but Python-int keys, from t = 63 on, and OT receipts of sparse
-    randomness), index their own columns, empty ones dropped; np.unique
-    sorts any others, which at 8 cells per run is already faster."""
+    weight w times v's: OT's r by its weights, box kinds' u uniform
+    (parallel XOR's in {0, 1}: no key reads its bvec, pin or qin, and its
+    outputs only u's parity), else 0.  Returns the weights' denominator
+    and, per chunk of whole inputs in order (one, or as many as fit
+    2^NLBOX_LIMIT_T and _BATCH runs), the distinct keys, sorted, and row
+    i of their integer weights on its input i.  Keys in [0, k), at most 4
+    cells per run (all but Python-int keys, from t = 63 on, and OT
+    receipts of sparse randomness), index their own columns, empty ones
+    dropped; np.unique sorts any others, which at 8 cells per run is
+    already faster."""
     _check_inputs(leaves, x, y)
     specs = []
     for w, c in leaves:
@@ -246,7 +248,7 @@ def _tally(leaves, x, y, key, parity: bool = False):
             specs.append((c.r_weights if w == 1 else [w * r for r in c.r_weights],
                           [1] * len(c.r_weights)))
             continue
-        t = (min(c.t, 1) if parity and isinstance(c, ParallelXorProtocol)
+        t = (min(c.t, 1) if isinstance(c, ParallelXorProtocol)
              else c.t if isinstance(c, NLB_KINDS) else 0)
         _check_limit(t)
         specs.append(([w / (1 << t)], [1 << t]))
@@ -287,7 +289,7 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     """Exact joint output distribution of the protocol on inputs (x, y):
     one integer tally over the branches of every protocol a mixture draws."""
     den, ((keys, (total,)),) = _tally(_leaves(p), np.array([x]), np.array([y]),
-                                      lambda _j, a, b, *_: a << 1 | b, parity=True)
+                                      lambda _j, a, b, *_: a << 1 | b)
     return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
                                 for k, n in zip(keys.tolist(), total.tolist())})
 
@@ -295,6 +297,7 @@ def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
 def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fraction]:
     """Exact distribution of Bob's received OT bits over Alice's coins,
     keyed in order of first receipt."""
+    _require(p, OtProtocol, "an OT")
     got = []  # the one input's receipts, r in order
     den, ((keys, (total,)),) = _tally([(Fraction(1), p)], np.array([x]), np.array([y]),
                                       lambda _j, _a, _b, received: got.append(received) or received)
@@ -354,7 +357,7 @@ def _sampler(p, key: int, nodes=None):
 
 def _draws(p, x: int, y: int, seed: int):
     """_sampler's streams for seed, for runs of p on the input (x, y)."""
-    _check_inputs([(1, p)], np.array([x]), np.array([y]))
+    _check_inputs(_leaves(p), np.array([x]), np.array([y]))
     return _sampler(p, derive_seed(seed, 0))
 
 
@@ -448,10 +451,10 @@ def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
     """The probability that the output parity differs from f on every
     input, row-major, in integers over one denominator: parallel XOR's
     by packed rows, the other leaves' by their kernels."""
+    leaves = _leaves(p)
     if (p.nx, p.ny) != (f.nx, f.ny):
         raise ProtocolError("domain mismatch")
     n = f.n_rows << f.ny
-    leaves = _leaves(p)
     parts = [(w, _xor_errors(c, f), 1) for w, c in leaves if isinstance(c, ParallelXorProtocol)]
     rest = [(w, c) for w, c in leaves if not isinstance(c, ParallelXorProtocol)]
     if rest:
@@ -485,6 +488,12 @@ class AuditViolation:
         return f"{self.check}: {self.detail} (witness {self.witness})"
 
 
+def _require(p, kind, name: str) -> None:
+    """A ProtocolError naming p's kind unless it is the kind an audit reads."""
+    if not isinstance(p, kind):
+        raise ProtocolError(f"{type(p).__name__} is not {name} protocol")
+
+
 def nonsignaling_audit(p) -> None:
     """Check that each player's view (own box outcomes and output) has a
     law that ignores the other's input.  Every valid box protocol passes,
@@ -499,8 +508,7 @@ def nonsignaling_audit(p) -> None:
     if errs := validate(p):
         raise ProtocolError("invalid protocol: " + "; ".join(errs))
     for _w, c in _leaves(p):
-        if not isinstance(c, NLB_KINDS):
-            raise ProtocolError(f"{type(c).__name__} is not a non-local-box protocol")
+        _require(c, NLB_KINDS, "a non-local-box")
 
 
 def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
@@ -512,6 +520,7 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
     f, or her gate vector from the one at y0, the first y of her row with
     the same value of f.
     """
+    _require(p, AndProtocol, "a secure-AND")
     if (p.nx, p.ny) != (f.nx, f.ny):
         raise ProtocolError("domain mismatch")
     x, y = np.divmod(np.arange(f.n_rows << f.ny), f.n_cols)
@@ -536,6 +545,7 @@ def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
     on every input, 2^t values of weight 2^-t each.  The witness is the
     first failure, y outer; the runs go x outer, so that each of Alice's
     rows, the wide ones, is converted once."""
+    _require(p, OtProtocol, "an OT")
     x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
     den, chunks = _tally([(Fraction(1), p)], x, y, lambda _j, _a, _b, received: received)
     share, rem = divmod(den, 1 << p.t)

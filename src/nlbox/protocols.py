@@ -11,11 +11,13 @@ Each table is one read-only numpy array: a bit table of rows is
 and a one-line table is 1-D (uint8 bits, int64 integers).  A field of
 one table per box or round is a tuple of them (``pbox[i]`` is box i's
 table over X).  A tree round, whose rows have their speakers' widths,
-is a tuple of 1-D rows; OT weights stay a tuple of Fractions.  The
-constructors convert tuple input.  A table that is ragged or not a
-table, or that needs a cast and has a cell outside its range, is kept
-as given, so that ``validate`` reports it instead of a uint8 cast
-wrapping it.  Protocols compare and hash by kind, shapes and bytes.
+is a tuple of 1-D rows; OT weights are a tuple.  A table is
+well-formed exactly when ``_array``, the constructors' conversion,
+holds it as such an array, of only 0s and 1s for bits and pairs;
+``validate`` asks the same, so every protocol it accepts can be
+written and run.  ``_array`` keeps as given a table that is ragged, not
+a table, or needs a cast from a float, complex, Fraction or out-of-range
+cell.  Protocols compare and hash by kind, shapes and bytes.
 
 A value read off a table is a numpy scalar: convert it with ``int``
 before it is printed or shifted, since numpy prints ``np.uint8(1)`` and
@@ -29,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from numbers import Integral, Rational
+from numbers import Rational
 from types import SimpleNamespace
 from typing import Union
 
@@ -224,17 +226,10 @@ class ProtocolMixture:
 
     components: tuple[tuple[Fraction, "Protocol"], ...]
 
-    @property
-    def nx(self) -> int:
-        return self.components[0][1].nx
-
-    @property
-    def ny(self) -> int:
-        return self.components[0][1].ny
-
-    @property
-    def t(self) -> int:
-        return self.components[0][1].t
+    # the dimensions of its first component
+    nx = property(lambda self: self.components[0][1].nx)
+    ny = property(lambda self: self.components[0][1].ny)
+    t = property(lambda self: self.components[0][1].t)
 
 
 Protocol = Union[ParallelXorProtocol, ParallelProtocol, OrderedNlbProtocol,
@@ -270,12 +265,13 @@ def _entry(tab, i):
     return tab[i] if _is_table(tab) and i < len(tab) else None
 
 
-def _entries(tab) -> list | None:
-    """A one-line table's entries as a list, or None when it is not a
-    table, which the shape checks report."""
-    if isinstance(tab, np.ndarray):
-        return tab.tolist() if tab.ndim else None
-    return list(tab) if isinstance(tab, (tuple, list)) else None
+def _ints(tab) -> list:
+    """The entries of a line as _array holds it, int64; [-1], in no range
+    or permutation, when it holds no such line, and [] for no table."""
+    a = _array(tab, 1, INTS)
+    if isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1:
+        return a.tolist()
+    return [-1] if _is_table(tab) else []
 
 
 def layout(kind, nx: int, ny: int, t: int, p):
@@ -304,13 +300,13 @@ def layout(kind, nx: int, ny: int, t: int, p):
     elif kind is TwoWayTree:
         for r in range(t):
             yield f"dir {r}", "direction", r, BITS, None, 1 << r
-            d = _entries(_entry(p.direction, r)) or ()
+            d = _ints(_entry(p.direction, r))
             yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
         yield "outA", "out_a", None, BITS, 1 << t, xs
         yield "outB", "out_b", None, BITS, 1 << t, ys
     elif kind is OtProtocol:
         yield "rweights", "r_weights", None, FRACS, None, None
-        nr = len(_entries(p.r_weights) or ())
+        nr = len(p.r_weights) if _is_table(p.r_weights) else 0
         for i in range(t):
             yield f"inA {i}", "in_a", i, PAIRS, xs, nr
             yield f"inB {i}", "in_b", i, BITS, ys, 1 << i
@@ -337,8 +333,7 @@ def _specs(kind) -> dict:
     specs = {}
     for _label, field, index, cells, rows, width in layout(kind, 0, 0, 1, probe):
         ndim = 1 if rows is None else None if isinstance(width, tuple) else 2 + (cells == PAIRS)
-        if cells != FRACS:
-            specs[field] = (cells, ndim, index is not None)
+        specs[field] = (cells, ndim, index is not None)
     return specs
 
 
@@ -352,7 +347,10 @@ def _array(tab, ndim: int, cells):
     cells' dtype; tab itself when it is ragged, not a table of ndim
     dimensions, or needs a cast to that dtype and has a cell outside
     [0, largest value], checked before the cast, which would wrap.  Cells
-    already of the dtype are kept as they are; validate checks them."""
+    already of the dtype are kept as they are; validate checks them.  OT
+    weights become a tuple."""
+    if cells == FRACS:
+        return tuple(tab) if _is_table(tab) else tab
     dtype, top = _DTYPES[cells]
     if isinstance(tab, np.ndarray) and tab.dtype == dtype and tab.ndim == ndim:
         flags = tab.flags
@@ -384,13 +382,8 @@ def _round(tab, _ndim, cells):
 
 _SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
 
-# the cell types whose every entry validate checks, and the shape of
-# one cell of an array table
-_CELL_CHECKS = {
-    BITS: frozenset((0, 1)).issuperset,
-    PAIRS: frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}).issuperset,
-}
-_CELL_SHAPES = {BITS: (), PAIRS: (2,)}
+# the shape of one cell of a table of bits or of OT input pairs, both uint8
+_CELL_SHAPES, _UINT8 = {BITS: (), PAIRS: (2,)}, _DTYPES[BITS][0]
 
 
 def _binary(tab: np.ndarray) -> bool:
@@ -400,16 +393,15 @@ def _binary(tab: np.ndarray) -> bool:
     return not tab.tobytes().translate(None, b"\0\1")
 
 
-def _cells_ok(tab, cells) -> bool:
-    """Whether every entry of a line has the cell type."""
-    if isinstance(tab, np.ndarray):
-        if tab.dtype == np.uint8:
-            return tab.shape[1:] == _CELL_SHAPES[cells] and _binary(tab)
-        tab = tab.tolist()
-    try:
-        return _CELL_CHECKS[cells](tab)
-    except TypeError:  # an unhashable entry
-        return False
+def _cells_ok(tab, shape: tuple, cells) -> bool:
+    """Whether _array holds tab as a uint8 array of shape (then the
+    cell's) that is _binary; a uint8 array is read as it is."""
+    shape += _CELL_SHAPES[cells]
+    if getattr(tab, "dtype", None) != _UINT8:
+        tab = _array(tab, len(shape), cells)
+        if getattr(tab, "dtype", None) != _UINT8:
+            return False
+    return tab.shape == shape and _binary(tab)
 
 
 def _shape_error(tab, n, cells) -> str | None:
@@ -420,18 +412,16 @@ def _shape_error(tab, n, cells) -> str | None:
     if n is not None and len(tab) != n:
         return f"{len(tab)} entries, expected {n}" + (
             ": reads future or absent inputs" if len(tab) > n else ": not total")
-    if cells not in _CELL_CHECKS or _cells_ok(tab, cells):
+    if cells not in _CELL_SHAPES or _cells_ok(tab, (len(tab),), cells):
         return None
     return f"entry not of type {cells}"
 
 
 def _table_error(tab, rows: int, width, cells) -> str | None:
     """What keeps tab from being ``rows`` rows of ``width`` cells of type
-    cells, naming the first bad row, or None if nothing does: a uint8
-    array of that shape passes by one check of its bytes, anything else
-    is walked row by row."""
-    if (isinstance(tab, np.ndarray) and tab.dtype == np.uint8
-            and tab.shape == (rows, width, *_CELL_SHAPES[cells]) and _binary(tab)):
+    cells, naming the first bad row, or None if nothing does: one
+    _cells_ok, else a walk of its rows."""
+    if not isinstance(width, tuple) and _cells_ok(tab, (rows, width), cells):
         return None
     if err := _shape_error(tab, rows, None):
         return err
@@ -442,17 +432,34 @@ def _table_error(tab, rows: int, width, cells) -> str | None:
     return None
 
 
-def _weight_errors(weights, not_rational: str, bad_sum: str, nonpositive: str) -> list[str]:
-    """The violations of one or more weights that must be positive
-    rationals summing to 1, summed in integers over the lcm of their
+def _rational(weights) -> bool:
+    """Whether every weight is a rational number, checked once per type."""
+    return all(issubclass(kind, Rational) for kind in set(map(type, weights)))
+
+
+def _weight_errors(weights, bad_sum: str, nonpositive: str) -> list[str]:
+    """The violations of one or more rational weights that must be
+    positive and sum to 1, summed in integers over the lcm of their
     denominators; bad_sum is formatted with the sum, a Fraction, if not 1."""
-    if not all(issubclass(kind, Rational) for kind in set(map(type, weights))):
-        return [not_rational]
     nums, dens = [w.numerator for w in weights], [w.denominator for w in weights]
     den = lcm(*set(dens))
     total = sum(n * (den // d) for n, d in zip(nums, dens))
     return ([bad_sum.format(Fraction(total, den))] if total != den else []) + (
         [nonpositive] if min(nums) <= 0 else [])
+
+
+def _structure_error(p) -> str | None:
+    """What keeps p from being a protocol kind or a mixture of one or
+    more (weight, protocol) pairs of rational weights, or None: all the
+    engine needs to draw a mixture's leaves."""
+    if not isinstance(p, ProtocolMixture):
+        return None if type(p) in KIND_NAMES else f"{type(p).__name__} is not a protocol kind"
+    comps = p.components
+    if not _is_table(comps) or not all(_is_table(c) and len(c) == 2 for c in comps):
+        return "mixture: components not (weight, protocol) pairs"
+    if not len(comps):
+        return "mixture: no components"
+    return None if _rational([w for w, _ in comps]) else "mixture: weight not a rational number"
 
 
 def validate(p) -> list[str]:
@@ -461,15 +468,13 @@ def validate(p) -> list[str]:
 
     Returns a list of human-readable violations; empty means ok.
     """
+    if err := _structure_error(p):
+        return [err]
     out: list[str] = []
     if isinstance(p, ProtocolMixture):
         comps = p.components
-        if not _is_table(comps) or not all(_is_table(c) and len(c) == 2 for c in comps):
-            return ["mixture: components not (weight, protocol) pairs"]
-        if not len(comps):
-            return ["mixture: no components"]
-        out += _weight_errors([w for w, _ in comps], "mixture: weight not a rational number",
-                              "mixture: weights sum to {}, not 1", "mixture: nonpositive weight")
+        out += _weight_errors([w for w, _ in comps], "mixture: weights sum to {}, not 1",
+                              "mixture: nonpositive weight")
         if len({type(c) for _, c in comps}) > 1:
             out.append("mixture: components of mixed kinds")
         errs = [validate(c) for _, c in comps]
@@ -478,8 +483,6 @@ def validate(p) -> list[str]:
                 if type(c) in KIND_NAMES or not e}) > 1:
             out.append("mixture: components disagree on dimensions or box count")
         return out + [e for es in errs for e in es]
-    if type(p) not in KIND_NAMES:
-        return [f"{type(p).__name__} is not a protocol kind"]
     if min(p.nx, p.ny, p.t) < 0:
         return ["negative input width or box count"]
 
@@ -492,11 +495,8 @@ def validate(p) -> list[str]:
         else:
             counts[field] += 1
             tab = _entry(tab, index)
-        if rows is None:
-            err = _shape_error(tab, width, cells)
-        else:
-            err = _table_error(tab, rows, width, cells)
-        if err:
+        if err := (_shape_error(tab, width, cells) if rows is None
+                   else _table_error(tab, rows, width, cells)):
             out.append(f"{label}: {err}")
     for field, n in counts.items():
         tabs = getattr(p, field)
@@ -505,18 +505,17 @@ def validate(p) -> list[str]:
 
     if isinstance(p, GeneralNlbProtocol):
         for side, sched in (("A", p.sched_a), ("B", p.sched_b)):
-            # an entry that is no integer sorts as -1, which no permutation holds
-            if sorted(v if isinstance(v, Integral) else -1
-                      for v in _entries(sched) or ()) != list(range(p.t)):
+            if sorted(_ints(sched)) != list(range(p.t)):
                 out.append(f"sched{side}: not a permutation of box labels")
     if isinstance(p, OneWayProtocol):
-        if not all(isinstance(m, Integral) and 0 <= m < 1 << p.t for m in _entries(p.msg) or ()):
+        if not all(0 <= m < 1 << p.t for m in _ints(p.msg)):
             out.append("msg value outside the t-bit message space")
     if isinstance(p, OtProtocol):
-        if not (weights := _entries(p.r_weights)):
+        if not (weights := p.r_weights if _is_table(p.r_weights) else ()):
             out.append("empty private-randomness domain")
+        elif not _rational(weights):
+            out.append("private-randomness weight not a rational number")
         else:
-            out += _weight_errors(weights, "private-randomness weight not a rational number",
-                                  "private-randomness weights do not sum to 1",
+            out += _weight_errors(weights, "private-randomness weights do not sum to 1",
                                   "nonpositive private-randomness weight")
     return out

@@ -332,6 +332,22 @@ def test_nonsignaling_audit_rejects_non_box_protocols():
             nonsignaling_audit(p)
 
 
+def test_audits_refuse_other_kinds():
+    # each audit names the kind it was given instead of a verdict read
+    # off another kind's tables, or a TypeError
+    ot, oneway = ordered_to_ot(disj_det_protocol(1)), oneway_optimal(ip_table(1))
+    gate = AndProtocol(1, 1, 1, ((0, 1),), ((0, 1),), ((0, 0), (0, 1)))
+    assert privacy_audit_and(gate, and_table()) is None and privacy_audit_ot(ot) is None
+    for p in (ot, oneway, ip_protocol(1)):
+        with pytest.raises(ProtocolError, match=f"^{type(p).__name__} is not a secure-AND "):
+            privacy_audit_and(p, and_table())
+    for p in (gate, oneway, ip_protocol(1)):
+        with pytest.raises(ProtocolError, match=f"^{type(p).__name__} is not an OT "):
+            privacy_audit_ot(p)
+        with pytest.raises(ProtocolError, match=f"^{type(p).__name__} is not an OT "):
+            ot_received_distribution(p, 0, 0)
+
+
 @pytest.mark.parametrize("kind", KINDS + ("nested",))
 def test_engine_matches_scalar_oracle(kind):
     # seeded random protocols of every kind (mixtures of every kind and
@@ -627,11 +643,14 @@ def test_kernel_reads_tables_the_constructor_keeps_as_given():
         for x, y in ((3, 1), (2, 2)):
             assert exec_exact(p, x, y).probs == oracle_exec(sig, x, y)
     ragged = replace(sig, step_a=(((0,), (0, 1), (0,), (0,)),))
-    assert validate(ragged)
-    with pytest.raises(ProtocolError, match="malformed table"):
-        exec_exact(ragged, 0, 0)
-    with pytest.raises(ProtocolError, match="invalid protocol"):
-        nonsignaling_audit(ragged)
+    # a float array is kept as given too, and is no integer table
+    floats = replace(sig, out_a=np.asarray(sig.out_a, np.float64))
+    for p in (ragged, floats):
+        assert validate(p)
+        with pytest.raises(ProtocolError, match="malformed table"):
+            exec_exact(p, 0, 0)
+        with pytest.raises(ProtocolError, match="invalid protocol"):
+            nonsignaling_audit(p)
 
 
 def _only_rows(p, x: int, y: int):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from nlbox.cli import parse_circuit
 from nlbox.compilers import and_from_oneway, ordered_to_ot, oneway_optimal
 from nlbox.correlations import parse_correlation
-from nlbox.engine import ProtocolError, nonsignaling_audit
+from nlbox.engine import (ProtocolError, error_profile, exec_exact, exec_sample,
+                          nonsignaling_audit, sample_counts)
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
-from nlbox.protocols import (GeneralNlbProtocol, OneWayProtocol,
-                             OrderedNlbProtocol, ProtocolMixture, validate)
+from nlbox.protocols import (BITS, FRACS, INTS, PAIRS, GeneralNlbProtocol, OneWayProtocol,
+                             OrderedNlbProtocol, ProtocolMixture, layout, validate)
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import content_lines, format_truth_table, ip_table, parse_truth_table
 from util import KINDS, TRUTH_TABLE_BAD_HEADERS, mutated, random_ordered, \
@@ -114,12 +115,12 @@ def _replace(obj, path, new):
 def test_validate_reports_every_malformed_table(kind):
     """Each table, row or pair truncated, extended by a copy of its last
     entry, replaced by a 0-d array, or with one entry set to 2^t (2 for
-    t = 1; the first value outside every table's range), -1 or 2^70 is
-    reported, and validate never raises: the constructor keeps such a
-    table as given instead of a uint8 cast wrapping its cells or
-    iterating a 0-d array.  An array table with its first or
-    last cell set to 2^t in its own dtype, which needs no cast, is
-    reported too."""
+    t = 1; the first value outside every table's range), -1, 2^70, 0.0,
+    1.0, 1+0j or Fraction(1) is reported, and validate never raises: the
+    constructor keeps such a table as given instead of a uint8 cast
+    wrapping its cells or iterating a 0-d array.  An array table with
+    its first or last cell set to 2^t in its own dtype, which needs no
+    cast, or copied as float64 is reported too."""
     rng = random.Random(kind)
     for nx, ny, t in ((1, 1, 1), (1, 2, 2)):
         p = random_protocol(kind, nx, ny, t, rng)
@@ -127,14 +128,86 @@ def test_validate_reports_every_malformed_table(kind):
         assert any(isinstance(tab, np.ndarray) for _path, tab in tables)
         for path, tab in tables:
             bad = [tab[:-1], (*tab, tab[-1]), np.array(5)]
+            # skipping an entry given as it already is: an OT weight of 1
             bad += [(*tab[:i], cell, *tab[i + 1:])
-                    for i in range(len(tab)) for cell in (1 << t, -1, 2**70)]
+                    for i in range(len(tab))
+                    for cell in (1 << t, -1, 2**70, 0.0, 1.0, 1 + 0j, Fraction(1))
+                    if not (type(cell) is type(tab[i]) and cell == tab[i])]
             for k in (0, -1) if isinstance(tab, np.ndarray) else ():
                 bad.append(tab.copy())
                 bad[-1].reshape(-1)[k] = 1 << t
+            if isinstance(tab, np.ndarray):
+                bad.append(tab.astype(np.float64))
             for new in bad:
                 q = _replace(p, path, new)
                 assert validate(q), (path, new)
+
+
+# entries a table can be given, well-formed or not
+_CELLS = (0, 1, 2, -1, True, False, np.uint8(1), np.int64(0), np.float64(1), 0.0, 1.0,
+          1 + 0j, Fraction(1), HALF, None, "1", (0, 1), 2**70)
+# whole tables given in another container or dtype, writable or strided
+_FORMS = (tuple, list, lambda tab: np.array(tab, dtype=object),
+          lambda tab: np.repeat(tab, 2)[::2],
+          *(lambda tab, d=d: np.array(tab).astype(d)
+            for d in (bool, np.int8, np.int64, np.uint8, np.float64, complex)))
+_DTYPES = {BITS: np.uint8, PAIRS: np.uint8, INTS: np.int64}
+
+
+def _assert_canonical(p):
+    """Every table of p (of each mixture leaf) is a read-only array of its
+    layout's dtype and shape, a tree round a tuple of them; OT weights
+    are a tuple."""
+    if isinstance(p, ProtocolMixture):
+        for _w, c in p.components:
+            _assert_canonical(c)
+        return
+    for label, field, index, cells, rows, width in layout(type(p), p.nx, p.ny, p.t, p):
+        tab = getattr(p, field)
+        if index is not None:
+            assert isinstance(tab, tuple), label
+            tab = tab[index]
+        if cells == FRACS:
+            assert isinstance(tab, tuple), label
+            continue
+        if isinstance(width, tuple):  # a tree round: rows of their own widths
+            assert isinstance(tab, tuple), label
+            arrays = zip(tab, [(w,) for w in width])
+        else:
+            arrays = [(tab, (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)])]
+        for tab, shape in arrays:
+            assert isinstance(tab, np.ndarray) and tab.dtype == _DTYPES[cells], label
+            assert tab.shape == shape and not tab.flags.writeable, label
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), nx=st.integers(0, 2), ny=st.integers(0, 2),
+       t=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_protocol_validate_accepts_is_canonical_and_runs(kind, nx, ny, t, seed, data):
+    # one table of a random protocol given another way, or with one entry
+    # replaced: validate never raises, and a protocol it accepts holds
+    # only the constructors' arrays, round-trips through the text format
+    # and runs in the exact engine, as its parsed copy does
+    p = random_protocol(kind, nx, ny, t, random.Random(seed))
+    if tables := list(_tables(p)):
+        path, tab = data.draw(st.sampled_from(tables))
+        if len(tab) and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(tab) - 1))
+            new = (*tab[:i], data.draw(st.sampled_from(_CELLS)), *tab[i + 1:])
+        else:
+            try:
+                new = data.draw(st.sampled_from(_FORMS))(tab)
+            except ValueError:  # a tree round's rows of two widths
+                new = tab
+        p = _replace(p, path, new)
+    if validate(p):
+        return
+    _assert_canonical(p)
+    q = parse(serialize(p))
+    assert q == p and hash(q) == hash(p)
+    for x in range(1 << nx):
+        for y in range(1 << ny):
+            assert exec_exact(p, x, y) == exec_exact(q, x, y)
 
 
 def test_validate_names_the_malformed_table():
@@ -323,21 +396,27 @@ def test_validate_rejects_bad_mixture_weights():
     neg = ProtocolMixture(((Fraction(3, 2), comp), (-HALF, comp)))
     assert validate(neg) == ["mixture: nonpositive weight"]
     # weights that are no rational number are reported, not raised on;
-    # so are the OT randomness weights
-    for w in ("1", None, 0.5, (1, 2)):
-        assert validate(ProtocolMixture(((w, comp), (HALF, comp)))) == [
-            "mixture: weight not a rational number"]
-    # so are components that are no (weight, protocol) pairs or hold no
-    # protocol, and the audit that rests on validate refuses them
-    for components, errs in ((((HALF,),), ["mixture: components not (weight, protocol) pairs"]),
-                             (5, ["mixture: components not (weight, protocol) pairs"]),
-                             (((HALF, None), (HALF, None)), ["NoneType is not a protocol kind"] * 2),
-                             (((HALF, comp), (HALF, ProtocolMixture(5))),
-                              ["mixture: components of mixed kinds",
-                               "mixture: components not (weight, protocol) pairs"])):
-        assert validate(ProtocolMixture(components)) == errs
+    # so are the OT randomness weights, and components that are no
+    # (weight, protocol) pairs, hold no protocol or are none.  The audit
+    # that rests on validate refuses them, and the exact and sampling
+    # entry points name the structure validate reports
+    f = ip_table(1)
+    not_pairs = "mixture: components not (weight, protocol) pairs"
+    cases = [(((w, comp), (HALF, comp)), ["mixture: weight not a rational number"])
+             for w in ("1", None, 0.5, (1, 2))]
+    cases += [(((HALF,),), [not_pairs]), (5, [not_pairs]), ((), ["mixture: no components"]),
+              (((HALF, None), (HALF, None)), ["NoneType is not a protocol kind"] * 2),
+              (((HALF, comp), (HALF, ProtocolMixture(5))),
+               ["mixture: components of mixed kinds", not_pairs])]
+    for components, errs in cases:
+        mix = ProtocolMixture(components)
+        assert validate(mix) == errs
         with pytest.raises(ProtocolError, match="invalid protocol"):
-            nonsignaling_audit(ProtocolMixture(components))
+            nonsignaling_audit(mix)
+        for call in (lambda: exec_exact(mix, 0, 0), lambda: error_profile(mix, f),
+                     lambda: sample_counts(mix, 0, 0, 1, 4), lambda: exec_sample(mix, 0, 0, 1)):
+            with pytest.raises(ProtocolError, match=f"^{re.escape(errs[-1])}$"):
+                call()
     ot = ordered_to_ot(disj_det_protocol(1))
     assert validate(ot) == []
     for weights in (("1",), (HALF, "1"), (None, HALF), (0.5, 0.5)):
