@@ -7,11 +7,14 @@ common denominator ``D`` (the basis determinant).  A pivot on ``p`` sets
 each other row to ``(p*M_i - M_ie*M_r) // D``, exact by Sylvester's
 identity, then ``D = p``: the pivots and results of the rational tableau.
 
-The tableau is one numpy array and a pivot is one array expression.  It
-is int64 while every entry is below 2^31 in magnitude, so that each
-product in a pivot stays below 2^62; from the first entry at 2^31 on it
-holds Python ints (``dtype=object``), on which the same expressions are
-exact at any size.  The pivot choices read ``.tolist()`` values.
+The tableau is one numpy array.  It is int64 while every entry is below
+2^31 in magnitude, so that each product in a pivot stays below 2^62, and
+a pivot then runs in place: multiply, outer-multiply, subtract and
+floor-divide through ``out=`` into two buffers allocated once per solve
+and the tableau itself.  From the first entry at 2^31 on the tableau
+holds Python ints (``dtype=object``), on which the same pivot is one
+array expression, exact at any size.  The pivot choices read
+``.tolist()`` values.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ _INT64_SAFE = 1 << 31
 def _widened(tab: np.ndarray) -> np.ndarray:
     """``tab`` while it is int64 with every entry below 2^31 in magnitude,
     otherwise ``tab`` as Python ints."""
-    if tab.dtype == object or (-_INT64_SAFE < tab.min() and tab.max() < _INT64_SAFE):
+    if tab.dtype == object:
+        return tab
+    flat = tab.reshape(-1)
+    if -_INT64_SAFE < np.minimum.reduce(flat) and np.maximum.reduce(flat) < _INT64_SAFE:
         return tab
     return tab.astype(object)
 
@@ -83,23 +89,30 @@ def solve_phase1(columns, b):
     tab = _widened(tab)
     basis = list(range(n, ncols))
     d = 1
+    # the int64 pivot's products and differences
+    prod, outer = np.empty_like(tab), np.empty_like(tab)
 
     while True:
-        negative = tab[m, :ncols] < 0
-        if not negative.any():
+        enter = int((tab[m, :ncols] < 0).argmax())
+        if tab[m, enter] >= 0:
             break
-        enter = int(negative.argmax())
         # Bland ratio test: smallest rhs/a by cross-multiplication (all
         # a > 0), ties by smallest basis index
         leave = None
-        for i, (a, r) in enumerate(tab[:m, [enter, ncols]].tolist()):
+        for i, (a, r) in enumerate(zip(tab[:m, enter].tolist(), tab[:m, ncols].tolist())):
             if a > 0 and (leave is None or r * best_a < best_r * a or (
                     r * best_a == best_r * a and basis[i] < basis[leave])):
                 leave, best_r, best_a = i, r, a
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        row = tab[leave]
-        tab = (best_a * tab - tab[:, enter, None] * row) // d
+        row = tab[leave].copy()
+        if tab.dtype == object:
+            tab = (best_a * tab - tab[:, enter, None] * row) // d
+        else:
+            np.multiply(tab, best_a, out=prod)
+            np.multiply.outer(tab[:, enter], row, out=outer)
+            np.subtract(prod, outer, out=prod)
+            np.floor_divide(prod, d, out=tab)
         tab[leave] = row
         d = best_a
         basis[leave] = enter

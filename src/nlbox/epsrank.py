@@ -10,8 +10,16 @@ column generation so the master LP stays tiny even with 65k candidates.
 Each shape has one cached candidate table (``candidate_table``): the
 masks in rank order, their entry bits as uint8, and where the masks of
 rank at most t end, so the search at t reads a prefix of it.  Each
-search builds its float pricing matrix from those bits and passes the
-master's columns to the simplex as one int64 array.
+search builds its float pricing matrices from those bits, checks the
+best 64 columns' reduced costs exactly as one integer product (int64,
+Python ints when the duals are wide) and passes the master's columns to
+the simplex as one int64 array.
+
+A level at which every entry is pinned, hi = 0 or lo = 1 (as at eps = 0
+on a 0/1 target), is presolved: only the pinned matrix agrees with the
+pins, so a level below its rank is infeasible without an LP, and at its
+rank the master runs on that one candidate.
+The simplex pivots its int64 tableau in place (see ``_simplex``).
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
 
 import numpy as np
 
@@ -29,6 +36,8 @@ from ._simplex import solve_phase1
 from .truthtable import TruthTable
 
 MAX_ENTRIES = 16
+# exact pricing is int64 while every |y . column| bound stays below this
+_INT64_DOT = 1 << 62
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,6 +132,18 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
     masks, bits, ends = candidate_table(n_rows, n_cols)
     masks, bits = masks[:ends[t]], bits[:ends[t]]
     n_entries = n_rows * n_cols
+    if all(hi[e] == 0 or lo[e] == 1 for e in range(n_entries)):
+        # presolve: every entry is pinned, so the pinned matrix is the one
+        # candidate that can carry weight; if its rank exceeds t the level
+        # is infeasible without an LP.  Partial pins are not pruned yet:
+        # a candidate that breaks a pin can still price positive and
+        # enter, so dropping those changes the admitted columns and with
+        # them the pinned witnesses, which only a deliberate re-record
+        # may change.
+        keep = np.flatnonzero(masks == sum(1 << e for e in range(n_entries) if lo[e] == 1))
+        if not len(keep):
+            return None
+        masks, bits = masks[keep], bits[keep]
     # Row layout: one <=hi row per entry, one >=lo row per entry with lo>0,
     # and the convexity row.
     lo_rows = [e for e in range(n_entries) if lo[e] > 0]
@@ -138,9 +159,13 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
     fixed_cols = np.eye(m - 1, m, dtype=np.int64)
     fixed_cols[n_entries:] *= -1
 
-    # float pricing matrix: value of each candidate column under duals
+    # float pricing matrices: value of each candidate column under duals.
+    # They stay float matmuls followed by a full argsort of the default
+    # kind, not an argpartition or an exact product over every candidate:
+    # the order of tied scores decides which columns enter and so the
+    # witnesses.
     bits_f = bits.astype(np.float64)
-    lo_bits_f = bits_f[:, lo_rows]
+    lo_bits_f = bits[:, lo_rows].astype(np.float64)
 
     active: list[int] = []
     active_set: set[int] = set()
@@ -158,13 +183,17 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
         if lo_rows:
             scores += lo_bits_f @ y_f[n_entries:n_entries + len(lo_rows)]
         scores += y_f[-1]
-        top = np.argsort(-scores)[:64].tolist()
+        top = np.argsort(-scores)[:64]
+        # exact reduced costs of the top columns: 0/1 entries, so each
+        # is below max|y_int| * m in magnitude
+        dtype = object if max(map(abs, y_int)) * m >= _INT64_DOT else np.int64
+        exact = (candidate_columns(top).astype(dtype) @ np.array(y_int, dtype=dtype)).tolist()
         added = 0
-        for j, col in zip(top, candidate_columns(top).tolist()):
+        for j, value in zip(top.tolist(), exact):
             if j in active_set:
                 continue
-            # exact reduced-cost check before admitting the column
-            if sum(map(mul, y_int, col)) > 0:
+            # admit only an exactly positive column
+            if value > 0:
                 active.append(j)
                 active_set.add(j)
                 added += 1

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from numbers import Rational
+from numbers import Integral, Rational
 from types import SimpleNamespace
 from typing import Union
 
@@ -225,6 +225,14 @@ class ProtocolMixture:
     """Shared randomness as a finite weighted set of deterministic protocols."""
 
     components: tuple[tuple[Fraction, "Protocol"], ...]
+
+    def __post_init__(self):
+        # a list of pairs is held as the tuples the parser builds, so the
+        # mixture hashes and equals what it writes
+        comps = self.components
+        if isinstance(comps, (tuple, list)):
+            object.__setattr__(self, "components", tuple(
+                tuple(c) if isinstance(c, list) else c for c in comps))
 
     # the dimensions of its first component
     nx = property(lambda self: self.components[0][1].nx)
@@ -449,11 +457,17 @@ def _weight_errors(weights, bad_sum: str, nonpositive: str) -> list[str]:
 
 
 def _structure_error(p) -> str | None:
-    """What keeps p from being a protocol kind or a mixture of one or
-    more (weight, protocol) pairs of rational weights, or None: all the
-    engine needs to draw a mixture's leaves."""
+    """What keeps p from being a protocol kind of integer widths and box
+    count or a mixture of one or more (weight, protocol) pairs of
+    rational weights, or None: all the engine needs to draw a mixture's
+    leaves and to read their widths."""
     if not isinstance(p, ProtocolMixture):
-        return None if type(p) in KIND_NAMES else f"{type(p).__name__} is not a protocol kind"
+        if type(p) not in KIND_NAMES:
+            return f"{type(p).__name__} is not a protocol kind"
+        # int first: the Integral check alone costs about 1 us a call
+        if not all(type(v) is int or isinstance(v, Integral) for v in (p.nx, p.ny, p.t)):
+            return "input width or box count not an integer"
+        return None
     comps = p.components
     if not _is_table(comps) or not all(_is_table(c) and len(c) == 2 for c in comps):
         return "mixture: components not (weight, protocol) pairs"

@@ -107,6 +107,51 @@ def test_candidate_table_is_the_rank_enumeration(shape):
     assert ends[-1] == len(masks) == 1 << n_entries
 
 
+def _boolean_targets():
+    """Random truth tables of widths 0-2 and 0/1 correlation matrices of
+    every shape up to 4x4, three of each, with their grids."""
+    rng = random.Random(1753)
+    for nx in range(3):
+        for ny in range(3):
+            for _ in range(3):
+                f = random_table(nx, ny, rng)
+                yield f, tuple(tuple(row) for row in f.bits().tolist())
+    for r in range(1, 5):
+        for c in range(1, 5):
+            for _ in range(3):
+                grid = tuple(tuple(rng.randrange(2) for _ in range(c)) for _ in range(r))
+                yield CorrelationMatrix(tuple(tuple(map(Fraction, row)) for row in grid)), grid
+
+
+def test_zero_eps_on_boolean_targets_is_rank_without_lower_lps(monkeypatch):
+    # at eps 0 every entry is pinned: the answer is the GF(2) rank with
+    # the target itself as the witness, and no level below it runs an LP
+    feasible, solve = epsrank._mixture_feasible, epsrank.solve_phase1
+    levels, lp_levels = [], []
+
+    def at_level(t, *args):
+        levels.append(t)
+        return feasible(t, *args)
+
+    def counted(columns, b):
+        lp_levels.append(levels[-1])
+        return solve(columns, b)
+
+    monkeypatch.setattr(epsrank, "_mixture_feasible", at_level)
+    monkeypatch.setattr(epsrank, "solve_phase1", counted)
+    for matrix, grid in _boolean_targets():
+        rank = gf2.rank_rows([sum(v << y for y, v in enumerate(row)) for row in grid],
+                             len(grid[0]))
+        for tmax in range(min(len(grid), len(grid[0])) + 1):
+            lp_levels.clear()
+            res = _eps_rank(matrix, 0, tmax)
+            if tmax < rank:
+                assert res == EpsRankResult(None, ())
+            else:
+                assert res == EpsRankResult(rank, ((1, grid),))
+            assert set(lp_levels) == ({rank} if tmax >= rank else set())
+
+
 def test_rational_target_between_levels():
     # constant 1/4 matrix: at eps 1/4 the zero matrix alone suffices
     m = CorrelationMatrix(((Fraction(1, 4), Fraction(1, 4)),
@@ -165,7 +210,7 @@ def _report(res: EpsRankResult) -> str:
 WITNESS_GOLDEN = "edf8023a9ef70a285039babf5405d42ee13f6b264730f55aabb9331f4b7e4118"
 # sha256 of the master LP sizes, one line of column counts per query:
 # the admitted columns, round by round
-LP_WORK_GOLDEN = "809c431fd7a47a8aa5f238d66875813ad370de60ec3782867b516cfa91dddf98"
+LP_WORK_GOLDEN = "f6a476d5aa730744a7f7f8ff3dcbea318fd731556b58eecec285318a6fc3573f"
 
 
 def test_witnesses_match_recorded_panel(monkeypatch):
@@ -186,3 +231,20 @@ def test_witnesses_match_recorded_panel(monkeypatch):
         work += " ".join(map(str, sizes)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_GOLDEN
     assert hashlib.sha256(work.encode()).hexdigest() == LP_WORK_GOLDEN
+
+
+def test_python_int_pricing_admits_what_int64_does(monkeypatch):
+    # the exact reduced costs leave int64 only for wide duals; forced on
+    # every round, Python ints must admit the same columns
+    solve, masters = epsrank.solve_phase1, []
+
+    def recorded(columns, b):
+        masters.append(columns.tobytes())
+        return solve(columns, b)
+
+    monkeypatch.setattr(epsrank, "solve_phase1", recorded)
+    panel = list(_golden_panel())[::3]
+    want = [_eps_rank(matrix, eps) for matrix, eps in panel], masters[:]
+    masters.clear()
+    monkeypatch.setattr(epsrank, "_INT64_DOT", 0)
+    assert ([_eps_rank(matrix, eps) for matrix, eps in panel], masters) == want

@@ -428,6 +428,29 @@ def test_validate_rejects_bad_mixture_weights():
         assert err in validate(dataclasses.replace(ot, r_weights=weights))
 
 
+def test_mixture_given_a_list_is_the_protocol_it_writes():
+    comp = ip_protocol(1)
+    for components in ([(HALF, comp), (HALF, comp)], [[HALF, comp], (HALF, comp)]):
+        mix = ProtocolMixture(components)
+        assert mix.components == ((HALF, comp), (HALF, comp))
+        assert validate(mix) == []
+        back = parse(serialize(mix))
+        assert back == mix and hash(back) == hash(mix)
+
+
+@pytest.mark.parametrize("value", [1.0, None, "1", Fraction(1)])
+@pytest.mark.parametrize("dim", ["nx", "ny", "t"])
+def test_validate_reports_non_integer_dimensions(dim, value):
+    bad = dataclasses.replace(ip_protocol(1), **{dim: value})
+    assert validate(bad) == ["input width or box count not an integer"]
+    assert validate(ProtocolMixture(((Fraction(1), bad),))) == validate(bad)
+    with pytest.raises(ProtocolError, match="invalid protocol: input width"):
+        nonsignaling_audit(bad)
+    for call in (lambda: exec_exact(bad, 0, 0), lambda: sample_counts(bad, 0, 0, 1, 4)):
+        with pytest.raises(ProtocolError, match="^input width or box count not an integer$"):
+            call()
+
+
 def test_validate_rejects_bad_schedule():
     ordered = xor_as_ordered(ip_protocol(2))
     for sched in ((0, 0), (0, "1"), (None, 0), (1.0, 0), ((0, 1), 1)):
