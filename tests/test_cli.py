@@ -21,6 +21,7 @@ from nlbox.cli import dispatch
 from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.gf2 import gf2_factorize
 from nlbox.library import disj_det_protocol, ip_protocol
+from nlbox.protocols import GeneralNlbProtocol
 from nlbox.serialize import parse, serialize
 from nlbox.truthtable import TruthTable, format_truth_table, ip_table, and_table
 from util import (TRUTH_TABLE_BAD_HEADERS, leaky_ot, mutated, random_ordered,
@@ -460,6 +461,47 @@ def test_exit_code_validation(capsys, tmp_path, and_file):
                              "--eps", "0")
         assert (code, out) == (2, "")
         assert err == f"error: entry {tok!r} is not of the form n/d\n"
+
+
+def _broken_files() -> dict:
+    """{name: (text, stderr)}: a protocol file the parser reads but whose
+    rule spans its tables, and the one line the CLI prints for it."""
+    ow = serialize(oneway_optimal(ip_table(1)))
+    d = disj_det_protocol(1)
+    ot = serialize(ordered_to_ot(d))
+    gen = serialize(GeneralNlbProtocol(1, 1, 1, (0,), d.step_a, (0,), d.step_b, d.out_a, d.out_b))
+    ip1, ip2 = serialize(ip_protocol(1)), serialize(ip_protocol(2))
+    bad = "error: invalid protocol: "
+    return {
+        "msg-too-many": (ow.replace("msg: 0 1", "msg: 0 1 0"),
+                         bad + "msg: 3 entries, expected 2: reads future or absent inputs"),
+        "msg-out-of-range": (ow.replace("msg: 0 1", "msg: 0 2"),
+                             bad + "msg value outside the t-bit message space"),
+        "sched-not-permutation": (gen.replace("schedA: 0", "schedA: 1"),
+                                  bad + "schedA: not a permutation of box labels"),
+        # no randomness leaves Alice's pair rows no width, which the parser sees
+        "rweights-empty": (ot.replace("rweights: 1/2 1/2", "rweights:"),
+                           "error: bad OT pair row"),
+        "rweights-nonpositive": (ot.replace("rweights: 1/2 1/2", "rweights: 1/1 0/1"),
+                                 bad + "nonpositive private-randomness weight"),
+        "rweights-sum": (ot.replace("rweights: 1/2 1/2", "rweights: 1/2 1/3"),
+                         bad + "private-randomness weights do not sum to 1"),
+        "mix-sum": (f"mix 2 1/2\n{ip1}mix 2 1/3\n{ip1}",
+                    bad + "mixture: weights sum to 5/6, not 1"),
+        "mix-kinds": (f"mix 2 1/2\n{ip1}mix 2 1/2\n{ow}",
+                      bad + "mixture: components of mixed kinds"),
+        "mix-dimensions": (f"mix 2 1/2\n{ip1}mix 2 1/2\n{ip2}",
+                           bad + "mixture: components disagree on dimensions or box count"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_broken_files()))
+def test_rule_the_parser_cannot_see_prints_one_pinned_line(capsys, tmp_path, name):
+    text, want = _broken_files()[name]
+    path = tmp_path / "bad.nlb"
+    path.write_text(text)
+    assert run(capsys, "exec", "-p", str(path), "-x", "0", "-y", "0", "--exact") == (
+        2, "", want + "\n")
 
 
 def test_exec_rejects_out_of_range_inputs(capsys, tmp_path):
