@@ -21,7 +21,8 @@ from .engine import (ProtocolError, _check_limit, _errors, _kernel, _parities,
                      privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
-                        ParallelXorProtocol, TwoWayTree, validate)
+                        ParallelXorProtocol, TwoWayTree)
+from .protocols import validate  # noqa: F401  (importable from here too)
 from .truthtable import TruthTable, from_entries, unpack_bits
 
 MAX_TREE_DEPTH = 8
@@ -76,9 +77,6 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
     """
     if p.t > MAX_TREE_DEPTH:
         raise ProtocolError(f"tree depth {p.t} exceeds the {MAX_TREE_DEPTH} limit")
-    errs = validate(p)
-    if errs:
-        raise ProtocolError("malformed tree: " + "; ".join(errs))
     # per side, fam[i][prefix][input]; prefixes are k-bit transcripts
     fams = [p.out_a[None], p.out_b[None]]
     for k in range(p.t, 0, -1):

@@ -31,9 +31,10 @@ from itertools import accumulate, count, product
 
 import numpy as np
 
-from .protocols import (NLB_KINDS, AndProtocol, GeneralNlbProtocol, OneWayProtocol,
-                        OrderedNlbProtocol, OtProtocol, ParallelProtocol, ParallelXorProtocol,
-                        ProtocolMixture, Protocol, TwoWayTree, _structure_error, validate)
+from .protocols import (KIND_NAMES, NLB_KINDS, AndProtocol, GeneralNlbProtocol,
+                        OneWayProtocol, OrderedNlbProtocol, OtProtocol, ParallelProtocol,
+                        ParallelXorProtocol, ProtocolError, ProtocolMixture, Protocol,
+                        TwoWayTree, validate)
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
@@ -42,10 +43,6 @@ _BATCH = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
-    pass
-
-
-class ProtocolError(ValueError):
     pass
 
 
@@ -90,24 +87,9 @@ def _parities(v: np.ndarray, t: int) -> np.ndarray:
     return v & 1
 
 
-def _table(tab) -> np.ndarray:
-    """A table as an integer array: the constructors' array, or one they
-    kept as given read through np.asarray, so that exec_exact runs integer
-    cells out of range as the tests' oracle does; any other table (ragged,
-    float, complex, Fraction) is a ProtocolError."""
-    if not isinstance(tab, np.ndarray):
-        try:
-            tab = np.asarray(tab)
-        except ValueError:
-            tab = None
-    if tab is None or tab.size and tab.dtype.kind not in "biu":
-        raise ProtocolError("malformed table: validate names it")
-    return tab
-
-
 def _boxes(tables, n: int, dtype=np.int64) -> np.ndarray:
     """A field of per-box tables of n entries as a (boxes, n) array."""
-    return _table(tables).reshape(len(tables), n).astype(dtype)
+    return np.asarray(tables).reshape(len(tables), n).astype(dtype)
 
 
 def _packed(tables, n: int) -> np.ndarray:
@@ -122,7 +104,7 @@ def _packed(tables, n: int) -> np.ndarray:
 def _at(tab, *index) -> np.ndarray:
     """tab[index] for same-length arrays, one per axis, as one gather from
     the flat table: numpy's indexing by several arrays is slower."""
-    tab, flat = _table(tab), index[0]
+    flat = index[0]
     for n, i in zip(tab.shape[1:], index[1:]):
         flat = flat * n + i
     return tab.reshape(-1)[flat]
@@ -167,11 +149,11 @@ def _kernel(p):
                 # each side reads its outcomes so far in its own touch
                 # order; Alice's inputs depend on u alone, so hers come first
                 obs = np.zeros_like(u)
-                for pos, (label, sa) in enumerate(zip(_table(p.sched_a).tolist(), p.step_a)):
+                for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
                     pin |= _at(sa, x, obs).astype(np.int64) << label
                     obs |= ((u >> label) & 1) << pos
                 obs = np.zeros_like(u)
-                for pos, (label, sb) in enumerate(zip(_table(p.sched_b).tolist(), p.step_b)):
+                for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
                     q = _at(sb, y, obs).astype(np.int64)
                     qin |= q << label
                     obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
@@ -211,12 +193,11 @@ def _kernel(p):
 
 def _leaves(p, w=Fraction(1)) -> list:
     """(weight, protocol) for each protocol a mixture draws, nested
-    mixtures flattened; [(1, p)] for any other protocol.  What
-    _structure_error names is a ProtocolError; tables are the kernel's."""
-    if err := _structure_error(p):
-        raise ProtocolError(err)
+    mixtures flattened; [(1, p)] for a protocol of any other kind."""
     if isinstance(p, ProtocolMixture):
         return [leaf for v, c in p.components for leaf in _leaves(c, w * v)]
+    if type(p) not in KIND_NAMES:
+        raise ProtocolError(f"{type(p).__name__} is not a protocol kind")
     return [(w, p)]
 
 
@@ -444,7 +425,7 @@ def _xor_errors(p: ParallelXorProtocol, f: TruthTable) -> np.ndarray:
     its deterministic parity, the local terms and the box products
     p_i(x) q_i(y) summed mod 2."""
     products = (_boxes(p.pbox, f.n_rows).T @ _boxes(p.qbox, f.n_cols)) & 1
-    return (f.bits() ^ _table(p.local_a)[:, None] ^ _table(p.local_b) ^ products).ravel()
+    return (f.bits() ^ p.local_a[:, None] ^ p.local_b ^ products).ravel()
 
 
 def _errors(p: Protocol, f: TruthTable) -> tuple[np.ndarray, int]:
@@ -496,17 +477,15 @@ def _require(p, kind, name: str) -> None:
 
 def nonsignaling_audit(p) -> None:
     """Check that each player's view (own box outcomes and output) has a
-    law that ignores the other's input.  Every valid box protocol passes,
-    so no branch is run: an invalid protocol, or a leaf of no box kind,
-    is a ProtocolError.  The lemma: on every (x, y) of all four kinds,
+    law that ignores the other's input.  Every box protocol passes, since
+    a protocol is valid once built, so no branch is run: a leaf of no box
+    kind is a ProtocolError.  The lemma: on every (x, y) of all four kinds,
     Bob's outcome at box i is Alice's XOR the AND of both inputs to it,
     each input read off its own side's input and earlier outcomes, so his
     outcomes are a bijection of her uniform ones (solved for hers box by
     box in her touch order), and each output reads only its own input
     and outcomes; a mixture's laws are sums of its leaves'.  The tests'
     oracle runs the branches."""
-    if errs := validate(p):
-        raise ProtocolError("invalid protocol: " + "; ".join(errs))
     for _w, c in _leaves(p):
         _require(c, NLB_KINDS, "a non-local-box")
 

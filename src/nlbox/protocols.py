@@ -11,25 +11,21 @@ Each table is one read-only numpy array: a bit table of rows is
 and a one-line table is 1-D (uint8 bits, int64 integers).  A field of
 one table per box or round is a tuple of them (``pbox[i]`` is box i's
 table over X).  A tree round, whose rows have their speakers' widths,
-is a tuple of 1-D rows; OT weights are a tuple.  A table is
-well-formed exactly when ``_array``, the constructors' conversion,
-holds it as such an array, of only 0s and 1s for bits and pairs;
-``validate`` asks the same, so every protocol it accepts can be
-written and run.  ``_array`` keeps as given a table that is ragged, not
-a table, or needs a cast from a float, complex, Fraction or out-of-range
-cell.  Protocols compare and hash by kind, shapes and bytes.
+is a tuple of 1-D rows; OT weights are a tuple.  A protocol is valid
+once built: each constructor converts its tables with ``_array`` and
+checks ``validate``'s rules, and raises ``ProtocolError`` on any
+violation, so every protocol that exists can be written and run.
+Protocols compare and hash by kind, shapes and bytes.
 
 A value read off a table is a numpy scalar: convert it with ``int``
 before it is printed or shifted, since numpy prints ``np.uint8(1)`` and
-a uint8 shift wraps at 8 bits.  ``validate`` reports violations instead
-of raising so that malformed protocols can be diagnosed.
+a uint8 shift wraps at 8 bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 from numbers import Integral, Rational
 from types import SimpleNamespace
@@ -38,21 +34,26 @@ from typing import Union
 import numpy as np
 
 
+class ProtocolError(ValueError):
+    pass
+
+
 class _Tables:
-    """The array conversion, equality and hash of every protocol kind."""
+    """The checked conversion, equality and hash of every protocol kind."""
 
     def __post_init__(self):
-        for field, (cells, ndim, indexed) in _SPECS[type(self)].items():
+        for field, (label, cells, ndim, indexed) in _SPECS[type(self)].items():
             tab = getattr(self, field)
-            convert = _round if ndim is None else _array
             if not indexed:
-                tab = convert(tab, ndim, cells)
+                tab = _array(tab, ndim, cells, label)
             elif isinstance(tab, np.ndarray) and ndim is not None and tab.ndim:
                 # the tables are its rows: one conversion, read as views
-                tab = tuple(_array(tab, ndim + 1, cells))
-            elif _is_table(tab):
-                tab = tuple(convert(t, ndim, cells) for t in tab)
+                tab = tuple(_array(tab, ndim + 1, cells, label))
+            else:
+                tab = tuple(_array(t, ndim, cells, f"{label} {i}")
+                            for i, t in enumerate(_rows(tab, label)))
             object.__setattr__(self, field, tab)
+        _check(self)
 
     def _state(self):
         return tuple(_key(getattr(self, f.name)) for f in fields(self))
@@ -67,13 +68,10 @@ class _Tables:
 
 
 def _key(v):
-    """A table's shape and bytes (tuples of them for tuples of tables); a
-    field of no tables is () however it was given."""
+    """A table's shape and bytes (tuples of them for tuples of tables)."""
     if isinstance(v, np.ndarray):
-        return (v.dtype.str, v.shape, v.tobytes()) if v.size else ()
-    if isinstance(v, (tuple, list)):
-        return tuple(map(_key, v))
-    return v
+        return v.shape, v.tobytes()
+    return tuple(map(_key, v)) if isinstance(v, tuple) else v
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +177,8 @@ class TwoWayTree(_Tables):
     out_b: np.ndarray  # out_b[transcript, y]
 
     def transcript(self, x: int, y: int) -> int:
+        if not (0 <= x < 1 << self.nx and 0 <= y < 1 << self.ny):
+            raise ProtocolError(f"input outside 0 <= x < 2^{self.nx}, 0 <= y < 2^{self.ny}")
         tr = 0
         for r in range(self.t):
             tr |= int(self.bit[r][tr][x if self.direction[r][tr] else y]) << r
@@ -228,11 +228,13 @@ class ProtocolMixture:
 
     def __post_init__(self):
         # a list of pairs is held as the tuples the parser builds, so the
-        # mixture hashes and equals what it writes
+        # mixture hashes and equals what it writes; its components were
+        # checked when they were built
         comps = self.components
         if isinstance(comps, (tuple, list)):
             object.__setattr__(self, "components", tuple(
                 tuple(c) if isinstance(c, list) else c for c in comps))
+        _check(self)
 
     # the dimensions of its first component
     nx = property(lambda self: self.components[0][1].nx)
@@ -263,23 +265,16 @@ KIND_NAMES = {
 BITS, INTS, FRACS, PAIRS = "bits", "ints", "fracs", "pairs"
 
 
-def _is_table(tab) -> bool:
-    """Whether tab is a tuple, a list or a numpy array of one or more axes."""
-    return isinstance(tab, (tuple, list)) or isinstance(tab, np.ndarray) and tab.ndim > 0
+def _refuse(label: str, why: str):
+    raise ProtocolError(f"invalid protocol: {label}: {why}")
 
 
-def _entry(tab, i):
-    """``tab[i]``, or None when tab is not a table or has no entry i."""
-    return tab[i] if _is_table(tab) and i < len(tab) else None
-
-
-def _ints(tab) -> list:
-    """The entries of a line as _array holds it, int64; [-1], in no range
-    or permutation, when it holds no such line, and [] for no table."""
-    a = _array(tab, 1, INTS)
-    if isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1:
-        return a.tolist()
-    return [-1] if _is_table(tab) else []
+def _rows(tab, label: str):
+    """tab if it is a table (of rows or of tables): a tuple, a list or a
+    numpy array of one or more axes; else a ProtocolError."""
+    if isinstance(tab, (tuple, list)) or isinstance(tab, np.ndarray) and tab.ndim:
+        return tab
+    _refuse(label, "not a table")
 
 
 def layout(kind, nx: int, ny: int, t: int, p):
@@ -308,13 +303,13 @@ def layout(kind, nx: int, ny: int, t: int, p):
     elif kind is TwoWayTree:
         for r in range(t):
             yield f"dir {r}", "direction", r, BITS, None, 1 << r
-            d = _ints(_entry(p.direction, r))
+            d = p.direction[r]
             yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
         yield "outA", "out_a", None, BITS, 1 << t, xs
         yield "outB", "out_b", None, BITS, 1 << t, ys
     elif kind is OtProtocol:
         yield "rweights", "r_weights", None, FRACS, None, None
-        nr = len(p.r_weights) if _is_table(p.r_weights) else 0
+        nr = len(p.r_weights)
         for i in range(t):
             yield f"inA {i}", "in_a", i, PAIRS, xs, nr
             yield f"inB {i}", "in_b", i, BITS, ys, 1 << i
@@ -334,14 +329,16 @@ def layout(kind, nx: int, ny: int, t: int, p):
 
 
 def _specs(kind) -> dict:
-    """{field: (cells, ndim, indexed)} for each table field of a kind: the
-    cell type, the dimensions of its array (None for a tuple of 1-D rows
-    of their own widths) and whether the field is a tuple of tables."""
+    """{field: (label, cells, ndim, indexed)} for each table field of a
+    kind: its label (without the index of a field of one table per box),
+    the cell type, the dimensions of its array (None for a tuple of 1-D
+    rows of their own widths) and whether the field is a tuple of tables."""
     probe = SimpleNamespace(direction=((1,),), r_weights=())
     specs = {}
-    for _label, field, index, cells, rows, width in layout(kind, 0, 0, 1, probe):
+    for label, field, index, cells, rows, width in layout(kind, 0, 0, 1, probe):
         ndim = 1 if rows is None else None if isinstance(width, tuple) else 2 + (cells == PAIRS)
-        specs[field] = (cells, ndim, index is not None)
+        specs[field] = (label.rsplit(" ", 1)[0] if index is not None else label,
+                        cells, ndim, index is not None)
     return specs
 
 
@@ -350,48 +347,42 @@ _DTYPES = {BITS: (np.dtype(np.uint8), 1), PAIRS: (np.dtype(np.uint8), 1),
            INTS: (np.dtype(np.int64), (1 << 63) - 1)}
 
 
-def _array(tab, ndim: int, cells):
+def _array(tab, ndim: int | None, cells, label: str):
     """tab as a read-only C-contiguous array of ndim dimensions and the
-    cells' dtype; tab itself when it is ragged, not a table of ndim
-    dimensions, or needs a cast to that dtype and has a cell outside
-    [0, largest value], checked before the cast, which would wrap.  Cells
-    already of the dtype are kept as they are; validate checks them.  OT
-    weights become a tuple."""
+    cells' dtype: a tuple of 1-D rows for ndim None, and a tuple for OT
+    weights.  A ProtocolError naming label if tab is ragged, not a table
+    of ndim dimensions, or needs a cast to that dtype and has a cell that
+    is no integer in [0, largest value], checked before the cast, which
+    would wrap.  Cells already of the dtype are kept; validate checks
+    that bits are 0 or 1."""
     if cells == FRACS:
-        return tuple(tab) if _is_table(tab) else tab
+        return tuple(_rows(tab, label))
+    if ndim is None:
+        return tuple(_array(row, 1, cells, f"{label}: row {k}")
+                     for k, row in enumerate(_rows(tab, label)))
     dtype, top = _DTYPES[cells]
     if isinstance(tab, np.ndarray) and tab.dtype == dtype and tab.ndim == ndim:
         flags = tab.flags
         if not flags.writeable and flags.c_contiguous:
             return tab
         a = tab.copy()
-    elif _is_table(tab):
+    else:
+        tab = _rows(tab, label)
         try:
             a = np.array(tab)
         except (ValueError, TypeError):
-            return tab
+            _refuse(label, "ragged table")
         if a.ndim != ndim:
-            return tab
+            _refuse(label, f"not a table of {ndim} dimensions")
         if a.dtype != dtype:
             if a.size and (a.dtype.kind not in "biu" or a.min() < 0 or a.max() > top):
-                return tab
+                _refuse(label, f"entry not of type {cells}")
             a = a.astype(dtype)
-    else:
-        return tab
     a.setflags(write=False)
     return a
 
 
-def _round(tab, _ndim, cells):
-    """A tree round, a table of 1-D rows of their own widths: each row an
-    _array."""
-    return tuple(_array(row, 1, cells) for row in tab) if _is_table(tab) else tab
-
-
 _SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
-
-# the shape of one cell of a table of bits or of OT input pairs, both uint8
-_CELL_SHAPES, _UINT8 = {BITS: (), PAIRS: (2,)}, _DTYPES[BITS][0]
 
 
 def _binary(tab: np.ndarray) -> bool:
@@ -401,43 +392,30 @@ def _binary(tab: np.ndarray) -> bool:
     return not tab.tobytes().translate(None, b"\0\1")
 
 
-def _cells_ok(tab, shape: tuple, cells) -> bool:
-    """Whether _array holds tab as a uint8 array of shape (then the
-    cell's) that is _binary; a uint8 array is read as it is."""
-    shape += _CELL_SHAPES[cells]
-    if getattr(tab, "dtype", None) != _UINT8:
-        tab = _array(tab, len(shape), cells)
-        if getattr(tab, "dtype", None) != _UINT8:
-            return False
-    return tab.shape == shape and _binary(tab)
-
-
-def _shape_error(tab, n, cells) -> str | None:
-    """What keeps tab from being a line of n cells (any number if n is
-    None) of type cells, or None if nothing does."""
-    if not _is_table(tab):
-        return "not a table"
-    if n is not None and len(tab) != n:
-        return f"{len(tab)} entries, expected {n}" + (
-            ": reads future or absent inputs" if len(tab) > n else ": not total")
-    if cells not in _CELL_SHAPES or _cells_ok(tab, (len(tab),), cells):
+def _size_error(shape: tuple, want: tuple) -> str | None:
+    """What keeps an array of shape from shape want, or None."""
+    if shape == want:
         return None
-    return f"entry not of type {cells}"
+    what = (f"{shape[0]} entries, expected {want[0]}" if len(want) == 1
+            else f"shape {shape}, expected {want}")
+    return what + (": reads future or absent inputs" if any(s > w for s, w in zip(shape, want))
+                   else ": not total")
 
 
-def _table_error(tab, rows: int, width, cells) -> str | None:
-    """What keeps tab from being ``rows`` rows of ``width`` cells of type
-    cells, naming the first bad row, or None if nothing does: one
-    _cells_ok, else a walk of its rows."""
-    if not isinstance(width, tuple) and _cells_ok(tab, (rows, width), cells):
+def _table_error(tab, rows: int | None, width, cells) -> str | None:
+    """What keeps a converted table from being ``rows`` rows of ``width``
+    cells of type cells (one line of them for rows None, and rows of
+    their own widths for a tuple of widths), or None if nothing does."""
+    if cells == FRACS:
         return None
-    if err := _shape_error(tab, rows, None):
+    if isinstance(width, tuple):
+        return _size_error((len(tab),), (rows,)) or next(
+            (f"row {k}: {err}" for k, (row, w) in enumerate(zip(tab, width))
+             if (err := _table_error(row, None, w, cells))), None)
+    want = (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)]
+    if err := _size_error(tab.shape, want):
         return err
-    widths = width if isinstance(width, tuple) else repeat(width)
-    for k, (row, w) in enumerate(zip(tab, widths)):
-        if row_err := _shape_error(row, w, cells):
-            return f"row {k}: {row_err}"
-    return None
+    return None if cells == INTS or _binary(tab) else f"entry not of type {cells}"
 
 
 def _rational(weights) -> bool:
@@ -456,80 +434,70 @@ def _weight_errors(weights, bad_sum: str, nonpositive: str) -> list[str]:
         [nonpositive] if min(nums) <= 0 else [])
 
 
-def _structure_error(p) -> str | None:
-    """What keeps p from being a protocol kind of integer widths and box
-    count or a mixture of one or more (weight, protocol) pairs of
-    rational weights, or None: all the engine needs to draw a mixture's
-    leaves and to read their widths."""
-    if not isinstance(p, ProtocolMixture):
-        if type(p) not in KIND_NAMES:
-            return f"{type(p).__name__} is not a protocol kind"
-        # int first: the Integral check alone costs about 1 us a call
-        if not all(type(v) is int or isinstance(v, Integral) for v in (p.nx, p.ny, p.t)):
-            return "input width or box count not an integer"
-        return None
-    comps = p.components
-    if not _is_table(comps) or not all(_is_table(c) and len(c) == 2 for c in comps):
-        return "mixture: components not (weight, protocol) pairs"
-    if not len(comps):
-        return "mixture: no components"
-    return None if _rational([w for w, _ in comps]) else "mixture: weight not a rational number"
-
-
 def validate(p) -> list[str]:
-    """Structural audit: every table of ``layout`` has its shape and cell
-    type, plus mixture weights, schedules, message range and OT weights.
-
-    Returns a list of human-readable violations; empty means ok.
+    """The rules a protocol's converted tables keep, as human-readable
+    violations; empty means it keeps them.  They are: integer,
+    nonnegative widths and box count, one table per box, each table of
+    ``layout`` of its shape and of 0/1 bits, schedules that permute the
+    box labels, messages in range and OT weights; for a mixture,
+    (rational weight, protocol) pairs with positive weights summing to 1,
+    of one kind and one set of dimensions.  The constructors raise on any
+    violation, so every protocol that exists keeps them all.
     """
-    if err := _structure_error(p):
-        return [err]
-    out: list[str] = []
     if isinstance(p, ProtocolMixture):
         comps = p.components
-        out += _weight_errors([w for w, _ in comps], "mixture: weights sum to {}, not 1",
-                              "mixture: nonpositive weight")
+        if not isinstance(comps, tuple) or not all(
+                isinstance(c, tuple) and len(c) == 2 for c in comps):
+            return ["mixture: components not (weight, protocol) pairs"]
+        if not comps:
+            return ["mixture: no components"]
+        if bad := [f"{type(c).__name__} is not a protocol kind" for _w, c in comps
+                   if type(c) not in KIND_NAMES and not isinstance(c, ProtocolMixture)]:
+            return bad
+        if not _rational([w for w, _ in comps]):
+            return ["mixture: weight not a rational number"]
+        out = _weight_errors([w for w, _ in comps], "mixture: weights sum to {}, not 1",
+                             "mixture: nonpositive weight")
         if len({type(c) for _, c in comps}) > 1:
             out.append("mixture: components of mixed kinds")
-        errs = [validate(c) for _, c in comps]
-        # only a protocol kind or a valid mixture has dimensions to read
-        if len({(c.nx, c.ny, c.t) for (_, c), e in zip(comps, errs)
-                if type(c) in KIND_NAMES or not e}) > 1:
+        if len({(c.nx, c.ny, c.t) for _, c in comps}) > 1:
             out.append("mixture: components disagree on dimensions or box count")
-        return out + [e for es in errs for e in es]
-    if min(p.nx, p.ny, p.t) < 0:
+        return out
+    dims = (p.nx, p.ny, p.t)
+    # int first: the Integral check alone costs about 1 us a call
+    if not all(type(v) is int or isinstance(v, Integral) for v in dims):
+        return ["input width or box count not an integer"]
+    if min(dims) < 0:
         return ["negative input width or box count"]
-
-    # tables expected per indexed field; None for a field that is one table
-    counts = {f.name: 0 for f in fields(p)[3:]}
+    # layout reads a table of each box; so do the rules past it
+    if out := [f"{label}: expected {p.t} tables"
+               for field, (label, _cells, _ndim, indexed) in _SPECS[type(p)].items()
+               if indexed and len(getattr(p, field)) != p.t]:
+        return out
     for label, field, index, cells, rows, width in layout(type(p), p.nx, p.ny, p.t, p):
         tab = getattr(p, field)
-        if index is None:
-            counts[field] = None
-        else:
-            counts[field] += 1
-            tab = _entry(tab, index)
-        if err := (_shape_error(tab, width, cells) if rows is None
-                   else _table_error(tab, rows, width, cells)):
+        if err := _table_error(tab if index is None else tab[index], rows, width, cells):
             out.append(f"{label}: {err}")
-    for field, n in counts.items():
-        tabs = getattr(p, field)
-        if n is not None and (not _is_table(tabs) or len(tabs) != n):
-            out.append(f"{field}: expected {n} tables")
 
     if isinstance(p, GeneralNlbProtocol):
         for side, sched in (("A", p.sched_a), ("B", p.sched_b)):
-            if sorted(_ints(sched)) != list(range(p.t)):
+            if sorted(sched.tolist()) != list(range(p.t)):
                 out.append(f"sched{side}: not a permutation of box labels")
-    if isinstance(p, OneWayProtocol):
-        if not all(0 <= m < 1 << p.t for m in _ints(p.msg)):
+    elif isinstance(p, OneWayProtocol):
+        if not all(0 <= m < 1 << p.t for m in p.msg.tolist()):
             out.append("msg value outside the t-bit message space")
-    if isinstance(p, OtProtocol):
-        if not (weights := p.r_weights if _is_table(p.r_weights) else ()):
+    elif isinstance(p, OtProtocol):
+        if not p.r_weights:
             out.append("empty private-randomness domain")
-        elif not _rational(weights):
+        elif not _rational(p.r_weights):
             out.append("private-randomness weight not a rational number")
         else:
-            out += _weight_errors(weights, "private-randomness weights do not sum to 1",
+            out += _weight_errors(p.r_weights, "private-randomness weights do not sum to 1",
                                   "nonpositive private-randomness weight")
     return out
+
+
+def _check(p) -> None:
+    """A ProtocolError listing what validate finds wrong with p, if anything."""
+    if errs := validate(p):
+        raise ProtocolError("invalid protocol: " + "; ".join(errs))

@@ -50,6 +50,8 @@ class TruthTable:
         return 1 << self.ny
 
     def entry(self, x: int, y: int) -> int:
+        if not (0 <= x < self.n_rows and 0 <= y < self.n_cols):
+            raise ValueError(f"entry outside 0 <= x < 2^{self.nx}, 0 <= y < 2^{self.ny}")
         return (self.rows[x] >> y) & 1
 
     def is_zero(self) -> bool:

@@ -120,10 +120,9 @@ def test_twoway_compiler_rejects_deep_or_malformed_trees():
     with pytest.raises(ProtocolError):
         twoway_to_parallel(deep)
     tree = random_tree(1, 1, 2, RNG)
-    broken = type(tree)(tree.nx, tree.ny, tree.t, tree.direction,
-                        tree.bit, tree.out_a[:-1], tree.out_b)
-    with pytest.raises(ProtocolError):
-        twoway_to_parallel(broken)
+    with pytest.raises(ProtocolError, match="outA"):
+        type(tree)(tree.nx, tree.ny, tree.t, tree.direction, tree.bit, tree.out_a[:-1],
+                   tree.out_b)
 
 
 # --- independence reduction and XOR normalization ---

@@ -3,7 +3,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,7 @@ from util import (KINDS, leaky_ot, oracle_bob_first,
                   oracle_nonsignaling_audit, oracle_ot_received,
                   oracle_counts, oracle_parallel_dist, oracle_privacy_audit_ot, oracle_sample,
                   parity, random_ordered, random_protocol, random_table,
-                  random_tree, sampled_kinds, xor_as_ordered, xor_as_parallel)
+                  random_tree, sampled_kinds, unchecked, xor_as_ordered, xor_as_parallel)
 
 RNG = random.Random(777)
 
@@ -427,7 +426,8 @@ def test_draw_domain_maps_exactly_by_weight(monkeypatch, weights):
 def test_sampling_a_mixture_whose_draw_passes_int64():
     # L = 3^41 > 2^63: the component draw stays in Python ints
     w = Fraction(1, 3 ** 41)
-    p = ProtocolMixture(((w, ip_protocol(1)), (1 - w, random_ordered(1, 1, 2, RNG))))
+    p = unchecked(ProtocolMixture,
+                  components=((w, ip_protocol(1)), (1 - w, random_ordered(1, 1, 2, RNG))))
     for seed in (0, 5):
         assert sample_counts(p, 1, 1, seed, 300) == oracle_counts(p, 1, 1, seed, 300)
         assert exec_sample(p, 1, 1, seed) == oracle_sample(p, 1, 1, seed)[0]
@@ -446,18 +446,18 @@ def _signalling_ordered() -> OrderedNlbProtocol:
     that box inputs land on bits 1 and 2 and Bob's outcomes leave [0, 2)
     on (x, y) = (3, 1) and (2, 2).  Well-formed protocols cannot signal
     (Bob's outcomes are a bijection of Alice's for every (x, y)), so
-    only such tables, which ``validate`` rejects, make the oracle's
+    only such tables, which the constructor refuses, make the oracle's
     branch enumeration fail; its loop order (y outer on Bob's side)
     decides the witness."""
-    return OrderedNlbProtocol(
-        2, 2, 1, (((0,), (0,), (4,), (2,)),), (((0,), (2,), (4,), (0,)),),
-        ((0, 1),) * 4, ((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
+    return unchecked(OrderedNlbProtocol, nx=2, ny=2, t=1,
+                     step_a=(((0,), (0,), (4,), (2,)),), step_b=(((0,), (2,), (4,), (0,)),),
+                     out_a=((0, 1),) * 4, out_b=((0, 1, 1, 0, 0, 1, 1, 0),) * 4)
 
 
 def test_audit_failures_match_oracle_witness():
     # the oracle finds the signalling fixture's witness, alone and mixed,
-    # so the property test against it is not vacuous; the audit refuses
-    # both, which validate rejects
+    # so the property test against it is not vacuous; the constructor
+    # refuses its tables, so no protocol that exists signals
     sig = _signalling_ordered()
     mix = ProtocolMixture(((Fraction(1, 3), sig),
                            (Fraction(2, 3), random_ordered(2, 2, 1, random.Random(3)))))
@@ -465,8 +465,8 @@ def test_audit_failures_match_oracle_witness():
         bad = oracle_nonsignaling_audit(p)
         assert (bad.check, bad.detail, bad.witness) == (
             "nonsignaling", "Bob view depends on x", (1, 0, 3))
-        with pytest.raises(ProtocolError, match="invalid protocol: .*stepA 0"):
-            nonsignaling_audit(p)
+    with pytest.raises(ProtocolError, match="invalid protocol: .*stepA 0"):
+        OrderedNlbProtocol(**vars(sig))
     for p in (leaky_ot(), random_protocol("ot", 2, 2, 3, random.Random(8))):
         bad, ref = privacy_audit_ot(p), oracle_privacy_audit_ot(p)
         assert bad == ref and str(bad) == str(ref)
@@ -540,15 +540,16 @@ def test_error_profile_of_disj_rand_matches_oracle(n):
 
 def test_error_profile_of_nested_mixed_kinds_matches_oracle():
     # parallel-XOR leaves next to ordered and one-way leaves, one level
-    # and two levels down, with weights of unlike denominators
+    # and two levels down, with weights of unlike denominators; such
+    # mixtures are built past the constructor's checks
     rng = random.Random(23)
     for _ in range(6):
         xor = [random_protocol("parallel-xor", 2, 1, 3, rng) for _ in range(2)]
-        inner = ProtocolMixture(((Fraction(1, 4), random_protocol("oneway", 2, 1, 2, rng)),
-                                 (Fraction(3, 4), xor[0])))
-        p = ProtocolMixture(((Fraction(1, 3), xor[1]),
-                             (Fraction(1, 6), random_ordered(2, 1, 2, rng)),
-                             (Fraction(1, 2), inner)))
+        inner = unchecked(ProtocolMixture, components=(
+            (Fraction(1, 4), random_protocol("oneway", 2, 1, 2, rng)), (Fraction(3, 4), xor[0])))
+        p = unchecked(ProtocolMixture, components=(
+            (Fraction(1, 3), xor[1]), (Fraction(1, 6), random_ordered(2, 1, 2, rng)),
+            (Fraction(1, 2), inner)))
         _assert_profile_is_oracle(p, random_table(2, 1, rng))
 
 
@@ -592,11 +593,13 @@ def test_valid_box_protocols_never_signal():
 
 
 def test_nonsignaling_audit_runs_no_branch(monkeypatch):
-    # the verdict is validate plus the per-kind lemma: no kernel, no
-    # batch of branches and so no branch limit, whatever t is
+    # the verdict is the per-kind lemma, a protocol being valid once
+    # built: no kernel, no batch of branches and so no branch limit,
+    # whatever t is, and a protocol of no box kind is refused unrun
     samples = (disj_det_protocol(4), xor_as_parallel(ip_protocol(3)),
                random_protocol("general", 2, 2, 3, RNG),
                ProtocolMixture(((HALF, ip_protocol(2)), (HALF, ip_protocol(2)))))
+    ot = ordered_to_ot(disj_det_protocol(3))
 
     def no_run(*_args):
         raise AssertionError("the audit ran branches")
@@ -605,15 +608,16 @@ def test_nonsignaling_audit_runs_no_branch(monkeypatch):
     monkeypatch.setenv("NLBOX_LIMIT_T", "1")
     for p in samples:
         assert nonsignaling_audit(p) is None
-    with pytest.raises(ProtocolError, match="invalid protocol"):
-        nonsignaling_audit(_signalling_ordered())
+    with pytest.raises(ProtocolError, match="^OtProtocol is not a non-local-box protocol$"):
+        nonsignaling_audit(ot)
 
 
 def test_inputs_outside_the_domain_are_protocol_errors():
     # -1 would wrap to the last row and 2^n index past it: each exact or
     # sampled call on one pair refuses both, on either side
     for p in (ip_protocol(1), ordered_to_ot(disj_det_protocol(1)),
-              ProtocolMixture(((HALF, ip_protocol(2)), (HALF, xor_as_parallel(ip_protocol(2)))))):
+              unchecked(ProtocolMixture, components=(
+                  (HALF, ip_protocol(2)), (HALF, xor_as_parallel(ip_protocol(2)))))):
         calls = [lambda x, y: exec_exact(p, x, y), lambda x, y: sample_counts(p, x, y, 1, 4),
                  lambda x, y: exec_sample(p, x, y, 1)]
         if isinstance(p, OtProtocol):
@@ -625,45 +629,17 @@ def test_inputs_outside_the_domain_are_protocol_errors():
                     call(x, y)
 
 
-def test_kernel_reads_tables_the_constructor_keeps_as_given():
-    # the constructor keeps a tuple step table holding 2s and 4s as
-    # given, and the same cells in a uint8 array as they are: exact runs
-    # read both alike, the oracle finds the same witness in both and the
-    # audit refuses both as invalid; a table of no rectangular integer
-    # form is a ProtocolError, not an indexing error
-    sig = _signalling_ordered()
-    assert isinstance(sig.step_a[0], tuple)
-    as_array = replace(sig, step_a=(np.array(sig.step_a[0], np.uint8),),
-                       step_b=(np.array(sig.step_b[0], np.uint8),))
-    assert isinstance(as_array.step_a[0], np.ndarray)
-    for p in (sig, as_array):
-        assert oracle_nonsignaling_audit(p).witness == (1, 0, 3)
-        with pytest.raises(ProtocolError, match="invalid protocol"):
-            nonsignaling_audit(p)
-        for x, y in ((3, 1), (2, 2)):
-            assert exec_exact(p, x, y).probs == oracle_exec(sig, x, y)
-    ragged = replace(sig, step_a=(((0,), (0, 1), (0,), (0,)),))
-    # a float array is kept as given too, and is no integer table
-    floats = replace(sig, out_a=np.asarray(sig.out_a, np.float64))
-    for p in (ragged, floats):
-        assert validate(p)
-        with pytest.raises(ProtocolError, match="malformed table"):
-            exec_exact(p, 0, 0)
-        with pytest.raises(ProtocolError, match="invalid protocol"):
-            nonsignaling_audit(p)
-
-
 def _only_rows(p, x: int, y: int):
     """p with every table row of an input other than x (Alice's tables)
-    or y (Bob's) filled with 255, which the uint8 tables keep as given."""
+    or y (Bob's) filled with 255, past the constructor's checks."""
     def keep(rows, k):
         out = np.full_like(rows, 255)
         out[k] = rows[k]
         return out
     a, b = (("in_a", "in_b") if isinstance(p, OtProtocol) else ("step_a", "step_b"))
-    return replace(p, **{a: tuple(keep(tab, x) for tab in getattr(p, a)),
-                         b: tuple(keep(tab, y) for tab in getattr(p, b)),
-                         "out_a": keep(p.out_a, x), "out_b": keep(p.out_b, y)})
+    return unchecked(type(p), **{**vars(p), a: tuple(keep(tab, x) for tab in getattr(p, a)),
+                                 b: tuple(keep(tab, y) for tab in getattr(p, b)),
+                                 "out_a": keep(p.out_a, x), "out_b": keep(p.out_b, y)})
 
 
 def test_one_pair_reads_only_its_rows():
@@ -679,13 +655,15 @@ def test_one_pair_reads_only_its_rows():
 def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
     # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
     # every mixture leaf's runs are split between chunks (at least 8 of
-    # them)
+    # them); the mixtures of two kinds are built past the constructor's
+    # checks
     rng = random.Random(99)
     sig = _signalling_ordered()
-    valid = ProtocolMixture(((Fraction(1, 4), random_ordered(2, 2, 2, rng)),
-                             (Fraction(3, 4), random_protocol("general", 2, 2, 2, rng))))
-    nested = ProtocolMixture(((Fraction(1, 2), valid),
-                              (Fraction(1, 2), random_protocol("oneway", 2, 2, 2, rng))))
+    valid = unchecked(ProtocolMixture, components=(
+        (Fraction(1, 4), random_ordered(2, 2, 2, rng)),
+        (Fraction(3, 4), random_protocol("general", 2, 2, 2, rng))))
+    nested = unchecked(ProtocolMixture, components=(
+        (Fraction(1, 2), valid), (Fraction(1, 2), random_protocol("oneway", 2, 2, 2, rng))))
     mix = ProtocolMixture(((Fraction(1, 3), sig), (Fraction(2, 3), random_ordered(2, 2, 1, rng))))
     ots = (leaky_ot(), random_protocol("ot", 2, 2, 3, rng), ordered_to_ot(random_ordered(2, 2, 2, rng)))
     f = random_table(2, 2, rng)

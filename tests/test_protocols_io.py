@@ -1,4 +1,4 @@
-"""Structural validation and text serialization round-trips."""
+"""Valid-by-construction protocols and text serialization round-trips."""
 
 import dataclasses
 import hashlib
@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from nlbox.cli import parse_circuit
 from nlbox.compilers import and_from_oneway, ordered_to_ot, oneway_optimal
 from nlbox.correlations import parse_correlation
-from nlbox.engine import (ProtocolError, error_profile, exec_exact, exec_sample,
-                          nonsignaling_audit, sample_counts)
+from nlbox.engine import ProtocolError, exec_exact
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (BITS, FRACS, INTS, PAIRS, GeneralNlbProtocol, OneWayProtocol,
-                             OrderedNlbProtocol, ProtocolMixture, layout, validate)
+                             OrderedNlbProtocol, OtProtocol, ProtocolMixture, layout, validate)
 from nlbox.serialize import ParseError, parse, serialize
-from nlbox.truthtable import content_lines, format_truth_table, ip_table, parse_truth_table
+from nlbox.truthtable import (TruthTable, content_lines, format_truth_table, ip_table,
+                              parse_truth_table)
 from util import KINDS, TRUTH_TABLE_BAD_HEADERS, mutated, random_ordered, \
     random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
 
@@ -111,22 +111,37 @@ def _replace(obj, path, new):
     return dataclasses.replace(obj, **{key: _replace(getattr(obj, key), rest, new)})
 
 
+def _label(p, path) -> str:
+    """The layout label of the table at path in p (of its field, for a
+    field of one table per box), through mixture components."""
+    while path[0] == "components":
+        p, path = p.components[path[1]][1], path[3:]
+    labels = {index: label for label, field, index, *_ in layout(type(p), p.nx, p.ny, p.t, p)
+              if field == path[0]}
+    if None in labels:
+        return labels[None]
+    return labels[path[1]] if len(path) > 1 else labels[0].rsplit(" ", 1)[0]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_validate_reports_every_malformed_table(kind):
     """Each table, row or pair truncated, extended by a copy of its last
     entry, replaced by a 0-d array, or with one entry set to 2^t (2 for
     t = 1; the first value outside every table's range), -1, 2^70, 0.0,
-    1.0, 1+0j or Fraction(1) is reported, and validate never raises: the
-    constructor keeps such a table as given instead of a uint8 cast
-    wrapping its cells or iterating a 0-d array.  An array table with
-    its first or last cell set to 2^t in its own dtype, which needs no
-    cast, or copied as float64 is reported too."""
+    1.0, 1+0j or Fraction(1) is a ProtocolError at construction that
+    names its table's label (OT weights: the rule they break), never a
+    uint8 cast wrapping its cells or iterating a 0-d array.  An array
+    table with its first or last cell set to 2^t in its own dtype, which
+    needs no cast, or copied as float64 is refused too."""
     rng = random.Random(kind)
     for nx, ny, t in ((1, 1, 1), (1, 2, 2)):
         p = random_protocol(kind, nx, ny, t, rng)
         tables = list(_tables(p))
         assert any(isinstance(tab, np.ndarray) for _path, tab in tables)
         for path, tab in tables:
+            label = re.escape(_label(p, path))
+            if label == "rweights":  # or the weight rule it breaks
+                label += r"|(\w+ )?private-randomness"
             bad = [tab[:-1], (*tab, tab[-1]), np.array(5)]
             # skipping an entry given as it already is: an OT weight of 1
             bad += [(*tab[:i], cell, *tab[i + 1:])
@@ -139,8 +154,8 @@ def test_validate_reports_every_malformed_table(kind):
             if isinstance(tab, np.ndarray):
                 bad.append(tab.astype(np.float64))
             for new in bad:
-                q = _replace(p, path, new)
-                assert validate(q), (path, new)
+                with pytest.raises(ProtocolError, match=f"^invalid protocol: (.*; )?({label})"):
+                    _replace(p, path, new)
 
 
 # entries a table can be given, well-formed or not
@@ -185,9 +200,10 @@ def _assert_canonical(p):
        t=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_every_protocol_validate_accepts_is_canonical_and_runs(kind, nx, ny, t, seed, data):
     # one table of a random protocol given another way, or with one entry
-    # replaced: validate never raises, and a protocol it accepts holds
-    # only the constructors' arrays, round-trips through the text format
-    # and runs in the exact engine, as its parsed copy does
+    # replaced: the constructor raises ProtocolError and nothing else, or
+    # builds a protocol that holds only the constructors' arrays, keeps
+    # validate's rules, round-trips through the text format and runs in
+    # the exact engine, as its parsed copy does
     p = random_protocol(kind, nx, ny, t, random.Random(seed))
     if tables := list(_tables(p)):
         path, tab = data.draw(st.sampled_from(tables))
@@ -199,9 +215,11 @@ def test_every_protocol_validate_accepts_is_canonical_and_runs(kind, nx, ny, t, 
                 new = data.draw(st.sampled_from(_FORMS))(tab)
             except ValueError:  # a tree round's rows of two widths
                 new = tab
-        p = _replace(p, path, new)
-    if validate(p):
-        return
+        try:
+            p = _replace(p, path, new)
+        except ProtocolError:
+            return
+    assert validate(p) == []
     _assert_canonical(p)
     q = parse(serialize(p))
     assert q == p and hash(q) == hash(p)
@@ -212,26 +230,57 @@ def test_every_protocol_validate_accepts_is_canonical_and_runs(kind, nx, ny, t, 
 
 def test_validate_names_the_malformed_table():
     """Leaf rows, rounds, OT output bits, non-table entries and tables
-    beyond t are each reported under their label or field."""
+    beyond t are each refused under their label."""
+    def refused(match, build):
+        with pytest.raises(ProtocolError, match=f"^invalid protocol: {match}"):
+            build()
     tree = random_tree(1, 1, 2, RNG)
-    short_leaf = dataclasses.replace(tree, out_a=((0,), *tree.out_a[1:]))
-    assert any(e.startswith("outA: row 0") for e in validate(short_leaf))
-    fewer_rounds = dataclasses.replace(tree, direction=tree.direction[:1],
-                                       bit=tree.bit[:1])
-    assert "direction: expected 2 tables" in validate(fewer_rounds)
+    refused("outA: ragged table$",
+            lambda: dataclasses.replace(tree, out_a=((0,), *tree.out_a[1:])))
+    refused("dir: expected 2 tables; bit: expected 2 tables$",
+            lambda: dataclasses.replace(tree, direction=tree.direction[:1], bit=tree.bit[:1]))
+    refused(re.escape("bit 1: row 0: 1 entries, expected 2: not total"), lambda: dataclasses.replace(
+        tree, bit=(tree.bit[0], ((0,), *tree.bit[1][1:]))))
     ot = ordered_to_ot(disj_det_protocol(1))
-    bad_out = dataclasses.replace(ot, out_a=((2, *ot.out_a[0][1:]), *ot.out_a[1:]))
-    assert any(e.startswith("outA: row 0: entry") for e in validate(bad_out))
-    bad_cell = dataclasses.replace(ot, out_a=np.array([[0, 1], [1, 2]], np.uint8))
-    assert "outA: row 1: entry not of type bits" in validate(bad_cell)
+    refused("outA: entry not of type bits$", lambda: dataclasses.replace(
+        ot, out_a=((2, *ot.out_a[0][1:]), *ot.out_a[1:])))
+    refused("outA: entry not of type bits$", lambda: dataclasses.replace(
+        ot, out_a=np.array([[0, 1], [1, 2]], np.uint8)))
     xor = ip_protocol(1)
-    assert any(e.startswith("pbox 0: not a table")
-               for e in validate(dataclasses.replace(xor, pbox=(2,))))
-    bad_box = dataclasses.replace(xor, pbox=np.array([[0, 2]], np.uint8))
-    assert "pbox 0: entry not of type bits" in validate(bad_box)
+    refused("pbox 0: not a table$", lambda: dataclasses.replace(xor, pbox=(2,)))
+    refused("pbox 0: entry not of type bits$",
+            lambda: dataclasses.replace(xor, pbox=np.array([[0, 2]], np.uint8)))
     no_boxes = random_protocol("parallel", 1, 1, 0, RNG)
-    extra = dataclasses.replace(no_boxes, pbox=((0, 1),))
-    assert any(e.startswith("pbox: expected 0") for e in validate(extra))
+    refused("pbox: expected 0 tables$", lambda: dataclasses.replace(no_boxes, pbox=((0, 1),)))
+
+
+def test_constructors_refuse_the_tables_that_ran_wrong():
+    # an outA cell of 2 ran to an output bit of 2 and was written as a 1;
+    # a tuple localA holding a 5 ended error_profile and serialize in an
+    # IndexError and an AttributeError; a ragged step table and a float
+    # output table reached the engine
+    p = disj_det_protocol(1)
+    for bad, want in ((dict(out_a=np.array([[0, 2], [1, 0]], np.uint8)), "outA: entry not"),
+                      (dict(step_a=(((0,), (0, 1)),)), "stepA 0: ragged table"),
+                      (dict(out_a=np.asarray(p.out_a, np.float64)), "outA: entry not")):
+        with pytest.raises(ProtocolError, match=f"^invalid protocol: {want}"):
+            dataclasses.replace(p, **bad)
+    with pytest.raises(ProtocolError, match="^invalid protocol: localA: entry not of type bits$"):
+        dataclasses.replace(ip_protocol(1), local_a=(0, 5))
+    with pytest.raises(ProtocolError, match="^int is not a protocol kind$"):
+        exec_exact(5, 0, 0)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 0), (2, 0), (0, -1), (0, 4)])
+def test_tree_and_table_refuse_inputs_outside_the_domain(x, y):
+    # -1 would wrap to the last row, and 2^n index past it
+    domain = re.escape("outside 0 <= x < 2^1, 0 <= y < 2^2")
+    tree = random_tree(1, 2, 2, RNG)
+    for call in (tree.transcript, tree.evaluate):
+        with pytest.raises(ProtocolError, match=f"^input {domain}$"):
+            call(x, y)
+    with pytest.raises(ValueError, match=f"^entry {domain}$"):
+        TruthTable(1, 2, (0b1010, 0b0110)).entry(x, y)
 
 
 def test_parse_errors_on_oversized_header():
@@ -384,48 +433,42 @@ def test_validate_rejects_future_reading_step():
     p = random_ordered(1, 1, 2, RNG)
     # widen step 0's table so it would depend on a not-yet-seen outcome
     bad_step_a = ((tuple((0, 1) for _x in range(2))),) + p.step_a[1:]
-    bad = OrderedNlbProtocol(p.nx, p.ny, p.t, bad_step_a, p.step_b,
-                             p.out_a, p.out_b)
-    assert any("future" in e for e in validate(bad))
+    with pytest.raises(ProtocolError, match="stepA 0: .*future"):
+        OrderedNlbProtocol(p.nx, p.ny, p.t, bad_step_a, p.step_b, p.out_a, p.out_b)
 
 
 def test_validate_rejects_bad_mixture_weights():
     comp = ip_protocol(1)
-    bad = ProtocolMixture(((HALF, comp), (Fraction(1, 3), comp)))
-    assert validate(bad) == ["mixture: weights sum to 5/6, not 1"]
-    neg = ProtocolMixture(((Fraction(3, 2), comp), (-HALF, comp)))
-    assert validate(neg) == ["mixture: nonpositive weight"]
-    # weights that are no rational number are reported, not raised on;
-    # so are the OT randomness weights, and components that are no
-    # (weight, protocol) pairs, hold no protocol or are none.  The audit
-    # that rests on validate refuses them, and the exact and sampling
-    # entry points name the structure validate reports
-    f = ip_table(1)
+
+    def refused(components, errs):
+        with pytest.raises(ProtocolError, match=f"^{re.escape('invalid protocol: ' + '; '.join(errs))}$"):
+            ProtocolMixture(components)
+    refused(((HALF, comp), (Fraction(1, 3), comp)), ["mixture: weights sum to 5/6, not 1"])
+    refused(((Fraction(3, 2), comp), (-HALF, comp)), ["mixture: nonpositive weight"])
+    # weights that are no rational number, components that are no
+    # (weight, protocol) pairs, hold no protocol, or are none, and
+    # components of two kinds or widths are refused in validate's words
     not_pairs = "mixture: components not (weight, protocol) pairs"
     cases = [(((w, comp), (HALF, comp)), ["mixture: weight not a rational number"])
              for w in ("1", None, 0.5, (1, 2))]
     cases += [(((HALF,),), [not_pairs]), (5, [not_pairs]), ((), ["mixture: no components"]),
               (((HALF, None), (HALF, None)), ["NoneType is not a protocol kind"] * 2),
-              (((HALF, comp), (HALF, ProtocolMixture(5))),
-               ["mixture: components of mixed kinds", not_pairs])]
+              (((HALF, comp), (HALF, oneway_optimal(ip_table(1)))),
+               ["mixture: components of mixed kinds"]),
+              (((HALF, comp), (HALF, ip_protocol(2))),
+               ["mixture: components disagree on dimensions or box count"])]
     for components, errs in cases:
-        mix = ProtocolMixture(components)
-        assert validate(mix) == errs
-        with pytest.raises(ProtocolError, match="invalid protocol"):
-            nonsignaling_audit(mix)
-        for call in (lambda: exec_exact(mix, 0, 0), lambda: error_profile(mix, f),
-                     lambda: sample_counts(mix, 0, 0, 1, 4), lambda: exec_sample(mix, 0, 0, 1)):
-            with pytest.raises(ProtocolError, match=f"^{re.escape(errs[-1])}$"):
-                call()
+        refused(components, errs)
     ot = ordered_to_ot(disj_det_protocol(1))
     assert validate(ot) == []
     for weights in (("1",), (HALF, "1"), (None, HALF), (0.5, 0.5)):
-        errs = validate(dataclasses.replace(ot, r_weights=weights))
-        assert "private-randomness weight not a rational number" in errs
+        with pytest.raises(ProtocolError, match="private-randomness weight not a rational number"):
+            dataclasses.replace(ot, r_weights=weights)
     for weights, err in (((HALF, HALF, HALF), "private-randomness weights do not sum to 1"),
                          ((Fraction(3, 2), -HALF), "nonpositive private-randomness weight"),
                          ((), "empty private-randomness domain")):
-        assert err in validate(dataclasses.replace(ot, r_weights=weights))
+        with pytest.raises(ProtocolError, match=err):
+            dataclasses.replace(ot, r_weights=weights)
 
 
 def test_mixture_given_a_list_is_the_protocol_it_writes():
@@ -441,34 +484,31 @@ def test_mixture_given_a_list_is_the_protocol_it_writes():
 @pytest.mark.parametrize("value", [1.0, None, "1", Fraction(1)])
 @pytest.mark.parametrize("dim", ["nx", "ny", "t"])
 def test_validate_reports_non_integer_dimensions(dim, value):
-    bad = dataclasses.replace(ip_protocol(1), **{dim: value})
-    assert validate(bad) == ["input width or box count not an integer"]
-    assert validate(ProtocolMixture(((Fraction(1), bad),))) == validate(bad)
-    with pytest.raises(ProtocolError, match="invalid protocol: input width"):
-        nonsignaling_audit(bad)
-    for call in (lambda: exec_exact(bad, 0, 0), lambda: sample_counts(bad, 0, 0, 1, 4)):
-        with pytest.raises(ProtocolError, match="^input width or box count not an integer$"):
-            call()
+    with pytest.raises(ProtocolError,
+                       match="^invalid protocol: input width or box count not an integer$"):
+        dataclasses.replace(ip_protocol(1), **{dim: value})
 
 
 def test_validate_rejects_bad_schedule():
     ordered = xor_as_ordered(ip_protocol(2))
-    for sched in ((0, 0), (0, "1"), (None, 0), (1.0, 0), ((0, 1), 1)):
-        bad = GeneralNlbProtocol(ordered.nx, ordered.ny, ordered.t,
-                                 sched, ordered.step_a,
-                                 (0, 1), ordered.step_b,
-                                 ordered.out_a, ordered.out_b)
-        assert validate(bad) == ["schedA: not a permutation of box labels"]
-        # the audit rests on validate: an invalid protocol, not a TypeError
-        with pytest.raises(ProtocolError, match="invalid protocol: schedA"):
-            nonsignaling_audit(bad)
+    # a repeated label, or an entry of no integer: an invalid protocol,
+    # not a TypeError
+    for sched, err in (((0, 0), "not a permutation of box labels"),
+                       ((0, "1"), "entry not of type ints"), ((None, 0), "entry not of type ints"),
+                       ((1.0, 0), "entry not of type ints"), (((0, 1), 1), "ragged table")):
+        with pytest.raises(ProtocolError, match=f"^invalid protocol: schedA: {err}$"):
+            GeneralNlbProtocol(ordered.nx, ordered.ny, ordered.t, sched, ordered.step_a,
+                               (0, 1), ordered.step_b, ordered.out_a, ordered.out_b)
 
 
 def test_validate_rejects_out_of_range_message():
     p = oneway_optimal(ip_table(1))
-    for msg in ((0, 1 << p.t), (0, -1), (None, 0), ("1", 0), (0, 0.5)):
-        bad = OneWayProtocol(p.nx, p.ny, p.t, msg, p.out_a, p.out_b)
-        assert validate(bad) == ["msg value outside the t-bit message space"]
+    for msg, err in (((0, 1 << p.t), " value outside the t-bit message space"),
+                     ((0, -1), " value outside the t-bit message space"),
+                     ((None, 0), ": entry not of type ints"), (("1", 0), ": entry not of type ints"),
+                     ((0, 0.5), ": entry not of type ints")):
+        with pytest.raises(ProtocolError, match=f"^invalid protocol: msg{err}$"):
+            OneWayProtocol(p.nx, p.ny, p.t, msg, p.out_a, p.out_b)
 
 
 def test_validate_rejects_desynchronized_ot():
@@ -476,7 +516,5 @@ def test_validate_rejects_desynchronized_ot():
     # choice table of call 1 reading two received bits instead of one
     bad_in_b = (ot.in_b[0],
                 tuple(tuple(row) + (0, 0) for row in ot.in_b[1]))
-    from nlbox.protocols import OtProtocol
-    bad = OtProtocol(ot.nx, ot.ny, ot.t, ot.r_weights, ot.in_a, bad_in_b,
-                     ot.out_a, ot.out_b)
-    assert any("future" in e for e in validate(bad))
+    with pytest.raises(ProtocolError, match="inB 1: .*future"):
+        OtProtocol(ot.nx, ot.ny, ot.t, ot.r_weights, ot.in_a, bad_in_b, ot.out_a, ot.out_b)

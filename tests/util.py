@@ -143,6 +143,31 @@ def random_protocol(kind: str, nx: int, ny: int, t: int, rng: random.Random):
                                  for w in weights))
 
 
+# the fields of one table per box, each a tuple of tables
+_PER_BOX = {"pbox", "qbox", "step_a", "step_b", "in_a", "in_b"}
+
+
+def unchecked(kind, **fields):
+    """A protocol of kind holding fields, built without the constructor's
+    checks (object.__new__): each table a read-only uint8 array, as is
+    each table of a field of one per box; widths, OT weights and mixture
+    components as given.  Tables and mixtures no valid protocol holds
+    (cells of 2 or 255, components of mixed kinds or widths) reach the
+    engine and the oracles this way."""
+    def frozen(tab):
+        a = np.array(tab, np.uint8)
+        a.setflags(write=False)
+        return a
+    p = object.__new__(kind)
+    for name, value in fields.items():
+        if name in _PER_BOX:
+            value = tuple(map(frozen, value))
+        elif name not in ("nx", "ny", "t", "r_weights", "components"):
+            value = frozen(value)
+        object.__setattr__(p, name, value)
+    return p
+
+
 _FUZZ_TOKENS = st.sampled_from(
     ["", " ", "\n", "#", "/", "=", "x", "0", "1", "-1", "2", "9", "1/0",
      "0/0", "-1/0", "0/1", "1/2", "a", "b", "ab", "input", "and", "xor",
