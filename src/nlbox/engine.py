@@ -202,11 +202,11 @@ def _leaves(p, w=Fraction(1)) -> list:
 
 
 def _check_inputs(leaves, x, y) -> None:
-    """A ProtocolError unless 0 <= x < 2^nx and 0 <= y < 2^ny in each leaf (w, p)."""
-    lo, x_hi, y_hi = int(min(x.min(), y.min())), int(x.max()), int(y.max())
-    for _w, c in leaves:
-        if lo < 0 or x_hi >> c.nx or y_hi >> c.ny:
-            raise ProtocolError(f"input outside 0 <= x < 2^{c.nx}, 0 <= y < 2^{c.ny}")
+    """A ProtocolError unless 0 <= x < 2^nx and 0 <= y < 2^ny, the widths
+    that every leaf (w, p) of a protocol shares."""
+    c = leaves[0][1]
+    if int(min(x.min(), y.min())) < 0 or int(x.max()) >> c.nx or int(y.max()) >> c.ny:
+        raise ProtocolError(f"input outside 0 <= x < 2^{c.nx}, 0 <= y < 2^{c.ny}")
 
 
 def _tally(leaves, x, y, key):
