@@ -239,8 +239,8 @@ def test_validate_names_the_malformed_table():
             lambda: dataclasses.replace(tree, out_a=((0,), *tree.out_a[1:])))
     refused("dir: expected 2 tables; bit: expected 2 tables$",
             lambda: dataclasses.replace(tree, direction=tree.direction[:1], bit=tree.bit[:1]))
-    refused(re.escape("bit 1: row 0: 1 entries, expected 2: not total"), lambda: dataclasses.replace(
-        tree, bit=(tree.bit[0], ((0,), *tree.bit[1][1:]))))
+    refused(re.escape("bit 1: row 0: 1 entries, expected 2: not total"),
+            lambda: dataclasses.replace(tree, bit=(tree.bit[0], ((0,), *tree.bit[1][1:]))))
     ot = ordered_to_ot(disj_det_protocol(1))
     refused("outA: entry not of type bits$", lambda: dataclasses.replace(
         ot, out_a=((2, *ot.out_a[0][1:]), *ot.out_a[1:])))
@@ -441,7 +441,8 @@ def test_validate_rejects_bad_mixture_weights():
     comp = ip_protocol(1)
 
     def refused(components, errs):
-        with pytest.raises(ProtocolError, match=f"^{re.escape('invalid protocol: ' + '; '.join(errs))}$"):
+        want = re.escape("invalid protocol: " + "; ".join(errs))
+        with pytest.raises(ProtocolError, match=f"^{want}$"):
             ProtocolMixture(components)
     refused(((HALF, comp), (Fraction(1, 3), comp)), ["mixture: weights sum to 5/6, not 1"])
     refused(((Fraction(3, 2), comp), (-HALF, comp)), ["mixture: nonpositive weight"])
@@ -505,8 +506,8 @@ def test_validate_rejects_out_of_range_message():
     p = oneway_optimal(ip_table(1))
     for msg, err in (((0, 1 << p.t), " value outside the t-bit message space"),
                      ((0, -1), " value outside the t-bit message space"),
-                     ((None, 0), ": entry not of type ints"), (("1", 0), ": entry not of type ints"),
-                     ((0, 0.5), ": entry not of type ints")):
+                     ((None, 0), ": entry not of type ints"),
+                     (("1", 0), ": entry not of type ints"), ((0, 0.5), ": entry not of type ints")):
         with pytest.raises(ProtocolError, match=f"^invalid protocol: msg{err}$"):
             OneWayProtocol(p.nx, p.ny, p.t, msg, p.out_a, p.out_b)
 
