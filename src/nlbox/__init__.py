@@ -16,7 +16,7 @@ from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
 from .serialize import ParseError, parse, serialize
 from .engine import (AuditViolation, ErrorProfile, OutcomeDistribution,
                      ProtocolError, ResourceLimitError, error_profile,
-                     exec_exact, exec_sample, nonsignaling_audit,
+                     exact_laws, exec_exact, exec_sample, nonsignaling_audit,
                      privacy_audit_and, privacy_audit_ot)
 from .compilers import (DistributedCircuit, InputWire,
                         and_from_oneway, circuit_to_nlb, d_oneway,

@@ -12,10 +12,12 @@ joint law for every interleaving of the two schedules, because the XOR
 constraint is symmetric.  So a run on (x, y) is a function of one
 integer v: Alice's outcomes u packed in box-label order (box kinds), her
 randomness index r (OT), or 0 (deterministic kinds).  ``_kernel(p)`` is
-that function for each kind, on same-length numpy arrays (x, y, v).
-Exact laws, error tables and the OT audit read one ``_tally``: a key's
-law over every input and branch they need, in integers, then one Fraction
-per outcome; the sampler draws a batch of runs' randomness and runs it.
+that function for each kind, on same-length numpy arrays (x, y, v) or on
+the grid of inputs (a column) by branches (a row).  Exact laws
+(``exact_laws`` over many input pairs, ``exec_exact`` on one), error
+tables and the OT audit read one ``_tally``: a key's law over every input
+and branch they need, in integers, then one Fraction per outcome; the
+sampler draws a batch of runs' randomness and runs it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
 # runs evaluated at once, so the arrays stay small and in cache
-_BATCH = 1 << 14
+_BATCH_T = 14
+_BATCH = 1 << _BATCH_T
 
 
 class ResourceLimitError(RuntimeError):
@@ -47,13 +50,19 @@ class ResourceLimitError(RuntimeError):
 
 
 def _limit_t() -> int:
-    return int(os.environ.get("NLBOX_LIMIT_T", DEFAULT_LIMIT_T))
+    """NLBOX_LIMIT_T, the largest t whose 2^t branches are enumerated: a
+    nonnegative decimal integer, else a ValueError naming it."""
+    value = os.environ.get("NLBOX_LIMIT_T")
+    if value is None:
+        return DEFAULT_LIMIT_T
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"NLBOX_LIMIT_T={value!r} is not a nonnegative decimal integer")
+    return int(value)
 
 
 def _check_limit(t: int) -> None:
-    if t > _limit_t():
-        raise ResourceLimitError(
-            f"2^{t} branch enumeration exceeds the t<={_limit_t()} limit")
+    if t > (limit := _limit_t()):
+        raise ResourceLimitError(f"2^{t} branch enumeration exceeds the t<={limit} limit")
 
 
 @dataclass(frozen=True)
@@ -111,15 +120,20 @@ def _at(tab, *index) -> np.ndarray:
 
 
 def _kernel(p):
-    """The runs of a protocol on same-length arrays (x, y, v).  Box kinds
-    give (a, b, bvec, pin, qin) for Alice's outcomes u = v, Bob's being
-    bvec = u ^ (pin & qin); u is int64, or of Python ints for parallel
+    """The runs of a protocol, called two ways: the sampler passes
+    same-length 1-D arrays (x, y, v), one run per entry; the exact tally
+    passes the grid, x and y as columns of inputs and v as a row of every
+    branch value in order (every u < 2^t for box kinds, 0 and 1 for
+    parallel XOR, every r for OT, 0 for the rest), and the outputs
+    broadcast to (inputs, branches).  Box kinds give (a, b, bvec, pin,
+    qin) for Alice's outcomes u = v, Bob's being bvec = u ^ (pin & qin),
+    but the ordered kernel gives (a, b, bvec) on the grid, where no key
+    reads the boxes' inputs; u is int64, or of Python ints for parallel
     XOR from t = 63 on.  OT gives (a, b, received) for r = v, the bits
     Bob received packed by call; AND gives (a, b, gates); one-way and
     tree protocols give (a, b).  The kernel indexes the tables directly,
     through _at; a and b are uint8 bits read off them, and any bit it
-    shifts is first widened to int64, since a uint8 shift wraps at 8
-    bits."""
+    shifts is first widened, since a uint8 shift wraps at 8 bits."""
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol, AndProtocol)):
         pins, qins = _packed(p.pbox, 1 << p.nx), _packed(p.qbox, 1 << p.ny)
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
@@ -135,37 +149,59 @@ def _kernel(p):
                 a, b = _at(p.out_a, x, u), _at(p.out_b, y, bvec)
             return a, b, bvec, pin, qin
         return run_parallel
-    if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
-        def run_steps(x, y, u):
+    if isinstance(p, OrderedNlbProtocol):
+        def run_ordered(x, y, u):
+            if u.ndim == 2:
+                return run_prefixes(x[:, 0], y)
+            # step i reads the first i outcomes of its own side: one
+            # gather per box and side
             pin, qin = np.zeros_like(u), np.zeros_like(u)
-            if isinstance(p, OrderedNlbProtocol):
-                # step i reads the first i outcomes of its own side: one
-                # gather per box and side
-                for i, (sa, sb) in enumerate(zip(p.step_a, p.step_b)):
-                    mask = (1 << i) - 1
-                    pin |= _at(sa, x, u & mask).astype(np.int64) << i
-                    qin |= _at(sb, y, (u ^ (pin & qin)) & mask).astype(np.int64) << i
-            else:
-                # each side reads its outcomes so far in its own touch
-                # order; Alice's inputs depend on u alone, so hers come first
-                obs = np.zeros_like(u)
-                for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
-                    pin |= _at(sa, x, obs).astype(np.int64) << label
-                    obs |= ((u >> label) & 1) << pos
-                obs = np.zeros_like(u)
-                for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
-                    q = _at(sb, y, obs).astype(np.int64)
-                    qin |= q << label
-                    obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
+            for i, (sa, sb) in enumerate(zip(p.step_a, p.step_b)):
+                mask = (1 << i) - 1
+                pin |= _at(sa, x, u & mask).astype(np.int64) << i
+                qin |= _at(sb, y, (u ^ (pin & qin)) & mask).astype(np.int64) << i
             bvec = u ^ (pin & qin)
             return _at(p.out_a, x, u), _at(p.out_b, y, bvec), bvec, pin, qin
-        return run_steps
+
+        def run_prefixes(x, y):
+            """(a, b, bvec) for every u < 2^t: step i runs on the 2^i
+            prefixes of u alone, Alice's inputs being row x of step_a[i].
+            Bob's outcomes on the prefixes are the only state, and they
+            double after each step: u and u + 2^i share their prefix, and
+            Bob's bit i is u's XOR the box's AND."""
+            bvec = np.zeros((len(x), 1 << p.t), np.int64)
+            for i, (sa, sb) in enumerate(zip(p.step_a, p.step_b)):
+                pre = bvec[:, :1 << i]
+                pre |= np.left_shift(sa[x] & _at(sb, y, pre), i, dtype=np.int64)
+                np.bitwise_xor(pre, 1 << i, out=bvec[:, 1 << i:2 << i])
+            return p.out_a[x], _at(p.out_b, y, bvec), bvec
+        return run_ordered
+    if isinstance(p, GeneralNlbProtocol):
+        def run_general(x, y, u):
+            # each side reads its outcomes so far in its own touch order;
+            # Alice's inputs depend on u alone, so hers come first
+            shape = np.broadcast_shapes(x.shape, y.shape, u.shape)
+            pin, qin, obs = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros_like(u)
+            for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
+                pin |= _at(sa, x, obs).astype(np.int64) << label
+                obs |= ((u >> label) & 1) << pos
+            obs = np.zeros(shape, np.int64)
+            for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
+                q = _at(sb, y, obs).astype(np.int64)
+                qin |= q << label
+                obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
+            bvec = u ^ (pin & qin)
+            return _at(p.out_a, x, u), _at(p.out_b, y, bvec), bvec, pin, qin
+        return run_general
     if isinstance(p, OtProtocol):
         def run_ot(x, y, r):
-            received = np.zeros_like(r)
+            # Alice's pair for (x, r) at the same cell of every call's table
+            base = (x * len(p.r_weights) + r) * 2
+            received = np.zeros_like(base)
             for i, (pairs, choices) in enumerate(zip(p.in_a, p.in_b)):
-                choice = _at(choices, y, received & ((1 << i) - 1))
-                received |= _at(pairs, x, r, choice).astype(np.int64) << i
+                # received holds the bits of calls before i alone
+                bit = pairs.reshape(-1)[base + _at(choices, y, received)]
+                received |= np.left_shift(bit, i, dtype=np.int64)
             return _at(p.out_a, x, r), _at(p.out_b, y, received), received
         return run_ot
     if isinstance(p, OneWayProtocol):
@@ -211,68 +247,113 @@ def _check_inputs(leaves, x, y) -> None:
 
 def _tally(leaves, x, y, key):
     """The law of key(j, *outs) over the branches of each input (x[j], y[j])
-    run through the kernel of each leaf (w, protocol), drawing v with
-    weight w times v's: OT's r by its weights, box kinds' u uniform
+    run through the kernel of each leaf (w, protocol) on the grid, drawing
+    v with weight w times v's: OT's r by its weights, box kinds' u uniform
     (parallel XOR's in {0, 1}: no key reads its bvec, pin or qin, and its
-    outputs only u's parity), else 0.  Returns the weights' denominator
-    and, per chunk of whole inputs in order (one, or as many as fit
-    2^NLBOX_LIMIT_T and _BATCH runs), the distinct keys, sorted, and row
-    i of their integer weights on its input i.  Keys in [0, k), at most 4
-    cells per run (all but Python-int keys, from t = 63 on, and OT
-    receipts of sparse randomness), index their own columns, empty ones
-    dropped; np.unique sorts any others, which at 8 cells per run is
-    already faster."""
+    outputs only u's parity), else 0.  key gets j as a column and the
+    outputs as (inputs, branches) arrays, and gives one value per run.
+    Returns the weights' denominator and, per chunk of whole inputs in
+    order (one, or as many as fit 2^NLBOX_LIMIT_T and _BATCH runs), the
+    distinct keys, sorted, and row i of their integer weights on its
+    input i.  A leaf whose runs all carry one weight is counted by
+    np.bincount times that weight, any other by np.add.at.  Keys in
+    [0, k), at most 4 cells per run (all but Python-int keys, from t = 63
+    on, and OT receipts of sparse randomness), index their own columns,
+    empty ones dropped; np.unique sorts any others, which at 8 cells per
+    run is already faster."""
     _check_inputs(leaves, x, y)
-    specs = []
+    specs = []  # (protocol, branches, numerators: one, or one per branch, denominator)
     for w, c in leaves:
         if isinstance(c, OtProtocol):
-            specs.append((c.r_weights if w == 1 else [w * r for r in c.r_weights],
-                          [1] * len(c.r_weights)))
+            nums, den = c.r_ints
+            one = nums.count(nums[0]) == len(nums)
+            specs.append((c, len(nums), [w.numerator * n for n in (nums[:1] if one else nums)],
+                          w.denominator * den))
             continue
         t = (min(c.t, 1) if isinstance(c, ParallelXorProtocol)
              else c.t if isinstance(c, NLB_KINDS) else 0)
         _check_limit(t)
-        specs.append(([w / (1 << t)], [1 << t]))
-    den = math.lcm(*(b.denominator for bs, _n in specs for b in bs))
-    ints = [[b.numerator * (den // b.denominator) for b in bs] for bs, _n in specs]
+        specs.append((c, 1 << t, [w.numerator], w.denominator << t))
+    den = math.lcm(*(d for *_c, d in specs))
+    ints = [[n * (den // d) for n in nums] for _c, _n, nums, d in specs]
+    # each input's weights sum to total, and every cell holds part of it:
     # Python ints where int64 could overflow
-    big = max(abs(n) for ns in ints for n in ns) * sum(sum(n) for _b, n in specs) >= 1 << 63
-    runs = [(_kernel(c), np.repeat(np.array(ns, dtype=object if big else np.int64), sizes))
-            for (_w, c), ns, (_b, sizes) in zip(leaves, ints, specs)]
-    step = max(1, min(1 << _limit_t(), _BATCH) // sum(len(n) for _run, n in runs))
+    total = sum(ns[0] * n if len(ns) == 1 else sum(ns) for ns, (_c, n, *_) in zip(ints, specs))
+    dtype = object if total >= 1 << 63 else np.int64
+    runs = [(_kernel(c), np.arange(n)[None], ns[0] if len(ns) == 1 else np.array(ns, dtype))
+            for ns, (c, n, *_) in zip(ints, specs)]
+    step = max(1, (1 << min(_limit_t(), _BATCH_T)) // sum(v.size for _run, v, _ns in runs))
 
     def chunks():
         for lo in range(0, len(x), step):
-            rows, parts = min(step, len(x) - lo), []
-            for run, n in runs:
-                i, v = np.divmod(np.arange(rows * len(n)), len(n))
-                j = i + lo
-                # outs lives to the next run, or its freed pages fault back in
-                outs = run(x[j], y[j], v)
-                parts.append((i, n[v], key(j, *outs)))
-            i, nums, keys = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-            k = int(keys.max()) + 1 if keys.dtype != object else None
-            if k is not None and rows * k <= 4 * len(keys) and keys.min() >= 0:
-                laws = np.zeros((rows, k), dtype=nums.dtype)
-                i *= k  # each run's flat cell, in place: one array fewer to fault in
-                np.add.at(laws.reshape(-1), np.add(i, keys, out=i), nums)
-                used = np.flatnonzero((laws != 0).any(0))
-                yield used, laws[:, used]
+            hi = min(lo + step, len(x))
+            j, parts = np.arange(lo, hi)[:, None], []
+            for run, v, weight in runs:
+                # outs lives to the end of the chunk, or its freed pages
+                # fault back in
+                outs = run(x[lo:hi, None], y[lo:hi, None], v)
+                parts.append((key(j, *outs), weight, outs))
+            cols = [ks for ks, *_ in parts]
+            k = (max(int(ks.max()) for ks in cols) + 1
+                 if all(ks.dtype != object for ks in cols) else None)
+            if (k is not None and (hi - lo) * k <= 4 * sum(ks.size for ks in cols)
+                    and min(int(ks.min()) for ks in cols) >= 0):
+                labels = None
             else:
-                uniq, col = np.unique(keys, return_inverse=True)
-                laws = np.zeros((rows, len(uniq)), dtype=nums.dtype)
-                np.add.at(laws, (i, col), nums)
-                yield uniq, laws
+                labels, col = np.unique(np.concatenate([ks.ravel() for ks in cols]),
+                                        return_inverse=True)
+                ends = np.cumsum([ks.size for ks in cols])
+                cols = [c.reshape(ks.shape) for c, ks in zip(np.split(col, ends[:-1]), cols)]
+                k = len(labels)
+            size, laws = (hi - lo) * k, None
+            for c, (_ks, weight, _outs) in zip(cols, parts):
+                cells = np.arange(0, size, k)[:, None] + c  # each run's flat cell
+                if isinstance(weight, np.ndarray):
+                    part = np.zeros(size, dtype)
+                    # broadcast here: numpy 2.4's ufunc.at reads past a
+                    # 1-D array of values that it broadcasts itself
+                    np.add.at(part, cells, np.broadcast_to(weight, cells.shape))
+                else:
+                    part = np.bincount(cells.ravel(), minlength=size).astype(dtype, copy=False)
+                    if weight != 1:
+                        part *= weight
+                laws = part if laws is None else laws + part
+            laws = laws.reshape(hi - lo, k)
+            if labels is None:
+                used = np.flatnonzero((laws != 0).any(0))
+                # laws lives to the next chunk, or its freed pages fault back in
+                yield used, laws if len(used) == k else laws[:, used]
+            else:
+                yield labels, laws
     return den, chunks()
+
+
+def exact_laws(p: Protocol, x=None, y=None) -> list[OutcomeDistribution]:
+    """Exact joint output distribution of the protocol on each input pair
+    (x[j], y[j]) of same-length integer sequences x and y, or on every
+    input, x outer, when both are None: one integer tally over the
+    branches of every protocol a mixture draws."""
+    leaves = _leaves(p)
+    if x is None and y is None:
+        x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
+    x, y = np.asarray(x), np.asarray(y)
+    if x.ndim != 1 or x.shape != y.shape or len(x) and {x.dtype.kind, y.dtype.kind} - {*"iuO"}:
+        raise ProtocolError("x and y must be integer sequences of one length")
+    if not len(x):
+        return []
+    den, chunks = _tally(leaves, x, y, lambda _j, a, b, *_: a << 1 | b)
+    laws = []
+    for keys, rows in chunks:
+        outcomes = [(k >> 1, k & 1) for k in keys.tolist()]
+        laws += [OutcomeDistribution({ab: Fraction(n, den) for ab, n in zip(outcomes, row) if n})
+                 for row in rows.tolist()]
+    return laws
 
 
 def exec_exact(p: Protocol, x: int, y: int) -> OutcomeDistribution:
     """Exact joint output distribution of the protocol on inputs (x, y):
-    one integer tally over the branches of every protocol a mixture draws."""
-    den, ((keys, (total,)),) = _tally(_leaves(p), np.array([x]), np.array([y]),
-                                      lambda _j, a, b, *_: a << 1 | b)
-    return OutcomeDistribution({(k >> 1, k & 1): Fraction(n, den)
-                                for k, n in zip(keys.tolist(), total.tolist())})
+    exact_laws on that one pair."""
+    return exact_laws(p, [x], [y])[0]
 
 
 def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fraction]:
@@ -283,7 +364,7 @@ def ot_received_distribution(p: OtProtocol, x: int, y: int) -> dict[int, Fractio
     den, ((keys, (total,)),) = _tally([(Fraction(1), p)], np.array([x]), np.array([y]),
                                       lambda _j, _a, _b, received: got.append(received) or received)
     total = dict(zip(keys.tolist(), total.tolist()))
-    return {k: Fraction(total[k], den) for k in dict.fromkeys(got[0].tolist())}
+    return {k: Fraction(total[k], den) for k in dict.fromkeys(got[0].ravel().tolist())}
 
 
 # --- sampling ---
@@ -522,8 +603,8 @@ def privacy_audit_and(p: AndProtocol, f: TruthTable) -> AuditViolation | None:
 def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
     """Bob's received bits must be exactly uniform and independent of x:
     on every input, 2^t values of weight 2^-t each.  The witness is the
-    first failure, y outer; the runs go x outer, so that each of Alice's
-    rows, the wide ones, is converted once."""
+    first failure, y outer; the runs go x outer, so that a chunk reads
+    few of Alice's rows, the wide ones."""
     _require(p, OtProtocol, "an OT")
     x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
     den, chunks = _tally([(Fraction(1), p)], x, y, lambda _j, _a, _b, received: received)
@@ -540,7 +621,7 @@ def privacy_audit_ot(p: OtProtocol) -> AuditViolation | None:
 __all__ = [
     "OutcomeDistribution", "ErrorProfile", "AuditViolation",
     "ResourceLimitError", "ProtocolError",
-    "exec_exact", "exec_sample", "error_profile", "validate",
+    "exact_laws", "exec_exact", "exec_sample", "error_profile", "validate",
     "nonsignaling_audit", "privacy_audit_and", "privacy_audit_ot",
     "ot_received_distribution", "sample_counts", "derive_seed",
 ]

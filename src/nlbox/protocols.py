@@ -42,6 +42,10 @@ class _Tables:
     """The checked conversion, equality and hash of every protocol kind."""
 
     def __post_init__(self):
+        self._convert()
+        _check(self)
+
+    def _convert(self):
         for field, (label, cells, ndim, indexed) in _SPECS[type(self)].items():
             tab = getattr(self, field)
             if not indexed:
@@ -53,7 +57,6 @@ class _Tables:
                 tab = tuple(_array(t, ndim, cells, f"{label} {i}")
                             for i, t in enumerate(_rows(tab, label)))
             object.__setattr__(self, field, tab)
-        _check(self)
 
     def _state(self):
         return tuple(_key(getattr(self, f.name)) for f in fields(self))
@@ -208,6 +211,10 @@ class OtProtocol(_Tables):
     Alice's private randomness ranges over ``len(r_weights)`` values.
     Call i: Alice supplies the pair ``in_a[i][x, r]``, Bob supplies the
     choice bit ``in_b[i][y, received]`` from the bits received so far.
+    ``r_ints`` is the weights' integer numerators over one denominator
+    and that denominator, computed once when built, before validate's
+    weight rules read it; it is no field, so equality, hash and text do
+    not read it.
     """
 
     nx: int
@@ -218,6 +225,12 @@ class OtProtocol(_Tables):
     in_b: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, r]
     out_b: np.ndarray  # out_b[y, received]
+
+    def __post_init__(self):
+        self._convert()
+        if self.r_weights and _rational(self.r_weights):
+            object.__setattr__(self, "r_ints", _over_lcm(self.r_weights))
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -423,13 +436,19 @@ def _rational(weights) -> bool:
     return all(issubclass(kind, Rational) for kind in set(map(type, weights)))
 
 
-def _weight_errors(weights, bad_sum: str, nonpositive: str) -> list[str]:
-    """The violations of one or more rational weights that must be
-    positive and sum to 1, summed in integers over the lcm of their
-    denominators; bad_sum is formatted with the sum, a Fraction, if not 1."""
-    nums, dens = [w.numerator for w in weights], [w.denominator for w in weights]
+def _over_lcm(weights) -> tuple[tuple[int, ...], int]:
+    """One or more rational weights as integer numerators over the lcm
+    of their denominators, and that lcm."""
+    dens = [w.denominator for w in weights]
     den = lcm(*set(dens))
-    total = sum(n * (den // d) for n, d in zip(nums, dens))
+    return tuple(w.numerator * (den // d) for w, d in zip(weights, dens)), den
+
+
+def _weight_errors(nums, den: int, bad_sum: str, nonpositive: str) -> list[str]:
+    """The violations of one or more rational weights, as _over_lcm's
+    integer numerators over den, that must be positive and sum to 1;
+    bad_sum is formatted with the sum, a Fraction, if not 1."""
+    total = sum(nums)
     return ([bad_sum.format(Fraction(total, den))] if total != den else []) + (
         [nonpositive] if min(nums) <= 0 else [])
 
@@ -456,8 +475,8 @@ def validate(p) -> list[str]:
             return bad
         if not _rational([w for w, _ in comps]):
             return ["mixture: weight not a rational number"]
-        out = _weight_errors([w for w, _ in comps], "mixture: weights sum to {}, not 1",
-                             "mixture: nonpositive weight")
+        out = _weight_errors(*_over_lcm([w for w, _ in comps]),
+                             "mixture: weights sum to {}, not 1", "mixture: nonpositive weight")
         if len({type(c) for _, c in comps}) > 1:
             out.append("mixture: components of mixed kinds")
         if len({(c.nx, c.ny, c.t) for _, c in comps}) > 1:
@@ -492,7 +511,7 @@ def validate(p) -> list[str]:
         elif not _rational(p.r_weights):
             out.append("private-randomness weight not a rational number")
         else:
-            out += _weight_errors(p.r_weights, "private-randomness weights do not sum to 1",
+            out += _weight_errors(*p.r_ints, "private-randomness weights do not sum to 1",
                                   "nonpositive private-randomness weight")
     return out
 

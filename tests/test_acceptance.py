@@ -8,6 +8,7 @@ the line, so the printed summary always reflects the real outcome.
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nlbox.compilers import (and_from_oneway, oneway_from_and, oneway_optimal,
                              xor_normalize_parallel)
 from nlbox.correlations import CorrelationMatrix, _rt_kernel, make_context, \
     rt_comm, rt_nlb, rt_trials, simulate_distribution
-from nlbox.engine import (error_profile, exec_exact, privacy_audit_and,
+from nlbox.engine import (error_profile, exact_laws, exec_exact, privacy_audit_and,
                           privacy_audit_ot)
 from nlbox.epsrank import EpsRankQuery, eps_rank, verify_witness
 from nlbox.library import (chsh_box_protocol, chsh_classical_optimum,
@@ -207,7 +208,7 @@ def test_criterion_09_measurement_simulation_trials(capsys):
 
 def test_criterion_10_correlation_simulation(capsys):
     rng = random.Random(606)
-    for _ in range(100):
+    for k in range(100):
         entries = []
         for _x in range(4):
             row = []
@@ -217,12 +218,14 @@ def test_criterion_10_correlation_simulation(capsys):
             entries.append(tuple(row))
         c = CorrelationMatrix(tuple(entries))
         mix = simulate_distribution(c)
-        for x in range(4):
-            for y in range(4):
-                dist = exec_exact(mix, x, y)
-                assert dist.parity_prob(1) == c.entries[x][y]
-                assert dist.marginal_a() == {0: HALF, 1: HALF}
-                assert dist.marginal_b() == {0: HALF, 1: HALF}
+        # every input's law from one tally, x outer; one pair of each
+        # mixture, in turn, also through exec_exact
+        laws = exact_laws(mix)
+        assert len(laws) == 16 and laws[k % 16] == exec_exact(mix, *divmod(k % 16, 4))
+        for (x, y), dist in zip(product(range(4), repeat=2), laws):
+            assert dist.parity_prob(1) == c.entries[x][y]
+            assert dist.marginal_a() == {0: HALF, 1: HALF}
+            assert dist.marginal_b() == {0: HALF, 1: HALF}
     report(capsys, "criterion 10: 100 random rational 4x4 correlation matrices "
                    "reproduced exactly with exactly uniform marginals")
 

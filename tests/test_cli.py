@@ -353,6 +353,29 @@ def test_limit_checked_before_enumeration(capsys, tmp_path, monkeypatch, argv):
     assert err.count("\n") == 1 and err.startswith("resource limit: 2^9 ")
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1e3", "-1"])
+def test_limit_that_is_no_nonnegative_integer_is_named(capsys, tmp_path, monkeypatch, value):
+    # int() refused the first three without naming the variable, and -1
+    # was taken as a limit that no enumeration passes
+    path = tmp_path / "two.nlb"
+    path.write_text(serialize(random_ordered(1, 1, 2, random.Random(2))))
+    monkeypatch.setenv("NLBOX_LIMIT_T", value)
+    code, out, err = run(capsys, "exec", "-p", str(path), "-x", "0", "-y", "1", "--exact")
+    assert (code, out) == (2, "")
+    assert err == f"error: NLBOX_LIMIT_T={value!r} is not a nonnegative decimal integer\n"
+
+
+def test_limit_of_thirty_digits_runs_as_usual(capsys, tmp_path, monkeypatch):
+    # the chunk size is capped before 2 is raised to the limit, a power
+    # no int holds at 30 digits
+    path = tmp_path / "two.nlb"
+    path.write_text(serialize(random_ordered(1, 1, 2, random.Random(2))))
+    argv = ("exec", "-p", str(path), "-x", "0", "-y", "1", "--exact")
+    code, want, _ = run(capsys, *argv)
+    monkeypatch.setenv("NLBOX_LIMIT_T", "9" * 30)
+    assert code == 0 and run(capsys, *argv)[:2] == (0, want)
+
+
 def test_nonsignaling_audit_answers_past_the_branch_limit(capsys, tmp_path, monkeypatch):
     # the audit enumerates no branch, so the limit that stops exec --exact
     # on the same file does not apply to it

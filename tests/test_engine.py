@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlbox import engine
 from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitError, _tally,
-                          _leaves, derive_seed, error_profile, exec_exact,
+                          _leaves, derive_seed, error_profile, exact_laws, exec_exact,
                           exec_sample, nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
 from nlbox.compilers import (oneway_optimal, oneway_to_parallel, ordered_to_ot, synth_rank,
@@ -513,10 +515,17 @@ def test_exact_law_of_wide_parallel_xor_matches_oracle():
     zero = TruthTable(2, 2, (0,) * 4)
     for t in (63, 64, 100):
         p = random_protocol("parallel-xor", 2, 2, t, rng)
+        # beside an ordered leaf, whose small keys are sorted with them
+        o = random_ordered(2, 2, 2, rng)
+        mix = unchecked(ProtocolMixture, components=((HALF, p), (HALF, o)))
         for x, y in ((0, 0), (3, 1), (2, 3)):
             dist = exec_exact(p, x, y)
             assert dist.marginal_a() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
             assert dist.parity_prob(1) == oracle_error(p, zero, x, y)
+            want = Counter()
+            for law in (dist.probs, oracle_exec(o, x, y)):
+                want.update({ab: q / 2 for ab, q in law.items()})
+            assert exec_exact(mix, x, y).probs == want
 
 
 def test_error_profile_of_synthesized_6x6_matches_oracle():
@@ -655,8 +664,9 @@ def test_one_pair_reads_only_its_rows():
 def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
     # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
     # every mixture leaf's runs are split between chunks (at least 8 of
-    # them); the mixtures of two kinds are built past the constructor's
-    # checks
+    # them); 5 holds 32, several whole inputs of each protocol below in
+    # one chunk (and at least 2 chunks); the mixtures of two kinds are
+    # built past the constructor's checks
     rng = random.Random(99)
     sig = _signalling_ordered()
     valid = unchecked(ProtocolMixture, components=(
@@ -675,11 +685,14 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
                 [exec_exact(p, i, j) for p in (valid, nested, mix, *ots) for i, j in pairs],
                 [list(ot_received_distribution(p, i, j).items()) for p in ots for i, j in pairs])
     whole = results()
-    monkeypatch.setenv("NLBOX_LIMIT_T", "3")
     x, y = np.divmod(np.arange(16), 4)
-    for p in (valid, nested, mix, *ots):
-        assert len(list(_tally(_leaves(p), x, y, lambda _j, a, b, *_: a ^ b)[1])) >= 8
-    assert results() == whole
+    for limit, least in (("3", 8), ("5", 2)):
+        monkeypatch.setenv("NLBOX_LIMIT_T", limit)
+        for p in (valid, nested, mix, *ots):
+            rows = [len(laws) for _keys, laws
+                    in _tally(_leaves(p), x, y, lambda _j, a, b, *_: a ^ b)[1]]
+            assert len(rows) >= least and (limit == "3" or max(rows) > 1)
+        assert results() == whole
     profiles, privacy, laws, receipts = whole
     for p, prof in zip((valid, nested, mix, *ots), profiles):
         assert prof.table == {(i, j): oracle_error(p, f, i, j) for i in range(4) for j in range(4)}
@@ -687,3 +700,57 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
                                        for i, j in pairs]
     assert receipts == [list(oracle_ot_received(p, i, j).items()) for p in ots for i, j in pairs]
     assert privacy == [oracle_privacy_ot(p) for p in ots] and privacy[0].witness[:2] == (2, 1)
+
+
+_TALLIED = ("parallel-xor", "parallel", "ordered", "general", "oneway", "twoway", "and", "ot")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_grid_tally_matches_oracles(rng):
+    # one protocol of a tallied kind, or a mixture of one to three of
+    # any kinds whose t differ (from 0 on), built past the constructor's
+    # checks: the laws on the whole grid and on given pairs, the error
+    # table, and for OT the audit and the receipts, in first-receipt order
+    nx, ny = rng.randint(0, 2), rng.randint(0, 2)
+    leaves = [random_protocol(rng.choice(_TALLIED), nx, ny, rng.randint(0, 3), rng)
+              for _ in range(rng.randint(1, 3))]
+    weights = [rng.randint(1, 5) for _ in leaves]
+    p = leaves[0] if len(leaves) == 1 else unchecked(ProtocolMixture, components=tuple(
+        (Fraction(w, sum(weights)), c) for w, c in zip(weights, leaves)))
+    pairs = [divmod(k, 1 << ny) for k in range(1 << (nx + ny))]
+    assert [d.probs for d in exact_laws(p)] == [oracle_exec(p, x, y) for x, y in pairs]
+    some = [rng.choice(pairs) for _ in range(rng.randint(1, 6))]
+    xs, ys = zip(*some)
+    assert [d.probs for d in exact_laws(p, xs, ys)] == [oracle_exec(p, x, y) for x, y in some]
+    f = random_table(nx, ny, rng)
+    assert error_profile(p, f).table == {(x, y): oracle_error(p, f, x, y) for x, y in pairs}
+    if isinstance(p, OtProtocol):
+        assert privacy_audit_ot(p) == oracle_privacy_ot(p)
+        for x, y in pairs:
+            assert (list(ot_received_distribution(p, x, y).items())
+                    == list(oracle_ot_received(p, x, y).items()))
+
+
+def test_exact_laws_refuses_pairs_it_cannot_read():
+    p = ip_protocol(1)
+    assert exact_laws(p, [], []) == []
+    for x, y in (([0, 1], [0]), ([[0]], [[0]]), ([0.5], [0]), ([True], [0])):
+        with pytest.raises(ProtocolError, match="integer sequences of one length"):
+            exact_laws(p, x, y)
+    with pytest.raises(ProtocolError, match="input outside"):
+        exact_laws(p, [0, 2], [1, 1])
+
+
+def test_ordered_grid_matches_the_sampled_path():
+    # the grid doubles Bob's outcome prefixes over every u at once; the
+    # sampler's path, one run per u, gives the same outputs at each u
+    rng = random.Random(31)
+    for p in (random_ordered(2, 1, 0, rng), random_ordered(2, 1, 1, rng),
+              random_ordered(1, 2, 5, rng), disj_det_protocol(3)):
+        run, n = engine._kernel(p), 1 << p.t
+        x, y = np.divmod(np.arange(1 << (p.nx + p.ny)), 1 << p.ny)
+        grid = run(x[:, None], y[:, None], np.arange(n)[None])
+        u = np.array([rng.randrange(n) for _ in x])
+        for g, one in zip(grid, run(x, y, u)):
+            assert g.shape == (len(x), n) and (g[np.arange(len(x)), u] == one).all()

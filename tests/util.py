@@ -150,10 +150,10 @@ _PER_BOX = {"pbox", "qbox", "step_a", "step_b", "in_a", "in_b"}
 def unchecked(kind, **fields):
     """A protocol of kind holding fields, built without the constructor's
     checks (object.__new__): each table a read-only uint8 array, as is
-    each table of a field of one per box; widths, OT weights and mixture
-    components as given.  Tables and mixtures no valid protocol holds
-    (cells of 2 or 255, components of mixed kinds or widths) reach the
-    engine and the oracles this way."""
+    each table of a field of one per box; widths, OT weights (and their
+    integer form ``r_ints``) and mixture components as given.  Tables
+    and mixtures no valid protocol holds (cells of 2 or 255, components
+    of mixed kinds or widths) reach the engine and the oracles this way."""
     def frozen(tab):
         a = np.array(tab, np.uint8)
         a.setflags(write=False)
@@ -162,7 +162,7 @@ def unchecked(kind, **fields):
     for name, value in fields.items():
         if name in _PER_BOX:
             value = tuple(map(frozen, value))
-        elif name not in ("nx", "ny", "t", "r_weights", "components"):
+        elif name not in ("nx", "ny", "t", "r_weights", "r_ints", "components"):
             value = frozen(value)
         object.__setattr__(p, name, value)
     return p
