@@ -94,8 +94,8 @@ def _emit_protocol(p, path: str | None, provenance: str) -> None:
 
 
 # tokens on each kind of circuit line, its keywords included
-_CIRCUIT_TOKENS = {"input a": 3, "input b": 3, "input ab": 4, "and": 3,
-                   "or": 3, "xor": 3, "not": 2, "output": 2}
+_CIRCUIT_TOKENS = {"input a": 3, "input b": 3, "input ab": 4, "output": 2,
+                   **{gate: arity + 1 for gate, arity in compilers._GATE_ARITY.items()}}
 # an input wire's (a bit, b bit) from the numbers on its line
 _INPUT_BITS = {"input a": lambda a: (a, None), "input b": lambda b: (None, b),
                "input ab": lambda a, b: (a, b)}
@@ -335,6 +335,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_exec(args) -> int:
+    if args.exact and args.seed is not None:
+        raise ValueError("--seed applies to --samples only, not --exact")
     if not args.exact:
         if args.seed is None:
             raise UsageError("--samples requires an explicit --seed")
@@ -418,7 +420,8 @@ _LIB = {
 def _cmd_lib(args) -> int:
     checks = (("-n", args.n is not None, "ip or disj-det or disj-rand"),
               ("-f", args.function, "vandam"),
-              ("--flip", args.flip is not None, "disj-rand"))
+              ("--flip", args.flip is not None, "disj-rand"),
+              ("-o", args.out, "ip or disj-det or disj-rand or vandam"))
     for option, given, readers in checks:
         if given and args.name not in readers.split(" or "):
             raise ValueError(f"{option} applies to {readers} only, not {args.name}")

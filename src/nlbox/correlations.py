@@ -89,10 +89,6 @@ class BooleanMixture:
         return CorrelationMatrix(tuple(map(tuple, acc.tolist())))
 
 
-def _log2_ceil(n: int) -> int:
-    return (n - 1).bit_length()
-
-
 def layercake_decompose(c: CorrelationMatrix) -> BooleanMixture:
     """Write c as a convex combination of its threshold matrices.
 
@@ -100,8 +96,7 @@ def layercake_decompose(c: CorrelationMatrix) -> BooleanMixture:
     [c >= u_j] receives weight u_j - u_{j-1}; the all-zero matrix soaks
     up the remaining 1 - u_k so weights always sum to one.
     """
-    nx = _log2_ceil(c.n_rows) if c.n_rows > 1 else 0
-    ny = _log2_ceil(c.n_cols) if c.n_cols > 1 else 0
+    nx, ny = (c.n_rows - 1).bit_length(), (c.n_cols - 1).bit_length()
     if c.n_rows != 1 << nx or c.n_cols != 1 << ny:
         raise ValueError("correlation dimensions must be powers of two")
     levels = sorted({v for row in c.entries for v in row if v > 0})

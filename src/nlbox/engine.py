@@ -36,7 +36,7 @@ import numpy as np
 from .protocols import (KIND_NAMES, NLB_KINDS, AndProtocol, GeneralNlbProtocol,
                         OneWayProtocol, OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, ProtocolError, ProtocolMixture, Protocol,
-                        TwoWayTree, validate)
+                        TwoWayTree, _over_lcm, validate)
 from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
@@ -401,10 +401,9 @@ def _sampler(p, key: int, nodes=None):
     n, pick = 1 << p.t if isinstance(p, NLB_KINDS) else 1, lambda v: v
     if isinstance(p, (ProtocolMixture, OtProtocol)):
         # index k takes L * w_k of the values, L the lcm of the denominators
-        ws = p.r_weights if isinstance(p, OtProtocol) else [w for w, _c in p.components]
-        n = math.lcm(*(w.denominator for w in ws))
-        bounds = np.array(list(accumulate(w.numerator * (n // w.denominator) for w in ws))[:-1],
-                          dtype=np.int64 if n < 1 << 63 else object)
+        nums, n = p.r_ints if isinstance(p, OtProtocol) else _over_lcm(
+            [w for w, _c in p.components])
+        bounds = np.array(list(accumulate(nums))[:-1], dtype=np.int64 if n < 1 << 63 else object)
         pick = lambda r: np.searchsorted(bounds, r, side="right")
     if not isinstance(p, ProtocolMixture):
         return lambda m: [([], p, np.ones(m, bool), pick(_below(gen, n, m)))]
@@ -468,9 +467,6 @@ def sample_counts(p: Protocol, x: int, y: int, seed: int, n: int) -> dict[tuple[
 # --- error profile ---
 
 
-_BITS = (Fraction(0), Fraction(1))
-
-
 @dataclass(frozen=True, eq=False)
 class ErrorProfile:
     """The probability that the output parity differs from f on input
@@ -491,8 +487,7 @@ class ErrorProfile:
     def table(self) -> dict[tuple[int, int], Fraction]:
         """{(x, y): error} for every input, built on first use."""
         total = self.errors.ravel().tolist()
-        # den 1: every error is 0 or 1, so the shared constants
-        frac = _BITS if self.den == 1 else {n: Fraction(n, self.den) for n in set(total)}
+        frac = {n: Fraction(n, self.den) for n in set(total)}
         return dict(zip(product(*map(range, self.errors.shape)), map(frac.__getitem__, total)))
 
     def __eq__(self, other):

@@ -80,11 +80,6 @@ def candidate_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray, t
     return masks, bits, tuple(np.cumsum([len(g) for g in by_rank]).tolist())
 
 
-def mask_entries(mask: int, n_rows: int, n_cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((mask >> (x * n_cols + y)) & 1 for y in range(n_cols))
-                 for x in range(n_rows))
-
-
 @dataclass(frozen=True)
 class EpsRankQuery:
     matrix: object  # TruthTable or anything exposing rational entries
@@ -122,8 +117,8 @@ def _target_entries(matrix) -> tuple[int, int, list[Fraction]]:
 
 def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
     """Search for a convex mixture of the Boolean matrices of GF(2) rank at
-    most t whose entrywise expectation lies in [lo, hi]; returns (mask,
-    weight) pairs or None.
+    most t whose entrywise expectation lies in [lo, hi]; returns (weight,
+    grid) pairs, each grid a tuple of rows of 0/1 ints, or None.
 
     Column generation over an exact phase-1 master: candidates are ranked
     by float prices and admitted by an exact integer reduced-cost check,
@@ -173,7 +168,8 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
         cols = np.concatenate([candidate_columns(active), fixed_cols], dtype=np.int64)
         opt, x, y = solve_phase1(cols, b)
         if opt == 0:
-            return [(int(masks[j]), x[i]) for i, j in enumerate(active) if x[i] > 0]
+            return [(x[i], tuple(map(tuple, bits[j].reshape(n_rows, n_cols).tolist())))
+                    for i, j in enumerate(active) if x[i] > 0]
         # price all candidates: reduced cost = -(y . column)
         y_f = np.array([float(v) for v in y])
         # the same duals over one common denominator, for exact checks
@@ -207,18 +203,13 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
 def eps_rank(q: EpsRankQuery) -> EpsRankResult:
     """Smallest t <= tmax admitting an eps-close mixture, with a witness."""
     n_rows, n_cols, target = _target_entries(q.matrix)
-    n_entries = n_rows * n_cols
-    if n_entries > MAX_ENTRIES:
-        raise DimensionLimitError(
-            f"{n_rows}x{n_cols} exceeds the {MAX_ENTRIES}-entry enumeration limit")
     lo = [max(ZERO, v - q.eps) for v in target]
     hi = [min(ONE, v + q.eps) for v in target]
     rmax = min(n_rows, n_cols)
     for t in range(min(q.tmax, rmax) + 1):
         mix = _mixture_feasible(t, n_rows, n_cols, lo, hi)
         if mix is not None:
-            witness = tuple((w, mask_entries(mask, n_rows, n_cols)) for mask, w in mix)
-            return EpsRankResult(t, witness)
+            return EpsRankResult(t, tuple(mix))
     if q.tmax >= rmax:
         # every matrix is within eps=... of a full-rank mixture containing itself
         raise AssertionError("full-rank search cannot fail for eps >= 0")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Integral, Rational
 from types import SimpleNamespace
@@ -42,10 +43,6 @@ class _Tables:
     """The checked conversion, equality and hash of every protocol kind."""
 
     def __post_init__(self):
-        self._convert()
-        _check(self)
-
-    def _convert(self):
         for field, (label, cells, ndim, indexed) in _SPECS[type(self)].items():
             tab = getattr(self, field)
             if not indexed:
@@ -57,6 +54,7 @@ class _Tables:
                 tab = tuple(_array(t, ndim, cells, f"{label} {i}")
                             for i, t in enumerate(_rows(tab, label)))
             object.__setattr__(self, field, tab)
+        _check(self)
 
     def _state(self):
         return tuple(_key(getattr(self, f.name)) for f in fields(self))
@@ -211,10 +209,6 @@ class OtProtocol(_Tables):
     Alice's private randomness ranges over ``len(r_weights)`` values.
     Call i: Alice supplies the pair ``in_a[i][x, r]``, Bob supplies the
     choice bit ``in_b[i][y, received]`` from the bits received so far.
-    ``r_ints`` is the weights' integer numerators over one denominator
-    and that denominator, computed once when built, before validate's
-    weight rules read it; it is no field, so equality, hash and text do
-    not read it.
     """
 
     nx: int
@@ -226,11 +220,10 @@ class OtProtocol(_Tables):
     out_a: np.ndarray  # out_a[x, r]
     out_b: np.ndarray  # out_b[y, received]
 
-    def __post_init__(self):
-        self._convert()
-        if self.r_weights and _rational(self.r_weights):
-            object.__setattr__(self, "r_ints", _over_lcm(self.r_weights))
-        _check(self)
+    @cached_property
+    def r_ints(self) -> tuple[tuple[int, ...], int]:
+        """The weights as _over_lcm's integer numerators and denominator."""
+        return _over_lcm(self.r_weights)
 
 
 @dataclass(frozen=True)

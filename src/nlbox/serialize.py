@@ -34,10 +34,11 @@ _BIT_CHARS = b"0" + b"1" * 255
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 
-# how an inline line of each cell type is written
-_FORMATS = {
-    INTS: lambda line: " ".join(map(str, line.tolist())),
-    FRACS: lambda line: " ".join(map(tt.format_fraction, line)),
+# cell types listed on their label's line: how one cell is read, and how
+# a line of them is written
+_INLINE = {
+    INTS: (tt.parse_decimal, lambda line: " ".join(map(str, line.tolist()))),
+    FRACS: (tt.parse_fraction, lambda line: " ".join(map(tt.format_fraction, line))),
 }
 
 
@@ -80,7 +81,7 @@ def _emit(p: Protocol, lines: list[str]) -> None:
     for label, field, index, cells, _rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
         tab = getattr(p, field) if index is None else getattr(p, field)[index]
         if cells in _INLINE:
-            lines.append(f"{label}: " + _FORMATS[cells](tab))
+            lines.append(f"{label}: " + _INLINE[cells][1](tab))
         else:
             lines.append(f"{label}:")
             lines.extend(_lines(tab, cells))
@@ -164,10 +165,6 @@ def parse(text: str) -> Protocol:
     return p
 
 
-# cell types listed on their label's line, and how one cell is read
-_INLINE = {INTS: tt.parse_decimal, FRACS: tt.parse_fraction}
-
-
 def _mix_header(line: str) -> tuple[int, Fraction]:
     head = line.split()
     try:
@@ -217,7 +214,7 @@ def _parse_body(cur: _Cursor):
         if cells in _INLINE:
             # an OT file repeats one rweights token 2^t times: read each
             # distinct token once
-            toks, read = line.split()[1:], _INLINE[cells]
+            toks, (read, _write) = line.split()[1:], _INLINE[cells]
             try:
                 value = {tok: read(tok, label) for tok in dict.fromkeys(toks)}
             except ValueError as exc:

@@ -56,9 +56,12 @@ def test_criterion_02_chsh_classical_vs_one_box(capsys):
     assert chsh_classical_optimum() == Fraction(3, 4)
     p = chsh_box_protocol()
     assert p.t == 1
-    for x in (0, 1):
-        for y in (0, 1):
-            assert exec_exact(p, x, y).parity_prob(x & y) == 1
+    # every input's law from one tally, x outer; one pair also through
+    # exec_exact
+    laws = exact_laws(p)
+    assert len(laws) == 4 and laws[3] == exec_exact(p, 1, 1)
+    for (x, y), dist in zip(product((0, 1), repeat=2), laws):
+        assert dist.parity_prob(x & y) == 1
     report(capsys, "criterion 2: classical CHSH optimum exactly 3/4; the "
                    "1-box strategy wins with probability 1")
 
@@ -92,10 +95,12 @@ def test_criterion_04_twoway_tree_compilation(capsys):
                     shift ^= p.pbox[i][x] & p.qbox[i][y]
                 assert p.local_a[x] ^ p.local_b[y] ^ shift == a ^ b
         if trial < 5:  # cross-check the closed form against the engine
-            for x in (0, 7):
-                for y in (0, 7):
-                    a, b = tree.evaluate(x, y)
-                    assert exec_exact(p, x, y).parity_prob(a ^ b) == 1
+            xs, ys = [0, 0, 7, 7], [0, 7, 0, 7]
+            laws = exact_laws(p, xs, ys)
+            assert laws[trial % 4] == exec_exact(p, xs[trial % 4], ys[trial % 4])
+            for x, y, dist in zip(xs, ys, laws):
+                a, b = tree.evaluate(x, y)
+                assert dist.parity_prob(a ^ b) == 1
     report(capsys, "criterion 4: 100 random protocol trees (depth <= 4) "
                    "compiled to <= 2^t - 1 boxes, bit-exact on every branch")
 
@@ -118,11 +123,15 @@ def test_criterion_05_xor_normalization(capsys):
 def test_criterion_06_ordered_to_ot(capsys):
     sources = [xor_as_ordered(ip_protocol(n)) for n in (1, 2, 3)]
     sources += [disj_det_protocol(n) for n in (1, 2)]
-    for src in sources:
+    for k, src in enumerate(sources):
         ot = ordered_to_ot(src)
-        for x in range(1 << src.nx):
-            for y in range(1 << src.ny):
-                assert exec_exact(ot, x, y).probs == exec_exact(src, x, y).probs
+        # every input's law of each from one tally, x outer; one pair of
+        # each source, in turn, also through exec_exact
+        laws = exact_laws(ot)
+        assert len(laws) == 1 << (src.nx + src.ny)
+        assert [d.probs for d in laws] == [d.probs for d in exact_laws(src)]
+        x, y = divmod(k % len(laws), 1 << src.ny)
+        assert laws[k % len(laws)] == exec_exact(ot, x, y)
         assert privacy_audit_ot(ot) is None
     report(capsys, "criterion 6: OT compilation preserves the exact joint "
                    "distribution for IP(n<=3) and DISJ(n<=2); received bits uniform")
@@ -130,7 +139,7 @@ def test_criterion_06_ordered_to_ot(capsys):
 
 def test_criterion_07_secure_and_bridges(capsys):
     rng = random.Random(909)
-    for _ in range(1000):
+    for k in range(1000):
         f = random_table(2, 2, rng)
         ow = oneway_optimal(f)
         ap = and_from_oneway(ow)
@@ -138,10 +147,13 @@ def test_criterion_07_secure_and_bridges(capsys):
         assert privacy_audit_and(ap, f) is None
         back = oneway_from_and(ap, f)
         assert back.t <= max(1, (ap.t - 1)).bit_length()
-        for x in range(4):
-            for y in range(4):
-                a, b = next(iter(exec_exact(back, x, y).probs))
-                assert a ^ b == f.entry(x, y)
+        # every input's law from one tally, x outer; one pair of each
+        # function, in turn, also through exec_exact
+        laws = exact_laws(back)
+        assert len(laws) == 16 and laws[k % 16] == exec_exact(back, *divmod(k % 16, 4))
+        for (x, y), dist in zip(product(range(4), repeat=2), laws):
+            a, b = next(iter(dist.probs))
+            assert a ^ b == f.entry(x, y)
     report(capsys, "criterion 7: 1,000 sampled functions round-trip through "
                    "secure-AND (2^t gates, private) and back within log2(gates) bits")
 

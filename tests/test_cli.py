@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlbox import engine
-from nlbox.cli import dispatch
+from nlbox.cli import dispatch, parse_circuit
 from nlbox.compilers import and_from_oneway, oneway_optimal, ordered_to_ot
 from nlbox.gf2 import gf2_factorize
 from nlbox.library import disj_det_protocol, ip_protocol
@@ -91,6 +91,24 @@ def test_epsrank_report_with_verified_witness(capsys, and_file):
     assert code == 0
     assert "eps-rank: 1" in out
     assert "witness-verified: True" in out
+
+
+def test_epsrank_corr_reports_are_pinned(capsys, tmp_path):
+    # the hash is of the canonical text, not of the file with its comment,
+    # spacing and unreduced fractions
+    path = tmp_path / "target.corr"
+    path.write_text("# a rational target\ncorr 2 2\n2/4   1/4\n0/3 1/1\n")
+    digest = hashlib.sha256(b"corr 2 2\n1/2 1/4\n0/1 1/1\n").hexdigest()[:16]
+    assert digest == "904e3c50b49ae638"
+    head = f"input-hash: {digest}\neps: 1/8\n"
+    code, out, _ = run(capsys, "epsrank", "--corr", str(path), "--eps", "1/8", "--tmax", "2")
+    assert (code, out) == (0, head + "eps-rank: 2\n"
+                                     "witness 0: 1/4 01;01\n"
+                                     "witness 1: 5/8 10;01\n"
+                                     "witness 2: 1/8 01;11\n"
+                                     "witness-verified: True\n")
+    code, out, _ = run(capsys, "epsrank", "--corr", str(path), "--eps", "1/8", "--tmax", "1")
+    assert (code, out) == (0, head + "eps-rank: exceeds tmax 1\n")
 
 
 def test_synth_exec_audit_pipeline(capsys, tmp_path, ip2_file):
@@ -205,18 +223,22 @@ def test_audit_rejects_function_for_checks_that_ignore_it(capsys, tmp_path, ip2_
 
 @pytest.mark.parametrize("name", ["ip", "disj-det", "disj-rand", "chsh", "vandam"])
 def test_lib_rejects_options_its_name_ignores(capsys, tmp_path, ip2_file, name):
-    # -n is read by ip, disj-det and disj-rand, -f by vandam alone and
-    # --flip by disj-rand alone; a malformed weight is rejected as unread
-    # before it is parsed
+    # -n is read by ip, disj-det and disj-rand, -f by vandam alone,
+    # --flip by disj-rand alone and -o by all but chsh; a malformed weight
+    # is rejected as unread before it is parsed.  -o is checked last, so
+    # each row before it names its own option
+    out_path = tmp_path / f"{name}.out"
     for option, value, reader in (("-n", "2", "ip or disj-det or disj-rand"),
                                   ("-n", "99", "ip or disj-det or disj-rand"),
                                   ("-f", ip2_file, "vandam"),
                                   ("--flip", "1/4", "disj-rand"),
-                                  ("--flip", "x", "disj-rand")):
+                                  ("--flip", "x", "disj-rand"),
+                                  ("-o", str(out_path), "ip or disj-det or disj-rand or vandam")):
         if name in reader.split(" or "):
             continue
-        out_path = tmp_path / f"{name}.out"
-        argv = ["lib", name, option, value, "-o", str(out_path)]
+        argv = ["lib", name, option, value]
+        if option != "-o":
+            argv += ["-o", str(out_path)]
         if name == "vandam":
             argv += ["-f", ip2_file]
         code, out, err = run(capsys, *argv)
@@ -425,6 +447,16 @@ def test_exit_code_usage(capsys):
     assert code == 1
 
 
+def test_exec_exact_rejects_a_seed(capsys, tmp_path):
+    # --seed is read by --samples alone, as -f is by the choices that read it
+    path = tmp_path / "p.nlb"
+    path.write_text(serialize(ip_protocol(2)))
+    code, out, err = run(capsys, "exec", "-p", str(path), "-x", "1", "-y", "2", "--exact",
+                         "--seed", "5")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --seed applies to --samples only, not --exact\n"
+
+
 def test_exit_code_usage_samples_without_seed(capsys, tmp_path, ip2_file):
     proto = str(tmp_path / "p.nlb")
     run(capsys, "synth", "-f", ip2_file, "-o", proto)
@@ -572,6 +604,33 @@ def test_compile_rejects_malformed_circuit(capsys, tmp_path, name):
     circ.write_text(_BAD_CIRCUITS[name] + "\n", encoding="utf-8")
     _assert_one_line_error(*run(capsys, "compile", "--from", "circuit",
                                 "-i", str(circ)))
+
+
+def test_compile_names_an_input_after_a_gate(capsys, tmp_path):
+    text = "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\ninput a 0\noutput 2\n"
+    with pytest.raises(ValueError, match="^inputs must precede gates$"):
+        parse_circuit(text)
+    circ = tmp_path / "late-input.circ"
+    circ.write_text(text)
+    code, out, err = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
+    _assert_one_line_error(code, out, err)
+    assert err == "error: inputs must precede gates\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("lib", "disj-det", "-n", "5"), "n must be in 1..4"),
+    (("lib", "disj-rand", "-n", "0"), "n must be in 1..4"),
+    (("audit", "-p", "{and}", "--privacy-and", "-f", "{ip2}"), "domain mismatch"),
+    (("rank", "-f", "{empty}"), "empty truth-table file"),
+    (("epsrank", "-f", "{empty}", "--eps", "0"), "empty truth-table file"),
+    (("epsrank", "--corr", "{empty}", "--eps", "0"), "empty correlation file")])
+def test_validation_errors_print_one_pinned_line(capsys, tmp_path, ip2_file, argv, err):
+    files = {"and": tmp_path / "and.nlb", "ip2": ip2_file, "empty": tmp_path / "empty"}
+    files["and"].write_text(serialize(and_from_oneway(oneway_optimal(and_table()))))
+    files["empty"].write_text("# no header\n\n")
+    code, out, got = run(capsys, *(a.format(**files) for a in argv))
+    _assert_one_line_error(code, out, got)
+    assert got == f"error: {err}\n"
 
 
 _WIDE_CIRCUITS = {

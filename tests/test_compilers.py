@@ -222,6 +222,14 @@ def test_xor_normalize_general_preserves_parity_distribution():
                        for u in range(1 << norm.t))
 
 
+@pytest.mark.parametrize("p", [xor_as_parallel(synth_rank(and_table())),
+                               synth_rank(and_table())])
+def test_xor_normalize_general_refuses_parallel_protocols(p):
+    with pytest.raises(ProtocolError,
+                       match="^XOR normalization applies to ordered or general protocols$"):
+        xor_normalize_general(p)
+
+
 def test_xor_normalize_general_handles_general_schedules():
     from nlbox.protocols import GeneralNlbProtocol
     ordered = xor_as_ordered(synth_rank(ip_table(2)))

@@ -60,6 +60,12 @@ def test_correlation_file_roundtrip():
             parse_correlation(f"corr 1 2\n{tok} 1/2\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n  \n"])
+def test_empty_correlation_file_is_named(text):
+    with pytest.raises(ValueError, match="^empty correlation file$"):
+        parse_correlation(text)
+
+
 def test_layercake_reconstructs_exactly():
     for _ in range(20):
         c = _random_corr_matrix(4, 4)
@@ -106,6 +112,12 @@ def test_context_validation():
         rt_comm(np.ones(5), np.ones(5) / np.sqrt(5), ctx)  # x not unit
     with pytest.raises(ValueError):
         rt_comm(np.ones(4) / 2, np.ones(5) / np.sqrt(5), ctx)  # wrong dim
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4), (5,), (3, 5, 1)])
+def test_context_refuses_a_projector_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match="^projector must be 3 x dim$"):
+        make_context(5, seed=1, g=np.zeros(shape))
 
 
 def test_identity_projection_same_vector_agrees_surely():

@@ -15,8 +15,8 @@ from nlbox.engine import (_BATCH, _MAX_SAMPLES, ProtocolError, ResourceLimitErro
                           _leaves, derive_seed, error_profile, exact_laws, exec_exact,
                           exec_sample, nonsignaling_audit, ot_received_distribution,
                           privacy_audit_and, privacy_audit_ot, sample_counts)
-from nlbox.compilers import (oneway_optimal, oneway_to_parallel, ordered_to_ot, synth_rank,
-                             synth_vandam, xor_normalize_general)
+from nlbox.compilers import (and_from_oneway, oneway_optimal, oneway_to_parallel, ordered_to_ot,
+                             synth_rank, synth_vandam, xor_normalize_general)
 from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelXorProtocol,
@@ -560,6 +560,20 @@ def test_error_profile_of_nested_mixed_kinds_matches_oracle():
             (Fraction(1, 3), xor[1]), (Fraction(1, 6), random_ordered(2, 1, 2, rng)),
             (Fraction(1, 2), inner)))
         _assert_profile_is_oracle(p, random_table(2, 1, rng))
+
+
+@pytest.mark.parametrize("probs", [{}, {(0, 0): HALF}, {(0, 0): HALF, (1, 1): HALF, (0, 1): HALF},
+                                   {(0, 0): Fraction(3, 2), (1, 1): -HALF}])
+def test_outcome_distribution_refuses_an_invalid_law(probs):
+    with pytest.raises(ValueError, match="^probabilities must be nonnegative and sum to 1$"):
+        engine.OutcomeDistribution(probs)
+
+
+def test_privacy_audit_and_rejects_domain_mismatch():
+    p = and_from_oneway(oneway_optimal(and_table()))
+    for f in (ip_table(2), TruthTable(1, 2, (0, 0)), TruthTable(2, 1, (0,) * 4)):
+        with pytest.raises(ProtocolError, match="^domain mismatch$"):
+            privacy_audit_and(p, f)
 
 
 def test_error_profile_rejects_domain_mismatch():

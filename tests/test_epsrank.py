@@ -66,6 +66,21 @@ def test_witness_is_convex_and_within_eps():
         assert not verify_witness(f, Fraction(0), res.witness)
 
 
+def test_verify_witness_refuses_each_broken_mixture():
+    f, quarter = and_table(), Fraction(1, 4)
+    exact, zero = ((0, 0), (0, 1)), ((0, 0), (0, 0))
+    assert verify_witness(f, Fraction(0), ((Fraction(1), exact),))
+    # an entry off by eps exactly is within eps
+    assert verify_witness(f, HALF, ((HALF, exact), (HALF, zero)))
+    for eps, witness in (
+            (HALF, ((HALF, exact),)),  # weights sum to 1/2
+            (HALF, ((HALF, exact), (HALF, exact), (Fraction(0), zero))),  # sum 1, a zero weight
+            (HALF, ((Fraction(3, 2), exact), (-HALF, zero))),  # sum 1, a negative weight
+            (quarter, ((HALF, exact), (HALF, zero))),  # entry (1, 1) off by 1/2
+            (quarter, ((Fraction(1), zero),))):  # entry (1, 1) off by 1
+        assert verify_witness(f, eps, witness) is False
+
+
 def test_tmax_cutoff_reports_exceeded():
     res = eps_rank(EpsRankQuery(xor_table(), Fraction(0), 1))
     assert res.exceeded
@@ -78,8 +93,10 @@ def test_rejects_bad_eps_and_oversized_matrix():
         EpsRankQuery(and_table(), Fraction(3, 4), 2)
     with pytest.raises(ValueError):
         EpsRankQuery(and_table(), Fraction(-1, 8), 2)
+    with pytest.raises(ValueError, match="^tmax must be nonnegative$"):
+        EpsRankQuery(and_table(), Fraction(0), -1)
     big = TruthTable(3, 3, (0,) * 8)  # 64 entries
-    with pytest.raises(DimensionLimitError):
+    with pytest.raises(DimensionLimitError, match="^8x8 exceeds the 16-entry enumeration limit$"):
         _eps_rank(big, 0)
     with pytest.raises(DimensionLimitError):
         enumerate_ranks(5, 4)

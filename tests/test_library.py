@@ -60,6 +60,13 @@ def test_disj_rand_error_structure_general_p():
         assert e == ((1 - p) / 2 if f.entry(x, y) else p)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 5])
+def test_disjointness_refuses_n_outside_1_to_4(n):
+    for build in (disj_det_protocol, lambda n: disj_rand_parallel(n, THIRD)):
+        with pytest.raises(ValueError, match=r"^n must be in 1\.\.4$"):
+            build(n)
+
+
 def test_disj_rand_rejects_bad_weight():
     with pytest.raises(ValueError):
         disj_rand_parallel(2, Fraction(3, 2))

@@ -490,6 +490,13 @@ def test_validate_reports_non_integer_dimensions(dim, value):
         dataclasses.replace(ip_protocol(1), **{dim: value})
 
 
+@pytest.mark.parametrize("dim", ["nx", "ny", "t"])
+def test_validate_refuses_a_negative_dimension(dim):
+    with pytest.raises(ProtocolError,
+                       match="^invalid protocol: negative input width or box count$"):
+        dataclasses.replace(ip_protocol(1), **{dim: -1})
+
+
 def test_validate_rejects_bad_schedule():
     ordered = xor_as_ordered(ip_protocol(2))
     # a repeated label, or an entry of no integer: an invalid protocol,

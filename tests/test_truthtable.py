@@ -6,6 +6,7 @@ unlike the array and ``format`` paths of ``bits``, ``from_entries``,
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_parse_rejects_width_correct_rows_that_int_would_read(row):
     int(row[::-1], 2)  # int() alone takes each reversed row
     with pytest.raises(ValueError, match="bad row"):
         parse_truth_table(f"0 2\n{row}\n")
+
+
+@pytest.mark.parametrize("nx, ny, rows, err", [
+    (-1, 0, (), "negative input width"),
+    (0, -2, (0,), "negative input width"),
+    (1, 1, (0,), "row count must be 2^nx"),
+    (1, 1, (0, 0, 0), "row count must be 2^nx"),
+    (1, 1, (0, 4), "row has bits outside the 2^ny columns"),
+    (1, 0, (-1, 0), "row has bits outside the 2^ny columns")])
+def test_table_refuses_widths_and_rows_it_cannot_hold(nx, ny, rows, err):
+    with pytest.raises(ValueError, match=f"^{re.escape(err)}$"):
+        TruthTable(nx, ny, rows)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# a comment only\n\n"])
+def test_parse_names_an_empty_file(text):
+    with pytest.raises(ValueError, match="^empty truth-table file$"):
+        parse_truth_table(text)
 
 
 def test_from_entries_counts_each_entry_mod_2():
