@@ -38,24 +38,11 @@ def _widened(tab: np.ndarray) -> np.ndarray:
     return tab.astype(object)
 
 
-def _column_array(columns, m: int) -> np.ndarray:
-    """The structural columns as an integer (n, m) array."""
-    if isinstance(columns, np.ndarray):
-        if columns.dtype.kind not in "iu":
-            raise ValueError("phase-1 requires integer column entries")
-        return columns.reshape(len(columns), m)
-    cols = [[int(v) for v in col] for col in columns]
-    if any(c != list(col) for c, col in zip(cols, columns)):
-        raise ValueError("phase-1 requires integer column entries")
-    return np.array(cols, dtype=object).reshape(len(cols), m)
-
-
 def solve_phase1(columns, b):
     """Minimize the sum of artificials for ``A x + I art = b``, ``x >= 0``.
 
     Args:
-        columns: the structural columns, each m integers: a list of
-            lists, or an integer array of shape (n, m).
+        columns: the structural columns, an integer array of shape (n, m).
         b: right-hand side, m nonnegative rationals.
 
     Returns:
@@ -65,23 +52,24 @@ def solve_phase1(columns, b):
         feasible.
 
     Raises:
-        ValueError: on a negative rhs or a non-integral column entry.
+        ValueError: on a negative rhs or columns not an integer array.
         ArithmeticError: if the objective is unbounded below.
     """
     m = len(b)
     if any(v < 0 for v in b):
         raise ValueError("phase-1 requires nonnegative rhs")
-    cols = _column_array(columns, m)
-    n = len(cols)
+    if not isinstance(columns, np.ndarray) or columns.dtype.kind not in "iu":
+        raise ValueError("phase-1 requires integer column entries")
+    n = len(columns)
     scale = lcm(*(v.denominator for v in b))
     rhs = [v.numerator * (scale // v.denominator) for v in b]
     ncols = n + m
     small = max(rhs, default=0) < _INT64_SAFE and (
-        not cols.size or -_INT64_SAFE < cols.min() and cols.max() < _INT64_SAFE)
+        not columns.size or -_INT64_SAFE < columns.min() and columns.max() < _INT64_SAFE)
     # rows: structural columns, artificial identity, scaled rhs; the last
     # row holds the reduced costs of cost = sum of artificials
     tab = np.zeros((m + 1, ncols + 1), dtype=np.int64 if small else object)
-    tab[:m, :n] = cols.T
+    tab[:m, :n] = columns.T
     tab[:m, n:ncols] = np.eye(m, dtype=np.int64)
     tab[:m, ncols] = rhs
     tab[m] = -tab[:m].sum(axis=0)

@@ -104,7 +104,8 @@ _INPUT_BITS = {"input a": lambda a: (a, None), "input b": lambda b: (None, b),
 def parse_circuit(text: str) -> compilers.DistributedCircuit:
     """Circuit text format: header "circuit nx ny"; then one line per
     wire — "input a BIT", "input b BIT", "input ab ABIT BBIT", gates
-    "and W1 W2" / "or W1 W2" / "xor W1 W2" / "not W"; final "output W".
+    "and W1 W2" / "or W1 W2" / "xor W1 W2" / "not W"; then one "output W"
+    line, the last.
     Numbers are ASCII decimal digits.
     """
     lines = tt.content_lines(text)
@@ -116,6 +117,8 @@ def parse_circuit(text: str) -> compilers.DistributedCircuit:
     gates: list[tuple] = []
     output = None
     for ln in lines[1:]:
+        if output is not None:
+            raise ValueError("the output line must be the circuit's last line")
         toks = ln.split()
         kind = " ".join(toks[:2]) if toks[0] == "input" else toks[0]
         if kind not in _CIRCUIT_TOKENS:

@@ -250,11 +250,7 @@ def xor_normalize_general(p):
     + 2) cells at most, checked against ``NLBOX_LIMIT_T`` before any is
     built (``ResourceLimitError``).
     """
-    if isinstance(p, OrderedNlbProtocol):
-        scheds = (tuple(range(p.t)),) * 2
-    elif isinstance(p, GeneralNlbProtocol):
-        scheds = (p.sched_a, p.sched_b)
-    else:
+    if not isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
         raise ProtocolError("XOR normalization applies to ordered or general protocols")
     t = p.t
     _check_limit(max(p.nx, p.ny) + t + 2)
@@ -269,7 +265,7 @@ def xor_normalize_general(p):
             label |= ((obs >> pos) & 1) << box
         return out[:, label] ^ parity[:, :1 << t]
 
-    fold_a, fold_b = map(fold, (p.out_a, p.out_b), scheds)
+    fold_a, fold_b = fold(p.out_a, p.sched_a), fold(p.out_b, p.sched_b)
     one = np.ones((1, 1), np.uint8)
     xs, ys = 1 << p.nx, 1 << p.ny
     fields = dict(t=t + 2,

@@ -149,17 +149,22 @@ def _kernel(p):
                 a, b = _at(p.out_a, x, u), _at(p.out_b, y, bvec)
             return a, b, bvec, pin, qin
         return run_parallel
-    if isinstance(p, OrderedNlbProtocol):
-        def run_ordered(x, y, u):
-            if u.ndim == 2:
+    if isinstance(p, (OrderedNlbProtocol, GeneralNlbProtocol)):
+        def run_steps(x, y, u):
+            if u.ndim == 2 and isinstance(p, OrderedNlbProtocol):
                 return run_prefixes(x[:, 0], y)
-            # step i reads the first i outcomes of its own side: one
-            # gather per box and side
-            pin, qin = np.zeros_like(u), np.zeros_like(u)
-            for i, (sa, sb) in enumerate(zip(p.step_a, p.step_b)):
-                mask = (1 << i) - 1
-                pin |= _at(sa, x, u & mask).astype(np.int64) << i
-                qin |= _at(sb, y, (u ^ (pin & qin)) & mask).astype(np.int64) << i
+            # each side reads its outcomes so far in its own touch order;
+            # Alice's inputs depend on u alone, so hers come first
+            shape = np.broadcast_shapes(x.shape, y.shape, u.shape)
+            pin, qin, obs = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros_like(u)
+            for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
+                pin |= _at(sa, x, obs).astype(np.int64) << label
+                obs |= ((u >> label) & 1) << pos
+            obs = np.zeros(shape, np.int64)
+            for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
+                q = _at(sb, y, obs).astype(np.int64)
+                qin |= q << label
+                obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
             bvec = u ^ (pin & qin)
             return _at(p.out_a, x, u), _at(p.out_b, y, bvec), bvec, pin, qin
 
@@ -175,24 +180,7 @@ def _kernel(p):
                 pre |= np.left_shift(sa[x] & _at(sb, y, pre), i, dtype=np.int64)
                 np.bitwise_xor(pre, 1 << i, out=bvec[:, 1 << i:2 << i])
             return p.out_a[x], _at(p.out_b, y, bvec), bvec
-        return run_ordered
-    if isinstance(p, GeneralNlbProtocol):
-        def run_general(x, y, u):
-            # each side reads its outcomes so far in its own touch order;
-            # Alice's inputs depend on u alone, so hers come first
-            shape = np.broadcast_shapes(x.shape, y.shape, u.shape)
-            pin, qin, obs = np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros_like(u)
-            for pos, (label, sa) in enumerate(zip(p.sched_a.tolist(), p.step_a)):
-                pin |= _at(sa, x, obs).astype(np.int64) << label
-                obs |= ((u >> label) & 1) << pos
-            obs = np.zeros(shape, np.int64)
-            for pos, (label, sb) in enumerate(zip(p.sched_b.tolist(), p.step_b)):
-                q = _at(sb, y, obs).astype(np.int64)
-                qin |= q << label
-                obs |= (((u >> label) & 1) ^ ((pin >> label) & q)) << pos
-            bvec = u ^ (pin & qin)
-            return _at(p.out_a, x, u), _at(p.out_b, y, bvec), bvec, pin, qin
-        return run_general
+        return run_steps
     if isinstance(p, OtProtocol):
         def run_ot(x, y, r):
             # Alice's pair for (x, r) at the same cell of every call's table

@@ -115,7 +115,9 @@ class OrderedNlbProtocol(_Tables):
 
     ``step_a[i][x, prefix]`` is Alice's input to box i given her first i
     outcomes packed in ``prefix`` (so the table width 2^i enforces the
-    ordering structurally).
+    ordering structurally).  It reads as a general protocol whose touch
+    orders ``sched_a`` and ``sched_b`` are the identity; they are not
+    fields, so the text, equality and hash hold only the tables.
     """
 
     nx: int
@@ -125,6 +127,8 @@ class OrderedNlbProtocol(_Tables):
     step_b: tuple[np.ndarray, ...]
     out_a: np.ndarray  # out_a[x, avec]
     out_b: np.ndarray
+
+    sched_a = sched_b = property(lambda self: np.arange(self.t))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,11 @@ import hashlib
 import io
 import os
 import random
+import shlex
 import tempfile
 import time
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,36 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_readme_cli_walkthrough_runs(capsys, tmp_path, monkeypatch):
+    """The shell block under README's CLI heading, in a temp dir: its
+    printf and heredoc lines write their files, and each nlbox line runs
+    through dispatch and exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines, ran = iter(block.splitlines()), []
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        if argv[0] == "printf":
+            fmt, redirect, path = argv[1:]
+            assert redirect == ">"
+            Path(path).write_text(fmt.replace("\\n", "\n"))
+        elif argv[0] == "cat":
+            redirect, path, heredoc = argv[1:]
+            assert redirect == ">" and heredoc.startswith("<<")
+            body = takewhile(lambda ln: ln != heredoc[2:], lines)
+            Path(path).write_text("".join(ln + "\n" for ln in body))
+        else:
+            assert argv[0] == "nlbox", line
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, err.startswith("error")) == (0, False), (line, err)
+            assert out, line
+            ran.append(argv[1])
+    assert {"rank", "synth", "exec", "compile", "audit", "lib"} <= set(ran)
 
 
 @pytest.fixture
@@ -595,6 +628,10 @@ _BAD_CIRCUITS = {
     "signed-operand": "circuit 1 1\ninput a 0\ninput b 0\nand 0 +1\noutput 2",
     "two-token-header": "circuit 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
     "misspelt-header": "circuits 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 2",
+    # the output line is the last: no second output, no gate after it
+    "two-outputs": "circuit 1 1\ninput a 0\ninput b 0\noutput 0\nand 0 1\noutput 1",
+    "gate-after-output": "circuit 1 1\ninput a 0\ninput b 0\nand 0 1\noutput 2\nand 0 2",
+    "no-output": "circuit 1 1\ninput a 0\ninput b 0\nand 0 1",
 }
 
 
@@ -615,6 +652,18 @@ def test_compile_names_an_input_after_a_gate(capsys, tmp_path):
     code, out, err = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
     _assert_one_line_error(code, out, err)
     assert err == "error: inputs must precede gates\n"
+
+
+@pytest.mark.parametrize("name", ["two-outputs", "gate-after-output"])
+def test_compile_names_a_line_after_the_output(capsys, tmp_path, name):
+    text = _BAD_CIRCUITS[name] + "\n"
+    with pytest.raises(ValueError, match="^the output line must be the circuit's last line$"):
+        parse_circuit(text)
+    circ = tmp_path / "late.circ"
+    circ.write_text(text)
+    code, out, err = run(capsys, "compile", "--from", "circuit", "-i", str(circ))
+    _assert_one_line_error(code, out, err)
+    assert err == "error: the output line must be the circuit's last line\n"
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -20,14 +20,13 @@ from nlbox.compilers import (DistributedCircuit, InputWire, and_from_oneway,
                              parallel_exact_function, synth_rank,
                              synth_vandam, twoway_to_parallel,
                              xor_normalize_general, xor_normalize_parallel)
-from nlbox.engine import (ProtocolError, error_profile, exec_exact,
-                          privacy_audit_and, privacy_audit_ot)
+from nlbox.engine import ProtocolError, error_profile, privacy_audit_and, privacy_audit_ot
 from nlbox.library import disj_circuit
 from nlbox.protocols import OneWayProtocol, ParallelProtocol, validate
 from nlbox.serialize import serialize
 from nlbox.truthtable import (TruthTable, and_table, disj_table, ip_table,
                               xor_table)
-from util import (obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot,
+from util import (input_laws, obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot,
                   oracle_parallel_exact_function, parity,
                   random_general, random_ordered, random_protocol, random_table,
                   random_tree, xor_as_ordered, xor_as_parallel)
@@ -108,11 +107,9 @@ def test_twoway_compiler_exact_on_every_branch():
 def test_twoway_compiler_distribution_spot_check():
     tree = random_tree(2, 2, 2, RNG)
     p = twoway_to_parallel(tree)
-    for x in range(4):
-        for y in range(4):
-            a, b = tree.evaluate(x, y)
-            want = a ^ b
-            assert exec_exact(p, x, y).parity_prob(want) == 1
+    for x, y, dist in input_laws(p):
+        a, b = tree.evaluate(x, y)
+        assert dist.parity_prob(a ^ b) == 1
 
 
 def test_twoway_compiler_rejects_deep_or_malformed_trees():
@@ -134,9 +131,8 @@ def test_independence_reduce_removes_duplicate_boxes():
     red = independence_reduce(dup)
     assert red.t <= base.t
     f = ip_table(2)
-    for x in range(4):
-        for y in range(4):
-            assert exec_exact(red, x, y).parity_prob(f.entry(x, y)) == 1
+    for x, y, dist in input_laws(red):
+        assert dist.parity_prob(f.entry(x, y)) == 1
 
 
 def test_independence_reduce_drops_dead_boxes():
@@ -213,10 +209,8 @@ def test_xor_normalize_general_preserves_parity_distribution():
             norm = xor_normalize_general(p)
             assert type(norm) is type(p) and norm.t == p.t + 2
             assert validate(norm) == []
-            for x in range(4):
-                for y in range(4):
-                    assert exec_exact(norm, x, y).parity_prob(1) \
-                        == exec_exact(p, x, y).parity_prob(1)
+            assert ([d.parity_prob(1) for *_, d in input_laws(norm)]
+                    == [d.parity_prob(1) for *_, d in input_laws(p)])
             # outputs are pure parities of all outcomes
             assert all(row[u] == parity(u) for row in (*norm.out_a, *norm.out_b)
                        for u in range(1 << norm.t))
@@ -238,11 +232,8 @@ def test_xor_normalize_general_handles_general_schedules():
                            ordered.out_a, ordered.out_b)
     norm = xor_normalize_general(g)
     assert validate(norm) == []
-    f = ip_table(2)
-    for x in range(4):
-        for y in range(4):
-            assert exec_exact(norm, x, y).parity_prob(1) \
-                == exec_exact(g, x, y).parity_prob(1)
+    assert ([d.parity_prob(1) for *_, d in input_laws(norm)]
+            == [d.parity_prob(1) for *_, d in input_laws(g)])
 
 
 # --- distributed circuits ---
@@ -289,10 +280,8 @@ def test_circuit_compiler_exact_on_random_circuits():
         c = _random_circuit(2, 2, RNG.randrange(1, 6), RNG)
         p = circuit_to_nlb(c)
         assert validate(p) == []
-        for x in range(4):
-            for y in range(4):
-                want = _circuit_value(c, x, y)
-                assert exec_exact(p, x, y).parity_prob(want) == 1
+        for x, y, dist in input_laws(p):
+            assert dist.parity_prob(_circuit_value(c, x, y)) == 1
 
 
 def test_circuit_compiler_box_accounting_for_disjointness():
@@ -448,9 +437,8 @@ def test_circuit_compiler_deep_chain_is_exact():
     c = _chain(9)
     p = circuit_to_nlb(c)
     assert p.t == 18 and validate(p) == []
-    for x in range(2):
-        for y in range(2):
-            assert exec_exact(p, x, y).parity_prob(_circuit_value(c, x, y)) == 1
+    for x, y, dist in input_laws(p):
+        assert dist.parity_prob(_circuit_value(c, x, y)) == 1
 
 
 # --- ordered-to-OT bridge ---
@@ -463,9 +451,7 @@ def test_ordered_to_ot_preserves_joint_distribution():
         ot = ordered_to_ot(src)
         assert validate(ot) == []
         assert ot.t == src.t
-        for x in range(1 << src.nx):
-            for y in range(1 << src.ny):
-                assert exec_exact(ot, x, y).probs == exec_exact(src, x, y).probs
+        assert input_laws(ot) == input_laws(src)
         assert privacy_audit_ot(ot) is None
 
 
@@ -504,20 +490,18 @@ def test_oneway_from_and_roundtrip_bit_bound():
         assert validate(back) == []
         # message length: ceil(log2 of the gate count)
         assert back.t <= max(1, (ap.t - 1)).bit_length()
-        for x in range(4):
-            for y in range(4):
-                a, b = next(iter(exec_exact(back, x, y).probs))
-                assert a ^ b == f.entry(x, y)
+        for x, y, dist in input_laws(back):
+            (a, b), = dist.probs
+            assert a ^ b == f.entry(x, y)
 
 
 def test_oneway_from_and_constant_function():
     f = TruthTable(1, 1, (0, 0))
     ap = and_from_oneway(oneway_optimal(f))
     back = oneway_from_and(ap, f)
-    for x in range(2):
-        for y in range(2):
-            a, b = next(iter(exec_exact(back, x, y).probs))
-            assert a ^ b == 0
+    for _x, _y, dist in input_laws(back):
+        (a, b), = dist.probs
+        assert a ^ b == 0
 
 
 def test_oneway_from_and_rejects_leaky_protocol():
@@ -546,7 +530,6 @@ def test_oneway_optimal_is_optimal_and_correct():
         ow = oneway_optimal(f)
         assert validate(ow) == []
         assert ow.t == d_oneway(f)
-        for x in range(4):
-            for y in range(4):
-                a, b = next(iter(exec_exact(ow, x, y).probs))
-                assert a ^ b == f.entry(x, y)
+        for x, y, dist in input_laws(ow):
+            (a, b), = dist.probs
+            assert a ^ b == f.entry(x, y)

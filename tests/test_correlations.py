@@ -13,8 +13,8 @@ from nlbox.correlations import (BOX_LABELS, CorrelationMatrix,
                                 layercake_decompose, make_context,
                                 parse_correlation, rt_comm, rt_nlb, rt_trials,
                                 simulate_distribution)
-from nlbox.engine import exec_exact
 from nlbox.truthtable import ip_table
+from util import input_laws
 
 RNG = random.Random(4242)
 
@@ -92,12 +92,10 @@ def test_simulate_distribution_exact_and_uniform():
     for _ in range(10):
         c = _random_corr_matrix(4, 4)
         mix = simulate_distribution(c)
-        for x in range(4):
-            for y in range(4):
-                dist = exec_exact(mix, x, y)
-                assert dist.parity_prob(1) == c.entries[x][y]
-                assert dist.marginal_a() == {0: HALF, 1: HALF}
-                assert dist.marginal_b() == {0: HALF, 1: HALF}
+        for x, y, dist in input_laws(mix):
+            assert dist.parity_prob(1) == c.entries[x][y]
+            assert dist.marginal_a() == {0: HALF, 1: HALF}
+            assert dist.marginal_b() == {0: HALF, 1: HALF}
 
 
 # --- 3-box measurement simulation ---

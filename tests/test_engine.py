@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,9 @@ from nlbox.library import disj_det_protocol, disj_rand_parallel, ip_protocol
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelXorProtocol,
                              ProtocolMixture, validate)
+from nlbox.serialize import serialize
 from nlbox.truthtable import TruthTable, and_table, disj_table, ip_table
-from util import (KINDS, leaky_ot, oracle_bob_first,
+from util import (KINDS, input_laws, leaky_ot, oracle_bob_first,
                   oracle_privacy_audit_ot as oracle_privacy_ot,
                   oracle_error, oracle_exec,
                   oracle_nonsignaling_audit, oracle_ot_received,
@@ -37,51 +39,62 @@ HALF = Fraction(1, 2)
 
 def test_chsh_box_distribution():
     p = ip_protocol(1)
-    for x in (0, 1):
-        for y in (0, 1):
-            dist = exec_exact(p, x, y)
-            # outcomes are unbiased and the parity equals x AND y surely
-            assert dist.marginal_a() == {0: HALF, 1: HALF}
-            assert dist.marginal_b() == {0: HALF, 1: HALF}
-            assert dist.parity_prob(x & y) == 1
+    for x, y, dist in input_laws(p):
+        # outcomes are unbiased and the parity equals x AND y surely
+        assert dist.marginal_a() == {0: HALF, 1: HALF}
+        assert dist.marginal_b() == {0: HALF, 1: HALF}
+        assert dist.parity_prob(x & y) == 1
 
 
 def test_parallel_exec_matches_bruteforce_oracle():
     for _ in range(30):
         base = synth_rank(random_table(2, 2, RNG))
         p = xor_as_parallel(base)
-        for x in range(4):
-            for y in range(4):
-                assert exec_exact(p, x, y).probs == oracle_parallel_dist(p, x, y)
+        for x, y, dist in input_laws(p):
+            assert dist.probs == oracle_parallel_dist(p, x, y)
 
 
 def test_xor_closed_form_matches_general_parallel_path():
     for _ in range(30):
         base = synth_rank(random_table(2, 2, RNG))
         emb = xor_as_parallel(base)
-        for x in range(4):
-            for y in range(4):
-                assert exec_exact(base, x, y).probs == exec_exact(emb, x, y).probs
+        assert input_laws(base) == input_laws(emb)
 
 
 def test_ordered_sweep_order_invariance():
     for _ in range(20):
         p = random_ordered(2, 2, RNG.randrange(1, 4), RNG)
-        for x in range(4):
-            for y in range(4):
-                # Alice's outcomes free (the kernel) or Bob's (the reference)
-                assert exec_exact(p, x, y).probs == oracle_bob_first(p, x, y)
+        for x, y, dist in input_laws(p):
+            # Alice's outcomes free (the kernel) or Bob's (the reference)
+            assert dist.probs == oracle_bob_first(p, x, y)
 
 
 def test_general_with_identity_schedules_equals_ordered():
-    for _ in range(20):
+    # the exact laws, seeded runs with their transcripts and seeded counts
+    # of an ordered protocol are those of the general one with identity
+    # touch orders
+    for k in range(20):
         p = random_ordered(2, 2, RNG.randrange(1, 4), RNG)
         ident = tuple(range(p.t))
         g = GeneralNlbProtocol(p.nx, p.ny, p.t, ident, p.step_a, ident,
                                p.step_b, p.out_a, p.out_b)
-        for x in range(4):
-            for y in range(4):
-                assert exec_exact(g, x, y).probs == exec_exact(p, x, y).probs
+        assert input_laws(g) == input_laws(p)
+        for seed in range(3):
+            x, y = divmod((k + seed) % 16, 4)
+            assert exec_sample(g, x, y, seed) == exec_sample(p, x, y, seed)
+            assert sample_counts(g, x, y, seed, 300) == sample_counts(p, x, y, seed, 300)
+
+
+def test_ordered_reads_identity_schedules_outside_its_state():
+    p = random_ordered(2, 1, 3, RNG)
+    assert p.sched_a.tolist() == p.sched_b.tolist() == list(range(p.t))
+    with pytest.raises(AttributeError):
+        p.sched_a = np.arange(p.t)
+    # they are no fields: the text, equality and hash hold the tables alone
+    assert not {"sched_a", "sched_b"} & {f.name for f in fields(p)}
+    assert "sched" not in serialize(p)
+    q = OrderedNlbProtocol(p.nx, p.ny, p.t, p.step_a, p.step_b, p.out_a, p.out_b)
+    assert q == p and hash(q) == hash(p)
 
 
 def test_general_schedule_permutation_invariance_for_parallel_boxes():
@@ -108,29 +121,25 @@ def test_general_schedule_permutation_invariance_for_parallel_boxes():
         g = GeneralNlbProtocol(base.nx, base.ny, base.t, tuple(sched_a), step_a,
                                tuple(sched_b), step_b,
                                emb.out_a, emb.out_b)
-        for x in range(4):
-            for y in range(4):
-                assert exec_exact(g, x, y).probs == exec_exact(base, x, y).probs
+        assert input_laws(g) == input_laws(base)
 
 
 def test_mixture_is_weighted_average():
     p = disj_rand_parallel(2, Fraction(1, 3))
-    for x in range(4):
-        for y in range(4):
-            acc = {}
-            for w, comp in p.components:
-                for ab, q in exec_exact(comp, x, y).probs.items():
-                    acc[ab] = acc.get(ab, Fraction(0)) + w * q
-            assert exec_exact(p, x, y).probs == acc
+    comps = [(w, input_laws(comp)) for w, comp in p.components]
+    for j, (_x, _y, dist) in enumerate(input_laws(p)):
+        acc = {}
+        for w, laws in comps:
+            for ab, q in laws[j][2].probs.items():
+                acc[ab] = acc.get(ab, Fraction(0)) + w * q
+        assert dist.probs == acc
 
 
 def test_deterministic_protocol_kinds_are_point_masses():
     tree = random_tree(2, 2, 3, RNG)
-    for x in range(4):
-        for y in range(4):
-            dist = exec_exact(tree, x, y)
-            assert list(dist.probs.values()) == [Fraction(1)]
-            assert next(iter(dist.probs)) == tree.evaluate(x, y)
+    for x, y, dist in input_laws(tree):
+        assert list(dist.probs.values()) == [Fraction(1)]
+        assert next(iter(dist.probs)) == tree.evaluate(x, y)
 
 
 def test_ot_distribution_and_received_bits():
@@ -301,30 +310,28 @@ def test_sampling_matches_recorded_runs(name):
                          ["parallel-xor", "parallel", "ordered", "general", "mixture"])
 def test_sampled_runs_obey_box_constraint_and_exact_support(name):
     p = sampled_kinds()[name]
-    for x in range(4):
-        for y in range(4):
-            support = exec_exact(p, x, y).probs
-            for seed in range(8):
-                a, b, tr = exec_sample(p, x, y, derive_seed(seed, 4 * x + y))
-                assert (a, b) in support
-                comp = p
-                if isinstance(p, ProtocolMixture):
-                    assert tr[0]["kind"] == "shared-randomness"
-                    comp = p.components[tr[0]["component"]][1]
-                    tr = tr[1:]
-                assert [ev["index"] for ev in tr] == list(range(comp.t))
-                avec = bvec = 0
-                for i, ev in enumerate(tr):
-                    (pi, qi), (ai, bi) = ev["in"], ev["out"]
-                    assert ai ^ bi == pi & qi
-                    avec |= ai << i
-                    bvec |= bi << i
-                # the outputs are the ones the sampled outcomes determine
-                if isinstance(comp, ParallelXorProtocol):
-                    assert (a, b) == (comp.local_a[x] ^ parity(avec),
-                                      comp.local_b[y] ^ parity(bvec))
-                else:
-                    assert (a, b) == (comp.out_a[x][avec], comp.out_b[y][bvec])
+    for x, y, law in input_laws(p):
+        for seed in range(8):
+            a, b, tr = exec_sample(p, x, y, derive_seed(seed, 4 * x + y))
+            assert (a, b) in law.probs
+            comp = p
+            if isinstance(p, ProtocolMixture):
+                assert tr[0]["kind"] == "shared-randomness"
+                comp = p.components[tr[0]["component"]][1]
+                tr = tr[1:]
+            assert [ev["index"] for ev in tr] == list(range(comp.t))
+            avec = bvec = 0
+            for i, ev in enumerate(tr):
+                (pi, qi), (ai, bi) = ev["in"], ev["out"]
+                assert ai ^ bi == pi & qi
+                avec |= ai << i
+                bvec |= bi << i
+            # the outputs are the ones the sampled outcomes determine
+            if isinstance(comp, ParallelXorProtocol):
+                assert (a, b) == (comp.local_a[x] ^ parity(avec),
+                                  comp.local_b[y] ^ parity(bvec))
+            else:
+                assert (a, b) == (comp.out_a[x][avec], comp.out_b[y][bvec])
 
 
 def test_nonsignaling_audit_rejects_non_box_protocols():
@@ -364,17 +371,16 @@ def test_engine_matches_scalar_oracle(kind):
         else:
             p = random_protocol(kind, nx, ny, t, rng)
         f = random_table(nx, ny, rng)
-        for x in range(1 << nx):
-            for y in range(1 << ny):
-                assert exec_exact(p, x, y).probs == oracle_exec(p, x, y)
-                if isinstance(p, OtProtocol):
-                    rec = ot_received_distribution(p, x, y)
-                    ref = oracle_ot_received(p, x, y)
-                    assert list(rec.items()) == list(ref.items())
-                seeds = [rng.randrange(1 << 30) for _ in range(4)]
-                for s in seeds:
-                    assert exec_sample(p, x, y, s) == oracle_sample(p, x, y, s)[0]
-                assert sample_counts(p, x, y, seeds[0], 40) == oracle_counts(p, x, y, seeds[0], 40)
+        for x, y, law in input_laws(p):
+            assert law.probs == oracle_exec(p, x, y)
+            if isinstance(p, OtProtocol):
+                rec = ot_received_distribution(p, x, y)
+                ref = oracle_ot_received(p, x, y)
+                assert list(rec.items()) == list(ref.items())
+            seeds = [rng.randrange(1 << 30) for _ in range(4)]
+            for s in seeds:
+                assert exec_sample(p, x, y, s) == oracle_sample(p, x, y, s)[0]
+            assert sample_counts(p, x, y, seeds[0], 40) == oracle_counts(p, x, y, seeds[0], 40)
         assert error_profile(p, f).table == {
             (x, y): oracle_error(p, f, x, y)
             for x in range(1 << nx) for y in range(1 << ny)}
@@ -518,14 +524,13 @@ def test_exact_law_of_wide_parallel_xor_matches_oracle():
         # beside an ordered leaf, whose small keys are sorted with them
         o = random_ordered(2, 2, 2, rng)
         mix = unchecked(ProtocolMixture, components=((HALF, p), (HALF, o)))
-        for x, y in ((0, 0), (3, 1), (2, 3)):
-            dist = exec_exact(p, x, y)
+        for (x, y, dist), (*_, mixed) in zip(input_laws(p), input_laws(mix)):
             assert dist.marginal_a() == {0: Fraction(1, 2), 1: Fraction(1, 2)}
             assert dist.parity_prob(1) == oracle_error(p, zero, x, y)
             want = Counter()
             for law in (dist.probs, oracle_exec(o, x, y)):
                 want.update({ab: q / 2 for ab, q in law.items()})
-            assert exec_exact(mix, x, y).probs == want
+            assert mixed.probs == want
 
 
 def test_error_profile_of_synthesized_6x6_matches_oracle():

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from nlbox.engine import error_profile, exec_exact, nonsignaling_audit
+from nlbox.engine import error_profile, nonsignaling_audit
 from nlbox.library import (ChshStrategy, chsh_box_protocol,
                            chsh_classical_optimum, disj_det_protocol,
                            disj_rand_parallel, ip_protocol, vandam_protocol)
 from nlbox.protocols import validate
 from nlbox.truthtable import and_table, disj_table, ip_table
+from util import input_laws
 
 THIRD = Fraction(1, 3)
 
@@ -90,9 +91,8 @@ def test_chsh_box_strategy_wins_surely():
     assert p.t == 1
     prof = error_profile(p, and_table())
     assert prof.worst == 0
-    for x in (0, 1):
-        for y in (0, 1):
-            assert exec_exact(p, x, y).parity_prob(x & y) == 1
+    for x, y, dist in input_laws(p):
+        assert dist.parity_prob(x & y) == 1
 
 
 def test_library_protocols_are_nonsignaling():

@@ -21,7 +21,7 @@ from nlbox.protocols import (BITS, FRACS, INTS, PAIRS, GeneralNlbProtocol, OneWa
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import (TruthTable, content_lines, format_truth_table, ip_table,
                               parse_truth_table)
-from util import KINDS, TRUTH_TABLE_BAD_HEADERS, mutated, random_ordered, \
+from util import KINDS, TRUTH_TABLE_BAD_HEADERS, input_laws, mutated, random_ordered, \
     random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
 
 RNG = random.Random(1234)
@@ -223,9 +223,7 @@ def test_every_protocol_validate_accepts_is_canonical_and_runs(kind, nx, ny, t, 
     _assert_canonical(p)
     q = parse(serialize(p))
     assert q == p and hash(q) == hash(p)
-    for x in range(1 << nx):
-        for y in range(1 << ny):
-            assert exec_exact(p, x, y) == exec_exact(q, x, y)
+    assert input_laws(p) == input_laws(q)
 
 
 def test_validate_names_the_malformed_table():

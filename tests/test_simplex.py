@@ -38,23 +38,18 @@ LPS = [_random_lp(RNG) for _ in range(600)] + [
 ]
 
 
-def test_matches_rational_tableau():
-    feasible = 0
-    for cols, b in LPS:
-        got = solve_phase1(cols, b)
-        assert got == oracle_phase1(cols, b)
-        feasible += got[0] == 0
-    # the panel exercises both verdicts
-    assert 100 < feasible < len(LPS) - 100
-
-
 def _as_array(cols, b):
     return np.array(cols, dtype=np.int64).reshape(len(cols), len(b))
 
 
-def test_array_columns_match_lists():
+def test_matches_rational_tableau():
+    feasible = 0
     for cols, b in LPS:
-        assert solve_phase1(_as_array(cols, b), b) == solve_phase1(cols, b)
+        got = solve_phase1(_as_array(cols, b), b)
+        assert got == oracle_phase1(cols, b)
+        feasible += got[0] == 0
+    # the panel exercises both verdicts
+    assert 100 < feasible < len(LPS) - 100
 
 
 # entries at and past 2^31, where the tableau leaves int64 for Python ints
@@ -77,9 +72,7 @@ GROWING_LP = ([[2**20, 3, 1], [5, 2**20, 1], [1, 7, 2**20]],
                          ids=["rhs-2^40+1", "rhs-2^70+3", "cols-2^33", "cols-2^33-square",
                               "growing"])
 def test_wide_entries_match_rational_tableau(cols, b):
-    want = oracle_phase1(cols, b)
-    assert solve_phase1(cols, b) == want
-    assert solve_phase1(_as_array(cols, b), b) == want
+    assert solve_phase1(_as_array(cols, b), b) == oracle_phase1(cols, b)
 
 
 def test_tableau_leaves_int64_when_an_entry_reaches_2_31(monkeypatch):
@@ -91,18 +84,18 @@ def test_tableau_leaves_int64_when_an_entry_reaches_2_31(monkeypatch):
         return tab
 
     monkeypatch.setattr(_simplex, "_widened", spy)
-    solve_phase1(*GROWING_LP)
+    solve_phase1(_as_array(*GROWING_LP), GROWING_LP[1])
     # int64 at the start, Python ints from some pivot on
     assert not wide[0] and wide[-1] and wide == sorted(wide)
-    for lp, want in ((WIDE_LPS[0], True), (WIDE_LPS[2], True), (LPS[-3], False)):
+    for (cols, b), want in ((WIDE_LPS[0], True), (WIDE_LPS[2], True), (LPS[-3], False)):
         wide.clear()
-        solve_phase1(*lp)
+        solve_phase1(_as_array(cols, b), b)
         assert set(wide) == {want}
 
 
 def test_results_are_exact_certificates():
     for cols, b in LPS:
-        opt, x, y = solve_phase1(cols, b)
+        opt, x, y = solve_phase1(_as_array(cols, b), b)
         assert all(type(v) is Fraction for v in [opt, *x, *y])
         if opt == 0:
             assert all(v >= 0 for v in x)
@@ -114,16 +107,10 @@ def test_results_are_exact_certificates():
             assert all(sum(yi * ci for yi, ci in zip(y, c)) <= 0 for c in cols)
 
 
-def test_integral_entries_of_any_type_are_accepted():
-    cols, b = [[Fraction(1), 0], (0, 1.0)], [Fraction(1, 3), Fraction(2, 3)]
-    assert solve_phase1(cols, b) == oracle_phase1(cols, b)
-    assert solve_phase1(cols, b)[0] == 0
-
-
 @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, Fraction(-7, 3)])
 def test_rejects_non_integral_column_entry(entry):
     with pytest.raises(ValueError, match="integer"):
-        solve_phase1([[1, 0], [0, entry]], [Fraction(1), Fraction(1)])
+        solve_phase1(np.array([[1, 0], [0, entry]], dtype=object), [Fraction(1), Fraction(1)])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, bool, object])
@@ -134,4 +121,4 @@ def test_rejects_non_integer_column_array(dtype):
 
 def test_rejects_negative_rhs():
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_phase1([[1, 0], [0, 1]], [Fraction(1), Fraction(-1, 8)])
+        solve_phase1(np.eye(2, dtype=np.int64), [Fraction(1), Fraction(-1, 8)])

@@ -11,24 +11,38 @@ from __future__ import annotations
 
 import random
 import re
+import zlib
 from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from math import lcm
 
 import numpy as np
 from hypothesis import strategies as st
 
-from nlbox.engine import AuditViolation, derive_seed
+from nlbox.engine import AuditViolation, derive_seed, exact_laws, exec_exact
 from nlbox.gf2 import SpectrumReport
 from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                              OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                              ParallelXorProtocol, ProtocolMixture, TwoWayTree)
+from nlbox.serialize import serialize
 from nlbox.truthtable import TruthTable
 
 
 def parity(v: int) -> int:
     return bin(v).count("1") & 1
+
+
+def input_laws(p) -> list:
+    """(x, y, law) for every input of p, x outer, from one exact_laws
+    call.  One input, picked by the CRC of p's text so that protocols
+    spread over their inputs, also runs alone through exec_exact, which
+    must give the same law."""
+    pairs = list(product(range(1 << p.nx), range(1 << p.ny)))
+    laws = exact_laws(p)
+    x, y = pairs[zlib.crc32(serialize(p).encode()) % len(pairs)]
+    assert laws[x << p.ny | y] == exec_exact(p, x, y)
+    return [(x, y, law) for (x, y), law in zip(pairs, laws)]
 
 
 # truth-table headers that name no table of a one-row, one-cell body: huge
