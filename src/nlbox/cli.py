@@ -499,10 +499,10 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (engine.ResourceLimitError, epsrank.DimensionLimitError) as exc:
+    except engine.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, engine.ProtocolError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"wall-time: {time.monotonic() - started:.3f}s", file=sys.stderr)

@@ -17,8 +17,8 @@ from operator import xor
 import numpy as np
 
 from . import gf2
-from .engine import (ProtocolError, _check_limit, _errors, _kernel, _parities,
-                     privacy_audit_and)
+from .engine import (ProtocolError, ResourceLimitError, _check_limit, _errors, _kernel,
+                     _parities, privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree)
@@ -76,7 +76,7 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
     the difference between their two possible continuations.
     """
     if p.t > MAX_TREE_DEPTH:
-        raise ProtocolError(f"tree depth {p.t} exceeds the {MAX_TREE_DEPTH} limit")
+        raise ResourceLimitError(f"tree depth {p.t} exceeds the {MAX_TREE_DEPTH} limit")
     # per side, fam[i][prefix][input]; prefixes are k-bit transcripts
     fams = [p.out_a[None], p.out_b[None]]
     for k in range(p.t, 0, -1):
@@ -454,6 +454,7 @@ def and_from_oneway(p: OneWayProtocol) -> AndProtocol:
     Alice raises the gate matching her message; Bob inputs his answer to
     that message, so exactly one gate output carries his contribution.
     """
+    _check_limit(p.nx + (1 << p.t))
     n_gates = 1 << p.t
     pbox = (p.msg == np.arange(n_gates)[:, None]).astype(np.uint8)
     out_a = p.out_a[:, None] ^ ((np.arange(1 << n_gates) >> p.msg[:, None]) & 1)
@@ -485,8 +486,8 @@ def oneway_from_and(p: AndProtocol, f: TruthTable) -> OneWayProtocol:
                       if len(set(p.qbox[i])) == 1
                       and (p.qbox[i][0] == 0 or p.pbox[i][x] == 1)), None)
             if m is None:
-                raise ProtocolError(
-                    "not private: no constant-answer gate for a constant row")
+                raise ProtocolError("one-way extraction found no message with a constant Bob"
+                                    f" answer for constant row x={x}")
             vec[1 - c] = vec[c] ^ (1 << m)
         else:
             m = ((vec[0] ^ vec[1]) & -(vec[0] ^ vec[1])).bit_length() - 1

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -215,14 +215,14 @@ def _kernel(p):
     raise ProtocolError(f"cannot run {type(p).__name__}")
 
 
-def _leaves(p, w=Fraction(1)) -> list:
-    """(weight, protocol) for each protocol a mixture draws, nested
-    mixtures flattened; [(1, p)] for a protocol of any other kind."""
+def _leaves(p) -> tuple:
+    """A mixture's (weight, protocol) components as they are, each of a
+    kind, never a mixture; ((1, p),) for a protocol of any other kind."""
     if isinstance(p, ProtocolMixture):
-        return [leaf for v, c in p.components for leaf in _leaves(c, w * v)]
+        return p.components
     if type(p) not in KIND_NAMES:
         raise ProtocolError(f"{type(p).__name__} is not a protocol kind")
-    return [(w, p)]
+    return ((Fraction(1), p),)
 
 
 def _check_inputs(leaves, x, y) -> None:
@@ -378,29 +378,28 @@ def _below(gen, n: int, m: int) -> np.ndarray:
     return np.array(out, dtype=object)
 
 
-def _sampler(p, key: int, nodes=None):
-    """A batch of runs' randomness, m -> [(path, leaf, sel, v)]: for each
-    protocol a mixture can select, the components selecting it, which of
-    the m runs do, and its u (box kinds), r (OT) or 0 for every run.
-    Node i of p in preorder (nodes counts them) draws a value for every
-    run from its own Philox stream keyed (key, i): run j takes the j-th."""
-    nodes = count() if nodes is None else nodes
-    gen = np.random.Generator(np.random.Philox(key=next(nodes) << 64 | key))
-    n, pick = 1 << p.t if isinstance(p, NLB_KINDS) else 1, lambda v: v
-    if isinstance(p, (ProtocolMixture, OtProtocol)):
+def _sampler(p, key: int):
+    """A batch of runs' randomness, m -> [(path, leaf, sel, v)]: path [] for
+    p, or [i] for a mixture's component i, the m runs selecting it, and its
+    u (box kinds), r (OT) or 0 per run.  Node 0, p, and node i + 1, component
+    i, draw run j's value as the j-th of their Philox stream keyed (key, node)."""
+    def stream(node, q):
+        gen = np.random.Generator(np.random.Philox(key=node << 64 | key))
+        if not isinstance(q, (ProtocolMixture, OtProtocol)):
+            return lambda m: _below(gen, 1 << q.t if isinstance(q, NLB_KINDS) else 1, m)
         # index k takes L * w_k of the values, L the lcm of the denominators
-        nums, n = p.r_ints if isinstance(p, OtProtocol) else _over_lcm(
-            [w for w, _c in p.components])
+        nums, n = q.r_ints if isinstance(q, OtProtocol) else _over_lcm(
+            [w for w, _c in q.components])
         bounds = np.array(list(accumulate(nums))[:-1], dtype=np.int64 if n < 1 << 63 else object)
-        pick = lambda r: np.searchsorted(bounds, r, side="right")
+        return lambda m: np.searchsorted(bounds, _below(gen, n, m), side="right")
+    draw = stream(0, p)
     if not isinstance(p, ProtocolMixture):
-        return lambda m: [([], p, np.ones(m, bool), pick(_below(gen, n, m)))]
-    subs = [_sampler(c, key, nodes) for _w, c in p.components]
+        return lambda m: [([], p, np.ones(m, bool), draw(m))]
+    subs = [(c, stream(i + 1, c)) for i, (_w, c) in enumerate(p.components)]
 
     def draw_mixture(m):
-        comp = pick(_below(gen, n, m))
-        return [([i, *path], leaf, sel & (comp == i), v)
-                for i, sub in enumerate(subs) for path, leaf, sel, v in sub(m)]
+        comp = draw(m)
+        return [([i], c, comp == i, sub(m)) for i, (c, sub) in enumerate(subs)]
     return draw_mixture
 
 

@@ -7,13 +7,14 @@ exhaustively (desk scale: at most 16 entries) and grouped by rank; the
 mixture search is a phase-1 simplex over rationals, accelerated by
 column generation so the master LP stays tiny even with 65k candidates.
 
-Each shape has one cached candidate table (``candidate_table``): the
-masks in rank order, their entry bits as uint8, and where the masks of
-rank at most t end, so the search at t reads a prefix of it.  Each
-search builds its float pricing matrices from those bits, checks the
-best 64 columns' reduced costs exactly as one integer product (int64,
-Python ints when the duals are wide) and passes the master's columns to
-the simplex as one int64 array.
+Each shape has one cached candidate table (``candidate_table``), from
+one batch rank call: the masks in rank order, their entry bits as uint8,
+and where the masks of rank at most t end, so the search at t reads a
+prefix of it (``enumerate_ranks`` slices it by rank).  Each search
+builds its float pricing matrices from those bits, checks the best 64
+columns' reduced costs exactly as one integer product (int64, Python
+ints when the duals are wide) and passes the master's columns to the
+simplex as one int64 array.
 
 A level at which every entry is pinned, hi = 0 or lo = 1 (as at eps = 0
 on a 0/1 target), is presolved: only the pinned matrix agrees with the
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import gf2
 from ._simplex import solve_phase1
+from .engine import ResourceLimitError
 from .truthtable import TruthTable
 
 MAX_ENTRIES = 16
@@ -43,41 +45,34 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class DimensionLimitError(ValueError):
+class DimensionLimitError(ResourceLimitError, ValueError):
     """Matrix too large for exhaustive Boolean-matrix enumeration."""
 
 
 @lru_cache(maxsize=None)
-def enumerate_ranks(n_rows: int, n_cols: int) -> tuple[np.ndarray, ...]:
-    """Masks of all Boolean n_rows x n_cols matrices, grouped by GF(2) rank.
-
-    Element r of the returned tuple holds the row-major packed masks of
-    the matrices with rank exactly r.
-    """
+def candidate_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every Boolean n_rows x n_cols matrix in order of GF(2) rank: the
+    row-major packed masks (int64), ascending within a rank, their entry
+    bits as uint8 (column e holds entry e), and for each t the end of the
+    prefix of masks with rank at most t."""
     n_entries = n_rows * n_cols
     if n_entries > MAX_ENTRIES:
         raise DimensionLimitError(
             f"{n_rows}x{n_cols} exceeds the {MAX_ENTRIES}-entry enumeration limit")
-    masks = np.arange(1 << n_entries, dtype=np.int64)
-    ranks = gf2.rank_batch_masks(masks, n_rows, n_cols)
-    rmax = min(n_rows, n_cols)
-    return tuple(masks[ranks == r] for r in range(rmax + 1))
-
-
-@lru_cache(maxsize=None)
-def candidate_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Every Boolean n_rows x n_cols matrix in order of GF(2) rank.
-
-    Returns the masks of ``enumerate_ranks`` concatenated, their entry
-    bits as uint8 (column e holds entry e, row-major), and for each t the
-    end of the prefix of masks with rank at most t.
-    """
-    by_rank = enumerate_ranks(n_rows, n_cols)
-    masks = np.concatenate(by_rank)
+    ranks = gf2.rank_batch_masks(np.arange(1 << n_entries, dtype=np.int64), n_rows, n_cols)
+    masks = np.argsort(ranks, kind="stable")
     bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(len(masks), 8), axis=1,
-                         count=n_rows * n_cols, bitorder="little")
+                         count=n_entries, bitorder="little")
     masks.flags.writeable = bits.flags.writeable = False
-    return masks, bits, tuple(np.cumsum([len(g) for g in by_rank]).tolist())
+    return masks, bits, tuple(np.cumsum(np.bincount(ranks)).tolist())
+
+
+def enumerate_ranks(n_rows: int, n_cols: int) -> tuple[np.ndarray, ...]:
+    """Masks of all Boolean n_rows x n_cols matrices, grouped by GF(2) rank:
+    element r is the read-only slice of ``candidate_table``'s masks that
+    have rank exactly r."""
+    masks, _bits, ends = candidate_table(n_rows, n_cols)
+    return tuple(np.split(masks, ends[:-1]))
 
 
 @dataclass(frozen=True)

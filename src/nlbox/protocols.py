@@ -387,7 +387,7 @@ def _array(tab, ndim: int | None, cells, label: str):
         if a.dtype != dtype:
             if a.size and (a.dtype.kind not in "biu" or a.min() < 0 or a.max() > top):
                 _refuse(label, f"entry not of type {cells}")
-            a = a.astype(dtype)
+            a = a.astype(dtype) if a.size else np.empty(a.shape, dtype)  # complex would warn
     a.setflags(write=False)
     return a
 
@@ -457,8 +457,8 @@ def validate(p) -> list[str]:
     ``layout`` of its shape and of 0/1 bits, schedules that permute the
     box labels, messages in range and OT weights; for a mixture,
     (rational weight, protocol) pairs with positive weights summing to 1,
-    of one kind and one set of dimensions.  The constructors raise on any
-    violation, so every protocol that exists keeps them all.
+    of one kind, not a mixture, and one set of dimensions.  Constructors
+    raise on any violation, so every protocol that exists keeps them all.
     """
     if isinstance(p, ProtocolMixture):
         comps = p.components
@@ -468,7 +468,7 @@ def validate(p) -> list[str]:
         if not comps:
             return ["mixture: no components"]
         if bad := [f"{type(c).__name__} is not a protocol kind" for _w, c in comps
-                   if type(c) not in KIND_NAMES and not isinstance(c, ProtocolMixture)]:
+                   if type(c) not in KIND_NAMES]:
             return bad
         if not _rational([w for w, _ in comps]):
             return ["mixture: weight not a rational number"]

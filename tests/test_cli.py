@@ -728,6 +728,19 @@ def test_compile_circuit_caps_box_count(capsys, tmp_path, monkeypatch):
                            want=4, prefix="resource limit: ")
 
 
+def test_compile_resource_caps_exit_4(capsys, tmp_path, monkeypatch):
+    # a two-way tree deeper than 8, and an AND compile whose 2^(nx + 2^t)
+    # output cells pass NLBOX_LIMIT_T, are refused before anything is built
+    deep, ow = tmp_path / "deep.nlb", tmp_path / "ow.nlb"
+    deep.write_text(serialize(random_protocol("twoway", 1, 1, 9, random.Random(9))))
+    ow.write_text(serialize(oneway_optimal(ip_table(2))))
+    assert run(capsys, "compile", "--from", "twoway", "-i", str(deep)) == (
+        4, "", "resource limit: tree depth 9 exceeds the 8 limit\n")
+    monkeypatch.setenv("NLBOX_LIMIT_T", "5")
+    assert run(capsys, "compile", "--from", "and-from-oneway", "-i", str(ow)) == (
+        4, "", "resource limit: 2^6 branch enumeration exceeds the t<=5 limit\n")
+
+
 def test_rt_argument_checks(capsys):
     for dim, trials in (("0", "10"), ("2", "10"), ("3", "0"), ("3", "-5")):
         _assert_one_line_error(*run(capsys, "rt", "--dim", dim, "--trials",

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from nlbox import compilers, gf2
+from nlbox.cli import dispatch
 from nlbox.compilers import (DistributedCircuit, InputWire, and_from_oneway,
                              circuit_to_nlb, d_oneway, independence_reduce,
                              oneway_from_and, oneway_optimal,
@@ -20,11 +21,12 @@ from nlbox.compilers import (DistributedCircuit, InputWire, and_from_oneway,
                              parallel_exact_function, synth_rank,
                              synth_vandam, twoway_to_parallel,
                              xor_normalize_general, xor_normalize_parallel)
-from nlbox.engine import ProtocolError, error_profile, privacy_audit_and, privacy_audit_ot
+from nlbox.engine import (ProtocolError, ResourceLimitError, error_profile, privacy_audit_and,
+                          privacy_audit_ot)
 from nlbox.library import disj_circuit
-from nlbox.protocols import OneWayProtocol, ParallelProtocol, validate
+from nlbox.protocols import AndProtocol, OneWayProtocol, ParallelProtocol, validate
 from nlbox.serialize import serialize
-from nlbox.truthtable import (TruthTable, and_table, disj_table, ip_table,
+from nlbox.truthtable import (TruthTable, and_table, disj_table, format_truth_table, ip_table,
                               xor_table)
 from util import (input_laws, obfuscate, oracle_circuit_to_nlb, oracle_ordered_to_ot,
                   oracle_parallel_exact_function, parity,
@@ -113,8 +115,9 @@ def test_twoway_compiler_distribution_spot_check():
 
 
 def test_twoway_compiler_rejects_deep_or_malformed_trees():
+    # past depth 8 the 2^t - 1 boxes are a resource limit
     deep = random_tree(1, 1, 9, RNG)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ResourceLimitError, match="^tree depth 9 exceeds the 8 limit$"):
         twoway_to_parallel(deep)
     tree = random_tree(1, 1, 2, RNG)
     with pytest.raises(ProtocolError, match="outA"):
@@ -480,6 +483,49 @@ def test_and_from_oneway_gate_count_correctness_privacy():
         ap = and_from_oneway(ow)
         assert ap.t == 1 << ow.t
         assert privacy_audit_and(ap, f) is None
+
+
+def test_and_from_oneway_checks_the_limit_before_building(monkeypatch):
+    # a t-bit message gives 2^t gates and Alice 2^(nx + 2^t) output cells:
+    # 2 + 4 > 5 is refused, 2 + 4 <= 6 is built
+    ow = oneway_optimal(ip_table(2))
+    assert (ow.nx, ow.t) == (2, 2)
+    monkeypatch.setenv("NLBOX_LIMIT_T", "5")
+    with pytest.raises(ResourceLimitError,
+                       match=r"^2\^6 branch enumeration exceeds the t<=5 limit$"):
+        and_from_oneway(ow)
+    monkeypatch.setenv("NLBOX_LIMIT_T", "6")
+    assert and_from_oneway(ow).t == 4
+
+
+# two private secure-AND protocols whose extraction finds no message for
+# a constant row, and the row: the gates only Alice's x = 0 raises, for
+# f(x, y) = x (d_oneway 0); and rows 0 and 1 reading gate bits 0 and 1
+# next to constant rows 2 and 3, for f rows 01 10 00 11 (d_oneway 1)
+UNEXTRACTED_AND = [
+    (AndProtocol(1, 1, 1, ((0, 0),), ((0, 1),), ((0, 0), (1, 1))),
+     TruthTable(1, 1, (0b00, 0b11)), 0),
+    (AndProtocol(2, 1, 2, ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1), (1, 0)),
+                 ((0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1))),
+     TruthTable(2, 1, (0b10, 0b01, 0b00, 0b11)), 2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(UNEXTRACTED_AND)))
+def test_oneway_from_and_names_the_row_it_cannot_extract(case, capsys, tmp_path):
+    ap, f, row = UNEXTRACTED_AND[case]
+    assert privacy_audit_and(ap, f) is None
+    # f needs no more than ceil(log2 gates) bits one way
+    assert d_oneway(f) <= (ap.t - 1).bit_length()
+    why = ("one-way extraction found no message with a constant Bob answer"
+           f" for constant row x={row}")
+    with pytest.raises(ProtocolError, match=f"^{why}$"):
+        oneway_from_and(ap, f)
+    (tmp_path / "and.nlb").write_text(serialize(ap))
+    (tmp_path / "f.tt").write_text(format_truth_table(f))
+    code = dispatch(["compile", "--from", "oneway-from-and", "-i", str(tmp_path / "and.nlb"),
+                     "-f", str(tmp_path / "f.tt")])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {why}\n")
 
 
 def test_oneway_from_and_roundtrip_bit_bound():

@@ -358,16 +358,23 @@ def test_audits_refuse_other_kinds():
 
 @pytest.mark.parametrize("kind", KINDS + ("nested",))
 def test_engine_matches_scalar_oracle(kind):
-    # seeded random protocols of every kind (mixtures of every kind and
-    # mixtures of two such mixtures, OT with one to three weighted coins)
-    # on every input: exact laws, received-bit laws in key order, error
-    # profiles and seeded runs equal the scalar reference
+    # seeded random protocols of every kind (mixtures of every kind, OT
+    # with one to three weighted coins) on every input: exact laws,
+    # received-bit laws in key order, error profiles and seeded runs equal
+    # the scalar reference.  A mixture of two mixtures is refused; the
+    # one-level mixture of their leaves, weights multiplied out and kinds
+    # possibly mixed (built past the constructor's checks), is run instead
     rng = random.Random(f"oracle:{kind}")
     for _ in range(12):
         nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
         if kind == "nested":
-            p = ProtocolMixture(tuple((w, random_protocol("mix", nx, ny, t, rng))
-                                      for w in (Fraction(1, 3), Fraction(2, 3))))
+            pairs = tuple((w, random_protocol("mix", nx, ny, t, rng))
+                          for w in (Fraction(1, 3), Fraction(2, 3)))
+            with pytest.raises(ProtocolError, match="^invalid protocol: ProtocolMixture is not "
+                               "a protocol kind; ProtocolMixture is not a protocol kind$"):
+                ProtocolMixture(pairs)
+            p = unchecked(ProtocolMixture, components=tuple(
+                (w * v, c) for w, m in pairs for v, c in m.components))
         else:
             p = random_protocol(kind, nx, ny, t, rng)
         f = random_table(nx, ny, rng)
@@ -553,17 +560,16 @@ def test_error_profile_of_disj_rand_matches_oracle(n):
 
 
 def test_error_profile_of_nested_mixed_kinds_matches_oracle():
-    # parallel-XOR leaves next to ordered and one-way leaves, one level
-    # and two levels down, with weights of unlike denominators; such
-    # mixtures are built past the constructor's checks
+    # parallel-XOR leaves next to ordered and one-way leaves in one
+    # mixture, with weights of unlike denominators; such mixtures are
+    # built past the constructor's checks
     rng = random.Random(23)
     for _ in range(6):
         xor = [random_protocol("parallel-xor", 2, 1, 3, rng) for _ in range(2)]
-        inner = unchecked(ProtocolMixture, components=(
-            (Fraction(1, 4), random_protocol("oneway", 2, 1, 2, rng)), (Fraction(3, 4), xor[0])))
+        oneway = random_protocol("oneway", 2, 1, 2, rng)
         p = unchecked(ProtocolMixture, components=(
             (Fraction(1, 3), xor[1]), (Fraction(1, 6), random_ordered(2, 1, 2, rng)),
-            (Fraction(1, 2), inner)))
+            (Fraction(1, 8), oneway), (Fraction(3, 8), xor[0])))
         _assert_profile_is_oracle(p, random_table(2, 1, rng))
 
 
@@ -590,8 +596,8 @@ def test_error_profile_rejects_domain_mismatch():
 
 
 def _box_samples():
-    """Valid box protocols: random ones of the four kinds, alone, mixed
-    and mixed two levels deep, then library and compiled ones."""
+    """Valid box protocols: random ones of the four kinds, alone and
+    mixed, then library and compiled ones."""
     rng = random.Random(5150)
     for kind in ("parallel-xor", "parallel", "ordered", "general"):
         for _ in range(10):
@@ -600,8 +606,7 @@ def _box_samples():
                                          for w in (Fraction(1, 5), Fraction(4, 5))))
                    for _ in range(2)]
             yield random_protocol(kind, nx, ny, t, rng)
-            yield mix[0]
-            yield ProtocolMixture(((Fraction(2, 3), mix[0]), (Fraction(1, 3), mix[1])))
+            yield from mix
     for n in (1, 2, 3):
         yield disj_det_protocol(n)
     yield xor_normalize_general(disj_det_protocol(1))
@@ -684,38 +689,39 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
     # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
     # every mixture leaf's runs are split between chunks (at least 8 of
     # them); 5 holds 32, several whole inputs of each protocol below in
-    # one chunk (and at least 2 chunks); the mixtures of two kinds are
-    # built past the constructor's checks
+    # one chunk (and at least 2 chunks); the mixtures of two and three
+    # kinds are built past the constructor's checks
     rng = random.Random(99)
     sig = _signalling_ordered()
-    valid = unchecked(ProtocolMixture, components=(
-        (Fraction(1, 4), random_ordered(2, 2, 2, rng)),
-        (Fraction(3, 4), random_protocol("general", 2, 2, 2, rng))))
-    nested = unchecked(ProtocolMixture, components=(
-        (Fraction(1, 2), valid), (Fraction(1, 2), random_protocol("oneway", 2, 2, 2, rng))))
+    leaves = ((Fraction(1, 4), random_ordered(2, 2, 2, rng)),
+              (Fraction(3, 4), random_protocol("general", 2, 2, 2, rng)))
+    valid = unchecked(ProtocolMixture, components=leaves)
+    mixed = unchecked(ProtocolMixture, components=(
+        *((w / 2, c) for w, c in leaves),
+        (Fraction(1, 2), random_protocol("oneway", 2, 2, 2, rng))))
     mix = ProtocolMixture(((Fraction(1, 3), sig), (Fraction(2, 3), random_ordered(2, 2, 1, rng))))
     ots = (leaky_ot(), random_protocol("ot", 2, 2, 3, rng), ordered_to_ot(random_ordered(2, 2, 2, rng)))
     f = random_table(2, 2, rng)
     pairs = [(i, j) for i in range(4) for j in range(4)]
 
     def results():
-        return ([error_profile(p, f) for p in (valid, nested, mix, *ots)],
+        return ([error_profile(p, f) for p in (valid, mixed, mix, *ots)],
                 [privacy_audit_ot(p) for p in ots],
-                [exec_exact(p, i, j) for p in (valid, nested, mix, *ots) for i, j in pairs],
+                [exec_exact(p, i, j) for p in (valid, mixed, mix, *ots) for i, j in pairs],
                 [list(ot_received_distribution(p, i, j).items()) for p in ots for i, j in pairs])
     whole = results()
     x, y = np.divmod(np.arange(16), 4)
     for limit, least in (("3", 8), ("5", 2)):
         monkeypatch.setenv("NLBOX_LIMIT_T", limit)
-        for p in (valid, nested, mix, *ots):
+        for p in (valid, mixed, mix, *ots):
             rows = [len(laws) for _keys, laws
                     in _tally(_leaves(p), x, y, lambda _j, a, b, *_: a ^ b)[1]]
             assert len(rows) >= least and (limit == "3" or max(rows) > 1)
         assert results() == whole
     profiles, privacy, laws, receipts = whole
-    for p, prof in zip((valid, nested, mix, *ots), profiles):
+    for p, prof in zip((valid, mixed, mix, *ots), profiles):
         assert prof.table == {(i, j): oracle_error(p, f, i, j) for i in range(4) for j in range(4)}
-    assert [d.probs for d in laws] == [oracle_exec(p, i, j) for p in (valid, nested, mix, *ots)
+    assert [d.probs for d in laws] == [oracle_exec(p, i, j) for p in (valid, mixed, mix, *ots)
                                        for i, j in pairs]
     assert receipts == [list(oracle_ot_received(p, i, j).items()) for p in ots for i, j in pairs]
     assert privacy == [oracle_privacy_ot(p) for p in ots] and privacy[0].witness[:2] == (2, 1)

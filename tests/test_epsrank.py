@@ -9,6 +9,7 @@ import pytest
 
 from nlbox import epsrank, gf2
 from nlbox.correlations import CorrelationMatrix
+from nlbox.engine import ResourceLimitError
 from nlbox.epsrank import (DimensionLimitError, EpsRankQuery, EpsRankResult,
                            candidate_table, enumerate_ranks, eps_rank, verify_witness)
 from nlbox.truthtable import TruthTable, and_table, xor_table
@@ -100,6 +101,22 @@ def test_rejects_bad_eps_and_oversized_matrix():
         _eps_rank(big, 0)
     with pytest.raises(DimensionLimitError):
         enumerate_ranks(5, 4)
+
+
+def test_dimension_limit_is_a_resource_limit_and_a_value_error():
+    for kind in (ResourceLimitError, ValueError):
+        with pytest.raises(kind, match="^5x4 exceeds the 16-entry enumeration limit$"):
+            candidate_table(5, 4)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 4)])
+def test_rank_groups_hold_every_mask_of_their_rank_in_order(shape):
+    groups = enumerate_ranks(*shape)
+    ranks = gf2.rank_batch_masks(np.arange(1 << (shape[0] * shape[1])), *shape)
+    assert len(groups) == min(shape) + 1
+    for r, group in enumerate(groups):
+        assert group.dtype == np.int64 and not group.flags.writeable
+        assert np.array_equal(group, np.flatnonzero(ranks == r))
 
 
 def test_enumerate_ranks_partition():

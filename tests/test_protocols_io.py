@@ -480,6 +480,43 @@ def test_mixture_given_a_list_is_the_protocol_it_writes():
         assert back == mix and hash(back) == hash(mix)
 
 
+def test_mixture_of_mixtures_is_refused_built_and_parsed():
+    # a component is one protocol of a kind, never a mixture: so a
+    # mixture of an IP mixture and a one-way mixture, whose leaves are of
+    # two kinds, is refused, as is an IP mixture next to an IP protocol
+    comp = ip_protocol(1)
+    ip_mix = ProtocolMixture(((HALF, comp), (HALF, comp)))
+    ow_mix = ProtocolMixture(((HALF, oneway_optimal(ip_table(1))),) * 2)
+    for components, n in ((((HALF, ip_mix), (HALF, ow_mix)), 2),
+                          (((HALF, comp), (HALF, ip_mix)), 1)):
+        want = "; ".join(["ProtocolMixture is not a protocol kind"] * n)
+        with pytest.raises(ProtocolError, match=f"^invalid protocol: {want}$"):
+            ProtocolMixture(components)
+    # the same written by hand, a "mix" header where a protocol belongs
+    inner = f"mix 2 1/2\n{serialize(comp)}" * 2
+    with pytest.raises(ParseError, match="^bad header 'mix 2 1/2'$"):
+        parse(f"mix 2 1/2\n{inner}" * 2)
+
+
+@pytest.mark.parametrize("kind", KINDS[:-1])
+def test_random_mixture_of_every_kind_roundtrips(kind):
+    rng = random.Random(f"mix:{kind}")
+    for weights in ((Fraction(1),), (Fraction(1, 4), Fraction(3, 4)),
+                    (Fraction(1, 6), Fraction(1, 3), HALF)):
+        nx, ny, t = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+        mix = ProtocolMixture(tuple((w, random_protocol(kind, nx, ny, t, rng)) for w in weights))
+        back = parse(serialize(mix))
+        assert back == mix and hash(back) == hash(mix)
+
+
+def test_empty_tables_of_any_dtype_are_accepted():
+    # t = 0 schedules hold no cell, so their dtype carries no value;
+    # casting an empty complex array would warn
+    p = random_protocol("general", 0, 0, 0, random.Random(7))
+    for d in (complex, np.float64, bool, object):
+        assert dataclasses.replace(p, sched_a=np.array([], d), sched_b=np.array([], d)) == p
+
+
 @pytest.mark.parametrize("value", [1.0, None, "1", Fraction(1)])
 @pytest.mark.parametrize("dim", ["nx", "ny", "t"])
 def test_validate_reports_non_integer_dimensions(dim, value):
