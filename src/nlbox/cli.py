@@ -55,8 +55,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _hash(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _hash(text: str | bytes) -> str:
+    """The hash of a text, or of a file's bytes as _read reads them: UTF-8
+    with CRLF and CR line ends made LF, so bytes with no CR hash as they are."""
+    if isinstance(text, bytes) and b"\r" in text:
+        text = text.decode().replace("\r\n", "\n").replace("\r", "\n")
+    if isinstance(text, str):
+        text = text.encode()
+    return hashlib.sha256(text).hexdigest()[:16]
 
 
 def _load_table(path: str) -> tuple[tt.TruthTable, str]:
@@ -66,9 +72,11 @@ def _load_table(path: str) -> tuple[tt.TruthTable, str]:
 
 
 def _load_protocol(path: str):
-    """A protocol, valid once parsed, and the hash of its file."""
-    text = _read(path)
-    return parse_protocol(text), _hash(text)
+    """A protocol, valid once parsed, and the hash of its file, both
+    from the file's bytes, read once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_protocol(data), _hash(data)
 
 
 def _load_source(path: str):

@@ -188,12 +188,13 @@ def _rank_chunk(masks: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
 
     The pivot row is XORed into every row with the bit, itself included:
     it drops out as a zero row, the others lose the bit, and the rank is
-    the number of columns that found a pivot.
+    the number of columns that found a pivot.  A matrix of no rows (or
+    no columns) has none: its rank is 0.
     """
     rows = _rows(masks, n_rows, n_cols)
     rank = np.zeros(len(masks), dtype=np.int64)
     idx = np.arange(len(masks))
-    for c in range(n_cols):
+    for c in range(n_cols if n_rows else 0):
         has = (rows >> c) & 1
         piv = has.argmax(axis=1)
         rows ^= has * rows[idx, piv][:, None]

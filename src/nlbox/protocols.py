@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from math import lcm
 from numbers import Integral, Rational
+from operator import is_
 from types import SimpleNamespace
 from typing import Union
 
@@ -51,8 +53,8 @@ class _Tables:
                 # the tables are its rows: one conversion, read as views
                 tab = tuple(_array(tab, ndim + 1, cells, label))
             else:
-                tab = tuple(_array(t, ndim, cells, f"{label} {i}")
-                            for i, t in enumerate(_rows(tab, label)))
+                tab = tuple([_array(t, ndim, cells, label, i)
+                             for i, t in enumerate(_rows(tab, label))])
             object.__setattr__(self, field, tab)
         _check(self)
 
@@ -357,19 +359,17 @@ _DTYPES = {BITS: (np.dtype(np.uint8), 1), PAIRS: (np.dtype(np.uint8), 1),
            INTS: (np.dtype(np.int64), (1 << 63) - 1)}
 
 
-def _array(tab, ndim: int | None, cells, label: str):
+def _array(tab, ndim: int | None, cells, label: str, index: int | None = None):
     """tab as a read-only C-contiguous array of ndim dimensions and the
     cells' dtype: a tuple of 1-D rows for ndim None, and a tuple for OT
-    weights.  A ProtocolError naming label if tab is ragged, not a table
+    weights.  A ProtocolError naming label (``label index`` for entry
+    index of a field of one table per box) if tab is ragged, not a table
     of ndim dimensions, or needs a cast to that dtype and has a cell that
     is no integer in [0, largest value], checked before the cast, which
     would wrap.  Cells already of the dtype are kept; validate checks
     that bits are 0 or 1."""
     if cells == FRACS:
         return tuple(_rows(tab, label))
-    if ndim is None:
-        return tuple(_array(row, 1, cells, f"{label}: row {k}")
-                     for k, row in enumerate(_rows(tab, label)))
     dtype, top = _DTYPES[cells]
     if isinstance(tab, np.ndarray) and tab.dtype == dtype and tab.ndim == ndim:
         flags = tab.flags
@@ -377,6 +377,11 @@ def _array(tab, ndim: int | None, cells, label: str):
             return tab
         a = tab.copy()
     else:
+        if index is not None:
+            label = f"{label} {index}"
+        if ndim is None:
+            return tuple(_array(row, 1, cells, f"{label}: row {k}")
+                         for k, row in enumerate(_rows(tab, label)))
         tab = _rows(tab, label)
         try:
             a = np.array(tab)
@@ -395,11 +400,20 @@ def _array(tab, ndim: int | None, cells, label: str):
 _SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
 
 
-def _binary(tab: np.ndarray) -> bool:
-    """Whether a uint8 array holds only 0 and 1: deleting those bytes
-    leaves none, which on the short lines most tables are costs a fifth
-    of a reduction (0.2 against 1.1 us) and on 2^16 cells 31 us."""
-    return not tab.tobytes().translate(None, b"\0\1")
+# a run of cells this long is checked by numpy's max, below it by translate
+_LONG_RUN = 4096
+
+
+def _binary(tabs) -> bool:
+    """Whether uint8 arrays hold only 0 and 1, checked on their bytes
+    joined: deleting those bytes leaves none, which on the short lines
+    most tables are costs a fifth of a numpy reduction (0.2 against
+    1.1 us); past _LONG_RUN bytes a max is cheaper (4 us on 2^18 cells
+    against 100 us)."""
+    cells = b"".join(tabs)
+    if len(cells) < _LONG_RUN:
+        return not cells.translate(None, b"\0\1")
+    return np.frombuffer(cells, np.uint8).max() <= 1
 
 
 def _size_error(shape: tuple, want: tuple) -> str | None:
@@ -422,10 +436,60 @@ def _table_error(tab, rows: int | None, width, cells) -> str | None:
         return _size_error((len(tab),), (rows,)) or next(
             (f"row {k}: {err}" for k, (row, w) in enumerate(zip(tab, width))
              if (err := _table_error(row, None, w, cells))), None)
-    want = (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)]
-    if err := _size_error(tab.shape, want):
+    if err := _size_error(tab.shape, _shape(rows, width, cells)):
         return err
-    return None if cells == INTS or _binary(tab) else f"entry not of type {cells}"
+    return None if cells == INTS or _binary((tab,)) else f"entry not of type {cells}"
+
+
+def _shape(rows: int | None, width: int, cells) -> tuple:
+    """The array shape of a table of layout's rows and width."""
+    return (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)]
+
+
+def _shapes(kind, nx: int, ny: int, t: int, p) -> tuple:
+    """The shape of each array table of p, in the order _table_errors
+    lists them: field by field, a tree round as a tuple of row shapes."""
+    shapes = {field: [] for field in _SPECS[kind]}
+    for _label, field, _index, cells, rows, width in layout(kind, nx, ny, t, p):
+        if cells != FRACS:
+            shapes[field].append(tuple((w,) for w in width) if isinstance(width, tuple)
+                                 else _shape(rows, width, cells))
+    return tuple(s for field in shapes.values() for s in field)
+
+
+@lru_cache(maxsize=256)
+def _plan_shapes(kind, nx: int, ny: int, t: int, nr: int) -> tuple:
+    """_shapes of a kind whose shapes follow from its dimensions and its
+    OT weight count nr: every kind but the tree."""
+    return _shapes(kind, nx, ny, t, SimpleNamespace(r_weights=range(nr)))
+
+
+def _table_errors(p) -> list[str]:
+    """What keeps p's tables from layout's shapes and 0/1 bits: one shape
+    check and one _binary over all of them, and only when that fails a
+    walk that names each bad table."""
+    kind, shapes, bits = type(p), [], []
+    for field, (_label, cells, ndim, indexed) in _SPECS[kind].items():
+        if cells == FRACS:
+            continue
+        tabs = getattr(p, field) if indexed else (getattr(p, field),)
+        if ndim is None:  # tree rounds: rows of their own widths
+            shapes += [tuple(row.shape for row in tab) for tab in tabs]
+            tabs = [row for tab in tabs for row in tab]
+        else:
+            shapes += [tab.shape for tab in tabs]
+        if cells != INTS:
+            bits += tabs
+    want = (_shapes(kind, p.nx, p.ny, p.t, p) if kind is TwoWayTree else
+            _plan_shapes(kind, p.nx, p.ny, p.t, len(p.r_weights) if kind is OtProtocol else 0))
+    if tuple(shapes) == want and _binary(bits):
+        return []
+    out = []
+    for label, field, index, cells, rows, width in layout(kind, p.nx, p.ny, p.t, p):
+        tab = getattr(p, field)
+        if err := _table_error(tab if index is None else tab[index], rows, width, cells):
+            out.append(f"{label}: {err}")
+    return out
 
 
 def _rational(weights) -> bool:
@@ -435,7 +499,10 @@ def _rational(weights) -> bool:
 
 def _over_lcm(weights) -> tuple[tuple[int, ...], int]:
     """One or more rational weights as integer numerators over the lcm
-    of their denominators, and that lcm."""
+    of their denominators, and that lcm.  One weight object repeated, as
+    the OT compiler and the parser give uniform randomness, is read once."""
+    if weights and all(map(is_, weights, repeat(weights[0]))):
+        return (weights[0].numerator,) * len(weights), weights[0].denominator
     dens = [w.denominator for w in weights]
     den = lcm(*set(dens))
     return tuple(w.numerator * (den // d) for w, d in zip(weights, dens)), den
@@ -490,11 +557,7 @@ def validate(p) -> list[str]:
                for field, (label, _cells, _ndim, indexed) in _SPECS[type(p)].items()
                if indexed and len(getattr(p, field)) != p.t]:
         return out
-    for label, field, index, cells, rows, width in layout(type(p), p.nx, p.ny, p.t, p):
-        tab = getattr(p, field)
-        if err := _table_error(tab if index is None else tab[index], rows, width, cells):
-            out.append(f"{label}: {err}")
-
+    out = _table_errors(p)
     if isinstance(p, GeneralNlbProtocol):
         for side, sched in (("A", p.sched_a), ("B", p.sched_b)):
             if sorted(sched.tolist()) != list(range(p.t)):

@@ -29,9 +29,11 @@ class ParseError(ValueError):
 
 
 _PAIR_TOKENS = {f"{a}{b}": (a, b) for a in (0, 1) for b in (0, 1)}
-# byte value -> bit character ("0" for 0, "1" otherwise), and back
+# byte value -> bit character ("0" for 0, "1" otherwise), and back: a
+# bit character's value, 2 for any other byte
 _BIT_CHARS = b"0" + b"1" * 255
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_OR_TWO = bytes(2 if c not in b"01" else c - ord("0") for c in range(256))
+_ZERO = np.uint8(ord("0"))
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 
 # cell types listed on their label's line: how one cell is read, and how
@@ -87,7 +89,11 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             lines.extend(_lines(tab, cells))
 
 
-class _Cursor:
+class _Lines:
+    """The line path: a text's content lines (``truthtable.content_lines``),
+    read one line at a time.  It accepts every text the format allows and
+    words every error."""
+
     def __init__(self, text: str):
         self.lines = tt.content_lines(text)
         self.pos = 0
@@ -117,48 +123,114 @@ class _Cursor:
             if len(pairs) != width or None in pairs:
                 raise ParseError("bad OT pair row")
             return pairs
-        raw = ln.encode()
-        if len(raw) != width or raw.translate(None, b"01"):
+        bits = ln.encode().translate(_BIT_OR_TWO)
+        if len(bits) != width or 2 in bits:
             raise ParseError(f"expected {width}-bit line, found {ln!r}")
-        return np.frombuffer(raw.translate(_BIT_VALUES), np.uint8)
+        return np.frombuffer(bits, np.uint8)
 
-    def rows(self, cells: str, n: int, width: int) -> np.ndarray:
+    def rows(self, cells: str, n: int | None, width: int):
         """The next n lines as an (n, width) bit table or (n, width, 2)
-        OT pairs: in one read when serialize wrote them, else line by
-        line, which also reports the first bad line."""
-        tab = _written_rows(self.lines[self.pos:self.pos + n], cells, n, width)
-        if tab is None:
-            return np.array([self.row(cells, width) for _ in range(n)], np.uint8)
-        self.pos += n
+        OT pairs; for n None, the next line as row reads it."""
+        if n is None:
+            return self.row(cells, width)
+        return np.array([self.row(cells, width) for _ in range(n)], np.uint8)
+
+
+class _Refused(Exception):
+    """Bytes that the block path does not read; the line path reads them."""
+
+
+class _Blocks:
+    """The block path: the ASCII bytes of a text as serialize writes it,
+    each table's rows read as one slice.  Between tables it takes lines of
+    printable ASCII with no space at either end, and skips blank and '#'
+    lines; it refuses anything else (tabs, CR, other control bytes, a
+    blank or comment line among a table's rows, no final newline), so the
+    lines it reads are the content lines the line path would read."""
+
+    def __init__(self, data: bytes):
+        if not data.endswith(b"\n"):
+            raise _Refused
+        self.data, self.pos, self.next = data, 0, 0
+
+    def peek(self) -> str | None:
+        data = self.data
+        while self.pos < len(data):
+            end = data.index(b"\n", self.pos)
+            ln = data[self.pos:end].decode("ascii")
+            if not ln.isprintable() or ln[:1] == " " or ln[-1:] == " ":
+                raise _Refused
+            if ln and ln[0] != "#":
+                self.next = end + 1
+                return ln
+            self.pos = end + 1
+        return None
+
+    def take(self) -> str:
+        ln = self.peek()
+        if ln is None:
+            raise _Refused
+        self.pos = self.next
+        return ln
+
+    def expect(self, prefix: str) -> str:
+        # a label alone on its line, as serialize writes a table's, is
+        # matched in place
+        label = prefix.encode() + b"\n"
+        if self.data.startswith(label, self.pos):
+            self.pos += len(label)
+            return prefix
+        ln = self.take()
+        if not ln.startswith(prefix):
+            raise _Refused
+        return ln
+
+    def rows(self, cells: str, n: int | None, width: int) -> np.ndarray:
+        """The next n lines as a read-only (n, width) bit table or
+        (n, width, 2) OT pairs, from one slice of the bytes; for n None,
+        the next line as a 1-D row."""
+        data, pos = self.data, self.pos
+        lines, shape = (1, (width,)) if n is None else (n, (n, width))
+        size = 3 * width if cells == PAIRS else width + 1
+        end = pos + lines * size
+        if not lines or not width or end > len(data):
+            raise _Refused
+        if cells == PAIRS:
+            # each pair's two bytes, as one unaligned uint16 every 3 bytes
+            tab = np.ndarray((lines * width,), np.uint16, data, pos, (3,)).copy().view(np.uint8)
+            tab -= _ZERO
+            if tab.max() > 1 or data[pos + 2:end:3] != (b" " * (width - 1) + b"\n") * lines:
+                raise _Refused
+            tab = tab.reshape(*shape, 2)
+            tab.setflags(write=False)
+        else:
+            block = data[pos:end]
+            bits = block.translate(_BIT_OR_TWO, b"\n")
+            if len(bits) != lines * width or 2 in bits or block[width::size] != b"\n" * lines:
+                raise _Refused
+            tab = np.frombuffer(bits, np.uint8).reshape(shape)
+        self.pos = end
         return tab
 
 
-def _written_rows(block: list[str], cells: str, n: int, width: int) -> np.ndarray | None:
-    """n lines of width cells each, as serialize writes them, read with
-    one frombuffer; None when they are not all such lines."""
-    size = 3 * width - 1 if cells == PAIRS else width
-    if len(block) != n or not set(map(len, block)) <= {size}:
-        return None
-    # the byte count equals the character count only for ASCII text
-    if cells == BITS:
-        raw = "".join(block).encode()
-        if len(raw) != n * width or raw.translate(None, b"01"):
-            return None
-        return np.frombuffer(raw.translate(_BIT_VALUES), np.uint8).reshape(n, width)
-    # each pair's two characters, then a space
-    raw = (" ".join(block) + " ").encode()
-    if len(raw) != 3 * n * width or raw[2::3].translate(None, b" "):
-        return None
-    bits = bytearray(2 * n * width)
-    bits[0::2], bits[1::2] = raw[0::3], raw[1::3]
-    bits = bytes(bits)
-    if bits.translate(None, b"01"):
-        return None
-    return np.frombuffer(bits.translate(_BIT_VALUES), np.uint8).reshape(n, width, 2)
+def parse(text: str | bytes) -> Protocol:
+    """A protocol from its text, or from a file's bytes as UTF-8 (a
+    UnicodeDecodeError if they are not).  Lines end in LF, CRLF or CR.
+    Bytes and ASCII text are read by the block path first, which accepts
+    ASCII only; anything it refuses, and every error, is read again by
+    the line path, which words the error."""
+    if isinstance(text, str) and text.isascii():
+        text = text.encode("ascii")
+    if isinstance(text, bytes):
+        try:
+            return _parse_all(_Blocks(text))
+        except (_Refused, ValueError):
+            pass
+        text = text.decode()
+    return _parse_all(_Lines(text))
 
 
-def parse(text: str) -> Protocol:
-    cur = _Cursor(text)
+def _parse_all(cur) -> Protocol:
     p = _parse_one(cur)
     if cur.peek() is not None:
         raise ParseError(f"trailing content: {cur.peek()!r}")
@@ -178,12 +250,10 @@ def _mix_header(line: str) -> tuple[int, Fraction]:
         raise ParseError(f"bad mixture header {line!r}") from None
 
 
-def _parse_one(cur: _Cursor):
-    line = cur.take()
-    if not line.startswith("mix"):
-        cur.pos -= 1
+def _parse_one(cur):
+    if not (cur.peek() or "").startswith("mix"):
         return _parse_body(cur)
-    k, w = _mix_header(line)
+    k, w = _mix_header(cur.take())
     comps = [(w, _parse_body(cur))]
     for _ in range(k - 1):
         k2, w = _mix_header(cur.take())
@@ -193,7 +263,7 @@ def _parse_one(cur: _Cursor):
     return ProtocolMixture(tuple(comps))
 
 
-def _parse_body(cur: _Cursor):
+def _parse_body(cur):
     line = cur.take()
     head = line.split()
     try:
@@ -220,15 +290,12 @@ def _parse_body(cur: _Cursor):
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
             tab = tuple(map(value.__getitem__, toks))
-        elif rows is None:
-            tab = cur.row(cells, width)
         elif isinstance(width, tuple):  # a tree round: rows of their own widths
-            tab = tuple(cur.row(cells, w) for w in width)
+            tab = tuple(cur.rows(cells, None, w) for w in width)
         else:
             tab = cur.rows(cells, rows, width)
         if index is None:
             setattr(got, field, tab)
         else:
             getattr(got, field).append(tab)
-    return kind(nx, ny, t, **{name: tuple(tab) if isinstance(tab, list) else tab
-                              for name, tab in vars(got).items()})
+    return kind(nx, ny, t, **vars(got))

@@ -490,6 +490,33 @@ def test_exec_exact_rejects_a_seed(capsys, tmp_path):
     assert err == "error: --seed applies to --samples only, not --exact\n"
 
 
+def test_input_hash_is_of_the_file_text_with_lf_line_ends(capsys, tmp_path):
+    lf = tmp_path / "lf.nlb"
+    assert run(capsys, "lib", "disj-det", "-n", "2", "-o", str(lf))[0] == 0
+    data = lf.read_bytes()
+    variants = {"crlf": data.replace(b"\n", b"\r\n"), "cr": data.replace(b"\n", b"\r"),
+                "lf": data}
+    for name, raw in variants.items():
+        path = tmp_path / f"{name}.nlb"
+        path.write_bytes(raw)
+        code, out, _ = run(capsys, "exec", "-p", str(path), "-x", "1", "-y", "2", "--exact")
+        assert code == 0 and out.startswith("input-hash: 548c10203c1bded8\n"), name
+    # a non-ASCII comment: the hash of the file's UTF-8 text
+    text = "# café ✓\n" + data.decode()
+    path = tmp_path / "utf8.nlb"
+    path.write_bytes(text.encode())
+    code, out, _ = run(capsys, "exec", "-p", str(path), "-x", "1", "-y", "2", "--exact")
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert code == 0 and out.startswith(f"input-hash: {digest}\n")
+    # a byte that is no UTF-8
+    path = tmp_path / "ff.nlb"
+    path.write_bytes(data[:40] + b"\xff" + data[40:])
+    code, out, err = run(capsys, "exec", "-p", str(path), "-x", "1", "-y", "2", "--exact")
+    _assert_one_line_error(code, out, err)
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 40: "
+                   "invalid start byte\n")
+
+
 def test_exit_code_usage_samples_without_seed(capsys, tmp_path, ip2_file):
     proto = str(tmp_path / "p.nlb")
     run(capsys, "synth", "-f", ip2_file, "-o", proto)

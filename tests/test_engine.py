@@ -161,6 +161,18 @@ def test_error_profile_fast_path_matches_generic():
     assert fast.exact and slow.exact
 
 
+def test_protocols_and_error_profiles_are_unequal_to_other_objects():
+    f = random_table(2, 2, RNG)
+    p = synth_rank(f)
+    prof = error_profile(p, f)
+    # same dimensions and tables, another kind; then no protocol at all
+    for other in (xor_as_parallel(p), prof, None, serialize(p)):
+        assert p.__eq__(other) is NotImplemented and p != other
+    for other in (p, None, prof.table):
+        assert prof.__eq__(other) is NotImplemented and prof != other
+    assert p == synth_rank(f) and prof == error_profile(xor_as_parallel(p), f)
+
+
 def test_error_profile_reports_worst_input():
     # protocol that always outputs parity 0, measured against AND
     p = synth_rank(TruthTable(1, 1, (0, 0)))

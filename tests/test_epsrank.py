@@ -109,7 +109,7 @@ def test_dimension_limit_is_a_resource_limit_and_a_value_error():
             candidate_table(5, 4)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 4)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 2), (4, 4), (0, 2), (2, 0)])
 def test_rank_groups_hold_every_mask_of_their_rank_in_order(shape):
     groups = enumerate_ranks(*shape)
     ranks = gf2.rank_batch_masks(np.arange(1 << (shape[0] * shape[1])), *shape)
@@ -129,7 +129,7 @@ def test_enumerate_ranks_partition():
 
 
 @pytest.mark.parametrize("shape", [(r, c) for r in range(1, 5) for c in range(1, 5)]
-                         + [(3, 5)])
+                         + [(3, 5), (0, 2), (2, 0)])
 def test_candidate_table_is_the_rank_enumeration(shape):
     groups = enumerate_ranks(*shape)
     masks, bits, ends = candidate_table(*shape)

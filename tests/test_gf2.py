@@ -143,6 +143,12 @@ def test_batch_rank_empty_batch():
     assert ranks.dtype == np.int64 and len(ranks) == 0
 
 
+@pytest.mark.parametrize("n_rows,n_cols", [(0, 3), (3, 0), (0, 0)])
+def test_batch_rank_of_matrices_without_rows_or_columns_is_zero(n_rows, n_cols):
+    ranks = gf2.rank_batch_masks([0, 0], n_rows, n_cols)
+    assert ranks.dtype == np.int64 and ranks.tolist() == [0, 0]
+
+
 def test_batch_rank_rejects_oversized():
     with pytest.raises(ValueError):
         gf2.rank_batch_masks([0], 8, 8)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import random
 import re
 from fractions import Fraction
@@ -21,10 +22,12 @@ from nlbox.protocols import (BITS, FRACS, INTS, PAIRS, GeneralNlbProtocol, OneWa
 from nlbox.serialize import ParseError, parse, serialize
 from nlbox.truthtable import (TruthTable, content_lines, format_truth_table, ip_table,
                               parse_truth_table)
-from util import KINDS, TRUTH_TABLE_BAD_HEADERS, input_laws, mutated, random_ordered, \
-    random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
+from util import KINDS, TRUTH_TABLE_BAD_HEADERS, input_laws, mutated, oracle_parse, \
+    random_ordered, random_protocol, random_table, random_tree, xor_as_ordered, xor_as_parallel
 
 RNG = random.Random(1234)
+# the module, which the package's serialize function shadows
+serialize_module = importlib.import_module("nlbox.serialize")
 
 HALF = Fraction(1, 2)
 
@@ -413,6 +416,99 @@ def test_parsers_raise_only_value_error_on_mutated_text(name, data):
         parser(data.draw(mutated(text)))
     except ValueError:  # ParseError and ProtocolError included
         pass
+
+
+_PADS = (" ", "\t", "\x0b", "\x0c", "\x1c")
+
+
+def _line_variants(lines: list[str], i: int):
+    """lines with line i changed in each way a text can differ from
+    serialize's: missing; after a blank, comment or non-ASCII line;
+    padded with whitespace; split by a line break of str.splitlines;
+    another separator; short; a 2 in place of a cell; a cell moved to
+    the next line."""
+    line, before, after = lines[i], lines[:i], lines[i + 1:]
+    yield before + after
+    for extra in ("", "\t", "# between rows", "# café ✓"):
+        yield before + [extra, line] + after
+    for pad in _PADS:
+        yield before + [pad + line] + after
+        yield before + [line + pad] + after
+    k = len(line) // 2
+    for c in ("\r", "\x0b", "\x0c", "\x1c"):
+        yield before + [line[:k] + c + line[k:]] + after
+    for c in ("\t", "  ", "\x0b", "x"):
+        yield before + [line.replace(" ", c, 1)] + after
+    if line:
+        yield before + [line[:-1]] + after
+        yield before + [line[:k] + "2" + line[k + 1:]] + after
+        if after:
+            yield before + [line[:-1], line[-1] + after[0]] + after[1:]
+
+
+def _text_variants(lines: list[str]):
+    """The text of lines with LF, CRLF and CR line ends, after a BOM,
+    without a final newline, and cut at a third and at a half."""
+    text = "\n".join(lines) + "\n"
+    yield from (text, text.replace("\n", "\r\n"), text.replace("\n", "\r"), "\ufeff" + text,
+                text[:-1], text[:len(text) // 3], text[:len(text) // 2])
+
+
+@st.composite
+def _edited_text(draw) -> str:
+    """serialize's text of a random protocol of any kind (mixtures and
+    trees included) with up to three lines changed, one of its
+    _text_variants, and perhaps cut short."""
+    kind = draw(st.sampled_from(KINDS))
+    nx, ny, t = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    p = random_protocol(kind, nx, ny, t, random.Random(draw(st.integers(0, 2**32 - 1))))
+    lines = serialize(p, provenance=draw(st.sampled_from([None, "edit test"]))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines = draw(st.sampled_from(list(_line_variants(lines, i))))
+    text = draw(st.sampled_from(list(_text_variants(lines))))
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 0 else text
+
+
+def _outcome(parser, text):
+    """What parser makes of text: a protocol, or an error's type and words."""
+    try:
+        return parser(text)
+    except ValueError as exc:  # ParseError, ProtocolError, UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+def _assert_parse_agrees_with_oracle(text: str):
+    want = _outcome(oracle_parse, text)
+    assert _outcome(parse, text) == want
+    assert _outcome(parse, text.encode()) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_edited_text())
+def test_parse_agrees_with_line_by_line_oracle(text):
+    _assert_parse_agrees_with_oracle(text)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_agrees_with_oracle_on_each_line_changed(kind):
+    p = random_protocol(kind, 1, 1, 1, random.Random(kind))
+    lines = serialize(p, provenance="edit test").splitlines()
+    for text in _text_variants(lines):
+        _assert_parse_agrees_with_oracle(text)
+    for i in range(len(lines)):
+        for variant in _line_variants(lines, i):
+            _assert_parse_agrees_with_oracle("\n".join(variant) + "\n")
+
+
+@pytest.mark.parametrize("idx", range(9))
+def test_block_path_reads_what_serialize_writes(idx, monkeypatch):
+    # the line path is only for text serialize does not write
+    p = _samples()[idx]
+    text = serialize(p, provenance="block path")
+    monkeypatch.setattr(serialize_module, "_Lines", None)
+    assert parse(text) == p and parse(text.encode()) == p
 
 
 def test_parse_inconsistent_mixture_headers():

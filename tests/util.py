@@ -9,6 +9,7 @@ since a uint8 shift wraps at 8 bits.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import zlib
@@ -16,17 +17,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
 from nlbox.engine import AuditViolation, derive_seed, exact_laws, exec_exact
 from nlbox.gf2 import SpectrumReport
-from nlbox.protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
-                             OrderedNlbProtocol, OtProtocol, ParallelProtocol,
-                             ParallelXorProtocol, ProtocolMixture, TwoWayTree)
-from nlbox.serialize import serialize
-from nlbox.truthtable import TruthTable
+from nlbox.protocols import (FRACS, INTS, KIND_NAMES, PAIRS, AndProtocol, GeneralNlbProtocol,
+                             OneWayProtocol, OrderedNlbProtocol, OtProtocol, ParallelProtocol,
+                             ParallelXorProtocol, ProtocolMixture, TwoWayTree, layout)
+from nlbox.serialize import ParseError, serialize
+from nlbox.truthtable import TruthTable, parse_decimal, parse_fraction
 
 
 def parity(v: int) -> int:
@@ -378,6 +380,106 @@ def oracle_phase1(columns, b):
         if bi < n:
             x[bi] = tab[i][ncols]
     return -obj[ncols], x, [one - obj[n + i] for i in range(m)]
+
+
+_PAIR_CELLS = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}
+
+
+def oracle_parse(text):
+    """The protocol text format read line by line, with tables as lists of
+    ints: the reference for ``nlbox.serialize.parse``, which must return
+    an equal protocol or raise the same exception type with the same
+    message.  Bytes are UTF-8.  Every line is stripped, with lines split
+    where ``str.splitlines`` splits them (CR, CRLF and the other Unicode
+    line breaks included), and blank and '#' lines are dropped."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    todo = [ln for ln in (raw.strip() for raw in text.splitlines())
+            if ln and not ln.startswith("#")][::-1]
+
+    def take() -> str:
+        if not todo:
+            raise ParseError("unexpected end of input")
+        return todo.pop()
+
+    def mix_header(line: str):
+        head = line.split()
+        try:
+            if head[0] != "mix" or len(head) != 3:
+                raise ValueError
+            k = parse_decimal(head[1], "component count")
+            if k < 1:
+                raise ValueError
+            return k, parse_fraction(head[2], "weight")
+        except ValueError:
+            raise ParseError(f"bad mixture header {line!r}") from None
+
+    def bit_row(width: int) -> list[int]:
+        ln = take()
+        if len(ln) != width or set(ln) - {"0", "1"}:
+            raise ParseError(f"expected {width}-bit line, found {ln!r}")
+        return [int(c) for c in ln]
+
+    def pair_row(width: int) -> list[tuple[int, int]]:
+        cells = [_PAIR_CELLS.get(tok) for tok in take().split()]
+        if len(cells) != width or None in cells:
+            raise ParseError("bad OT pair row")
+        return cells
+
+    def body():
+        line = take()
+        head = line.split()
+        dims = {}
+        for kv in head[2:]:
+            key, *value = kv.split("=")
+            if len(value) != 1:
+                raise ParseError(f"bad header {line!r}")
+            dims[key] = value[0]
+        try:
+            nx, ny, t = (parse_decimal(dims[key], key) for key in ("nx", "ny", "t"))
+        except (KeyError, ValueError):
+            raise ParseError(f"bad header {line!r}") from None
+        if head[0] != "protocol" or len(head) < 2:
+            raise ParseError(f"bad header {line!r}")
+        kind = next((k for k, name in KIND_NAMES.items() if name == head[1]), None)
+        if kind is None:
+            raise ParseError(f"unknown protocol kind {head[1]!r}")
+        got = SimpleNamespace(**{f.name: [] for f in dataclasses.fields(kind)[3:]})
+        for label, field, index, cells, rows, width in layout(kind, nx, ny, t, got):
+            line = take()
+            if not line.startswith(f"{label}:"):
+                raise ParseError(f"expected {label + ':'!r}, found {line!r}")
+            if cells in (INTS, FRACS):
+                read = parse_decimal if cells == INTS else parse_fraction
+                try:
+                    tab = [read(tok, label) for tok in line.split()[1:]]
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from None
+            elif isinstance(width, tuple):
+                tab = [bit_row(w) for w in width]
+            else:
+                row = pair_row if cells == PAIRS else bit_row
+                tab = row(width) if rows is None else [row(width) for _ in range(rows)]
+            if index is None:
+                setattr(got, field, tab)
+            else:
+                getattr(got, field).append(tab)
+        return kind(nx, ny, t, **vars(got))
+
+    if not (todo[-1] if todo else "").startswith("mix"):
+        p = body()
+    else:
+        k, w = mix_header(take())
+        comps = [(w, body())]
+        for _ in range(k - 1):
+            k2, w = mix_header(take())
+            if k2 != k:
+                raise ParseError("inconsistent mixture headers")
+            comps.append((w, body()))
+        p = ProtocolMixture(tuple(comps))
+    if todo:
+        raise ParseError(f"trailing content: {todo[-1]!r}")
+    return p
 
 
 # --- scalar reference engine ---
