@@ -64,7 +64,8 @@ def _lines(tab, cells) -> list[str]:
 
 
 def serialize(p: Protocol, provenance: str | None = None) -> str:
-    """The text of a valid protocol (tables as the constructors make them)."""
+    """The text of a valid protocol (tables as the constructors make
+    them); parse reads each of its tables as one slice."""
     lines: list[str] = []
     if provenance:
         lines.append(f"# provenance: {provenance}")
@@ -89,26 +90,44 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             lines.extend(_lines(tab, cells))
 
 
-class _Lines:
-    """The line path: a text's content lines (``truthtable.content_lines``),
-    read one line at a time.  It accepts every text the format allows and
-    words every error."""
+# the line breaks of str.splitlines that are ASCII and not LF
+_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
-    def __init__(self, text: str):
-        self.lines = tt.content_lines(text)
-        self.pos = 0
+
+class _Cursor:
+    """The content lines (``truthtable.content_line``) of UTF-8 bytes with
+    LF line ends, and tables read from them: one slice of the bytes when
+    the table's rows are as serialize writes them, else row by row."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos, self.next = data, 0, 0
 
     def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        data = self.data
+        while self.pos < len(data):
+            end = data.find(b"\n", self.pos)
+            end = len(data) if end < 0 else end
+            ln = tt.content_line(data[self.pos:end].decode("utf-8", "surrogatepass"))
+            if ln:
+                self.next = end + 1
+                return ln
+            self.pos = end + 1
+        return None
 
     def take(self) -> str:
         ln = self.peek()
         if ln is None:
             raise ParseError("unexpected end of input")
-        self.pos += 1
+        self.pos = self.next
         return ln
 
     def expect(self, prefix: str) -> str:
+        # a label alone on its line, as serialize writes a table's, is
+        # matched in place
+        label = prefix.encode() + b"\n"
+        if self.data.startswith(label, self.pos):
+            self.pos += len(label)
+            return prefix
         ln = self.take()
         if not ln.startswith(prefix):
             raise ParseError(f"expected {prefix!r}, found {ln!r}")
@@ -129,85 +148,37 @@ class _Lines:
         return np.frombuffer(bits, np.uint8)
 
     def rows(self, cells: str, n: int | None, width: int):
-        """The next n lines as an (n, width) bit table or (n, width, 2)
-        OT pairs; for n None, the next line as row reads it."""
-        if n is None:
-            return self.row(cells, width)
-        return np.array([self.row(cells, width) for _ in range(n)], np.uint8)
-
-
-class _Refused(Exception):
-    """Bytes that the block path does not read; the line path reads them."""
-
-
-class _Blocks:
-    """The block path: the ASCII bytes of a text as serialize writes it,
-    each table's rows read as one slice.  Between tables it takes lines of
-    printable ASCII with no space at either end, and skips blank and '#'
-    lines; it refuses anything else (tabs, CR, other control bytes, a
-    blank or comment line among a table's rows, no final newline), so the
-    lines it reads are the content lines the line path would read."""
-
-    def __init__(self, data: bytes):
-        if not data.endswith(b"\n"):
-            raise _Refused
-        self.data, self.pos, self.next = data, 0, 0
-
-    def peek(self) -> str | None:
-        data = self.data
-        while self.pos < len(data):
-            end = data.index(b"\n", self.pos)
-            ln = data[self.pos:end].decode("ascii")
-            if not ln.isprintable() or ln[:1] == " " or ln[-1:] == " ":
-                raise _Refused
-            if ln and ln[0] != "#":
-                self.next = end + 1
-                return ln
-            self.pos = end + 1
-        return None
-
-    def take(self) -> str:
-        ln = self.peek()
-        if ln is None:
-            raise _Refused
-        self.pos = self.next
-        return ln
-
-    def expect(self, prefix: str) -> str:
-        # a label alone on its line, as serialize writes a table's, is
-        # matched in place
-        label = prefix.encode() + b"\n"
-        if self.data.startswith(label, self.pos):
-            self.pos += len(label)
-            return prefix
-        ln = self.take()
-        if not ln.startswith(prefix):
-            raise _Refused
-        return ln
-
-    def rows(self, cells: str, n: int | None, width: int) -> np.ndarray:
         """The next n lines as a read-only (n, width) bit table or
-        (n, width, 2) OT pairs, from one slice of the bytes; for n None,
-        the next line as a 1-D row."""
+        (n, width, 2) OT pairs; for n None, the next line as row reads it."""
+        tab = self._block(cells, n, width)
+        if tab is None:  # not as serialize writes it: row by row
+            tab = self.row(cells, width) if n is None else np.array(
+                [self.row(cells, width) for _ in range(n)], np.uint8)
+        return tab
+
+    def _block(self, cells: str, n: int | None, width: int) -> np.ndarray | None:
+        """What rows reads, from one slice of the bytes checked and
+        converted by a fixed number of passes; None unless the next lines
+        are exactly the table's rows, one a line."""
         data, pos = self.data, self.pos
         lines, shape = (1, (width,)) if n is None else (n, (n, width))
         size = 3 * width if cells == PAIRS else width + 1
         end = pos + lines * size
-        if not lines or not width or end > len(data):
-            raise _Refused
+        if not width or end > len(data):
+            return None
         if cells == PAIRS:
             # each pair's two bytes, as one unaligned uint16 every 3 bytes
             tab = np.ndarray((lines * width,), np.uint16, data, pos, (3,)).copy().view(np.uint8)
             tab -= _ZERO
             if tab.max() > 1 or data[pos + 2:end:3] != (b" " * (width - 1) + b"\n") * lines:
-                raise _Refused
+                return None
             tab = tab.reshape(*shape, 2)
             tab.setflags(write=False)
         else:
             block = data[pos:end]
             bits = block.translate(_BIT_OR_TWO, b"\n")
             if len(bits) != lines * width or 2 in bits or block[width::size] != b"\n" * lines:
-                raise _Refused
+                return None
             tab = np.frombuffer(bits, np.uint8).reshape(shape)
         self.pos = end
         return tab
@@ -215,22 +186,16 @@ class _Blocks:
 
 def parse(text: str | bytes) -> Protocol:
     """A protocol from its text, or from a file's bytes as UTF-8 (a
-    UnicodeDecodeError if they are not).  Lines end in LF, CRLF or CR.
-    Bytes and ASCII text are read by the block path first, which accepts
-    ASCII only; anything it refuses, and every error, is read again by
-    the line path, which words the error."""
-    if isinstance(text, str) and text.isascii():
-        text = text.encode("ascii")
-    if isinstance(text, bytes):
-        try:
-            return _parse_all(_Blocks(text))
-        except (_Refused, ValueError):
-            pass
-        text = text.decode()
-    return _parse_all(_Lines(text))
-
-
-def _parse_all(cur) -> Protocol:
+    UnicodeDecodeError at the first bad byte if they are not), with lines
+    split where ``str.splitlines`` splits them.  ASCII with LF line ends
+    is read in place, other input once decoded and joined with LF; a
+    table not as serialize writes it is read row by row."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    if not data.isascii() or any(br in data for br in _BREAKS):
+        # a str's lone surrogates pass; a file's bytes are strict UTF-8
+        lines = (data.decode() if isinstance(text, bytes) else text).splitlines()
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")
+    cur = _Cursor(data)
     p = _parse_one(cur)
     if cur.peek() is not None:
         raise ParseError(f"trailing content: {cur.peek()!r}")
@@ -276,6 +241,10 @@ def _parse_body(cur):
     kind = _KINDS.get(head[1])
     if kind is None:
         raise ParseError(f"unknown protocol kind {head[1]!r}")
+    # no table has more rows or cells than the file has bytes: refuse
+    # before layout builds 1 << t, 1 << nx and 1 << ny
+    if max(nx, ny) > len(cur.data).bit_length() or t > len(cur.data):
+        raise ParseError(f"header {line!r} asks for more than the file holds")
     # indexed fields collect their tables in lists; layout reads the
     # tables parsed so far from here
     got = SimpleNamespace(**{f.name: [] for f in fields(kind)[3:]})

@@ -10,7 +10,7 @@ This module owns that packing: other modules read a table's entries
 through ``TruthTable.bits()`` (a uint8 array), unpack other packed
 lines with ``unpack_bits``, build a table from a 0/1 array with
 ``from_entries``, and print packed bits with ``bit_string``.  The text
-formats share its number parsers and comment rule, ``content_lines``.
+formats share its number parsers and comment rule, ``content_line``.
 """
 
 from __future__ import annotations
@@ -147,9 +147,15 @@ def _is_power(n: int, width: str) -> bool:
     return n & (n - 1) == 0 and str(n.bit_length() - 1) == (width.lstrip("0") or "0")
 
 
+def content_line(line: str) -> str:
+    """A line stripped, or '' if it is blank or a '#' comment."""
+    line = line.strip()
+    return "" if line.startswith("#") else line
+
+
 def content_lines(text: str) -> list[str]:
     """The lines of a text file, stripped, without blank and '#' lines."""
-    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    return [ln for ln in map(content_line, text.splitlines()) if ln]
 
 
 def parse_truth_table(text: str) -> TruthTable:

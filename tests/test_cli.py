@@ -619,6 +619,18 @@ def test_rule_the_parser_cannot_see_prints_one_pinned_line(capsys, tmp_path, nam
         2, "", want + "\n")
 
 
+def test_header_the_file_cannot_hold_is_refused_at_once(capsys, tmp_path):
+    # before any table is read: layout would build 1 << t or 1 << nx first
+    path = tmp_path / "huge.nlb"
+    for header in ("protocol ordered nx=1 ny=1 t=9999999999999",
+                   "protocol ordered nx=4000000000 ny=1 t=1"):
+        path.write_text(header + "\n")
+        started = time.monotonic()
+        got = run(capsys, "exec", "-p", str(path), "-x", "0", "-y", "0", "--exact")
+        assert time.monotonic() - started < 0.5
+        assert got == (2, "", f"error: header {header!r} asks for more than the file holds\n")
+
+
 def test_exec_rejects_out_of_range_inputs(capsys, tmp_path):
     proto = str(tmp_path / "ip1.nlb")
     run(capsys, "lib", "ip", "-n", "1", "-o", proto)
