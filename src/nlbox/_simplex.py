@@ -92,6 +92,7 @@ def solve_phase1(columns, b):
                     r * best_a == best_r * a and basis[i] < basis[leave])):
                 leave, best_r, best_a = i, r, a
         if leave is None:
+            # unreachable: a phase-1 objective is at least 0
             raise ArithmeticError("phase-1 objective unbounded below")
         row = tab[leave].copy()
         if tab.dtype == object:

@@ -17,8 +17,8 @@ from operator import xor
 import numpy as np
 
 from . import gf2
-from .engine import (ProtocolError, ResourceLimitError, _check_limit, _errors, _kernel,
-                     _parities, privacy_audit_and)
+from .engine import (ProtocolError, ResourceLimitError, _check_limit, _kernel, _parities,
+                     error_profile, privacy_audit_and)
 from .protocols import (AndProtocol, GeneralNlbProtocol, OneWayProtocol,
                         OrderedNlbProtocol, OtProtocol, ParallelProtocol,
                         ParallelXorProtocol, TwoWayTree)
@@ -103,10 +103,10 @@ def twoway_to_parallel(p: TwoWayTree) -> ParallelXorProtocol:
 def parallel_exact_function(p: ParallelProtocol) -> TruthTable | None:
     """The function computed in parity when the parity is deterministic:
     the error table against the zero function, if each entry is 0 or 1."""
-    errs, den = _errors(p, TruthTable(p.nx, p.ny, (0,) * (1 << p.nx)))
-    if ((errs != 0) & (errs != den)).any():
+    prof = error_profile(p, TruthTable(p.nx, p.ny, (0,) * (1 << p.nx)))
+    if ((prof.errors != 0) & (prof.errors != prof.den)).any():
         return None
-    return from_entries(p.nx, p.ny, (errs == den).reshape(1 << p.nx, -1))
+    return from_entries(p.nx, p.ny, prof.errors == prof.den)
 
 
 def _mask(bits) -> int:

@@ -41,8 +41,7 @@ from .truthtable import TruthTable
 
 DEFAULT_LIMIT_T = 20
 # runs evaluated at once, so the arrays stay small and in cache
-_BATCH_T = 14
-_BATCH = 1 << _BATCH_T
+_BATCH = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -133,7 +132,9 @@ def _kernel(p):
     Bob received packed by call; AND gives (a, b, gates); one-way and
     tree protocols give (a, b).  The kernel indexes the tables directly,
     through _at; a and b are uint8 bits read off them, and any bit it
-    shifts is first widened, since a uint8 shift wraps at 8 bits."""
+    shifts is first widened, since a uint8 shift wraps at 8 bits.  Every
+    caller passes a protocol of a checked kind (by _leaves, _require or a
+    mixture's constructor), so the kind no branch names is AND."""
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol, AndProtocol)):
         pins, qins = _packed(p.pbox, 1 << p.nx), _packed(p.qbox, 1 << p.ny)
     if isinstance(p, (ParallelXorProtocol, ParallelProtocol)):
@@ -207,12 +208,11 @@ def _kernel(p):
                 tr |= bits.astype(np.int64) << r
             return _at(p.out_a, tr, x), _at(p.out_b, tr, y)
         return run_tree
-    if isinstance(p, AndProtocol):
-        def run_and(x, y, _v):
-            gates = pins[x] & qins[y]
-            return _at(p.out_a, x, gates), np.zeros_like(gates), gates
-        return run_and
-    raise ProtocolError(f"cannot run {type(p).__name__}")
+
+    def run_and(x, y, _v):
+        gates = pins[x] & qins[y]
+        return _at(p.out_a, x, gates), np.zeros_like(gates), gates
+    return run_and
 
 
 def _leaves(p) -> tuple:
@@ -241,9 +241,9 @@ def _tally(leaves, x, y, key):
     outputs only u's parity), else 0.  key gets j as a column and the
     outputs as (inputs, branches) arrays, and gives one value per run.
     Returns the weights' denominator and, per chunk of whole inputs in
-    order (one, or as many as fit 2^NLBOX_LIMIT_T and _BATCH runs), the
-    distinct keys, sorted, and row i of their integer weights on its
-    input i.  A leaf whose runs all carry one weight is counted by
+    order (one, or as many as fit _BATCH runs, whatever the branch
+    limit), the distinct keys, sorted, and row i of their integer weights
+    on its input i.  A leaf whose runs all carry one weight is counted by
     np.bincount times that weight, any other by np.add.at.  Keys in
     [0, k), at most 4 cells per run (all but Python-int keys, from t = 63
     on, and OT receipts of sparse randomness), index their own columns,
@@ -252,16 +252,17 @@ def _tally(leaves, x, y, key):
     _check_inputs(leaves, x, y)
     specs = []  # (protocol, branches, numerators: one, or one per branch, denominator)
     for w, c in leaves:
+        # every leaf reads the limit, so a malformed one is named on any kind
+        t = (min(c.t, 1) if isinstance(c, ParallelXorProtocol)
+             else c.t if isinstance(c, NLB_KINDS) else 0)
+        _check_limit(t)
         if isinstance(c, OtProtocol):
             nums, den = c.r_ints
             one = nums.count(nums[0]) == len(nums)
             specs.append((c, len(nums), [w.numerator * n for n in (nums[:1] if one else nums)],
                           w.denominator * den))
-            continue
-        t = (min(c.t, 1) if isinstance(c, ParallelXorProtocol)
-             else c.t if isinstance(c, NLB_KINDS) else 0)
-        _check_limit(t)
-        specs.append((c, 1 << t, [w.numerator], w.denominator << t))
+        else:
+            specs.append((c, 1 << t, [w.numerator], w.denominator << t))
     den = math.lcm(*(d for *_c, d in specs))
     ints = [[n * (den // d) for n in nums] for _c, _n, nums, d in specs]
     # each input's weights sum to total, and every cell holds part of it:
@@ -270,7 +271,7 @@ def _tally(leaves, x, y, key):
     dtype = object if total >= 1 << 63 else np.int64
     runs = [(_kernel(c), np.arange(n)[None], ns[0] if len(ns) == 1 else np.array(ns, dtype))
             for ns, (c, n, *_) in zip(ints, specs)]
-    step = max(1, (1 << min(_limit_t(), _BATCH_T)) // sum(v.size for _run, v, _ns in runs))
+    step = max(1, _BATCH // sum(v.size for _run, v, _ns in runs))
 
     def chunks():
         for lo in range(0, len(x), step):

@@ -192,6 +192,7 @@ def _mixture_feasible(t: int, n_rows: int, n_cols: int, lo, hi):
                     break
         if added == 0:
             return None
+    # unreachable: each round returns or admits a column not seen before
     raise RuntimeError("column generation failed to terminate")
 
 
@@ -206,7 +207,7 @@ def eps_rank(q: EpsRankQuery) -> EpsRankResult:
         if mix is not None:
             return EpsRankResult(t, tuple(mix))
     if q.tmax >= rmax:
-        # every matrix is within eps=... of a full-rank mixture containing itself
+        # unreachable: a full-rank level is always feasible (any matrix mixes itself)
         raise AssertionError("full-rank search cannot fail for eps >= 0")
     return EpsRankResult(None, ())
 

@@ -3,19 +3,18 @@
 Tables are indexed by integer-encoded inputs: Alice's input x in
 [0, 2^nx), Bob's y in [0, 2^ny), box-outcome vectors packed
 little-endian (bit i is box i).  ``layout`` describes the tables of each
-kind once; the text format, the shape checks of ``validate`` and the
-arrays below all follow it.
+kind once, with each table's array shape; the text format, the shape
+checks of ``validate`` and the arrays below all follow it.
 
-Each table is one read-only numpy array: a bit table of rows is
-``(rows, width)`` uint8, OT input pairs are ``(rows, width, 2)`` uint8
-and a one-line table is 1-D (uint8 bits, int64 integers).  A field of
-one table per box or round is a tuple of them (``pbox[i]`` is box i's
-table over X).  A tree round, whose rows have their speakers' widths,
-is a tuple of 1-D rows; OT weights are a tuple.  A protocol is valid
-once built: each constructor converts its tables with ``_array`` and
-checks ``validate``'s rules, and raises ``ProtocolError`` on any
-violation, so every protocol that exists can be written and run.
-Protocols compare and hash by kind, shapes and bytes.
+Each table is one read-only numpy array of its shape (uint8 bits and OT
+pairs, int64 integers).  A field of one table per box or round is a
+tuple of them (``pbox[i]`` is box i's table over X).  A tree round,
+whose rows have their speakers' widths, is a tuple of 1-D rows; OT
+weights are a tuple.  A protocol is valid once built: each constructor
+converts its tables with ``_array`` and checks ``validate``'s rules, and
+raises ``ProtocolError`` on any violation, so every protocol that exists
+can be written and run.  Protocols compare and hash by kind, shapes and
+bytes.
 
 A value read off a table is a numpy scalar: convert it with ``int``
 before it is printed or shifted, since numpy prints ``np.uint8(1)`` and
@@ -291,64 +290,67 @@ def _rows(tab, label: str):
 
 def layout(kind, nx: int, ny: int, t: int, p):
     """Every table of a protocol kind as (label, field, index, cells,
-    rows, width), in text-format order.
+    shape), in text-format order.
 
-    The table is ``getattr(p, field)``, or entry ``index`` of it.  It has
-    ``rows`` rows of ``width`` cells (an int, or one int per row), or is
-    one line of ``width`` cells (any number if None) when ``rows`` is
-    None.  Widths that depend on earlier tables (tree directions, the
-    size of OT randomness) are read from ``p`` only after those tables
-    are yielded, so a parser can fill ``p`` as it goes.
+    The table is ``getattr(p, field)``, or entry ``index`` of it, and
+    ``shape`` is its array shape: ``(width,)`` for one line, ``(rows,
+    width)`` for rows of bits, ``(rows, width, 2)`` for OT pairs.  A tree
+    round's shape is a tuple of its 2^r rows' shapes, None for a row that
+    a short direction table gives no speaker; OT weights, any number of
+    them, have shape None.  Shapes that depend on earlier tables (tree
+    directions, the size of OT randomness) are read from ``p`` only after
+    those tables are yielded, so a parser can fill ``p`` as it goes.
     """
     xs, ys = 1 << nx, 1 << ny
     if kind in (ParallelXorProtocol, ParallelProtocol, AndProtocol):
         for field, dom in (("pbox", xs), ("qbox", ys)):
             for i in range(t):
-                yield f"{field} {i}", field, i, BITS, None, dom
+                yield f"{field} {i}", field, i, BITS, (dom,)
     if kind is ParallelXorProtocol:
-        yield "localA", "local_a", None, BITS, None, xs
-        yield "localB", "local_b", None, BITS, None, ys
+        yield "localA", "local_a", None, BITS, (xs,)
+        yield "localB", "local_b", None, BITS, (ys,)
     elif kind is OneWayProtocol:
-        yield "msg", "msg", None, INTS, None, xs
-        yield "outA", "out_a", None, BITS, None, xs
-        yield "outB", "out_b", None, BITS, 1 << t, ys
+        yield "msg", "msg", None, INTS, (xs,)
+        yield "outA", "out_a", None, BITS, (xs,)
+        yield "outB", "out_b", None, BITS, (1 << t, ys)
     elif kind is TwoWayTree:
         for r in range(t):
-            yield f"dir {r}", "direction", r, BITS, None, 1 << r
-            d = p.direction[r]
-            yield f"bit {r}", "bit", r, BITS, 1 << r, tuple(xs if v == 1 else ys for v in d)
-        yield "outA", "out_a", None, BITS, 1 << t, xs
-        yield "outB", "out_b", None, BITS, 1 << t, ys
+            yield f"dir {r}", "direction", r, BITS, (1 << r,)
+            rows = [(xs,) if v == 1 else (ys,) for v in p.direction[r]] + [None] * (1 << r)
+            yield f"bit {r}", "bit", r, BITS, tuple(rows[:1 << r])
+        yield "outA", "out_a", None, BITS, (1 << t, xs)
+        yield "outB", "out_b", None, BITS, (1 << t, ys)
     elif kind is OtProtocol:
-        yield "rweights", "r_weights", None, FRACS, None, None
+        yield "rweights", "r_weights", None, FRACS, None
         nr = len(p.r_weights)
         for i in range(t):
-            yield f"inA {i}", "in_a", i, PAIRS, xs, nr
-            yield f"inB {i}", "in_b", i, BITS, ys, 1 << i
-        yield "outA", "out_a", None, BITS, xs, nr
-        yield "outB", "out_b", None, BITS, ys, 1 << t
+            yield f"inA {i}", "in_a", i, PAIRS, (xs, nr, 2)
+            yield f"inB {i}", "in_b", i, BITS, (ys, 1 << i)
+        yield "outA", "out_a", None, BITS, (xs, nr)
+        yield "outB", "out_b", None, BITS, (ys, 1 << t)
     else:
-        yield "outA", "out_a", None, BITS, xs, 1 << t
+        yield "outA", "out_a", None, BITS, (xs, 1 << t)
         if kind is not AndProtocol:
-            yield "outB", "out_b", None, BITS, ys, 1 << t
+            yield "outB", "out_b", None, BITS, (ys, 1 << t)
     if kind is GeneralNlbProtocol:
-        yield "schedA", "sched_a", None, INTS, None, t
-        yield "schedB", "sched_b", None, INTS, None, t
+        yield "schedA", "sched_a", None, INTS, (t,)
+        yield "schedB", "sched_b", None, INTS, (t,)
     if kind in (OrderedNlbProtocol, GeneralNlbProtocol):
         for label, field, dom in (("stepA", "step_a", xs), ("stepB", "step_b", ys)):
             for i in range(t):
-                yield f"{label} {i}", field, i, BITS, dom, 1 << i
+                yield f"{label} {i}", field, i, BITS, (dom, 1 << i)
 
 
 def _specs(kind) -> dict:
     """{field: (label, cells, ndim, indexed)} for each table field of a
     kind: its label (without the index of a field of one table per box),
-    the cell type, the dimensions of its array (None for a tuple of 1-D
-    rows of their own widths) and whether the field is a tuple of tables."""
+    the cell type, the dimensions of its array (None for a tree round, a
+    tuple of 1-D rows of their own widths, and for OT weights) and
+    whether the field is a tuple of tables."""
     probe = SimpleNamespace(direction=((1,),), r_weights=())
     specs = {}
-    for label, field, index, cells, rows, width in layout(kind, 0, 0, 1, probe):
-        ndim = 1 if rows is None else None if isinstance(width, tuple) else 2 + (cells == PAIRS)
+    for label, field, index, cells, shape in layout(kind, 0, 0, 1, probe):
+        ndim = None if shape is None or isinstance(shape[0], tuple) else len(shape)
         specs[field] = (label.rsplit(" ", 1)[0] if index is not None else label,
                         cells, ndim, index is not None)
     return specs
@@ -400,20 +402,11 @@ def _array(tab, ndim: int | None, cells, label: str, index: int | None = None):
 _SPECS = {kind: _specs(kind) for kind in KIND_NAMES}
 
 
-# a run of cells this long is checked by numpy's max, below it by translate
-_LONG_RUN = 4096
-
-
 def _binary(tabs) -> bool:
-    """Whether uint8 arrays hold only 0 and 1, checked on their bytes
-    joined: deleting those bytes leaves none, which on the short lines
-    most tables are costs a fifth of a numpy reduction (0.2 against
-    1.1 us); past _LONG_RUN bytes a max is cheaper (4 us on 2^18 cells
-    against 100 us)."""
+    """Whether uint8 arrays hold only 0 and 1: one max over their bytes
+    joined."""
     cells = b"".join(tabs)
-    if len(cells) < _LONG_RUN:
-        return not cells.translate(None, b"\0\1")
-    return np.frombuffer(cells, np.uint8).max() <= 1
+    return not cells or np.frombuffer(cells, np.uint8).max() <= 1
 
 
 def _size_error(shape: tuple, want: tuple) -> str | None:
@@ -426,34 +419,27 @@ def _size_error(shape: tuple, want: tuple) -> str | None:
                    else ": not total")
 
 
-def _table_error(tab, rows: int | None, width, cells) -> str | None:
-    """What keeps a converted table from being ``rows`` rows of ``width``
-    cells of type cells (one line of them for rows None, and rows of
-    their own widths for a tuple of widths), or None if nothing does."""
-    if cells == FRACS:
+def _table_error(tab, shape, cells) -> str | None:
+    """What keeps a converted table from layout's shape with cells of
+    type cells, or None if nothing does."""
+    if shape is None:
         return None
-    if isinstance(width, tuple):
-        return _size_error((len(tab),), (rows,)) or next(
-            (f"row {k}: {err}" for k, (row, w) in enumerate(zip(tab, width))
-             if (err := _table_error(row, None, w, cells))), None)
-    if err := _size_error(tab.shape, _shape(rows, width, cells)):
+    if isinstance(tab, tuple):  # a tree round: rows of their own shapes
+        return _size_error((len(tab),), (len(shape),)) or next(
+            (f"row {k}: {err}" for k, (row, s) in enumerate(zip(tab, shape))
+             if (err := _table_error(row, s, cells))), None)
+    if err := _size_error(tab.shape, shape):
         return err
     return None if cells == INTS or _binary((tab,)) else f"entry not of type {cells}"
-
-
-def _shape(rows: int | None, width: int, cells) -> tuple:
-    """The array shape of a table of layout's rows and width."""
-    return (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)]
 
 
 def _shapes(kind, nx: int, ny: int, t: int, p) -> tuple:
     """The shape of each array table of p, in the order _table_errors
     lists them: field by field, a tree round as a tuple of row shapes."""
     shapes = {field: [] for field in _SPECS[kind]}
-    for _label, field, _index, cells, rows, width in layout(kind, nx, ny, t, p):
-        if cells != FRACS:
-            shapes[field].append(tuple((w,) for w in width) if isinstance(width, tuple)
-                                 else _shape(rows, width, cells))
+    for _label, field, _index, _cells, shape in layout(kind, nx, ny, t, p):
+        if shape is not None:
+            shapes[field].append(shape)
     return tuple(s for field in shapes.values() for s in field)
 
 
@@ -485,9 +471,9 @@ def _table_errors(p) -> list[str]:
     if tuple(shapes) == want and _binary(bits):
         return []
     out = []
-    for label, field, index, cells, rows, width in layout(kind, p.nx, p.ny, p.t, p):
+    for label, field, index, cells, shape in layout(kind, p.nx, p.ny, p.t, p):
         tab = getattr(p, field)
-        if err := _table_error(tab if index is None else tab[index], rows, width, cells):
+        if err := _table_error(tab if index is None else tab[index], shape, cells):
             out.append(f"{label}: {err}")
     return out
 

@@ -81,7 +81,7 @@ def _emit(p: Protocol, lines: list[str]) -> None:
             _emit(comp, lines)
         return
     lines.append(f"protocol {KIND_NAMES[type(p)]} nx={p.nx} ny={p.ny} t={p.t}")
-    for label, field, index, cells, _rows, _width in layout(type(p), p.nx, p.ny, p.t, p):
+    for label, field, index, cells, _shape in layout(type(p), p.nx, p.ny, p.t, p):
         tab = getattr(p, field) if index is None else getattr(p, field)[index]
         if cells in _INLINE:
             lines.append(f"{label}: " + _INLINE[cells][1](tab))
@@ -142,26 +142,27 @@ class _Cursor:
             if len(pairs) != width or None in pairs:
                 raise ParseError("bad OT pair row")
             return pairs
-        bits = ln.encode().translate(_BIT_OR_TWO)
+        bits = ln.encode("utf-8", "surrogatepass").translate(_BIT_OR_TWO)
         if len(bits) != width or 2 in bits:
             raise ParseError(f"expected {width}-bit line, found {ln!r}")
         return np.frombuffer(bits, np.uint8)
 
-    def rows(self, cells: str, n: int | None, width: int):
-        """The next n lines as a read-only (n, width) bit table or
-        (n, width, 2) OT pairs; for n None, the next line as row reads it."""
-        tab = self._block(cells, n, width)
+    def rows(self, cells: str, shape: tuple):
+        """The next lines as a read-only bit table or OT pairs of
+        ``layout``'s shape: one line as row reads it for a 1-D shape, else
+        one line a row."""
+        tab = self._block(cells, shape)
         if tab is None:  # not as serialize writes it: row by row
-            tab = self.row(cells, width) if n is None else np.array(
-                [self.row(cells, width) for _ in range(n)], np.uint8)
+            tab = self.row(cells, shape[0]) if len(shape) == 1 else np.array(
+                [self.row(cells, shape[1]) for _ in range(shape[0])], np.uint8)
         return tab
 
-    def _block(self, cells: str, n: int | None, width: int) -> np.ndarray | None:
+    def _block(self, cells: str, shape: tuple) -> np.ndarray | None:
         """What rows reads, from one slice of the bytes checked and
         converted by a fixed number of passes; None unless the next lines
         are exactly the table's rows, one a line."""
         data, pos = self.data, self.pos
-        lines, shape = (1, (width,)) if n is None else (n, (n, width))
+        lines, width = (1, shape[0]) if len(shape) == 1 else shape[:2]
         size = 3 * width if cells == PAIRS else width + 1
         end = pos + lines * size
         if not width or end > len(data):
@@ -172,7 +173,7 @@ class _Cursor:
             tab -= _ZERO
             if tab.max() > 1 or data[pos + 2:end:3] != (b" " * (width - 1) + b"\n") * lines:
                 return None
-            tab = tab.reshape(*shape, 2)
+            tab = tab.reshape(shape)
             tab.setflags(write=False)
         else:
             block = data[pos:end]
@@ -248,7 +249,7 @@ def _parse_body(cur):
     # indexed fields collect their tables in lists; layout reads the
     # tables parsed so far from here
     got = SimpleNamespace(**{f.name: [] for f in fields(kind)[3:]})
-    for label, field, index, cells, rows, width in layout(kind, nx, ny, t, got):
+    for label, field, index, cells, shape in layout(kind, nx, ny, t, got):
         line = cur.expect(f"{label}:")
         if cells in _INLINE:
             # an OT file repeats one rweights token 2^t times: read each
@@ -259,10 +260,10 @@ def _parse_body(cur):
             except ValueError as exc:
                 raise ParseError(str(exc)) from None
             tab = tuple(map(value.__getitem__, toks))
-        elif isinstance(width, tuple):  # a tree round: rows of their own widths
-            tab = tuple(cur.rows(cells, None, w) for w in width)
+        elif isinstance(shape[0], tuple):  # a tree round: rows of their own widths
+            tab = tuple(cur.rows(cells, s) for s in shape)
         else:
-            tab = cur.rows(cells, rows, width)
+            tab = cur.rows(cells, shape)
         if index is None:
             setattr(got, field, tab)
         else:

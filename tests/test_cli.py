@@ -421,8 +421,8 @@ def test_limit_that_is_no_nonnegative_integer_is_named(capsys, tmp_path, monkeyp
 
 
 def test_limit_of_thirty_digits_runs_as_usual(capsys, tmp_path, monkeypatch):
-    # the chunk size is capped before 2 is raised to the limit, a power
-    # no int holds at 30 digits
+    # the limit only bounds the branch count; 2 is never raised to it, a
+    # power no int holds at 30 digits
     path = tmp_path / "two.nlb"
     path.write_text(serialize(random_ordered(1, 1, 2, random.Random(2))))
     argv = ("exec", "-p", str(path), "-x", "0", "-y", "1", "--exact")

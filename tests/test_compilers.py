@@ -194,8 +194,8 @@ def test_parallel_exact_function_matches_loop_oracle():
 
 def test_xor_normalize_parallel_checks_parity_once(monkeypatch):
     calls = []
-    errors = compilers._errors
-    monkeypatch.setattr(compilers, "_errors", lambda *a: calls.append(a) or errors(*a))
+    profile = compilers.error_profile
+    monkeypatch.setattr(compilers, "error_profile", lambda *a: calls.append(a) or profile(*a))
     src = obfuscate(xor_as_parallel(synth_rank(ip_table(2))), random.Random(9))
     assert xor_normalize_parallel(src).strict and len(calls) == 1
     coin = ParallelProtocol(0, 0, 1, ((1,),), ((0,),), ((0, 1),), ((0, 0),))

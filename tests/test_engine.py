@@ -698,11 +698,11 @@ def test_one_pair_reads_only_its_rows():
 
 
 def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
-    # NLBOX_LIMIT_T = 3 holds 8 runs a chunk: one or two inputs below, so
-    # every mixture leaf's runs are split between chunks (at least 8 of
-    # them); 5 holds 32, several whole inputs of each protocol below in
-    # one chunk (and at least 2 chunks); the mixtures of two and three
-    # kinds are built past the constructor's checks
+    # a _BATCH of 8 runs a chunk holds one or two inputs below, so every
+    # mixture leaf's runs are split between chunks (at least 8 of them);
+    # 32 holds several whole inputs of each protocol below in one chunk
+    # (and at least 2 chunks); the mixtures of two and three kinds are
+    # built past the constructor's checks
     rng = random.Random(99)
     sig = _signalling_ordered()
     leaves = ((Fraction(1, 4), random_ordered(2, 2, 2, rng)),
@@ -723,12 +723,12 @@ def test_chunked_batches_match_unchunked_and_oracles(monkeypatch):
                 [list(ot_received_distribution(p, i, j).items()) for p in ots for i, j in pairs])
     whole = results()
     x, y = np.divmod(np.arange(16), 4)
-    for limit, least in (("3", 8), ("5", 2)):
-        monkeypatch.setenv("NLBOX_LIMIT_T", limit)
+    for batch, least in ((8, 8), (32, 2)):
+        monkeypatch.setattr(engine, "_BATCH", batch)
         for p in (valid, mixed, mix, *ots):
             rows = [len(laws) for _keys, laws
                     in _tally(_leaves(p), x, y, lambda _j, a, b, *_: a ^ b)[1]]
-            assert len(rows) >= least and (limit == "3" or max(rows) > 1)
+            assert len(rows) >= least and (batch == 8 or max(rows) > 1)
         assert results() == whole
     profiles, privacy, laws, receipts = whole
     for p, prof in zip((valid, mixed, mix, *ots), profiles):

@@ -180,7 +180,7 @@ def _assert_canonical(p):
         for _w, c in p.components:
             _assert_canonical(c)
         return
-    for label, field, index, cells, rows, width in layout(type(p), p.nx, p.ny, p.t, p):
+    for label, field, index, cells, shape in layout(type(p), p.nx, p.ny, p.t, p):
         tab = getattr(p, field)
         if index is not None:
             assert isinstance(tab, tuple), label
@@ -188,11 +188,11 @@ def _assert_canonical(p):
         if cells == FRACS:
             assert isinstance(tab, tuple), label
             continue
-        if isinstance(width, tuple):  # a tree round: rows of their own widths
+        if isinstance(shape[0], tuple):  # a tree round: rows of their own shapes
             assert isinstance(tab, tuple), label
-            arrays = zip(tab, [(w,) for w in width])
+            arrays = zip(tab, shape)
         else:
-            arrays = [(tab, (width,) if rows is None else (rows, width, 2)[:2 + (cells == PAIRS)])]
+            arrays = [(tab, shape)]
         for tab, shape in arrays:
             assert isinstance(tab, np.ndarray) and tab.dtype == _DTYPES[cells], label
             assert tab.shape == shape and not tab.flags.writeable, label
@@ -535,6 +535,14 @@ def test_parse_skips_a_lone_surrogate_in_a_str_comment():
     assert parse("# \ud800\n" + serialize(p)) == p
     with pytest.raises(UnicodeDecodeError):
         parse("# \ud800\n".encode("utf-8", "surrogatepass") + serialize(p).encode())
+
+
+def test_parse_names_a_lone_surrogate_in_a_str_bit_row():
+    # a bad bit line, as the oracle finds, not a UnicodeEncodeError: the
+    # row is encoded as it was decoded
+    text = serialize(ip_protocol(1)).replace("localA:\n00", "localA:\n0\ud800")
+    want = (ParseError, "expected 2-bit line, found '0\\ud800'")
+    assert _outcome(parse, text) == _outcome(oracle_parse, text) == want
 
 
 def test_parse_inconsistent_mixture_headers():

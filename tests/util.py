@@ -445,7 +445,7 @@ def oracle_parse(text):
         if kind is None:
             raise ParseError(f"unknown protocol kind {head[1]!r}")
         got = SimpleNamespace(**{f.name: [] for f in dataclasses.fields(kind)[3:]})
-        for label, field, index, cells, rows, width in layout(kind, nx, ny, t, got):
+        for label, field, index, cells, shape in layout(kind, nx, ny, t, got):
             line = take()
             if not line.startswith(f"{label}:"):
                 raise ParseError(f"expected {label + ':'!r}, found {line!r}")
@@ -455,11 +455,11 @@ def oracle_parse(text):
                     tab = [read(tok, label) for tok in line.split()[1:]]
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-            elif isinstance(width, tuple):
-                tab = [bit_row(w) for w in width]
+            elif isinstance(shape[0], tuple):
+                tab = [bit_row(w) for (w,) in shape]
             else:
                 row = pair_row if cells == PAIRS else bit_row
-                tab = row(width) if rows is None else [row(width) for _ in range(rows)]
+                tab = row(shape[0]) if len(shape) == 1 else [row(shape[1]) for _ in range(shape[0])]
             if index is None:
                 setattr(got, field, tab)
             else:
